@@ -187,17 +187,64 @@ def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
         yield i0, i0 / fs + cpi_s / 2.0, phase.samples[i0:i0 + n_cpi]
 
 
-def _reference_for_window(starts_s: np.ndarray, sub_hz: np.ndarray,
-                          subwindow_s: float, segment: np.ndarray, fs: float,
-                          start_s: float, order: int):
-    """Breathing reference over one CPI window from cached subwindow fits."""
-    end_s = start_s + segment.size / fs
-    inside = (starts_s >= start_s - 1e-9) \
-        & (starts_s + subwindow_s <= end_s + 1e-9)
-    if not np.any(inside):
-        raise ValueError("no breathing subwindow fits inside the CPI window")
-    model = _median_refit(segment, fs, sub_hz[inside], order)
-    return model.predict(segment.size, fs)
+def _cancel_stage(phase: PhaseSignal, eca_config: EcaConfig,
+                  anls_window_s: float, anls_step_s: float, grid: tuple,
+                  anls_order: int):
+    """Breathing cancellation for the CPI windows of one record.
+
+    The breathing track is fitted once per record.  The returned
+    cancel(i0, segment) refits the median fundamental of the subwindows
+    lying inside the window over the whole window, and projects the
+    window off that reference's lag subspace.
+    """
+    fs = phase.sample_rate
+    track = breathing_track(phase, anls_window_s, anls_step_s, grid,
+                            anls_order)
+    starts_s, sub_hz = track.starts_s(), track.hz()
+
+    def cancel(i0: int, segment: np.ndarray) -> np.ndarray:
+        start_s = i0 / fs
+        end_s = start_s + segment.size / fs
+        inside = (starts_s >= start_s - 1e-9) \
+            & (starts_s + anls_window_s <= end_s + 1e-9)
+        if not np.any(inside):
+            raise ValueError("no breathing subwindow fits inside the CPI "
+                             "window")
+        model = _median_refit(segment, fs, sub_hz[inside], anls_order)
+        s_ref = model.predict(segment.size, fs)
+        return eca_cancel(segment, s_ref, eca_config).cancelled
+
+    return cancel
+
+
+def _track(phase: PhaseSignal, cpi_s: float, step_s: float, cancel, decide,
+           hold: tuple, zero_pad_factor: int, taper: str) -> HrTrace:
+    """Per sliding window: optional cancel stage, spectrum, decision.
+
+    decide(spectrum) returns (f_hz, tag, delta_hz).  A window whose stages
+    raise ValueError or LinAlgError holds the previous estimate, tagged
+    hold = (tag, delta_hz); a failure on the very first window propagates.
+    """
+    fs = phase.sample_rate
+    trace = HrTrace()
+    last_hz = None
+    for i0, center_s, segment in _cpi_windows(phase, cpi_s, step_s):
+        try:
+            if cancel is not None:
+                segment = cancel(i0, segment)
+            spectrum = power_spectrum(segment, fs, zero_pad_factor, taper)
+            f_hz, tag, delta = decide(spectrum)
+        except (ValueError, np.linalg.LinAlgError):
+            if last_hz is None:
+                raise
+            f_hz, (tag, delta) = last_hz, hold
+        last_hz = f_hz
+        trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
+    return trace
+
+
+def _strongest_peak(band_hz: tuple, tag: str):
+    return lambda spectrum: (conventional_hr(spectrum, band_hz), tag, 0.0)
 
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
@@ -213,27 +260,16 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
     refined with an infinite gap); a failure on the very first window
     propagates.
     """
-    fs = phase.sample_rate
-    track = breathing_track(phase, anls_window_s, anls_step_s, grid,
-                            anls_order)
-    starts_s, sub_hz = track.starts_s(), track.hz()
+    cancel = _cancel_stage(phase, eca_config, anls_window_s, anls_step_s,
+                           grid, anls_order)
     state = TrackerState()
-    trace = HrTrace()
-    for i0, center_s, segment in _cpi_windows(phase, cpi_s, step_s):
-        try:
-            s_ref = _reference_for_window(starts_s, sub_hz, anls_window_s,
-                                          segment, fs, i0 / fs, anls_order)
-            result = eca_cancel(segment, s_ref, eca_config)
-            spectrum = power_spectrum(result.cancelled, fs, zero_pad_factor,
-                                      taper)
-            f_hz, tag, delta, state = ahet_step(spectrum, state, config)
-        except (ValueError, np.linalg.LinAlgError):
-            if state.last_estimate_hz is None:
-                raise
-            f_hz, tag, delta = state.last_estimate_hz, TAG_REFINED, math.inf
-            state.last_estimate_hz = f_hz
-        trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
-    return trace
+
+    # a held window leaves state alone: its last estimate is the held value
+    def decide(spectrum):
+        return ahet_step(spectrum, state, config)[:3]
+
+    return _track(phase, cpi_s, step_s, cancel, decide,
+                  (TAG_REFINED, math.inf), zero_pad_factor, taper)
 
 
 def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
@@ -242,18 +278,9 @@ def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                        zero_pad_factor: int = 8,
                        taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking on the raw phase, window by window."""
-    fs = phase.sample_rate
-    trace = HrTrace()
-    last = None
-    for _i0, center_s, segment in _cpi_windows(phase, cpi_s, step_s):
-        spectrum = power_spectrum(segment, fs, zero_pad_factor, taper)
-        try:
-            last = conventional_hr(spectrum, band_hz)
-        except ValueError:
-            if last is None:
-                raise
-        trace.append(TraceEntry(center_s, last * 60.0, "conventional", 0.0))
-    return trace
+    return _track(phase, cpi_s, step_s, None,
+                  _strongest_peak(band_hz, "conventional"),
+                  ("conventional", 0.0), zero_pad_factor, taper)
 
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
@@ -267,22 +294,8 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            zero_pad_factor: int = 8,
                            taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking after breathing cancellation (no credibility)."""
-    fs = phase.sample_rate
-    track = breathing_track(phase, anls_window_s, anls_step_s, grid,
-                            anls_order)
-    starts_s, sub_hz = track.starts_s(), track.hz()
-    trace = HrTrace()
-    last = None
-    for i0, center_s, segment in _cpi_windows(phase, cpi_s, step_s):
-        try:
-            s_ref = _reference_for_window(starts_s, sub_hz, anls_window_s,
-                                          segment, fs, i0 / fs, anls_order)
-            result = eca_cancel(segment, s_ref, eca_config)
-            spectrum = power_spectrum(result.cancelled, fs, zero_pad_factor,
-                                      taper)
-            last = conventional_hr(spectrum, band_hz)
-        except (ValueError, np.linalg.LinAlgError):
-            if last is None:
-                raise
-        trace.append(TraceEntry(center_s, last * 60.0, "eca", 0.0))
-    return trace
+    cancel = _cancel_stage(phase, eca_config, anls_window_s, anls_step_s,
+                           grid, anls_order)
+    return _track(phase, cpi_s, step_s, cancel,
+                  _strongest_peak(band_hz, "eca"), ("eca", 0.0),
+                  zero_pad_factor, taper)

@@ -8,6 +8,7 @@ normal-equation inverses.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -36,8 +37,9 @@ class HarmonicModel:
 
     def predict(self, n: int, sample_rate: float,
                 include_offset: bool = False) -> np.ndarray:
-        h = harmonic_matrix(self.fundamental_hz, self.order, n, sample_rate)
-        out = h @ self.coefficients.reshape(-1)
+        design = _design_factorization(self.fundamental_hz, self.order, n,
+                                       sample_rate)[0]
+        out = design[:, :2 * self.order] @ self.coefficients.reshape(-1)
         if include_offset:
             out = out + self.offset
         return out
@@ -71,18 +73,12 @@ class ReferenceFit:
     subwindow_hz: np.ndarray
 
 
-_DESIGN_CACHE: dict = {}
-
-
 def harmonic_matrix(fundamental_hz: float, order: int, n: int,
                     sample_rate: float) -> np.ndarray:
     """Design matrix of sin/cos pairs for harmonics 1..order.
 
     Columns 2k-2 and 2k-1 (0-based) hold sin and cos of harmonic k, which
-    linearizes the unknown per-harmonic phases.  Sliding analysis revisits
-    the same few fundamentals thousands of times, so matrices are cached
-    per (fundamental, order, n, fs) and returned read-only; copy before
-    writing.
+    linearizes the unknown per-harmonic phases.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -93,50 +89,34 @@ def harmonic_matrix(fundamental_hz: float, order: int, n: int,
     if order * fundamental_hz >= sample_rate / 2.0:
         raise ValueError(f"harmonic {order} of {fundamental_hz} Hz reaches "
                          f"Nyquist at fs={sample_rate} Hz")
-    key = (float(fundamental_hz), order, n, float(sample_rate))
-    hit = _DESIGN_CACHE.get(key)
-    if hit is not None:
-        return hit
     t = np.arange(n) / sample_rate
     h = np.empty((n, 2 * order))
     for k in range(1, order + 1):
         arg = 2.0 * np.pi * k * fundamental_hz * t
         h[:, 2 * k - 2] = np.sin(arg)
         h[:, 2 * k - 1] = np.cos(arg)
-    h.flags.writeable = False
-    if len(_DESIGN_CACHE) >= 64:
-        _DESIGN_CACHE.pop(next(iter(_DESIGN_CACHE)))
-    _DESIGN_CACHE[key] = h
     return h
 
 
-_QR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _design_factorization(fundamental_hz: float, order: int, n: int,
                           sample_rate: float) -> tuple:
     """Intercept-augmented design with its reduced QR and singular values.
 
-    Sliding analysis refits the same few fundamentals at a fixed window
-    length over and over; the factorization depends only on the design, so
-    it is cached with it (arrays read-only).  Segment length must be at
-    least the column count, which fit_amplitudes validates.  The singular
-    values of R equal those of the design, giving the rank check without a
-    second factorization.
+    Sliding analysis refits and predicts the same few fundamentals at a
+    fixed window length over and over; the factorization depends only on
+    the design, so it is cached with it (arrays read-only; the first
+    2 * order design columns are harmonic_matrix).  Segment length must be
+    at least the column count, which fit_amplitudes validates.  The
+    singular values of R equal those of the design, giving the rank check
+    without a second factorization.
     """
-    key = (float(fundamental_hz), order, n, float(sample_rate))
-    hit = _QR_CACHE.get(key)
-    if hit is not None:
-        return hit
     h = harmonic_matrix(fundamental_hz, order, n, sample_rate)
     design = np.hstack([h, np.ones((n, 1))])
     q, r = np.linalg.qr(design)
     sv = np.linalg.svd(r, compute_uv=False)
     for a in (design, q, r, sv):
         a.flags.writeable = False
-    if len(_QR_CACHE) >= 64:
-        _QR_CACHE.pop(next(iter(_QR_CACHE)))
-    _QR_CACHE[key] = (design, q, r, sv)
     return design, q, r, sv
 
 
@@ -184,9 +164,7 @@ def grid_frequencies(lo_hz: float, hi_hz: float, step_hz: float) -> np.ndarray:
     return freqs[freqs <= hi_hz + 1e-12]
 
 
-_BASIS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4)
 def _orthonormal_bases(n: int, sample_rate: float, order: int,
                        grid: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Stacked orthonormal bases Q(f) for every grid frequency.
@@ -196,22 +174,17 @@ def _orthonormal_bases(n: int, sample_rate: float, order: int,
     intercept, keeping the grid search consistent with fit_amplitudes.
     The bases are flattened to one (F * k, n) matrix so the whole grid is
     scored with a single matrix-vector product.  Cached per (n, fs, order,
-    grid): the bases depend only on geometry, so sliding windows of equal
-    length reuse one QR batch.
+    grid) and returned read-only: the bases depend only on geometry, so
+    sliding windows of equal length reuse one QR batch.
     """
-    key = (n, float(sample_rate), order, grid)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        return hit
     freqs = grid_frequencies(*grid)
     designs = np.stack([harmonic_matrix(f, order, n, sample_rate)
                         for f in freqs])
     designs = designs - designs.mean(axis=1, keepdims=True)
     q, _ = np.linalg.qr(designs)
     flat = np.ascontiguousarray(q.transpose(0, 2, 1).reshape(-1, n))
-    if len(_BASIS_CACHE) >= 4:
-        _BASIS_CACHE.pop(next(iter(_BASIS_CACHE)))
-    _BASIS_CACHE[key] = (freqs, flat)
+    for a in (freqs, flat):
+        a.flags.writeable = False
     return freqs, flat
 
 

@@ -10,17 +10,15 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
-from .ahet import AhetConfig, ahet_trace, conventional_trace, eca_conventional_trace
-from .eca import EcaConfig, eca_cancel
-from .anls import reconstruct_reference
+from .ahet import (AhetConfig, _cancel_stage, _cpi_windows, ahet_trace,
+                   conventional_trace, eca_conventional_trace)
+from .eca import EcaConfig
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
 from .preprocess import NoTargetError, cube_phase
 from .scenario import (FAMILIES, load_scenario, reference_trace,
-                       synthesize_radar_cube, window_starts)
+                       synthesize_radar_cube)
 from .spectral import power_spectrum
 from .types import PhaseSignal
 
@@ -226,27 +224,26 @@ def _cmd_spectra(args) -> int:
     phase = _phase_from_args(args)
     outdir = Path(args.out) if args.out else _default_out("spectra")
     outdir.mkdir(parents=True, exist_ok=True)
-    fs = phase.sample_rate
-    starts = window_starts(phase.samples.size, fs, args.cpi, args.step)
+    windows = list(_cpi_windows(phase, args.cpi, args.step))
     if args.max_windows:
-        starts = starts[:args.max_windows]
-    eca_cfg, _ = _configs_from_args(args)
-    grid = _parse_grid(args.rr_grid)
-    n_cpi = int(round(args.cpi * fs))
-    for w, i0 in enumerate(starts):
-        segment = phase.samples[i0:i0 + n_cpi]
-        if args.cancel:
-            fit = reconstruct_reference(
-                PhaseSignal(segment, fs), args.anls_window, args.anls_step,
-                grid, args.kb)
-            segment = eca_cancel(segment, fit.s_ref, eca_cfg).cancelled
-        spectrum = power_spectrum(segment, fs, args.pad, args.taper)
+        windows = windows[:args.max_windows]
+    cancel = None
+    if args.cancel:
+        eca_cfg, _ = _configs_from_args(args)
+        cancel = _cancel_stage(phase, eca_cfg, args.anls_window,
+                               args.anls_step, _parse_grid(args.rr_grid),
+                               args.kb)
+    for w, (i0, _center_s, segment) in enumerate(windows):
+        if cancel is not None:
+            segment = cancel(i0, segment)
+        spectrum = power_spectrum(segment, phase.sample_rate, args.pad,
+                                  args.taper)
         path = outdir / f"spectrum_{w:05d}.csv"
         with open(path, "w") as fh:
             fh.write("freq_hz,power\n")
             for f, p in zip(spectrum.frequencies, spectrum.power):
                 fh.write(f"{float(f)!r},{float(p)!r}\n")
-    _log(f"wrote {len(starts)} spectra to {outdir}")
+    _log(f"wrote {len(windows)} spectra to {outdir}")
     return 0
 
 

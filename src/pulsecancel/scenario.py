@@ -267,7 +267,9 @@ def synthesize_radar_cube(scenario: Scenario) -> RadarCube:
     Each scatterer at range d contributes
     A * exp(j*(2*pi*f_IF*(t_i - t_c) + 4*pi*d/lambda)) per chirp, with
     f_IF = 2*S*d/c and t_c the fast-time window center.  Scatterers beyond
-    the unambiguous range (f_IF above ADC Nyquist) are rejected.
+    the unambiguous range (f_IF above ADC Nyquist) are rejected.  As in
+    synthesize_slow_time, phase_noise_std jitters the target's phase with
+    one draw per frame, before any complex noise is drawn.
     """
     cfg = scenario.radar
     disp = synthesize_displacement(scenario)
@@ -285,18 +287,22 @@ def synthesize_radar_cube(scenario: Scenario) -> RadarCube:
     n_fast = cfg.adc_samples_per_chirp
     t_fast = (np.arange(n_fast) - (n_fast - 1) / 2.0) / cfg.adc_sample_rate_hz
 
+    rng = np.random.default_rng(scenario.seed)
+    jitter = 0.0
+    if scenario.phase_noise_std > 0:
+        jitter = rng.normal(0.0, scenario.phase_noise_std, scenario.n_frames)
+
     cube = np.zeros((scenario.n_frames, n_fast), dtype=complex)
-    scatterers = [(target_range, scenario.transmit_power_scale)]
-    scatterers += [(np.full(scenario.n_frames, rng_m), amp)
+    scatterers = [(target_range, scenario.transmit_power_scale, jitter)]
+    scatterers += [(np.full(scenario.n_frames, rng_m), amp, 0.0)
                    for rng_m, amp in scenario.clutter]
-    for ranges, amp in scatterers:
+    for ranges, amp, extra in scatterers:
         f_if = cfg.beat_frequency_hz(ranges)
-        const = 4.0 * np.pi * ranges / cfg.wavelength_m
+        const = 4.0 * np.pi * ranges / cfg.wavelength_m + extra
         cube += amp * np.exp(1j * (2.0 * np.pi * np.outer(f_if, t_fast)
                                    + const[:, None]))
 
     if scenario.complex_noise_std > 0:
-        rng = np.random.default_rng(scenario.seed)
         scale = scenario.complex_noise_std / np.sqrt(2.0)
         cube += (rng.normal(0.0, scale, cube.shape)
                  + 1j * rng.normal(0.0, scale, cube.shape))

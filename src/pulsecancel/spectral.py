@@ -1,6 +1,7 @@
 """Windowed power spectra and interpolated peak picking."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import get_window
@@ -37,19 +38,11 @@ class Peak:
     power: float
 
 
-_TAPER_CACHE: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _taper(taper: str, n: int) -> np.ndarray:
     """Window samples, cached per (taper, n) and returned read-only."""
-    key = (taper, n)
-    w = _TAPER_CACHE.get(key)
-    if w is None:
-        w = get_window(taper, n, fftbins=True)
-        w.flags.writeable = False
-        if len(_TAPER_CACHE) >= 8:
-            _TAPER_CACHE.pop(next(iter(_TAPER_CACHE)))
-        _TAPER_CACHE[key] = w
+    w = get_window(taper, n, fftbins=True)
+    w.flags.writeable = False
     return w
 
 

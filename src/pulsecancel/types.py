@@ -1,7 +1,6 @@
 """Shared signal and trace containers used across the pipeline."""
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -71,5 +70,3 @@ class HrTrace:
     def tags(self) -> list[str]:
         return [e.tag for e in self.entries]
 
-
-INF_DELTA = math.inf

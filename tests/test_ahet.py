@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import pulsecancel.ahet as ahet_mod
 from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step, ahet_trace,
                               conventional_hr, conventional_trace,
                               credibility, eca_conventional_trace)
@@ -203,3 +204,60 @@ class TestTraces:
         trace = conventional_trace(fixture_phase, cpi_s=10.0, step_s=2.0)
         np.testing.assert_allclose(trace.times(),
                                    [5.0, 7.0, 9.0, 11.0, 13.0, 15.0])
+
+
+def fail_on_call(monkeypatch, name, k, exc=ValueError):
+    """Make pulsecancel.ahet.<name> raise exc on its k-th call (1-based)."""
+    original = getattr(ahet_mod, name)
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == k:
+            raise exc("injected failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ahet_mod, name, flaky)
+
+
+# (trace function, stage made to fail, hold tag, hold gap)
+HOLD_CASES = [
+    (conventional_trace, "conventional_hr", "conventional", 0.0),
+    (eca_conventional_trace, "power_spectrum", "eca", 0.0),
+    (ahet_trace, "power_spectrum", "refined", math.inf),
+]
+WINDOWS = dict(cpi_s=10.0, step_s=2.0)     # six windows over the fixture
+
+
+class TestHoldLastEstimate:
+    @pytest.mark.parametrize("trace_fn, stage, tag, delta", HOLD_CASES)
+    def test_mid_record_failure_holds_previous_estimate(
+            self, fixture_phase, monkeypatch, trace_fn, stage, tag, delta):
+        clean = trace_fn(fixture_phase, **WINDOWS)
+        fail_on_call(monkeypatch, stage, 3)
+        held = trace_fn(fixture_phase, **WINDOWS)
+        assert held.times().tolist() == clean.times().tolist()
+        assert held.entries[:2] == clean.entries[:2]
+        entry = held.entries[2]
+        assert entry.hr_bpm == held.entries[1].hr_bpm
+        assert entry.tag == tag
+        assert entry.delta_hz == delta
+
+    @pytest.mark.parametrize("trace_fn, tag, delta",
+                             [(fn, tag, d) for fn, _, tag, d in HOLD_CASES])
+    def test_spectrum_linalg_failure_also_holds(
+            self, fixture_phase, monkeypatch, trace_fn, tag, delta):
+        # every method guards every stage, the spectrum included
+        fail_on_call(monkeypatch, "power_spectrum", 2,
+                     np.linalg.LinAlgError)
+        held = trace_fn(fixture_phase, **WINDOWS)
+        assert held.entries[1].hr_bpm == held.entries[0].hr_bpm
+        assert (held.entries[1].tag, held.entries[1].delta_hz) == (tag, delta)
+
+    @pytest.mark.parametrize("trace_fn, stage",
+                             [(fn, stage) for fn, stage, _, _ in HOLD_CASES])
+    def test_first_window_failure_propagates(
+            self, fixture_phase, monkeypatch, trace_fn, stage):
+        fail_on_call(monkeypatch, stage, 1)
+        with pytest.raises(ValueError, match="injected failure"):
+            trace_fn(fixture_phase, **WINDOWS)

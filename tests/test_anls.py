@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pulsecancel.anls import (BREATHING_GRID_HZ, estimate_breathing,
+from pulsecancel.anls import (BREATHING_GRID_HZ, _design_factorization,
+                              _orthonormal_bases, estimate_breathing,
                               breathing_track, fit_amplitudes,
                               grid_frequencies, harmonic_matrix,
                               reconstruct_reference)
@@ -177,3 +178,35 @@ class TestTrackAndReference:
         assert fit.model.offset == pytest.approx(0.5, abs=1e-6)
         np.testing.assert_allclose(fit.s_ref + fit.model.offset, x,
                                    atol=1e-6)
+
+
+class TestCaches:
+    def test_cached_arrays_are_read_only(self):
+        cached = [*_design_factorization(0.26, 3, 500, FS),
+                  *_orthonormal_bases(500, FS, 3, BREATHING_GRID_HZ)]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_repeated_calls_return_equal_values(self):
+        first = _design_factorization(0.26, 3, 500, FS)
+        again = _design_factorization(0.26, 3, 500, FS)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+        freqs, bases = _orthonormal_bases(500, FS, 3, BREATHING_GRID_HZ)
+        freqs2, bases2 = _orthonormal_bases(500, FS, 3, BREATHING_GRID_HZ)
+        np.testing.assert_array_equal(freqs, freqs2)
+        np.testing.assert_array_equal(bases, bases2)
+
+    def test_design_starts_with_the_harmonic_matrix(self):
+        design = _design_factorization(0.26, 3, 500, FS)[0]
+        np.testing.assert_array_equal(design[:, :6],
+                                      harmonic_matrix(0.26, 3, 500, FS))
+        np.testing.assert_array_equal(design[:, 6], 1.0)
+
+    def test_predict_at_an_unfitted_length(self):
+        x = harmonic_signal(0.31, 500, [1.0, 0.4, 0.2], [0.1, 0.7, 1.3])
+        model = fit_amplitudes(x, FS, 0.31, order=3)
+        expected = harmonic_matrix(0.31, 3, 737, FS) \
+            @ model.coefficients.reshape(-1)
+        np.testing.assert_array_equal(model.predict(737, FS), expected)

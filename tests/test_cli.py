@@ -5,8 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import pulsecancel.ahet as ahet_mod
+from pulsecancel.ahet import eca_conventional_trace
+from pulsecancel.anls import reconstruct_reference
 from pulsecancel.cli import main
+from pulsecancel.eca import EcaConfig, eca_cancel
 from pulsecancel.ingest import read_raw_cube, read_reference_trace
+from pulsecancel.preprocess import cube_phase
+from pulsecancel.scenario import window_starts
+from pulsecancel.spectral import power_spectrum
+from pulsecancel.types import PhaseSignal
 
 
 def run_cli(*args):
@@ -148,6 +156,23 @@ class TestBenchCommand:
         assert summary["failed_runs"] == 0
 
 
+def _spectrum_csv(spectrum):
+    rows = ["freq_hz,power"]
+    rows += [f"{float(f)!r},{float(p)!r}"
+             for f, p in zip(spectrum.frequencies, spectrum.power)]
+    return "\n".join(rows) + "\n"
+
+
+def _same_text(path, expected):
+    # a plain bool: pytest would otherwise diff two 8001-line strings
+    return path.read_text() == expected
+
+
+def _cli_phase(cube_path):
+    """Phase as the CLI computes it with default pipeline flags."""
+    return cube_phase(read_raw_cube(cube_path), (0.3, 3.0), 2, 0.7)
+
+
 class TestSpectra:
     def test_dumps_window_csvs(self, synth_outputs, tmp_path):
         cube_path, _ = synth_outputs
@@ -162,6 +187,52 @@ class TestSpectra:
         freq, power = lines[1].split(",")
         assert float(freq) == 0.0
         assert float(power) >= 0.0
+
+    def test_default_flags_match_per_window_reconstruction(
+            self, synth_outputs, tmp_path):
+        # with --step a multiple of --anls-step, the record's breathing
+        # subwindows inside a window are exactly the window's own, so the
+        # shared-track cancel stage equals refitting each window from scratch
+        cube_path, _ = synth_outputs
+        outdir = tmp_path / "spectra"
+        assert run_cli("spectra", "--in", str(cube_path), "--cancel",
+                       "--out", str(outdir)) == 0
+        phase = _cli_phase(cube_path)
+        fs = phase.sample_rate
+        n_cpi = int(round(20.0 * fs))
+        starts = window_starts(phase.samples.size, fs, 20.0, 1.0)
+        assert len(list(outdir.iterdir())) == len(starts) == 21
+        for w, i0 in enumerate(starts):
+            segment = phase.samples[i0:i0 + n_cpi]
+            fit = reconstruct_reference(PhaseSignal(segment, fs), 5.0, 1.0,
+                                        (0.1, 0.5, 0.0016666667), 3)
+            cancelled = eca_cancel(segment, fit.s_ref, EcaConfig()).cancelled
+            expected = _spectrum_csv(power_spectrum(cancelled, fs))
+            path = outdir / f"spectrum_{w:05d}.csv"
+            assert _same_text(path, expected), path.name
+
+    def test_dumps_what_the_eca_method_tracks_on(self, synth_outputs,
+                                                 tmp_path, monkeypatch):
+        # off the anls-step lattice the record-wide breathing track and a
+        # per-window one differ; the dump follows the tracking methods
+        cube_path, _ = synth_outputs
+        outdir = tmp_path / "spectra"
+        assert run_cli("spectra", "--in", str(cube_path), "--cancel",
+                       "--step", "0.5", "--out", str(outdir)) == 0
+        seen = []
+
+        def recording(*args, **kwargs):
+            spectrum = power_spectrum(*args, **kwargs)
+            seen.append(spectrum)
+            return spectrum
+
+        monkeypatch.setattr(ahet_mod, "power_spectrum", recording)
+        eca_conventional_trace(_cli_phase(cube_path), step_s=0.5,
+                               grid=(0.1, 0.5, 0.0016666667))
+        files = sorted(outdir.iterdir())
+        assert len(files) == len(seen) == 41
+        for path, spectrum in zip(files, seen):
+            assert _same_text(path, _spectrum_csv(spectrum)), path.name
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pulsecancel.preprocess import cube_phase
 from pulsecancel.scenario import (BREATHING_AMPLITUDE_M, FAMILIES,
                                   DisplacementSignal, IntermodTone,
                                   RadarConfig, Scenario,
@@ -171,6 +172,24 @@ class TestRadarCube:
         np.testing.assert_allclose(
             diff, np.broadcast_to(diff[0], diff.shape), atol=1e-12)
 
+    def test_phase_noise_jitters_the_extracted_phase(self):
+        clean = cube_phase(synthesize_radar_cube(Scenario(duration_s=20.0)))
+        noisy_sc = Scenario(duration_s=20.0, phase_noise_std=0.05)
+        noisy = cube_phase(synthesize_radar_cube(noisy_sc))
+        assert noisy.source_bin == clean.source_bin
+        jitter = noisy.samples - clean.samples
+        assert np.std(jitter) == pytest.approx(0.05, rel=0.05)
+        # one draw per frame, as on the slow-time path
+        expected = np.random.default_rng(0).normal(0.0, 0.05, 2000)
+        assert np.corrcoef(jitter, expected)[0, 1] > 0.99
+
+    def test_phase_noise_is_seed_reproducible(self):
+        def cube(seed):
+            sc = Scenario(duration_s=2.0, phase_noise_std=0.05, seed=seed)
+            return synthesize_radar_cube(sc).iq
+
+        np.testing.assert_array_equal(cube(3), cube(3))
+        assert np.any(cube(3) != cube(4))
 
 class TestWindows:
     def test_sliding_window_count(self):

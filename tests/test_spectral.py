@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pulsecancel.spectral import (Spectrum, band_peak_power, power_spectrum,
-                                  top_peaks)
+from pulsecancel.spectral import (Spectrum, _taper, band_peak_power,
+                                  power_spectrum, top_peaks)
 
 FS = 100.0
 
@@ -65,6 +65,12 @@ class TestPowerSpectrum:
         # the boxcar keeps more of the tone's energy in the main lobe
         assert band_peak_power(box, 1.0, 0.01) \
             > band_peak_power(hann, 1.0, 0.01)
+
+    def test_cached_taper_is_read_only_and_stable(self):
+        w = _taper("hann", 2000)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+        np.testing.assert_array_equal(_taper("hann", 2000), w)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="1-D"):
