@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anls import BREATHING_GRID_HZ, _median_refit, breathing_track
-from .eca import EcaConfig, eca_cancel
 from .spectral import Spectrum, top_peaks, power_spectrum
 from .types import HrTrace, PhaseSignal, TraceEntry
 from .scenario import window_starts
@@ -187,15 +186,18 @@ def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
         yield i0, i0 / fs + cpi_s / 2.0, phase.samples[i0:i0 + n_cpi]
 
 
-def _cancel_stage(phase: PhaseSignal, eca_config: EcaConfig,
-                  anls_window_s: float, anls_step_s: float, grid: tuple,
-                  anls_order: int):
+def _cancel_stage(phase: PhaseSignal, anls_window_s: float,
+                  anls_step_s: float, grid: tuple, anls_order: int):
     """Breathing cancellation for the CPI windows of one record.
 
     The breathing track is fitted once per record.  The returned
     cancel(i0, segment) refits the median fundamental of the subwindows
-    lying inside the window over the whole window, and projects the
-    window off that reference's lag subspace.
+    lying inside the window over the whole window, and returns the fit's
+    residual.  That stands in for projecting the window off lagged copies
+    of the fitted reference: a lagged harmonic series is another harmonic
+    series at the same fundamental, so the lags (up to their zero-filled
+    leading samples) lie in the sin/cos + intercept span the fit has
+    already projected out.
     """
     fs = phase.sample_rate
     track = breathing_track(phase, anls_window_s, anls_step_s, grid,
@@ -211,8 +213,7 @@ def _cancel_stage(phase: PhaseSignal, eca_config: EcaConfig,
             raise ValueError("no breathing subwindow fits inside the CPI "
                              "window")
         model = _median_refit(segment, fs, sub_hz[inside], anls_order)
-        s_ref = model.predict(segment.size, fs)
-        return eca_cancel(segment, s_ref, eca_config).cancelled
+        return segment - model.predict(segment.size, fs, include_offset=True)
 
     return cancel
 
@@ -248,20 +249,19 @@ def _strongest_peak(band_hz: tuple, tag: str):
 
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
-               eca_config: EcaConfig = EcaConfig(),
                config: AhetConfig = AhetConfig(),
                anls_window_s: float = 5.0, anls_step_s: float = 1.0,
                grid: tuple = BREATHING_GRID_HZ, anls_order: int = 3,
                zero_pad_factor: int = 8, taper: str = "hann") -> HrTrace:
-    """Full pipeline per sliding window: breathing reconstruction, subspace
+    """Full pipeline per sliding window: breathing reconstruction,
     cancellation, spectrum, credibility tracking.
 
     A window that fails any stage holds the previous estimate (tagged
     refined with an infinite gap); a failure on the very first window
     propagates.
     """
-    cancel = _cancel_stage(phase, eca_config, anls_window_s, anls_step_s,
-                           grid, anls_order)
+    cancel = _cancel_stage(phase, anls_window_s, anls_step_s, grid,
+                           anls_order)
     state = TrackerState()
 
     # a held window leaves state alone: its last estimate is the held value
@@ -285,7 +285,6 @@ def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            step_s: float = 1.0,
-                           eca_config: EcaConfig = EcaConfig(),
                            band_hz: tuple = HEART_BAND_HZ,
                            anls_window_s: float = 5.0,
                            anls_step_s: float = 1.0,
@@ -294,8 +293,8 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            zero_pad_factor: int = 8,
                            taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking after breathing cancellation (no credibility)."""
-    cancel = _cancel_stage(phase, eca_config, anls_window_s, anls_step_s,
-                           grid, anls_order)
+    cancel = _cancel_stage(phase, anls_window_s, anls_step_s, grid,
+                           anls_order)
     return _track(phase, cpi_s, step_s, cancel,
                   _strongest_peak(band_hz, "eca"), ("eca", 0.0),
                   zero_pad_factor, taper)

@@ -37,8 +37,7 @@ class HarmonicModel:
 
     def predict(self, n: int, sample_rate: float,
                 include_offset: bool = False) -> np.ndarray:
-        design = _design_factorization(self.fundamental_hz, self.order, n,
-                                       sample_rate)[0]
+        design = _design(self.fundamental_hz, self.order, n, sample_rate)
         out = design[:, :2 * self.order] @ self.coefficients.reshape(-1)
         if include_offset:
             out = out + self.offset
@@ -99,23 +98,36 @@ def harmonic_matrix(fundamental_hz: float, order: int, n: int,
 
 
 @lru_cache(maxsize=64)
+def _design(fundamental_hz: float, order: int, n: int,
+            sample_rate: float) -> np.ndarray:
+    """Intercept-augmented design, cached read-only: harmonic_matrix
+    columns followed by a column of ones.
+
+    Cached on its own so HarmonicModel.predict at any length renders from
+    it without factorizing it or evicting the refit factorizations.
+    """
+    design = np.hstack([harmonic_matrix(fundamental_hz, order, n,
+                                        sample_rate), np.ones((n, 1))])
+    design.flags.writeable = False
+    return design
+
+
+@lru_cache(maxsize=64)
 def _design_factorization(fundamental_hz: float, order: int, n: int,
                           sample_rate: float) -> tuple:
     """Intercept-augmented design with its reduced QR and singular values.
 
-    Sliding analysis refits and predicts the same few fundamentals at a
-    fixed window length over and over; the factorization depends only on
-    the design, so it is cached with it (arrays read-only; the first
-    2 * order design columns are harmonic_matrix).  Segment length must be
+    Sliding analysis refits the same few fundamentals at a fixed window
+    length over and over; the factorization depends only on the design,
+    so it is cached with it (arrays read-only).  Segment length must be
     at least the column count, which fit_amplitudes validates.  The
     singular values of R equal those of the design, giving the rank check
     without a second factorization.
     """
-    h = harmonic_matrix(fundamental_hz, order, n, sample_rate)
-    design = np.hstack([h, np.ones((n, 1))])
+    design = _design(fundamental_hz, order, n, sample_rate)
     q, r = np.linalg.qr(design)
     sv = np.linalg.svd(r, compute_uv=False)
-    for a in (design, q, r, sv):
+    for a in (q, r, sv):
         a.flags.writeable = False
     return design, q, r, sv
 

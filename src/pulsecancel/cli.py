@@ -13,7 +13,6 @@ from pathlib import Path
 from . import bench as bench_mod
 from .ahet import (AhetConfig, _cancel_stage, _cpi_windows, ahet_trace,
                    conventional_trace, eca_conventional_trace)
-from .eca import EcaConfig
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
 from .preprocess import NoTargetError, cube_phase
@@ -87,22 +86,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
                    help="breathing-search subwindow step in seconds")
     p.add_argument("--rr-grid", default="0.1:0.5:0.0016666667",
                    help="breathing grid lo:hi:step in Hz")
-    p.add_argument("--eca-order", type=int, default=5,
-                   help="number of lagged reference copies")
-    p.add_argument("--eca-ridge", default="auto",
-                   help="relative ridge factor, or 'auto'")
     p.add_argument("--ve", type=float, default=0.1,
                    help="credibility gap bound in Hz")
     p.add_argument("--va", type=float, default=0.1,
                    help="fluctuation bound in Hz")
-
-
-def _configs_from_args(args):
-    ridge = 1e-8 if args.eca_ridge == "auto" else float(args.eca_ridge)
-    eca_cfg = EcaConfig(filter_order=args.eca_order, ridge=ridge)
-    ahet_cfg = AhetConfig(deviation_threshold_hz=args.ve,
-                          jump_threshold_hz=args.va)
-    return eca_cfg, ahet_cfg
 
 
 def _phase_from_args(args) -> PhaseSignal:
@@ -121,20 +108,17 @@ def _phase_from_args(args) -> PhaseSignal:
 
 
 def _trace_from_args(args, phase: PhaseSignal):
-    eca_cfg, ahet_cfg = _configs_from_args(args)
-    grid = _parse_grid(args.rr_grid)
+    config = AhetConfig(deviation_threshold_hz=args.ve,
+                        jump_threshold_hz=args.va)
     common = dict(cpi_s=args.cpi, step_s=args.step,
                   zero_pad_factor=args.pad, taper=args.taper)
+    breathing = dict(anls_window_s=args.anls_window,
+                     anls_step_s=args.anls_step,
+                     grid=_parse_grid(args.rr_grid), anls_order=args.kb)
     if args.method == "ahet":
-        return ahet_trace(phase, eca_config=eca_cfg, config=ahet_cfg,
-                          anls_window_s=args.anls_window,
-                          anls_step_s=args.anls_step, grid=grid,
-                          anls_order=args.kb, **common)
+        return ahet_trace(phase, config=config, **breathing, **common)
     if args.method == "eca":
-        return eca_conventional_trace(phase, eca_config=eca_cfg,
-                                      anls_window_s=args.anls_window,
-                                      anls_step_s=args.anls_step, grid=grid,
-                                      anls_order=args.kb, **common)
+        return eca_conventional_trace(phase, **breathing, **common)
     return conventional_trace(phase, **common)
 
 
@@ -229,10 +213,8 @@ def _cmd_spectra(args) -> int:
         windows = windows[:args.max_windows]
     cancel = None
     if args.cancel:
-        eca_cfg, _ = _configs_from_args(args)
-        cancel = _cancel_stage(phase, eca_cfg, args.anls_window,
-                               args.anls_step, _parse_grid(args.rr_grid),
-                               args.kb)
+        cancel = _cancel_stage(phase, args.anls_window, args.anls_step,
+                               _parse_grid(args.rr_grid), args.kb)
     for w, (i0, _center_s, segment) in enumerate(windows):
         if cancel is not None:
             segment = cancel(i0, segment)

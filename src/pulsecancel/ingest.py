@@ -179,6 +179,7 @@ def read_reference_trace(path) -> HrTrace:
             try:
                 t = float(row[0])
                 bpm = float(row[1])
+                delta = float(row[3]) if len(row) > 3 else 0.0
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path} row {row_num}: {exc}") from exc
             if prev_t is not None and t <= prev_t:
@@ -189,7 +190,6 @@ def read_reference_trace(path) -> HrTrace:
                 raise ValueError(f"{path} row {row_num}: {bpm} BPM outside "
                                  f"({lo}, {hi})")
             tag = row[2] if len(row) > 2 else "reference"
-            delta = float(row[3]) if len(row) > 3 else 0.0
             trace.append(TraceEntry(t, bpm, tag, delta))
             prev_t = t
     if len(trace) == 0:

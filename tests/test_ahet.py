@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 import pulsecancel.ahet as ahet_mod
-from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step, ahet_trace,
-                              conventional_hr, conventional_trace,
-                              credibility, eca_conventional_trace)
-from pulsecancel.spectral import Spectrum
+from pulsecancel.ahet import (AhetConfig, TrackerState, _cancel_stage,
+                              ahet_step, ahet_trace, conventional_hr,
+                              conventional_trace, credibility,
+                              eca_conventional_trace)
+from pulsecancel.anls import BREATHING_GRID_HZ
+from pulsecancel.preprocess import slow_time_phase
+from pulsecancel.scenario import masking_scenario, scenario_slow_time
+from pulsecancel.spectral import Spectrum, band_peak_power, power_spectrum
 
 
 def spiky_spectrum(peaks, background=None, f_max=5.0, n=2001):
@@ -204,6 +208,48 @@ class TestTraces:
         trace = conventional_trace(fixture_phase, cpi_s=10.0, step_s=2.0)
         np.testing.assert_allclose(trace.times(),
                                    [5.0, 7.0, 9.0, 11.0, 13.0, 15.0])
+
+
+@pytest.fixture(scope="module")
+def weak_tone_cancellations():
+    """(scenario, phase, cancelled once, cancelled twice) for the twenty
+    20 s masking-a records, each cancelled as one whole window."""
+    out = []
+    for seed in range(20):
+        sc = masking_scenario(seed, variant="a", duration_s=20.0)
+        phase = slow_time_phase(scenario_slow_time(sc),
+                                sc.radar.frame_rate_hz)
+        cancel = _cancel_stage(phase, 5.0, 1.0, BREATHING_GRID_HZ, 3)
+        once = cancel(0, phase.samples)
+        out.append((sc, phase, once, cancel(0, once)))
+    return out
+
+
+def _line_shift_db(sc, phase, cancelled, f_hz):
+    # half-width isolates k*RR from the nearest mixing tone (gap 0.033 Hz)
+    fs = phase.sample_rate
+    before = power_spectrum(phase.samples, fs)
+    after = power_spectrum(cancelled, fs)
+    return 10.0 * np.log10(band_peak_power(after, f_hz, 0.02)
+                           / band_peak_power(before, f_hz, 0.02))
+
+
+class TestCancelStage:
+    def test_knocks_down_the_breathing_lines(self, weak_tone_cancellations):
+        worst = max(_line_shift_db(sc, phase, once, k * sc.breathing_hz)
+                    for sc, phase, once, _ in weak_tone_cancellations
+                    for k in (1, 2, 3))
+        assert worst <= -20.0
+
+    def test_leaves_the_heart_line(self, weak_tone_cancellations):
+        worst = max(abs(_line_shift_db(sc, phase, once, sc.heartbeat_hz))
+                    for sc, phase, once, _ in weak_tone_cancellations)
+        assert worst < 1.0
+
+    def test_cancelling_twice_equals_once(self, weak_tone_cancellations):
+        for _, _, once, twice in weak_tone_cancellations:
+            assert np.linalg.norm(twice - once) \
+                <= 1e-12 * np.linalg.norm(once)
 
 
 def fail_on_call(monkeypatch, name, k, exc=ValueError):

@@ -205,8 +205,17 @@ class TestCaches:
         np.testing.assert_array_equal(design[:, 6], 1.0)
 
     def test_predict_at_an_unfitted_length(self):
-        x = harmonic_signal(0.31, 500, [1.0, 0.4, 0.2], [0.1, 0.7, 1.3])
+        # rendering at new lengths is bit-identical to the harmonic matrix
+        # and never computes or caches a QR, so it cannot evict the refit
+        # factorizations
+        x = harmonic_signal(0.31, 500, [1.0, 0.4, 0.2], [0.1, 0.7, 1.3], 0.5)
         model = fit_amplitudes(x, FS, 0.31, order=3)
-        expected = harmonic_matrix(0.31, 3, 737, FS) \
-            @ model.coefficients.reshape(-1)
-        np.testing.assert_array_equal(model.predict(737, FS), expected)
+        before = _design_factorization.cache_info()
+        for n in range(737, 837):
+            expected = harmonic_matrix(0.31, 3, n, FS) \
+                @ model.coefficients.reshape(-1)
+            np.testing.assert_array_equal(model.predict(n, FS), expected)
+            np.testing.assert_array_equal(
+                model.predict(n, FS, include_offset=True),
+                expected + model.offset)
+        assert _design_factorization.cache_info() == before

@@ -9,7 +9,6 @@ import pulsecancel.ahet as ahet_mod
 from pulsecancel.ahet import eca_conventional_trace
 from pulsecancel.anls import reconstruct_reference
 from pulsecancel.cli import main
-from pulsecancel.eca import EcaConfig, eca_cancel
 from pulsecancel.ingest import read_raw_cube, read_reference_trace
 from pulsecancel.preprocess import cube_phase
 from pulsecancel.scenario import window_starts
@@ -206,7 +205,8 @@ class TestSpectra:
             segment = phase.samples[i0:i0 + n_cpi]
             fit = reconstruct_reference(PhaseSignal(segment, fs), 5.0, 1.0,
                                         (0.1, 0.5, 0.0016666667), 3)
-            cancelled = eca_cancel(segment, fit.s_ref, EcaConfig()).cancelled
+            cancelled = segment - fit.model.predict(n_cpi, fs,
+                                                    include_offset=True)
             expected = _spectrum_csv(power_spectrum(cancelled, fs))
             path = outdir / f"spectrum_{w:05d}.csv"
             assert _same_text(path, expected), path.name
@@ -243,6 +243,13 @@ class TestExitCodes:
 
     def test_missing_source_is_a_usage_error(self):
         assert run_cli("run") == 1
+
+    @pytest.mark.parametrize("flag", ["--eca-order", "--eca-ridge"])
+    def test_removed_cancellation_flags_are_usage_errors(self, flag,
+                                                         scenario_file):
+        # the cancel stage has no order or ridge; a flag accepted and then
+        # ignored would hide that
+        assert run_cli("run", "--scenario", scenario_file, flag, "3") == 1
 
     def test_compare_from_cube_without_truth_is_a_usage_error(
             self, synth_outputs):

@@ -169,6 +169,7 @@ class TestTraceCsv:
 
     def test_rejects_unparseable_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("time_s,hr_bpm\n1.0,abc\n")
-        with pytest.raises(ValueError, match="row 2"):
-            read_reference_trace(path)
+        for body in ("1.0,abc\n", "1.0,70.0,reference,abc\n"):
+            path.write_text("time_s,hr_bpm\n" + body)
+            with pytest.raises(ValueError, match="row 2"):
+                read_reference_trace(path)
