@@ -3,13 +3,16 @@ heart-rate trace CSV.
 
 Cube payloads are little-endian signed 16-bit, frame-major, one I and one Q
 word per sample.  The sidecar records the dimensions, the quantization scale
-and the radar configuration, so a cube file is self-describing.
+and the radar configuration, so a cube file is self-describing.  Cubes load
+as complex64: one float32 pass multiplies every word by 1/scale, which
+holds a 16-bit sample to within float32 rounding.
 """
 
 import contextlib
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,14 +85,29 @@ def read_cube_header(path) -> RawCubeHeader:
         if doc.get("endianness", "little") != "little":
             raise CubeFormatError(f"unsupported endianness "
                                   f"{doc['endianness']!r}")
+        dims = {key: doc[key] for key in ("frames", "fast_time")}
+        for key, value in dims.items():
+            if not (_is_number(value) and float(value).is_integer()
+                    and value > 0):
+                raise CubeFormatError(f"malformed sidecar {side}: {key} "
+                                      f"must be a positive integer, got "
+                                      f"{value!r}")
+        scale = doc.get("scale", 1.0)
+        if not (_is_number(scale) and math.isfinite(scale) and scale > 0):
+            raise CubeFormatError(f"malformed sidecar {side}: scale must be "
+                                  f"finite and positive, got {scale!r}")
         return RawCubeHeader(
-            frames=int(doc["frames"]),
-            fast_time=int(doc["fast_time"]),
-            scale=float(doc.get("scale", 1.0)),
+            frames=int(dims["frames"]),
+            fast_time=int(dims["fast_time"]),
+            scale=float(scale),
             config=RadarConfig(**doc["config"]),
         )
     except (KeyError, TypeError) as exc:
         raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def read_raw_cube(path, config: RadarConfig | None = None) -> RadarCube:
@@ -124,13 +142,10 @@ def read_raw_cube(path, config: RadarConfig | None = None) -> RadarCube:
                                   f"record")
         header = RawCubeHeader(actual // record,
                                config.adc_samples_per_chirp, 1.0, config)
-    if header.frames == 0:
-        raise CubeFormatError(f"{path} holds no frames")
 
     words = np.fromfile(path, dtype="<i2")
-    words = words.reshape(header.frames, header.fast_time, 2)
-    iq = (words[:, :, 0].astype(float)
-          + 1j * words[:, :, 1].astype(float)) / header.scale
+    pairs = np.multiply(words, 1.0 / header.scale, dtype=np.float32)
+    iq = pairs.view(np.complex64).reshape(header.frames, header.fast_time)
     return RadarCube(iq, header.config)
 
 

@@ -1,19 +1,27 @@
 """Raw cube to unwrapped slow-time phase.
 
-Average cancellation (subtracting each range bin's across-frame complex
-mean) builds the clutter-free detection map.  Phase itself is demodulated
-from the uncancelled bin values: for chest motion spanning a sizable arc of
-the unit circle, removing the bin mean also removes part of the target's own
-phasor and bends the recovered phase.
+The range FFT runs in single precision: cubes of any complex dtype are
+windowed into complex64 and transformed with scipy.fft, and only that one
+copy of the spectra is kept.  The detection map is each range bin's
+residual power after average cancellation (subtracting the bin's
+across-frame complex mean), computed from those spectra in float64.  Phase
+is demodulated in float64 from the uncancelled bin values: for chest
+motion spanning a sizable arc of the unit circle, removing the bin mean
+also removes part of the target's own phasor and bends the recovered phase.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.signal import get_window
 
 from .scenario import RadarCube, RadarConfig
 from .types import PhaseSignal
+
+# Frames per block when summing residual power; bounds the float64
+# temporaries of mean_power to a few MB whatever the record length.
+_POWER_BLOCK_FRAMES = 2048
 
 
 class NoTargetError(RuntimeError):
@@ -22,10 +30,9 @@ class NoTargetError(RuntimeError):
 
 @dataclass
 class RangeProfiles:
-    """Windowed range FFT per frame, raw and clutter-cancelled."""
+    """Windowed range FFT per frame: complex64 frames x one-sided bins."""
 
-    values: np.ndarray            # frames x bins, complex, uncancelled
-    clutter_removed: np.ndarray   # frames x bins, after average cancellation
+    values: np.ndarray            # frames x bins, complex64, uncancelled
     slow_time_rate: float
     bin_width_m: float
     config: RadarConfig
@@ -42,13 +49,19 @@ class RangeProfiles:
         return np.arange(self.n_bins) * self.bin_width_m
 
     def mean_power(self) -> np.ndarray:
-        """Across-frame mean power per bin of the cancelled profiles."""
-        return np.mean(np.abs(self.clutter_removed) ** 2, axis=0)
+        """Across-frame residual power per bin, mean |x - mean x|^2.
 
-
-def average_cancellation(values: np.ndarray) -> np.ndarray:
-    """Subtract each bin's across-frame complex mean (idempotent)."""
-    return values - np.mean(values, axis=0, keepdims=True)
+        This is the power average cancellation leaves.  It is summed in
+        float64 a block of frames at a time, so no cancelled copy of the
+        spectra is made and a bin whose static part dwarfs its motion keeps
+        its digits.
+        """
+        mean = np.mean(self.values, axis=0, dtype=np.complex128)
+        power = np.zeros(self.n_bins)
+        for start in range(0, self.n_frames, _POWER_BLOCK_FRAMES):
+            block = self.values[start:start + _POWER_BLOCK_FRAMES] - mean
+            power += np.sum(np.abs(block) ** 2, axis=0)
+        return power / self.n_frames
 
 
 def range_profiles(cube: RadarCube) -> RangeProfiles:
@@ -56,18 +69,17 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
 
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
-    complex value in its bin.
+    complex value in its bin.  Windowing casts the cube to complex64, and
+    the transform runs in that precision.
     """
     n_fast = cube.n_fast
     if n_fast < 4:
         raise ValueError("too few fast-time samples for a range FFT")
     window = get_window("hann", n_fast, fftbins=False)
-    spectra = np.fft.fft(cube.iq * window, axis=1)
-    keep = n_fast // 2
-    values = spectra[:, :keep]
+    windowed = np.multiply(cube.iq, window, dtype=np.complex64)
+    spectra = scipy.fft.fft(windowed, axis=1, overwrite_x=True)
     return RangeProfiles(
-        values=values,
-        clutter_removed=average_cancellation(values),
+        values=spectra[:, :n_fast // 2],
         slow_time_rate=cube.config.frame_rate_hz,
         bin_width_m=cube.config.range_bin_width_m,
         config=cube.config,
@@ -76,7 +88,7 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
 
 def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
                       max_range_m: float) -> int:
-    """Bin with maximal mean cancelled power inside the range gate.
+    """Bin with maximal residual power (mean_power) inside the range gate.
 
     Ties resolve to the nearer bin.  A gate with zero residual power (all
     static, or empty scene) raises NoTargetError.
@@ -98,12 +110,12 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
 
 
 def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Arctangent demodulation with unwrap.
+    """Arctangent demodulation with unwrap, in double precision.
 
     Zero-magnitude samples carry the previous sample's wrapped phase
     forward; the count of such fills is returned.
     """
-    z = np.asarray(z)
+    z = np.asarray(z, dtype=np.complex128)
     wrapped = np.arctan2(z.imag, z.real)
     dead = np.abs(z) == 0.0
     dropouts = int(np.count_nonzero(dead))
@@ -124,7 +136,7 @@ def extract_phase(profiles: RangeProfiles, bin_index: int) -> PhaseSignal:
 
 def slow_time_phase(z: np.ndarray, sample_rate: float) -> PhaseSignal:
     """Demodulate a bare slow-time complex signal (no range FFT involved)."""
-    theta, dropouts = demodulate(np.asarray(z))
+    theta, dropouts = demodulate(z)
     return PhaseSignal(theta, sample_rate, dropouts=dropouts)
 
 

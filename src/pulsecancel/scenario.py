@@ -196,7 +196,11 @@ class DisplacementSignal:
 
 @dataclass
 class RadarCube:
-    """Raw IF samples, frames x fast-time, complex."""
+    """Raw IF samples, frames x fast-time, complex.
+
+    The simulator renders complex128; cubes read from file are complex64.
+    The range FFT runs in complex64 either way.
+    """
 
     iq: np.ndarray
     config: RadarConfig

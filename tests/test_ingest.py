@@ -54,6 +54,11 @@ class TestCubeRoundTrip:
         write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_decodes_to_complex64(self, tmp_path):
+        path = tmp_path / "cube.bin"
+        write_raw_cube(small_cube(), path)
+        assert read_raw_cube(path).iq.dtype == np.complex64
+
     def test_sidecar_is_self_describing(self, tmp_path):
         cube = small_cube()
         path = tmp_path / "cube.bin"
@@ -173,3 +178,39 @@ class TestTraceCsv:
             path.write_text("time_s,hr_bpm\n" + body)
             with pytest.raises(ValueError, match="row 2"):
                 read_reference_trace(path)
+
+
+class TestSidecarValues:
+    def write_with(self, tmp_path, **fields):
+        path = tmp_path / "cube.bin"
+        write_raw_cube(small_cube(), path)
+        doc = json.loads(sidecar_path(path).read_text())
+        doc.update(fields)
+        sidecar_path(path).write_text(json.dumps(doc))
+        return path
+
+    def test_rejects_negative_dimensions_whose_product_matches(self,
+                                                               tmp_path):
+        # -6 x -16 samples is the file's true size, so only the sign is wrong
+        path = self.write_with(tmp_path, frames=-6, fast_time=-16)
+        with pytest.raises(CubeFormatError,
+                           match=r"cube\.json: frames must be a positive"):
+            read_raw_cube(path)
+
+    def test_rejects_fractional_frames(self, tmp_path):
+        path = self.write_with(tmp_path, frames=6.7)
+        with pytest.raises(CubeFormatError,
+                           match=r"cube\.json: frames must be a positive "
+                                 r"integer, got 6\.7"):
+            read_raw_cube(path)
+        assert read_raw_cube(self.write_with(tmp_path, frames=6.0)
+                             ).n_frames == 6
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, float("nan"),
+                                       float("inf")])
+    def test_rejects_bad_scale(self, tmp_path, scale):
+        path = self.write_with(tmp_path, scale=scale)
+        with pytest.raises(CubeFormatError,
+                           match=r"cube\.json: scale must be finite and "
+                                 r"positive"):
+            read_raw_cube(path)

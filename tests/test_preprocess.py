@@ -2,32 +2,41 @@
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
-from pulsecancel.preprocess import (NoTargetError, RangeProfiles,
-                                    average_cancellation, cube_phase,
+from pulsecancel.ingest import read_raw_cube, write_raw_cube
+from pulsecancel.preprocess import (NoTargetError, RangeProfiles, cube_phase,
                                     demodulate, detect_target_bin,
                                     enhance_phase, extract_phase,
                                     range_profiles, slow_time_phase)
 from pulsecancel.scenario import (RadarConfig, RadarCube, Scenario,
-                                  synthesize_displacement,
+                                  masking_scenario, synthesize_displacement,
                                   synthesize_radar_cube)
 
 
-def make_profiles(clutter_removed, values=None, bin_width=0.5):
-    clutter_removed = np.asarray(clutter_removed, dtype=complex)
-    if values is None:
-        values = clutter_removed
+def profiles_of(values, bin_width=0.5):
     return RangeProfiles(values=np.asarray(values, dtype=complex),
-                         clutter_removed=clutter_removed,
                          slow_time_rate=100.0, bin_width_m=bin_width,
                          config=RadarConfig())
+
+
+def make_profiles(power, bin_width=0.5):
+    """Profiles whose bins have residual power `power` (frames x bins).
+
+    Each entry becomes +-sqrt(p), the sign alternating across frames, so a
+    frame-constant column p over an even frame count has zero mean and
+    residual power exactly p.
+    """
+    power = np.asarray(power, dtype=float)
+    sign = np.where(np.arange(power.shape[0]) % 2 == 0, 1.0, -1.0)
+    return profiles_of(sign[:, None] * np.sqrt(power), bin_width)
 
 
 def phase_profiles(samples_by_bin):
     """Unit-modulus slow-time signals, one list entry per range bin."""
     values = np.stack([np.exp(1j * np.asarray(s)) for s in samples_by_bin],
                       axis=1)
-    return make_profiles(values)
+    return profiles_of(values)
 
 
 class TestRangeProfiles:
@@ -58,48 +67,59 @@ class TestRangeProfiles:
             range_profiles(cube)
 
 
-class TestAverageCancellation:
-    def test_zero_mean_and_idempotent(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
-        out = average_cancellation(v)
-        np.testing.assert_allclose(np.mean(out, axis=0), 0.0, atol=1e-14)
-        np.testing.assert_allclose(average_cancellation(out), out, atol=1e-14)
+class TestMeanPower:
+    def test_matches_complex128_residual_power_under_strong_clutter(self):
+        # static clutter at 1000x the target amplitude; 3000 frames span
+        # more than one summing block
+        sc = Scenario(duration_s=30.0, clutter=[(2.0, 1000.0)],
+                      complex_noise_std=0.1)
+        profiles = range_profiles(synthesize_radar_cube(sc))
+        values = profiles.values.astype(np.complex128)
+        residual = values - np.mean(values, axis=0)
+        expected = np.mean(np.abs(residual) ** 2, axis=0)
+        np.testing.assert_allclose(profiles.mean_power(), expected,
+                                   rtol=1e-6)
+
+        gate = np.flatnonzero((profiles.bin_ranges() >= 0.3)
+                              & (profiles.bin_ranges() <= 3.0))
+        detected = detect_target_bin(profiles, 0.3, 3.0)
+        assert detected == gate[np.argmax(expected[gate])]
+        assert detected == 23   # the 1 m target, not the 2 m clutter
 
 
 class TestDetectTargetBin:
     def test_picks_strongest_bin_in_gate(self):
-        power = np.zeros((4, 10), dtype=complex)
+        power = np.zeros((4, 10))
         power[:, 7] = 2.0
         power[:, 2] = 1.0
         assert detect_target_bin(make_profiles(power), 0.3, 4.0) == 7
 
     def test_gate_excludes_out_of_range_bins(self):
-        power = np.zeros((4, 10), dtype=complex)
+        power = np.zeros((4, 10))
         power[:, 9] = 5.0       # 4.5 m, outside the gate
         power[:, 3] = 1.0
         assert detect_target_bin(make_profiles(power), 0.3, 4.0) == 3
 
     def test_tie_resolves_to_nearer_bin(self):
-        power = np.zeros((4, 10), dtype=complex)
+        power = np.zeros((4, 10))
         power[:, 3] = 1.0
         power[:, 6] = 1.0
         assert detect_target_bin(make_profiles(power), 0.3, 4.0) == 3
 
     def test_inverted_and_empty_gates(self):
-        profiles = make_profiles(np.ones((4, 10), dtype=complex))
+        profiles = make_profiles(np.ones((4, 10)))
         with pytest.raises(ValueError, match="inverted"):
             detect_target_bin(profiles, 3.0, 0.3)
         with pytest.raises(ValueError, match="covers no bins"):
             detect_target_bin(profiles, 0.1, 0.2)
 
     def test_dead_gate_raises_no_target(self):
-        profiles = make_profiles(np.zeros((4, 10), dtype=complex))
+        profiles = make_profiles(np.zeros((4, 10)))
         with pytest.raises(NoTargetError, match="zero"):
             detect_target_bin(profiles, 0.3, 4.0)
 
     def test_non_finite_power_raises_no_target(self):
-        power = np.zeros((4, 10), dtype=complex)
+        power = np.zeros((4, 10))
         power[0, 5] = np.nan
         with pytest.raises(NoTargetError, match="non-finite"):
             detect_target_bin(make_profiles(power), 0.3, 4.0)
@@ -129,7 +149,7 @@ class TestDemodulate:
 
 class TestPhaseExtraction:
     def test_bin_bounds(self):
-        profiles = make_profiles(np.ones((4, 10), dtype=complex))
+        profiles = make_profiles(np.ones((4, 10)))
         with pytest.raises(ValueError, match="outside"):
             extract_phase(profiles, 10)
 
@@ -201,3 +221,39 @@ class TestCubePhase:
         err = (phase.samples - np.mean(phase.samples)
                - (truth_rad - np.mean(truth_rad)))
         assert np.max(np.abs(err)) < 1e-3
+
+
+class TestPrecision:
+    def test_profiles_are_complex64_for_either_cube_precision(self):
+        cube = synthesize_radar_cube(Scenario(duration_s=1.0))
+        assert cube.iq.dtype == np.complex128
+        single = RadarCube(cube.iq.astype(np.complex64), cube.config)
+        for c in (cube, single):
+            assert range_profiles(c).values.dtype == np.complex64
+
+    def test_phase_is_double_precision(self):
+        profiles = range_profiles(synthesize_radar_cube(Scenario(
+            duration_s=1.0)))
+        assert extract_phase(profiles, 23).samples.dtype == np.float64
+        assert enhance_phase(profiles, 23).samples.dtype == np.float64
+
+    def test_file_cube_phase_matches_a_complex128_reference(self, tmp_path):
+        sc = masking_scenario(0, variant="b", duration_s=40.0)
+        path = tmp_path / "cube.bin"
+        write_raw_cube(synthesize_radar_cube(sc), path)
+        cube = read_raw_cube(path)
+
+        window = get_window("hann", cube.n_fast, fftbins=False)
+        spectra = np.fft.fft(cube.iq.astype(np.complex128) * window, axis=1)
+        reference = RangeProfiles(spectra[:, :cube.n_fast // 2],
+                                  cube.config.frame_rate_hz,
+                                  cube.config.range_bin_width_m, cube.config)
+        target = detect_target_bin(reference, 0.3, 3.0)
+        expected = {0: demodulate(spectra[:, target])[0],
+                    2: enhance_phase(reference, target, 2).samples}
+        for width, theta in expected.items():
+            phase = cube_phase(cube, enhance_width=width)
+            assert phase.source_bin == target
+            err = ((phase.samples - np.mean(phase.samples))
+                   - (theta - np.mean(theta)))
+            assert np.max(np.abs(err)) < 1e-4
