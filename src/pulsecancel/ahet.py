@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anls import BREATHING_GRID_HZ, _median_refit, breathing_track
+from .anls import BreathingTrack, breathing_track
 from .spectral import Spectrum, top_peaks, power_spectrum
 from .types import HrTrace, PhaseSignal, TraceEntry
 from .scenario import window_starts
@@ -186,41 +186,10 @@ def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
         yield i0, i0 / fs + cpi_s / 2.0, phase.samples[i0:i0 + n_cpi]
 
 
-def _cancel_stage(phase: PhaseSignal, anls_window_s: float,
-                  anls_step_s: float, grid: tuple, anls_order: int):
-    """Breathing cancellation for the CPI windows of one record.
-
-    The breathing track is fitted once per record.  The returned
-    cancel(i0, segment) refits the median fundamental of the subwindows
-    lying inside the window over the whole window, and returns the fit's
-    residual.  That stands in for projecting the window off lagged copies
-    of the fitted reference: a lagged harmonic series is another harmonic
-    series at the same fundamental, so the lags (up to their zero-filled
-    leading samples) lie in the sin/cos + intercept span the fit has
-    already projected out.
-    """
-    fs = phase.sample_rate
-    track = breathing_track(phase, anls_window_s, anls_step_s, grid,
-                            anls_order)
-    starts_s, sub_hz = track.starts_s(), track.hz()
-
-    def cancel(i0: int, segment: np.ndarray) -> np.ndarray:
-        start_s = i0 / fs
-        end_s = start_s + segment.size / fs
-        inside = (starts_s >= start_s - 1e-9) \
-            & (starts_s + anls_window_s <= end_s + 1e-9)
-        if not np.any(inside):
-            raise ValueError("no breathing subwindow fits inside the CPI "
-                             "window")
-        model = _median_refit(segment, fs, sub_hz[inside], anls_order)
-        return segment - model.predict(segment.size, fs, include_offset=True)
-
-    return cancel
-
-
-def _track(phase: PhaseSignal, cpi_s: float, step_s: float, cancel, decide,
-           hold: tuple, zero_pad_factor: int, taper: str) -> HrTrace:
-    """Per sliding window: optional cancel stage, spectrum, decision.
+def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
+           track: BreathingTrack | None, decide, hold: tuple,
+           zero_pad_factor: int, taper: str) -> HrTrace:
+    """Per sliding window: track.residual (when given), spectrum, decision.
 
     decide(spectrum) returns (f_hz, tag, delta_hz).  A window whose stages
     raise ValueError or LinAlgError holds the previous estimate, tagged
@@ -231,8 +200,8 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float, cancel, decide,
     last_hz = None
     for i0, center_s, segment in _cpi_windows(phase, cpi_s, step_s):
         try:
-            if cancel is not None:
-                segment = cancel(i0, segment)
+            if track is not None:
+                segment = track.residual(segment, i0 / fs)
             spectrum = power_spectrum(segment, fs, zero_pad_factor, taper)
             f_hz, tag, delta = decide(spectrum)
         except (ValueError, np.linalg.LinAlgError):
@@ -250,25 +219,25 @@ def _strongest_peak(band_hz: tuple, tag: str):
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
                config: AhetConfig = AhetConfig(),
-               anls_window_s: float = 5.0, anls_step_s: float = 1.0,
-               grid: tuple = BREATHING_GRID_HZ, anls_order: int = 3,
+               track: BreathingTrack | None = None,
                zero_pad_factor: int = 8, taper: str = "hann") -> HrTrace:
     """Full pipeline per sliding window: breathing reconstruction,
     cancellation, spectrum, credibility tracking.
 
-    A window that fails any stage holds the previous estimate (tagged
-    refined with an infinite gap); a failure on the very first window
-    propagates.
+    track is the record's anls.breathing_track (None fits one with its
+    defaults).  A window that fails any stage holds the previous estimate
+    (tagged refined with an infinite gap); a failure on the very first
+    window propagates.
     """
-    cancel = _cancel_stage(phase, anls_window_s, anls_step_s, grid,
-                           anls_order)
+    if track is None:
+        track = breathing_track(phase)
     state = TrackerState()
 
     # a held window leaves state alone: its last estimate is the held value
     def decide(spectrum):
         return ahet_step(spectrum, state, config)[:3]
 
-    return _track(phase, cpi_s, step_s, cancel, decide,
+    return _track(phase, cpi_s, step_s, track, decide,
                   (TAG_REFINED, math.inf), zero_pad_factor, taper)
 
 
@@ -286,15 +255,12 @@ def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            step_s: float = 1.0,
                            band_hz: tuple = HEART_BAND_HZ,
-                           anls_window_s: float = 5.0,
-                           anls_step_s: float = 1.0,
-                           grid: tuple = BREATHING_GRID_HZ,
-                           anls_order: int = 3,
+                           track: BreathingTrack | None = None,
                            zero_pad_factor: int = 8,
                            taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking after breathing cancellation (no credibility)."""
-    cancel = _cancel_stage(phase, anls_window_s, anls_step_s, grid,
-                           anls_order)
-    return _track(phase, cpi_s, step_s, cancel,
+    if track is None:
+        track = breathing_track(phase)
+    return _track(phase, cpi_s, step_s, track,
                   _strongest_peak(band_hz, "eca"), ("eca", 0.0),
                   zero_pad_factor, taper)

@@ -8,7 +8,7 @@ normal-equation inverses.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -61,6 +61,38 @@ class BreathingTrack:
 
     def starts_s(self) -> np.ndarray:
         return np.array([m.window_start_s for m in self.models], dtype=float)
+
+    @cached_property
+    def _subwindows(self) -> tuple:
+        # (starts_s, hz), built at the first refit: the per-window refits
+        # of a record would otherwise rebuild both from the models each time
+        return self.starts_s(), self.hz()
+
+    def refit(self, segment: np.ndarray,
+              start_s: float = 0.0) -> HarmonicModel:
+        """Fit a segment starting start_s into the record at the median
+        fundamental of the subwindows inside it (robust to a few bad ones).
+        The models must not change after the first refit."""
+        fs = self.sample_rate
+        span_s = round(self.window_s * fs) / fs      # a subwindow's samples
+        starts_s, hz = self._subwindows
+        inside = (starts_s >= start_s - 1e-9) \
+            & (starts_s + span_s <= start_s + len(segment) / fs + 1e-9)
+        if not np.any(inside):
+            raise ValueError("no breathing subwindow inside the segment")
+        f_hat = float(np.median(hz[inside]))
+        return fit_amplitudes(segment, fs, f_hat, self.models[0].order,
+                              window_start_s=start_s)
+
+    def residual(self, segment: np.ndarray,
+                 start_s: float = 0.0) -> np.ndarray:
+        """The segment minus its refit, harmonics and intercept: the
+        pipeline's cancel step.  Lagged copies of the reference are harmonic
+        series at the same fundamental, so (but for their zero-filled heads)
+        projecting them off too would remove nothing more."""
+        model = self.refit(segment, start_s)
+        return segment - model.predict(len(segment), self.sample_rate,
+                                       include_offset=True)
 
 
 @dataclass
@@ -258,24 +290,13 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
     return track
 
 
-def _median_refit(segment: np.ndarray, sample_rate: float,
-                  subwindow_hz: np.ndarray, order: int) -> HarmonicModel:
-    f_hat = float(np.median(subwindow_hz))
-    return fit_amplitudes(segment, sample_rate, f_hat, order)
-
-
 def reconstruct_reference(phase: PhaseSignal, window_s: float = 5.0,
                           step_s: float = 1.0,
                           grid: tuple = BREATHING_GRID_HZ,
                           order: int = 3) -> ReferenceFit:
-    """Breathing reference for one analysis window.
-
-    The fundamental is the median of sliding-subwindow estimates (robust to
-    a few bad subwindows); amplitudes are then refit once over the full
-    window at that fundamental.
-    """
+    """Breathing reference for one analysis window: the refit of its own
+    breathing track (BreathingTrack.refit) over the whole window."""
     track = breathing_track(phase, window_s, step_s, grid, order)
-    sub_hz = track.hz()
-    model = _median_refit(phase.samples, phase.sample_rate, sub_hz, order)
+    model = track.refit(phase.samples)
     s_ref = model.predict(phase.samples.size, phase.sample_rate)
-    return ReferenceFit(s_ref=s_ref, model=model, subwindow_hz=sub_hz)
+    return ReferenceFit(s_ref=s_ref, model=model, subwindow_hz=track.hz())

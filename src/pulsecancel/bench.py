@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .ahet import ahet_trace, conventional_trace, eca_conventional_trace
+from .anls import breathing_track
 from .preprocess import cube_phase, slow_time_phase
 from .scenario import FAMILIES, RadarCube, reference_trace, scenario_slow_time
 from .types import HrTrace
@@ -18,6 +19,8 @@ METHODS = {
     "eca": eca_conventional_trace,
     "ahet": ahet_trace,
 }
+# methods that cancel breathing first; they take the record's track
+CANCELLING = frozenset({"eca", "ahet"})
 
 
 @dataclass
@@ -131,7 +134,8 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
 
     Synthesis happens at the slow-time level: the statistics under test
     live in the phase signal, and skipping the fast-time dimension keeps
-    large sweeps affordable.  A failed run is recorded, not fatal.
+    large sweeps affordable.  The cancelling methods share one breathing
+    track per record.  A failed run (or track fit) is recorded, not fatal.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -146,11 +150,15 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
         scenario = make(seed, duration_s=duration_s)
         z = scenario_slow_time(scenario)
         phase = slow_time_phase(z, scenario.radar.frame_rate_hz)
+        track = None
         for cpi_s in cpis:
             reference = reference_trace(scenario, cpi_s)
             for method in methods:
                 try:
-                    trace = METHODS[method](phase, cpi_s=cpi_s)
+                    if method in CANCELLING and track is None:
+                        track = breathing_track(phase)
+                    kwargs = {"track": track} if method in CANCELLING else {}
+                    trace = METHODS[method](phase, cpi_s=cpi_s, **kwargs)
                     record = RunRecord(
                         cpi_s, seed, method, rmse(trace, reference),
                         intervals=interval_rmse(trace, reference,

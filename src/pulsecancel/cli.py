@@ -11,8 +11,9 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .ahet import (AhetConfig, _cancel_stage, _cpi_windows, ahet_trace,
-                   conventional_trace, eca_conventional_trace)
+from .ahet import (AhetConfig, _cpi_windows, ahet_trace, conventional_trace,
+                   eca_conventional_trace)
+from .anls import BreathingTrack, breathing_track
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
 from .preprocess import NoTargetError, cube_phase
@@ -46,23 +47,21 @@ def _default_out(name: str) -> Path:
     return Path(base) / name if base else Path(name)
 
 
-def _parse_pair(text: str, flag: str) -> tuple:
+def _parse_range(text: str, flag: str, fields: str = "lo:hi") -> tuple:
+    """Colon-separated floats, one per name in fields."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    if len(parts) != fields.count(":") + 1:
+        raise ValueError(f"{flag} expects {fields}, got {text!r}")
+    return tuple(float(p) for p in parts)
 
 
-def _parse_grid(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--rr-grid expects lo:hi:step, got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
-
-
-def _load_scenario_file(path: str):
-    with open(path) as fh:
-        return load_scenario(json.load(fh))
+def _scenario_from_args(args):
+    """The --scenario file, with --seed applied when given."""
+    with open(args.scenario) as fh:
+        scenario = load_scenario(json.load(fh))
+    if args.seed is not None:
+        scenario.seed = args.seed
+    return scenario
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser):
@@ -97,37 +96,41 @@ def _phase_from_args(args) -> PhaseSignal:
     if args.in_path:
         cube = read_raw_cube(args.in_path)
     else:
-        scenario = _load_scenario_file(args.scenario)
-        if args.seed is not None:
-            scenario.seed = args.seed
+        scenario = _scenario_from_args(args)
         _log(f"synthesizing {scenario.duration_s:g} s cube "
              f"(seed {scenario.seed})")
         cube = synthesize_radar_cube(scenario)
-    gate = _parse_pair(args.gate, "--gate")
+    gate = _parse_range(args.gate, "--gate")
     return cube_phase(cube, gate, args.enhance_width, args.min_corr)
 
 
-def _trace_from_args(args, phase: PhaseSignal):
+def _track_from_args(args, phase: PhaseSignal, methods):
+    """The record's breathing track from --anls-window, --anls-step,
+    --rr-grid and --kb, or None when none of methods cancels."""
+    if bench_mod.CANCELLING.isdisjoint(methods):
+        return None
+    grid = _parse_range(args.rr_grid, "--rr-grid", "lo:hi:step")
+    return breathing_track(phase, args.anls_window, args.anls_step, grid,
+                           args.kb)
+
+
+def _trace_from_args(args, phase: PhaseSignal, method: str,
+                     track: BreathingTrack | None):
     config = AhetConfig(deviation_threshold_hz=args.ve,
                         jump_threshold_hz=args.va)
     common = dict(cpi_s=args.cpi, step_s=args.step,
                   zero_pad_factor=args.pad, taper=args.taper)
-    breathing = dict(anls_window_s=args.anls_window,
-                     anls_step_s=args.anls_step,
-                     grid=_parse_grid(args.rr_grid), anls_order=args.kb)
-    if args.method == "ahet":
-        return ahet_trace(phase, config=config, **breathing, **common)
-    if args.method == "eca":
-        return eca_conventional_trace(phase, **breathing, **common)
+    if method == "ahet":
+        return ahet_trace(phase, config=config, track=track, **common)
+    if method == "eca":
+        return eca_conventional_trace(phase, track=track, **common)
     return conventional_trace(phase, **common)
 
 
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    scenario = _load_scenario_file(args.scenario)
-    if args.seed is not None:
-        scenario.seed = args.seed
+    scenario = _scenario_from_args(args)
     out = Path(args.out) if args.out else _default_out("cube.bin")
     _log(f"synthesizing {scenario.duration_s:g} s at "
          f"{scenario.radar.frame_rate_hz:g} frames/s (seed {scenario.seed})")
@@ -146,7 +149,8 @@ def _cmd_run(args) -> int:
     phase = _phase_from_args(args)
     _log(f"tracking with method={args.method} over "
          f"{phase.duration:g} s of phase (bin {phase.source_bin})")
-    trace = _trace_from_args(args, phase)
+    track = _track_from_args(args, phase, [args.method])
+    trace = _trace_from_args(args, phase, args.method, track)
     if args.out:
         write_trace(trace, args.out)
         _log(f"wrote {args.out} ({len(trace)} windows)")
@@ -164,22 +168,21 @@ def _cmd_compare(args) -> int:
     if args.truth:
         reference = read_reference_trace(args.truth)
     elif args.scenario:
-        scenario = _load_scenario_file(args.scenario)
-        if args.seed is not None:
-            scenario.seed = args.seed
-        reference = reference_trace(scenario, args.cpi, args.step)
+        reference = reference_trace(_scenario_from_args(args), args.cpi,
+                                    args.step)
     else:
         raise UsageError("--truth is required with --in")
+    track = _track_from_args(args, phase, methods)
     for method in methods:
-        run_args = argparse.Namespace(**vars(args))
-        run_args.method = method
-        trace = _trace_from_args(run_args, phase)
+        trace = _trace_from_args(args, phase, method, track)
         print(f"method={method} rmse_bpm="
               f"{bench_mod.rmse(trace, reference):.3f}")
     return 0
 
 
 def _cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     methods = tuple(args.methods.split(","))
     cpis = tuple(float(c) for c in args.cpis.split(","))
     seeds = range(args.seeds)
@@ -205,19 +208,19 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    if args.max_windows < 0:
+        raise UsageError(f"--max-windows must be >= 0, got {args.max_windows}")
     phase = _phase_from_args(args)
     outdir = Path(args.out) if args.out else _default_out("spectra")
     outdir.mkdir(parents=True, exist_ok=True)
     windows = list(_cpi_windows(phase, args.cpi, args.step))
     if args.max_windows:
         windows = windows[:args.max_windows]
-    cancel = None
-    if args.cancel:
-        cancel = _cancel_stage(phase, args.anls_window, args.anls_step,
-                               _parse_grid(args.rr_grid), args.kb)
+    track = _track_from_args(args, phase,
+                             bench_mod.CANCELLING if args.cancel else ())
     for w, (i0, _center_s, segment) in enumerate(windows):
-        if cancel is not None:
-            segment = cancel(i0, segment)
+        if track is not None:
+            segment = track.residual(segment, i0 / phase.sample_rate)
         spectrum = power_spectrum(segment, phase.sample_rate, args.pad,
                                   args.taper)
         path = outdir / f"spectrum_{w:05d}.csv"

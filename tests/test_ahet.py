@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import pulsecancel.ahet as ahet_mod
-from pulsecancel.ahet import (AhetConfig, TrackerState, _cancel_stage,
-                              ahet_step, ahet_trace, conventional_hr,
+from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step,
+                              ahet_trace, conventional_hr,
                               conventional_trace, credibility,
                               eca_conventional_trace)
-from pulsecancel.anls import BREATHING_GRID_HZ
+from pulsecancel.anls import breathing_track
 from pulsecancel.preprocess import slow_time_phase
-from pulsecancel.scenario import masking_scenario, scenario_slow_time
+from pulsecancel.scenario import (FAMILIES, masking_scenario,
+                                  scenario_slow_time)
 from pulsecancel.spectral import Spectrum, band_peak_power, power_spectrum
 
 
@@ -219,9 +220,9 @@ def weak_tone_cancellations():
         sc = masking_scenario(seed, variant="a", duration_s=20.0)
         phase = slow_time_phase(scenario_slow_time(sc),
                                 sc.radar.frame_rate_hz)
-        cancel = _cancel_stage(phase, 5.0, 1.0, BREATHING_GRID_HZ, 3)
-        once = cancel(0, phase.samples)
-        out.append((sc, phase, once, cancel(0, once)))
+        track = breathing_track(phase)
+        once = track.residual(phase.samples)
+        out.append((sc, phase, once, track.residual(once)))
     return out
 
 
@@ -250,6 +251,23 @@ class TestCancelStage:
         for _, _, once, twice in weak_tone_cancellations:
             assert np.linalg.norm(twice - once) \
                 <= 1e-12 * np.linalg.norm(once)
+
+
+@pytest.fixture(scope="module")
+def masking_b_phase():
+    sc = FAMILIES["masking-b"](0, duration_s=60.0)
+    return slow_time_phase(scenario_slow_time(sc), sc.radar.frame_rate_hz)
+
+
+class TestSharedTrack:
+    @pytest.mark.parametrize("trace_fn", [ahet_trace, eca_conventional_trace])
+    def test_shared_track_equals_fitting_one_per_call(self, masking_b_phase,
+                                                      trace_fn):
+        track = breathing_track(masking_b_phase)
+        for cpi_s in (15.0, 20.0, 30.0):
+            shared = trace_fn(masking_b_phase, cpi_s=cpi_s, track=track)
+            own = trace_fn(masking_b_phase, cpi_s=cpi_s, track=None)
+            assert shared.entries == own.entries
 
 
 def fail_on_call(monkeypatch, name, k, exc=ValueError):

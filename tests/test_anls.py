@@ -179,6 +179,34 @@ class TestTrackAndReference:
         np.testing.assert_allclose(fit.s_ref + fit.model.offset, x,
                                    atol=1e-6)
 
+    def test_refit_uses_the_subwindows_inside_the_segment(self):
+        # breathing steps from one grid rate to another at 10 s
+        f_a, f_b = float(GRID[60]), float(GRID[150])
+        x = np.concatenate([
+            harmonic_signal(f_a, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9]),
+            harmonic_signal(f_b, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])])
+        track = breathing_track(PhaseSignal(x, FS))
+        segment = x[1200:2000]
+        model = track.refit(segment, start_s=12.0)
+        inside = (track.starts_s() >= 12.0) & (track.starts_s() <= 15.0)
+        assert model.fundamental_hz == float(np.median(track.hz()[inside]))
+        assert model.fundamental_hz == f_b
+        assert model.order == 3
+        assert model.window_start_s == 12.0
+        np.testing.assert_array_equal(
+            track.residual(segment, 12.0),
+            segment - model.predict(800, FS, include_offset=True))
+        assert np.linalg.norm(track.residual(segment, 12.0)) \
+            <= 1e-9 * np.linalg.norm(segment)
+
+    def test_refit_needs_a_subwindow_inside_the_segment(self):
+        x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
+        track = breathing_track(PhaseSignal(x, FS))
+        with pytest.raises(ValueError, match="no breathing subwindow"):
+            track.refit(x[:400])
+        with pytest.raises(ValueError, match="no breathing subwindow"):
+            track.refit(x[500:], start_s=5.5)
+
 
 class TestCaches:
     def test_cached_arrays_are_read_only(self):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import pulsecancel.ahet as ahet_mod
+import pulsecancel.bench as bench_mod
 from pulsecancel.bench import (BenchReport, RunRecord, interval_rmse,
                                monte_carlo, rmse, time_profile, write_report)
 from pulsecancel.scenario import Scenario, synthesize_radar_cube
@@ -103,6 +105,53 @@ class TestMonteCarlo:
         assert np.isfinite(record.rmse_bpm)
         assert record.intervals
         assert report.family == "masking-b"
+
+
+def count_track_fits(monkeypatch, fail=False):
+    """Count breathing_track calls made through bench or ahet; with fail,
+    each call raises instead."""
+    calls = []
+    original = bench_mod.breathing_track
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        if fail:
+            raise ValueError("injected track failure")
+        return original(*args, **kwargs)
+
+    for module in (bench_mod, ahet_mod):
+        monkeypatch.setattr(module, "breathing_track", counting)
+    return calls
+
+
+SURVEY = dict(cpis=(15.0, 20.0, 30.0), duration_s=40.0)
+
+
+class TestSharedTrack:
+    @pytest.mark.parametrize("methods, fits", [
+        (("conventional", "eca", "ahet"), 1),
+        (("ahet",), 1),
+        (("conventional",), 0),
+    ])
+    def test_one_track_fit_per_record(self, monkeypatch, methods, fits):
+        calls = count_track_fits(monkeypatch)
+        report = monte_carlo("masking-b", [0, 1], methods=methods, **SURVEY)
+        assert len(calls) == 2 * fits
+        assert all(r.error is None for r in report.records)
+
+    def test_failed_track_fails_each_cancelling_run(self, monkeypatch):
+        count_track_fits(monkeypatch, fail=True)
+        report = monte_carlo("masking-b", [0],
+                             methods=("conventional", "eca", "ahet"),
+                             **SURVEY)
+        assert len(report.records) == 9
+        for r in report.records:
+            if r.method == "conventional":
+                assert r.error is None
+                assert np.isfinite(r.rmse_bpm)
+            else:
+                assert r.error == "ValueError: injected track failure"
+                assert np.isnan(r.rmse_bpm)
 
 
 class TestWriteReport:

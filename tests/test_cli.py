@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import pulsecancel.ahet as ahet_mod
+import pulsecancel.cli as cli_mod
 from pulsecancel.ahet import eca_conventional_trace
-from pulsecancel.anls import reconstruct_reference
+from pulsecancel.anls import breathing_track, reconstruct_reference
 from pulsecancel.cli import main
 from pulsecancel.ingest import read_raw_cube, read_reference_trace
 from pulsecancel.preprocess import cube_phase
@@ -132,6 +133,24 @@ class TestCompare:
         assert scores["ahet"] < 1.0
         assert scores["conventional"] > 5.0
 
+    @pytest.mark.parametrize("methods, fits", [
+        ("conventional,eca,ahet", 1), ("conventional", 0)])
+    def test_fits_one_breathing_track(self, synth_outputs, monkeypatch,
+                                      methods, fits):
+        cube_path, truth_path = synth_outputs
+        calls = []
+        original = cli_mod.breathing_track
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (cli_mod, ahet_mod):
+            monkeypatch.setattr(module, "breathing_track", counting)
+        assert run_cli("compare", "--in", str(cube_path), "--truth",
+                       str(truth_path), "--methods", methods) == 0
+        assert len(calls) == fits
+
     def test_truth_from_scenario_needs_no_csv(self, scenario_file, capsys):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",
                        "ahet")
@@ -227,8 +246,9 @@ class TestSpectra:
             return spectrum
 
         monkeypatch.setattr(ahet_mod, "power_spectrum", recording)
-        eca_conventional_trace(_cli_phase(cube_path), step_s=0.5,
-                               grid=(0.1, 0.5, 0.0016666667))
+        phase = _cli_phase(cube_path)
+        track = breathing_track(phase, grid=(0.1, 0.5, 0.0016666667))
+        eca_conventional_trace(phase, step_s=0.5, track=track)
         files = sorted(outdir.iterdir())
         assert len(files) == len(seen) == 41
         for path, spectrum in zip(files, seen):
@@ -268,6 +288,36 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"breathing_rate": 0.26}))
         assert run_cli("synth", "--scenario", str(bad)) == 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_bench_without_seeds_is_a_usage_error(self, seeds, tmp_path):
+        # an empty survey would write NaN medians, which are not JSON
+        outdir = tmp_path / "bench"
+        assert run_cli("bench", "--family", "masking-b", "--seeds", seeds,
+                       "--no-timing", "--out", str(outdir)) == 1
+        assert not outdir.exists()
+
+    def test_negative_max_windows_is_a_usage_error(self, synth_outputs,
+                                                   tmp_path, capsys):
+        cube_path, _ = synth_outputs
+        outdir = tmp_path / "spectra"
+        assert run_cli("spectra", "--in", str(cube_path), "--max-windows",
+                       "-2", "--out", str(outdir)) == 1
+        assert "--max-windows must be >= 0, got -2" \
+            in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gate", "0.3", "--gate expects lo:hi, got '0.3'"),
+        ("--rr-grid", "0.1:0.5", "--rr-grid expects lo:hi:step, "
+                                 "got '0.1:0.5'"),
+    ])
+    def test_malformed_range_is_a_data_error(self, synth_outputs, capsys,
+                                             flag, value, message):
+        cube_path, _ = synth_outputs
+        assert run_cli("run", "--in", str(cube_path), "--method", "eca",
+                       flag, value) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_compare_method_is_a_data_error(self, scenario_file):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",
