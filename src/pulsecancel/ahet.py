@@ -9,9 +9,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .anls import BreathingTrack, breathing_track
-from .spectral import Spectrum, top_peaks, power_spectrum
+from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
+                       row_medians, strongest_peaks, top_peaks)
 from .types import HrTrace, PhaseSignal, TraceEntry
 from .scenario import window_starts
 
@@ -58,13 +60,18 @@ def credibility(f_fund_hz: float, f_harm_hz: float,
     return delta, delta <= threshold_hz
 
 
+def _strongest_hz(f_hz: float) -> float:
+    if math.isnan(f_hz):
+        raise ValueError("no spectral peak in the heart band")
+    return f_hz
+
+
 def conventional_hr(spectrum: Spectrum,
                     band_hz: tuple = HEART_BAND_HZ) -> float:
     """Plain strongest-peak estimate in the heart band, in Hz."""
-    peaks = top_peaks(spectrum, band_hz[0], band_hz[1], 1)
-    if not peaks:
-        raise ValueError("no spectral peak in the heart band")
-    return peaks[0].frequency_hz
+    f_hz, _ = band_peaks(spectrum.frequencies, spectrum.power[None, :],
+                         band_hz[0], band_hz[1], 1)
+    return _strongest_hz(float(f_hz[0, 0]))
 
 
 def _combine(f_fund_hz: float, f_harm_hz: float) -> float:
@@ -72,29 +79,47 @@ def _combine(f_fund_hz: float, f_harm_hz: float) -> float:
     return 0.5 * f_fund_hz + 0.5 * (f_harm_hz / 2.0)
 
 
-def _harmonic_peak(spectrum: Spectrum, f_cand_hz: float, config: AhetConfig):
-    """Strongest plausible harmonic for a fundamental candidate.
+def _measure(freqs: np.ndarray, power: np.ndarray,
+             config: AhetConfig) -> tuple:
+    """What each spectrum (row of power) offers the tracker: its two
+    strongest fundamental-band peaks and, for each, its harmonic.  Returns
+    (fund_hz, harm_hz), rows x 2, nan where a peak or harmonic is missing.
 
-    The search region starts just under the candidate's double so a slightly
-    flat harmonic still lands inside, and runs to the harmonic ceiling.  A
-    peak that does not clear the in-region median power by harmonic_floor is
-    treated as noise rather than a harmonic.
+    A candidate's harmonic is the strongest peak from just under its double
+    (so a slightly flat harmonic still lands inside) up to the harmonic
+    ceiling.  A peak that does not clear that region's median power by
+    harmonic_floor is treated as noise rather than a harmonic.
     """
-    lo = 2.0 * f_cand_hz - config.deviation_threshold_hz
-    hi = config.harmonic_ceiling_hz
-    if lo >= hi:
-        return None
-    peaks = top_peaks(spectrum, lo, hi, 1)
-    if not peaks:
-        return None
-    peak = peaks[0]
+    band, hi = config.fundamental_band_hz, config.harmonic_ceiling_hz
+    # bins past the harmonic ceiling's upper neighbor are never read
+    n = int(freqs.searchsorted(hi, side="right")) + 1
+    freqs, power = freqs[:n], power[:, :n]
+    rows = power.shape[0]
+    edge = freqs.size - 1
+    a_band = min(max(int(freqs.searchsorted(band[0], side="left")), 1), edge)
+    b_band = min(int(freqs.searchsorted(band[1], side="right")), edge)
+    b = min(int(freqs.searchsorted(hi, side="right")), edge)
+    # one peak search serves the band and every harmonic region
+    peaks = local_peaks(freqs, power, 1, b)
+    peak_rows, peak_cols = peaks[:2]
+    fund_hz, _ = strongest_peaks(
+        peaks, (peak_cols >= a_band) & (peak_cols < b_band), rows, 2)
+
+    # candidate i of row r searches as row r + i * rows of its own
+    lo = 2.0 * fund_hz.T.ravel() - config.deviation_threshold_hz
+    a = freqs.searchsorted(np.where(lo < hi, lo, np.nan), side="left")
+    both = (np.concatenate([peak_rows, peak_rows + rows]),
+            *(np.concatenate([x, x]) for x in peaks[1:]))
+    harm_hz, harm_p = strongest_peaks(
+        both, both[1] >= np.maximum(a[both[0]], 1), 2 * rows, 1)
+    harm_hz = harm_hz[:, 0]
     if config.harmonic_floor > 0:
-        a = int(np.searchsorted(spectrum.frequencies, lo, side="left"))
-        b = int(np.searchsorted(spectrum.frequencies, hi, side="right"))
-        floor = float(np.median(spectrum.power[a:b])) if b > a else 0.0
-        if floor > 0 and peak.power < config.harmonic_floor * floor:
-            return None
-    return peak
+        in_floor = np.arange(freqs.searchsorted(hi, side="right"))
+        floor = row_medians(np.concatenate([power[:, :in_floor.size]] * 2),
+                            in_floor >= a[:, None])
+        harm_hz[(floor > 0)
+                & (harm_p[:, 0] < config.harmonic_floor * floor)] = np.nan
+    return fund_hz, harm_hz.reshape(2, rows).T
 
 
 def _refined_search(spectrum: Spectrum, state: TrackerState,
@@ -113,33 +138,32 @@ def _refined_search(spectrum: Spectrum, state: TrackerState,
             TAG_REFINED, delta)
 
 
-def ahet_step(spectrum: Spectrum, state: TrackerState,
-              config: AhetConfig = AhetConfig()):
-    """One tracking update.  Returns (f_hz, tag, delta_hz, state).
+def _top_hz(config: AhetConfig) -> float:
+    """Highest frequency the tracker reads: the harmonic ceiling, or the
+    refined harmonic region around an h_bar at the top of the band."""
+    return max(config.harmonic_ceiling_hz,
+               2.0 * (config.fundamental_band_hz[1] + config.jump_threshold_hz))
 
-    The two strongest fundamental-band peaks are tried in order; the first
-    whose harmonic corroborates it wins.  Otherwise the refined regions
-    around h_bar are searched, and failing that the last estimate holds.
-    Reliable estimates that do not jump accumulate into the stable history
-    until h_bar freezes (once, forever).
-    """
+
+def _decide(fund_hz, harm_hz, spectrum: Spectrum, state: TrackerState,
+            config: AhetConfig):
+    """ahet_step's sequential update from one window's _measure row; only
+    the refined search reads the spectrum itself."""
     band = config.fundamental_band_hz
-    fund_peaks = top_peaks(spectrum, band[0], band[1], 2)
+    fund_hz, harm_hz = fund_hz.tolist(), harm_hz.tolist()
 
     chosen = None
     first_pair = None
-    for rank, peak in enumerate(fund_peaks):
-        harm = _harmonic_peak(spectrum, peak.frequency_hz, config)
-        if harm is None:
+    for rank, (f_fund, f_harm) in enumerate(zip(fund_hz, harm_hz)):
+        if math.isnan(f_harm):      # also when there is no such peak
             continue
-        delta, ok = credibility(peak.frequency_hz, harm.frequency_hz,
+        delta, ok = credibility(f_fund, f_harm,
                                 config.deviation_threshold_hz)
         if first_pair is None:
-            first_pair = (peak, harm, delta)
+            first_pair = (f_fund, f_harm, delta)
         if ok:
             tag = TAG_RELIABLE_1 if rank == 0 else TAG_RELIABLE_2
-            chosen = (_combine(peak.frequency_hz, harm.frequency_hz),
-                      tag, delta)
+            chosen = (_combine(f_fund, f_harm), tag, delta)
             break
 
     if chosen is not None and state.h_bar_hz is not None \
@@ -155,11 +179,10 @@ def ahet_step(spectrum: Spectrum, state: TrackerState,
             if state.last_estimate_hz is not None:
                 chosen = (state.last_estimate_hz, TAG_REFINED, math.inf)
             elif first_pair is not None:
-                peak, harm, delta = first_pair
-                chosen = (_combine(peak.frequency_hz, harm.frequency_hz),
-                          TAG_REFINED, delta)
-            elif fund_peaks:
-                chosen = (fund_peaks[0].frequency_hz, TAG_REFINED, math.inf)
+                f_fund, f_harm, delta = first_pair
+                chosen = (_combine(f_fund, f_harm), TAG_REFINED, delta)
+            elif not math.isnan(fund_hz[0]):
+                chosen = (fund_hz[0], TAG_REFINED, math.inf)
             else:
                 raise ValueError("no usable peak in the fundamental band")
 
@@ -174,10 +197,33 @@ def ahet_step(spectrum: Spectrum, state: TrackerState,
                 values = [hz for hz, _ in state.stable_history]
                 state.h_bar_hz = float(np.mean(values))
     state.last_estimate_hz = f_hz
-    return f_hz, tag, delta, state
+    return f_hz, tag, delta
+
+
+def ahet_step(spectrum: Spectrum, state: TrackerState,
+              config: AhetConfig = AhetConfig()):
+    """One tracking update.  Returns (f_hz, tag, delta_hz, state).
+
+    The two strongest fundamental-band peaks are tried in order; the first
+    whose harmonic corroborates it wins.  Otherwise the refined regions
+    around h_bar are searched, and failing that the last estimate holds.
+    Reliable estimates that do not jump accumulate into the stable history
+    until h_bar freezes (once, forever).  This is _measure, then _decide:
+    ahet_trace runs the same two stages, _measure over a block of windows.
+    """
+    fund_hz, harm_hz = _measure(spectrum.frequencies,
+                                spectrum.power[None, :], config)
+    return (*_decide(fund_hz[0], harm_hz[0], spectrum, state, config),
+            state)
 
 
 # --- full-record drivers ---------------------------------------------------
+
+# Windows per block: stacking a whole record's windows at once multiplies
+# the driver's memory peak, while blocks this size already share the
+# per-call overhead of the transform and the peak search.
+_BLOCK = 16
+
 
 def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
     fs = phase.sample_rate
@@ -187,34 +233,64 @@ def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
 
 
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
-           track: BreathingTrack | None, decide, hold: tuple,
-           zero_pad_factor: int, taper: str) -> HrTrace:
-    """Per sliding window: track.residual (when given), spectrum, decision.
+           track: BreathingTrack | None, measure, decide, hold: tuple,
+           top_hz: float, zero_pad_factor: int, taper: str) -> HrTrace:
+    """Sliding windows a block at a time: track.residuals (when given),
+    band_power up to top_hz, measure over the block, then decide per window.
 
-    decide(spectrum) returns (f_hz, tag, delta_hz).  A window whose stages
-    raise ValueError or LinAlgError holds the previous estimate, tagged
-    hold = (tag, delta_hz); a failure on the very first window propagates.
+    measure(freqs, power) returns arrays indexed by window first;
+    decide(*its row for the window, spectrum) returns (f_hz, tag, delta_hz).
+    A window whose stages raise ValueError or LinAlgError holds the
+    previous estimate, tagged hold = (tag, delta_hz); a failure on the very
+    first window propagates.  A block-wide stage that raises fails every
+    window of its block.
     """
     fs = phase.sample_rate
+    n_cpi = int(round(cpi_s * fs))
+    starts = np.array(window_starts(phase.samples.size, fs, cpi_s, step_s))
+    # a view: every window, one per row, with no copy of the samples
+    stack = sliding_window_view(phase.samples, n_cpi)[::int(round(step_s * fs))]
     trace = HrTrace()
     last_hz = None
-    for i0, center_s, segment in _cpi_windows(phase, cpi_s, step_s):
+    for b0 in range(0, starts.size, _BLOCK):
+        block = starts[b0:b0 + _BLOCK]
+        errors = [None] * block.size
         try:
+            windows = stack[b0:b0 + _BLOCK]
             if track is not None:
-                segment = track.residual(segment, i0 / fs)
-            spectrum = power_spectrum(segment, fs, zero_pad_factor, taper)
-            f_hz, tag, delta = decide(spectrum)
-        except (ValueError, np.linalg.LinAlgError):
-            if last_hz is None:
-                raise
-            f_hz, (tag, delta) = last_hz, hold
-        last_hz = f_hz
-        trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
+                windows, errors = track.residuals(windows, block / fs)
+            freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
+                                      taper)
+            measured = measure(freqs, power)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            errors = [exc] * block.size
+        for j, i0 in enumerate(block.tolist()):
+            try:
+                if errors[j] is not None:
+                    raise errors[j]
+                spectrum = Spectrum(freqs, power[j], fs, n_cpi / fs,
+                                    zero_pad_factor, taper)
+                f_hz, tag, delta = decide(*(m[j] for m in measured), spectrum)
+            except (ValueError, np.linalg.LinAlgError):
+                if last_hz is None:
+                    raise
+                f_hz, (tag, delta) = last_hz, hold
+            last_hz = f_hz
+            trace.append(TraceEntry(i0 / fs + cpi_s / 2.0, f_hz * 60.0, tag,
+                                    delta))
     return trace
 
 
-def _strongest_peak(band_hz: tuple, tag: str):
-    return lambda spectrum: (conventional_hr(spectrum, band_hz), tag, 0.0)
+def _strongest_peak(band_hz: tuple, tag: str) -> tuple:
+    """_track's (measure, decide, hold, top_hz) for a strongest-peak
+    method."""
+    def measure(freqs, power):
+        return band_peaks(freqs, power, band_hz[0], band_hz[1], 1)[:1]
+
+    def decide(f_hz, _spectrum):
+        return _strongest_hz(float(f_hz[0])), tag, 0.0
+
+    return measure, decide, (tag, 0.0), band_hz[1]
 
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
@@ -234,11 +310,13 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
     state = TrackerState()
 
     # a held window leaves state alone: its last estimate is the held value
-    def decide(spectrum):
-        return ahet_step(spectrum, state, config)[:3]
+    def decide(fund_hz, harm_hz, spectrum):
+        return _decide(fund_hz, harm_hz, spectrum, state, config)
 
-    return _track(phase, cpi_s, step_s, track, decide,
-                  (TAG_REFINED, math.inf), zero_pad_factor, taper)
+    return _track(phase, cpi_s, step_s, track,
+                  lambda freqs, power: _measure(freqs, power, config), decide,
+                  (TAG_REFINED, math.inf), _top_hz(config), zero_pad_factor,
+                  taper)
 
 
 def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
@@ -248,8 +326,8 @@ def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                        taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking on the raw phase, window by window."""
     return _track(phase, cpi_s, step_s, None,
-                  _strongest_peak(band_hz, "conventional"),
-                  ("conventional", 0.0), zero_pad_factor, taper)
+                  *_strongest_peak(band_hz, "conventional"), zero_pad_factor,
+                  taper)
 
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
@@ -262,5 +340,4 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
     if track is None:
         track = breathing_track(phase)
     return _track(phase, cpi_s, step_s, track,
-                  _strongest_peak(band_hz, "eca"), ("eca", 0.0),
-                  zero_pad_factor, taper)
+                  *_strongest_peak(band_hz, "eca"), zero_pad_factor, taper)

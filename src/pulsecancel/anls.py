@@ -7,15 +7,19 @@ least-squares fit.  All solves go through orthogonal QR factorizations; no
 normal-equation inverses.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .spectral import row_medians
 from .types import PhaseSignal
 
 BREATHING_GRID_HZ = (0.1, 0.5, 1.0 / 600.0)
+_NO_SUBWINDOW = "no breathing subwindow inside the segment"
 
 
 @dataclass
@@ -28,6 +32,13 @@ class HarmonicModel:
     residual_power: float         # mean squared residual of the fit
     offset: float = 0.0           # intercept fitted jointly with the harmonics
     window_start_s: float = 0.0
+
+    def __eq__(self, other):
+        """Field by field, the coefficient arrays element by element."""
+        if not isinstance(other, HarmonicModel):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def amplitudes(self) -> np.ndarray:
         return np.hypot(self.coefficients[:, 0], self.coefficients[:, 1])
@@ -68,21 +79,28 @@ class BreathingTrack:
         # of a record would otherwise rebuild both from the models each time
         return self.starts_s(), self.hz()
 
+    def _refit_hz(self, starts_s, n: int) -> np.ndarray:
+        """Median fundamental of the subwindows inside each n-sample
+        segment starting starts_s into the record (robust to a few bad
+        ones); nan where none is inside."""
+        fs = self.sample_rate
+        span_s = round(self.window_s * fs) / fs      # a subwindow's samples
+        sub_s, hz = self._subwindows
+        starts_s = np.asarray(starts_s, dtype=float)[:, None]
+        inside = (sub_s >= starts_s - 1e-9) \
+            & (sub_s + span_s <= starts_s + n / fs + 1e-9)
+        return row_medians(hz, inside)
+
     def refit(self, segment: np.ndarray,
               start_s: float = 0.0) -> HarmonicModel:
         """Fit a segment starting start_s into the record at the median
-        fundamental of the subwindows inside it (robust to a few bad ones).
-        The models must not change after the first refit."""
-        fs = self.sample_rate
-        span_s = round(self.window_s * fs) / fs      # a subwindow's samples
-        starts_s, hz = self._subwindows
-        inside = (starts_s >= start_s - 1e-9) \
-            & (starts_s + span_s <= start_s + len(segment) / fs + 1e-9)
-        if not np.any(inside):
-            raise ValueError("no breathing subwindow inside the segment")
-        f_hat = float(np.median(hz[inside]))
-        return fit_amplitudes(segment, fs, f_hat, self.models[0].order,
-                              window_start_s=start_s)
+        fundamental of the subwindows inside it.  The models must not
+        change after the first refit."""
+        f_hat = float(self._refit_hz([start_s], len(segment))[0])
+        if math.isnan(f_hat):
+            raise ValueError(_NO_SUBWINDOW)
+        return fit_amplitudes(segment, self.sample_rate, f_hat,
+                              self.models[0].order, window_start_s=start_s)
 
     def residual(self, segment: np.ndarray,
                  start_s: float = 0.0) -> np.ndarray:
@@ -93,6 +111,36 @@ class BreathingTrack:
         model = self.refit(segment, start_s)
         return segment - model.predict(len(segment), self.sample_rate,
                                        include_offset=True)
+
+    def residuals(self, windows: np.ndarray, starts_s) -> tuple:
+        """residual() of every row of a stack of equal-length windows, in
+        order of their starts.
+
+        Returns (residuals, errors): errors[i] is the ValueError or
+        LinAlgError that window i's refit raised (its row is then left as
+        it was), or None.  Each run of windows refit at the same
+        fundamental shares one factorization, and their residuals are
+        X - (X Q) Q^T for its orthonormal Q.
+        """
+        out = np.array(windows, dtype=float)
+        n = out.shape[1]
+        errors = [None] * len(out)
+        i = 0
+        # nan (no subwindow inside) equals nothing: each is its own run
+        for f_hat, run in groupby(self._refit_hz(starts_s, n).tolist()):
+            j = i + len(list(run))
+            try:
+                if math.isnan(f_hat):
+                    raise ValueError(_NO_SUBWINDOW)
+                _, q, _ = _checked_factorization(
+                    f_hat, self.models[0].order, n, self.sample_rate)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                errors[i:j] = [exc] * (j - i)
+            else:
+                x = out[i:j]
+                x -= (x @ q) @ q.T
+            i = j
+        return out, errors
 
 
 @dataclass
@@ -151,10 +199,9 @@ def _design_factorization(fundamental_hz: float, order: int, n: int,
 
     Sliding analysis refits the same few fundamentals at a fixed window
     length over and over; the factorization depends only on the design,
-    so it is cached with it (arrays read-only).  Segment length must be
-    at least the column count, which fit_amplitudes validates.  The
-    singular values of R equal those of the design, giving the rank check
-    without a second factorization.
+    so it is cached with it (arrays read-only).  The singular values of R
+    equal those of the design, giving the rank check without a second
+    factorization.
     """
     design = _design(fundamental_hz, order, n, sample_rate)
     q, r = np.linalg.qr(design)
@@ -162,6 +209,23 @@ def _design_factorization(fundamental_hz: float, order: int, n: int,
     for a in (q, r, sv):
         a.flags.writeable = False
     return design, q, r, sv
+
+
+def _checked_factorization(fundamental_hz: float, order: int, n: int,
+                           sample_rate: float) -> tuple:
+    """(design, Q, R) of an n-sample fit, after the length and rank checks:
+    a rank-deficient design (e.g. fundamental at 0) is rejected."""
+    if n < 2 * order + 1:
+        raise ValueError(f"segment of {n} samples too short for "
+                         f"{2 * order} coefficients")
+    design, q, r, sv = _design_factorization(fundamental_hz, order, n,
+                                             sample_rate)
+    cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
+    if int(np.count_nonzero(sv > cutoff)) < 2 * order + 1:
+        cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
+        raise ValueError(f"rank-deficient harmonic design at "
+                         f"{fundamental_hz} Hz (condition ~ {cond:.3e})")
+    return design, q, r
 
 
 def fit_amplitudes(segment: np.ndarray, sample_rate: float,
@@ -178,16 +242,8 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
-    if x.size < 2 * order + 1:
-        raise ValueError(f"segment of {x.size} samples too short for "
-                         f"{2 * order} coefficients")
-    design, q, r, sv = _design_factorization(fundamental_hz, order, x.size,
-                                             sample_rate)
-    cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
-    if int(np.count_nonzero(sv > cutoff)) < 2 * order + 1:
-        cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
-        raise ValueError(f"rank-deficient harmonic design at "
-                         f"{fundamental_hz} Hz (condition ~ {cond:.3e})")
+    design, q, r = _checked_factorization(fundamental_hz, order, x.size,
+                                          sample_rate)
     coef = solve_triangular(r, q.T @ x, check_finite=False)
     resid = x - design @ coef
     return HarmonicModel(

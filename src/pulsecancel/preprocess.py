@@ -120,8 +120,12 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
     dead = np.abs(z) == 0.0
     dropouts = int(np.count_nonzero(dead))
     if dropouts:
-        for i in np.flatnonzero(dead):
-            wrapped[i] = wrapped[i - 1] if i > 0 else 0.0
+        # a dead first sample (and the dead run after it) reads 0: arctan2
+        # of complex(-0.0, 0.0) would say pi
+        wrapped[0] = 0.0 if dead[0] else wrapped[0]
+        # forward fill: each sample reads its last live sample at or before it
+        last_live = np.where(dead, 0, np.arange(z.size))
+        wrapped = wrapped[np.maximum.accumulate(last_live)]
     return np.unwrap(wrapped), dropouts
 
 

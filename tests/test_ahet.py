@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import pulsecancel.ahet as ahet_mod
-from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step,
-                              ahet_trace, conventional_hr,
+from pulsecancel.ahet import (AhetConfig, TrackerState, _cpi_windows,
+                              ahet_step, ahet_trace, conventional_hr,
                               conventional_trace, credibility,
                               eca_conventional_trace)
 from pulsecancel.anls import breathing_track
@@ -16,6 +16,7 @@ from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, masking_scenario,
                                   scenario_slow_time)
 from pulsecancel.spectral import Spectrum, band_peak_power, power_spectrum
+from pulsecancel.types import HrTrace, PhaseSignal, TraceEntry
 
 
 def spiky_spectrum(peaks, background=None, f_max=5.0, n=2001):
@@ -284,6 +285,18 @@ def fail_on_call(monkeypatch, name, k, exc=ValueError):
     monkeypatch.setattr(ahet_mod, name, flaky)
 
 
+# The block driver's form of each per-window stage a case makes fail: the
+# spectrum stage is band_power, the strongest-peak pick band_peaks.
+BLOCK_STAGES = {"power_spectrum": "band_power", "conventional_hr": "band_peaks"}
+
+
+def fail_window(monkeypatch, stage, k, exc=ValueError):
+    """Make the k-th window (1-based) fail at stage: with blocks of one
+    window, the stage's k-th call is that window's."""
+    monkeypatch.setattr(ahet_mod, "_BLOCK", 1)
+    fail_on_call(monkeypatch, BLOCK_STAGES[stage], k, exc)
+
+
 # (trace function, stage made to fail, hold tag, hold gap)
 HOLD_CASES = [
     (conventional_trace, "conventional_hr", "conventional", 0.0),
@@ -298,7 +311,7 @@ class TestHoldLastEstimate:
     def test_mid_record_failure_holds_previous_estimate(
             self, fixture_phase, monkeypatch, trace_fn, stage, tag, delta):
         clean = trace_fn(fixture_phase, **WINDOWS)
-        fail_on_call(monkeypatch, stage, 3)
+        fail_window(monkeypatch, stage, 3)
         held = trace_fn(fixture_phase, **WINDOWS)
         assert held.times().tolist() == clean.times().tolist()
         assert held.entries[:2] == clean.entries[:2]
@@ -312,8 +325,7 @@ class TestHoldLastEstimate:
     def test_spectrum_linalg_failure_also_holds(
             self, fixture_phase, monkeypatch, trace_fn, tag, delta):
         # every method guards every stage, the spectrum included
-        fail_on_call(monkeypatch, "power_spectrum", 2,
-                     np.linalg.LinAlgError)
+        fail_window(monkeypatch, "power_spectrum", 2, np.linalg.LinAlgError)
         held = trace_fn(fixture_phase, **WINDOWS)
         assert held.entries[1].hr_bpm == held.entries[0].hr_bpm
         assert (held.entries[1].tag, held.entries[1].delta_hz) == (tag, delta)
@@ -322,6 +334,145 @@ class TestHoldLastEstimate:
                              [(fn, stage) for fn, stage, _, _ in HOLD_CASES])
     def test_first_window_failure_propagates(
             self, fixture_phase, monkeypatch, trace_fn, stage):
-        fail_on_call(monkeypatch, stage, 1)
+        fail_window(monkeypatch, stage, 1)
         with pytest.raises(ValueError, match="injected failure"):
             trace_fn(fixture_phase, **WINDOWS)
+
+
+def with_dead_stretch(phase, start_s, stop_s):
+    """The phase with exact zeros over [start_s, stop_s)."""
+    fs = phase.sample_rate
+    samples = phase.samples.copy()
+    samples[int(round(start_s * fs)):int(round(stop_s * fs))] = 0.0
+    return PhaseSignal(samples, fs)
+
+
+class TestDeadStretch:
+    """Failures at the real block size: a stretch of exact zeros longer
+    than the CPI leaves the windows inside it no heart-band peak."""
+
+    @pytest.mark.parametrize("trace_fn, tag, delta",
+                             [(fn, tag, d) for fn, _, tag, d in HOLD_CASES])
+    def test_windows_inside_hold_the_previous_estimate(
+            self, masking_b_phase, trace_fn, tag, delta):
+        # 1 s steps: windows 20-22 lie inside [20 s, 32 s); 0-10 end
+        # before it; 51 windows make blocks of 16, 16, 16 and 3
+        clean = trace_fn(masking_b_phase, cpi_s=10.0)
+        held = trace_fn(with_dead_stretch(masking_b_phase, 20.0, 32.0),
+                        cpi_s=10.0)
+        assert len(held) == len(clean) == 51
+        # their block-mates change, so they agree to rounding
+        assert_same_entries(held.entries[:11], clean.entries[:11])
+        for entry in held.entries[20:23]:
+            assert entry.hr_bpm == held.entries[19].hr_bpm
+            assert (entry.tag, entry.delta_hz) == (tag, delta)
+
+    @pytest.mark.parametrize("method, tag, delta",
+                             [("eca", "eca", 0.0),
+                              ("ahet", "refined", math.inf)])
+    def test_a_window_whose_refit_fails_holds_alone(
+            self, masking_b_phase, method, tag, delta):
+        # 5 s windows at half-second steps: only those starting on a whole
+        # second hold a whole 5 s breathing subwindow, so every other
+        # window of each block fails its refit
+        fs = masking_b_phase.sample_rate
+        track = breathing_track(masking_b_phase)
+        trace = BLOCK_METHODS[method](masking_b_phase, cpi_s=5.0, step_s=0.5,
+                                      track=track)
+        state = TrackerState()
+        windows = list(_cpi_windows(masking_b_phase, 5.0, 0.5))
+        assert len(trace) == len(windows) == 111
+        for j, (i0, _, segment) in enumerate(windows):
+            entry = trace.entries[j]
+            if j % 2:
+                assert entry.hr_bpm == trace.entries[j - 1].hr_bpm
+                assert (entry.tag, entry.delta_hz) == (tag, delta)
+                continue
+            spectrum = power_spectrum(track.residual(segment, i0 / fs), fs)
+            if method == "ahet":
+                f_hz, want_tag, _, _ = ahet_step(spectrum, state)
+            else:
+                f_hz, want_tag = conventional_hr(spectrum), "eca"
+            assert entry.tag == want_tag
+            assert entry.hr_bpm == pytest.approx(f_hz * 60.0, abs=1e-9)
+
+    @pytest.mark.parametrize("trace_fn",
+                             [fn for fn, _, _, _ in HOLD_CASES])
+    def test_a_dead_first_window_propagates(self, masking_b_phase, trace_fn):
+        with pytest.raises(ValueError, match="no (spectral|usable) peak"):
+            trace_fn(with_dead_stretch(masking_b_phase, 0.0, 12.0),
+                     cpi_s=10.0)
+
+
+def per_window_trace(phase, cpi_s, method, track):
+    """The per-window reference: track.residual, power_spectrum, then
+    ahet_step or conventional_hr, one window at a time."""
+    fs = phase.sample_rate
+    state = TrackerState()
+    trace = HrTrace()
+    for i0, center_s, segment in _cpi_windows(phase, cpi_s, 1.0):
+        if method != "conventional":
+            segment = track.residual(segment, i0 / fs)
+        spectrum = power_spectrum(segment, fs)
+        if method == "ahet":
+            f_hz, tag, delta, _ = ahet_step(spectrum, state)
+        else:
+            f_hz, tag, delta = conventional_hr(spectrum), method, 0.0
+        trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
+    return trace
+
+
+BLOCK_METHODS = {"conventional": conventional_trace,
+                 "eca": eca_conventional_trace, "ahet": ahet_trace}
+
+
+def assert_same_entries(got, want):
+    """Same times, tags and infinite gaps; rates and finite gaps agree to
+    1e-9, the rounding of the block driver's stacked products."""
+    assert [e.time_s for e in got] == [e.time_s for e in want]
+    assert [e.tag for e in got] == [e.tag for e in want]
+    np.testing.assert_allclose([e.hr_bpm for e in got],
+                               [e.hr_bpm for e in want], rtol=0, atol=1e-9)
+    gaps = np.array([e.delta_hz for e in got])
+    want_gaps = np.array([e.delta_hz for e in want])
+    assert np.isinf(gaps).tolist() == np.isinf(want_gaps).tolist()
+    finite = np.isfinite(want_gaps)
+    np.testing.assert_allclose(gaps[finite], want_gaps[finite], rtol=0,
+                               atol=1e-9)
+
+
+def assert_matches_per_window(phase, cpi_s, method, track):
+    kwargs = {} if method == "conventional" else {"track": track}
+    block = BLOCK_METHODS[method](phase, cpi_s=cpi_s, **kwargs)
+    assert_same_entries(block.entries,
+                        per_window_trace(phase, cpi_s, method, track).entries)
+
+
+@pytest.fixture(scope="module")
+def contract_records():
+    """120 s masking-b/c records, seeds 0-1, with their breathing tracks."""
+    out = []
+    for family in ("masking-b", "masking-c"):
+        for seed in (0, 1):
+            sc = FAMILIES[family](seed, duration_s=120.0)
+            phase = slow_time_phase(scenario_slow_time(sc),
+                                    sc.radar.frame_rate_hz)
+            out.append((phase, breathing_track(phase)))
+    return out
+
+
+class TestBlockDriverContract:
+    @pytest.mark.parametrize("method", sorted(BLOCK_METHODS))
+    def test_matches_the_per_window_loop(self, contract_records, method):
+        # 106, 101 and 91 windows: none a multiple of the block size
+        for phase, track in contract_records:
+            for cpi_s in (15.0, 20.0, 30.0):
+                assert_matches_per_window(phase, cpi_s, method, track)
+
+    @pytest.mark.parametrize("method", sorted(BLOCK_METHODS))
+    def test_record_shorter_than_one_block(self, method):
+        sc = FAMILIES["masking-c"](2, duration_s=30.0)
+        phase = slow_time_phase(scenario_slow_time(sc), sc.radar.frame_rate_hz)
+        assert len(list(_cpi_windows(phase, 20.0, 1.0))) == 11 \
+            < ahet_mod._BLOCK
+        assert_matches_per_window(phase, 20.0, method, breathing_track(phase))

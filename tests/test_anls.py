@@ -208,6 +208,68 @@ class TestTrackAndReference:
             track.refit(x[500:], start_s=5.5)
 
 
+class TestResiduals:
+    def record(self):
+        # breathing steps from one grid rate to another at 20 s, with a
+        # weak tone on top so the residuals are not all rounding
+        f_a, f_b = float(GRID[60]), float(GRID[150])
+        x = np.concatenate([
+            harmonic_signal(f_a, 2000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9]),
+            harmonic_signal(f_b, 2000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])])
+        x += 0.01 * np.sin(2 * np.pi * 1.3 * np.arange(x.size) / FS)
+        return x, breathing_track(PhaseSignal(x, FS))
+
+    def test_equal_the_per_window_residuals(self):
+        x, track = self.record()
+        starts = np.arange(0, 2001, 100)
+        windows = np.stack([x[i0:i0 + 2000] for i0 in starts])
+        out, errors = track.residuals(windows, starts / FS)
+        assert errors == [None] * starts.size
+        for row, i0, window in zip(out, starts, windows):
+            expected = track.residual(window, i0 / FS)
+            assert np.max(np.abs(row - expected)) \
+                <= 1e-12 * np.max(np.abs(expected))
+
+    def test_a_window_without_a_subwindow_is_reported_and_left_alone(self):
+        # 5 s windows at half-second starts: only the whole-second ones
+        # hold a whole 5 s subwindow
+        x, track = self.record()
+        starts = np.array([100, 150, 200])
+        windows = np.stack([x[i0:i0 + 500] for i0 in starts])
+        out, errors = track.residuals(windows, starts / FS)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], ValueError)
+        assert "no breathing subwindow" in str(errors[1])
+        np.testing.assert_array_equal(out[1], windows[1])
+        expected = track.residual(windows[2], 2.0)
+        assert np.max(np.abs(out[2] - expected)) \
+            <= 1e-12 * np.max(np.abs(expected))
+
+    def test_a_rank_deficient_refit_fails_its_whole_group(self):
+        # every subwindow fitted at 0 Hz: the shared design has no rank
+        x, track = self.record()
+        for model in track.models:
+            model.fundamental_hz = 0.0
+        windows = np.stack([x[:1000], x[100:1100]])
+        out, errors = track.residuals(windows, [0.0, 1.0])
+        assert all(isinstance(e, ValueError) and "rank-deficient" in str(e)
+                   for e in errors)
+        np.testing.assert_array_equal(out, windows)
+
+
+class TestEquality:
+    def test_models_and_tracks_compare_by_value(self):
+        x = harmonic_signal(float(GRID[96]), 1000, [1.0, 0.3], [0.0, 0.4])
+        track = breathing_track(PhaseSignal(x, FS))
+        again = breathing_track(PhaseSignal(x, FS))
+        assert (track == again) is True
+        assert (track.models[0] == again.models[0]) is True
+        other = breathing_track(PhaseSignal(1.5 * x, FS))
+        assert (track == other) is False
+        assert (track.models[0] != other.models[0]) is True
+        assert track.models[0] != "a model"
+
+
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
         cached = [*_design_factorization(0.26, 3, 500, FS),

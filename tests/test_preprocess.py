@@ -147,6 +147,32 @@ class TestDemodulate:
         assert out[0] == 0.0
 
 
+    @pytest.mark.parametrize("dead", [[0], [0, 1, 2], [7], [7, 8, 9, 40],
+                                      [399], list(range(390, 400)),
+                                      list(range(400))])
+    def test_fill_is_bit_identical_to_the_sequential_rule(self, dead):
+        # reference: each dead sample, in order, copies its predecessor's
+        # wrapped phase (sample 0 takes 0.0)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.5, 2.0, 400) * np.exp(1j * rng.uniform(-4, 4, 400))
+        z[dead] = complex(-0.0, 0.0)
+        wrapped = np.arctan2(z.imag, z.real)
+        for i in dead:
+            wrapped[i] = wrapped[i - 1] if i > 0 else 0.0
+        out, dropouts = demodulate(z)
+        assert dropouts == len(dead)
+        assert out.tobytes() == np.unwrap(wrapped).tobytes()
+
+    def test_negative_zero_first_sample_reads_zero(self):
+        # arctan2(0.0, -0.0) is pi; a dead first sample still reads 0.0
+        z = np.array([complex(-0.0, 0.0), complex(-0.0, 0.0), np.exp(0.5j)])
+        assert np.arctan2(z.imag, z.real)[0] == np.pi
+        out, dropouts = demodulate(z)
+        assert dropouts == 2
+        assert out[:2].tolist() == [0.0, 0.0]
+        assert out[2] == 0.5
+
+
 class TestPhaseExtraction:
     def test_bin_bounds(self):
         profiles = make_profiles(np.ones((4, 10)))

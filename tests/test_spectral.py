@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pulsecancel.spectral import (Spectrum, _taper, band_peak_power,
-                                  power_spectrum, top_peaks)
+                                  band_peaks, band_power, power_spectrum,
+                                  row_medians, top_peaks)
 
 FS = 100.0
 
@@ -135,6 +136,11 @@ class TestTopPeaks:
         spec = power_spectrum(tone(1.0), FS)
         assert top_peaks(spec, 60.0, 70.0, 1) == []
 
+    def test_grid_without_interior_bins_has_no_peaks(self):
+        for n in (1, 2):
+            spec = synthetic_spectrum(np.arange(1.0, n + 1.0))
+            assert top_peaks(spec, 0.0, 5.0, 1) == []
+
 
 class TestBandPeakPower:
     def test_reads_peak_through_leakage(self):
@@ -160,3 +166,90 @@ class TestParseval:
         w = get_window("hann", 400, fftbins=True)
         xw = (x - np.mean(x)) * w
         assert np.sum(spec.power) == pytest.approx(np.sum(xw ** 2), rel=1e-9)
+
+
+def band_spectrum(freqs, power, like):
+    return Spectrum(freqs, power, like.sample_rate, like.window_seconds,
+                    like.zero_pad_factor, like.taper)
+
+
+class TestBandPower:
+    @pytest.mark.parametrize("pad", [1, 8])
+    @pytest.mark.parametrize("taper", ["hann", "boxcar"])
+    def test_rows_equal_the_padded_spectrum_over_the_band(self, pad, taper):
+        # odd window length; the rows differ in content and offset
+        rng = np.random.default_rng(4)
+        n = 1999
+        windows = np.stack([tone(1.1, amp=40.0)[:n] + rng.normal(size=n) + 3.0,
+                            tone(0.45, amp=7.0)[:n] + tone(2.9)[:n],
+                            rng.normal(size=n)])
+        freqs, power = band_power(windows, FS, 4.2, pad, taper)
+        full = [power_spectrum(w, FS, pad, taper) for w in windows]
+        k = int(np.searchsorted(full[0].frequencies, 4.2, side="right")) + 1
+        assert freqs.tolist() == full[0].frequencies[:k].tolist()
+        for row, spec in zip(power, full):
+            expected = spec.power[:k]
+            assert np.max(np.abs(row - expected)) \
+                <= 1e-12 * np.max(expected)
+
+    def test_band_stops_one_bin_past_the_top(self):
+        freqs, power = band_power(tone(1.0)[None, :], FS, 2.0)
+        spacing = FS / (2000 * 8)
+        assert freqs[-2] <= 2.0 < freqs[-1]
+        assert freqs[-1] == pytest.approx(2.0 + spacing)
+        assert power.shape == (1, freqs.size)
+
+    def test_peak_one_bin_inside_the_band_edge(self):
+        # a tone on the band's top bin: its upper neighbor is the extra bin
+        full = power_spectrum(tone(1.0), FS)
+        top_hz = float(full.frequencies[320])
+        x = tone(top_hz)
+        full = power_spectrum(x, FS)
+        freqs, power = band_power(x[None, :], FS, top_hz)
+        assert freqs.size == 322
+        band = band_spectrum(freqs, power[0], full)
+        lo_hz = top_hz - 0.05         # inside the tone's main lobe
+        want = top_peaks(full, lo_hz, top_hz, 1)
+        got = top_peaks(band, lo_hz, top_hz, 1)
+        assert len(got) == len(want) == 1
+        assert got[0].frequency_hz == pytest.approx(top_hz, abs=1e-6)
+        assert got[0].frequency_hz == pytest.approx(want[0].frequency_hz,
+                                                    rel=1e-12)
+        assert got[0].power == pytest.approx(want[0].power, rel=1e-9)
+        # without the extra bin the top bin has no upper neighbor: no peak
+        cut = band_spectrum(freqs[:-1], power[0, :-1], full)
+        assert top_peaks(cut, lo_hz, top_hz, 1) == []
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="2-D"):
+            band_power(tone(1.0), FS, 4.0)
+        with pytest.raises(ValueError, match="too short"):
+            band_power(np.ones((2, 10)), FS, 4.0)
+        with pytest.raises(ValueError, match="zero_pad_factor"):
+            band_power(np.ones((2, 100)), FS, 4.0, zero_pad_factor=0)
+
+
+class TestStackPeaks:
+    def test_rows_equal_top_peaks_with_a_per_row_lower_edge(self):
+        rng = np.random.default_rng(5)
+        power = rng.uniform(0.0, 1.0, (6, 201))
+        freqs = np.linspace(0.0, 5.0, 201)
+        lo = np.array([0.0, 1.0, 2.5, 4.9, 5.0, np.nan])
+        f, p = band_peaks(freqs, power, lo, 4.0, 3)
+        for i in range(6):
+            want = [] if not lo[i] < 4.0 else top_peaks(
+                synthetic_spectrum(power[i]), lo[i], 4.0, 3)
+            got = [(fi, pi) for fi, pi in zip(f[i], p[i]) if not np.isnan(fi)]
+            assert got == [(w.frequency_hz, w.power) for w in want]
+
+    def test_row_medians_equal_np_median(self):
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(40, 9))
+        mask = rng.uniform(size=(40, 9)) < 0.5
+        mask[0] = False
+        mask[1] = True
+        got = row_medians(values, mask)
+        assert np.isnan(got[0])
+        for i in range(1, 40):
+            if mask[i].any():
+                assert got[i] == np.median(values[i][mask[i]])
