@@ -225,11 +225,21 @@ def ahet_step(spectrum: Spectrum, state: TrackerState,
 _BLOCK = 16
 
 
-def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
+def _windows(phase: PhaseSignal, cpi_s: float, step_s: float) -> tuple:
+    """The sliding windows: (starts, centers_s, stack), their start indices
+    and center times as lists, and the windows one per row of a view on
+    the samples (no copy)."""
     fs = phase.sample_rate
-    n_cpi = int(round(cpi_s * fs))
-    for i0 in window_starts(phase.samples.size, fs, cpi_s, step_s):
-        yield i0, i0 / fs + cpi_s / 2.0, phase.samples[i0:i0 + n_cpi]
+    starts = window_starts(phase.samples.size, fs, cpi_s, step_s)
+    # window_starts steps by this same rounded count from 0
+    stack = sliding_window_view(phase.samples, int(round(cpi_s * fs)))
+    return (starts, [i0 / fs + cpi_s / 2.0 for i0 in starts],
+            stack[::int(round(step_s * fs))])
+
+
+def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
+    """(start, center_s, samples) of each sliding window, in order."""
+    return zip(*_windows(phase, cpi_s, step_s))
 
 
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
@@ -246,25 +256,23 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     window of its block.
     """
     fs = phase.sample_rate
-    n_cpi = int(round(cpi_s * fs))
-    starts = np.array(window_starts(phase.samples.size, fs, cpi_s, step_s))
-    # a view: every window, one per row, with no copy of the samples
-    stack = sliding_window_view(phase.samples, n_cpi)[::int(round(step_s * fs))]
+    starts, centers_s, stack = _windows(phase, cpi_s, step_s)
+    n_cpi = stack.shape[1]
     trace = HrTrace()
     last_hz = None
-    for b0 in range(0, starts.size, _BLOCK):
-        block = starts[b0:b0 + _BLOCK]
-        errors = [None] * block.size
+    for b0 in range(0, len(starts), _BLOCK):
+        windows = stack[b0:b0 + _BLOCK]
+        errors = [None] * len(windows)
         try:
-            windows = stack[b0:b0 + _BLOCK]
             if track is not None:
-                windows, errors = track.residuals(windows, block / fs)
+                windows, errors = track.residuals(
+                    windows, np.array(starts[b0:b0 + _BLOCK]) / fs)
             freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
                                       taper)
             measured = measure(freqs, power)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            errors = [exc] * block.size
-        for j, i0 in enumerate(block.tolist()):
+            errors = [exc] * len(windows)
+        for j, center_s in enumerate(centers_s[b0:b0 + _BLOCK]):
             try:
                 if errors[j] is not None:
                     raise errors[j]
@@ -276,8 +284,7 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
                     raise
                 f_hz, (tag, delta) = last_hz, hold
             last_hz = f_hz
-            trace.append(TraceEntry(i0 / fs + cpi_s / 2.0, f_hz * 60.0, tag,
-                                    delta))
+            trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
     return trace
 
 

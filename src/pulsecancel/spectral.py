@@ -191,7 +191,7 @@ def local_peaks(freqs: np.ndarray, power: np.ndarray, a: int,
     return (rows, cols, *_refine(freqs, power, rows, cols))
 
 
-def strongest_peaks(peaks: tuple, keep: np.ndarray, n_rows: int,
+def strongest_peaks(peaks: tuple, keep, n_rows: int,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k strongest of the peaks that keep selects, per row:
     (frequencies, powers), each n_rows x k, strongest first, nan where a
@@ -209,18 +209,14 @@ def strongest_peaks(peaks: tuple, keep: np.ndarray, n_rows: int,
     return out_f, out_p
 
 
-def band_peaks(freqs: np.ndarray, power: np.ndarray, lo_hz, hi_hz: float,
-               k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Stack form of top_peaks over rows of power on one grid.
-
-    lo_hz is one edge for every row or one per row (nan: no band).  Returns
-    strongest_peaks' (frequencies, powers), each rows x k.
-    """
-    a = np.maximum(freqs.searchsorted(lo_hz, side="left"), 1)
+def band_peaks(freqs: np.ndarray, power: np.ndarray, lo_hz: float,
+               hi_hz: float, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Stack form of top_peaks over rows of power on one grid.  Returns
+    strongest_peaks' (frequencies, powers), each rows x k."""
+    a = max(int(freqs.searchsorted(lo_hz, side="left")), 1)
     b = min(int(freqs.searchsorted(hi_hz, side="right")), freqs.size - 1)
-    peaks = local_peaks(freqs, power, min(int(np.min(a)), b), b)
-    keep = peaks[1] >= (a[peaks[0]] if np.ndim(a) else a)
-    return strongest_peaks(peaks, keep, power.shape[0], k)
+    peaks = local_peaks(freqs, power, min(a, b), b)
+    return strongest_peaks(peaks, slice(None), power.shape[0], k)
 
 
 def row_medians(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

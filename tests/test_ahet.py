@@ -310,6 +310,9 @@ class TestHoldLastEstimate:
     @pytest.mark.parametrize("trace_fn, stage, tag, delta", HOLD_CASES)
     def test_mid_record_failure_holds_previous_estimate(
             self, fixture_phase, monkeypatch, trace_fn, stage, tag, delta):
+        # both runs in blocks of one: a window's rate can move by rounding
+        # with its block-mates
+        monkeypatch.setattr(ahet_mod, "_BLOCK", 1)
         clean = trace_fn(fixture_phase, **WINDOWS)
         fail_window(monkeypatch, stage, 3)
         held = trace_fn(fixture_phase, **WINDOWS)
@@ -329,6 +332,22 @@ class TestHoldLastEstimate:
         held = trace_fn(fixture_phase, **WINDOWS)
         assert held.entries[1].hr_bpm == held.entries[0].hr_bpm
         assert (held.entries[1].tag, held.entries[1].delta_hz) == (tag, delta)
+
+    @pytest.mark.parametrize("trace_fn, tag, delta",
+                             [(fn, tag, d) for fn, _, tag, d in HOLD_CASES])
+    def test_a_failed_block_holds_every_window(
+            self, masking_b_phase, monkeypatch, trace_fn, tag, delta):
+        # at the real block size a block-wide stage fails all 16 windows:
+        # 51 windows make blocks of 16, 16, 16 and 3, and the second fails
+        assert ahet_mod._BLOCK == 16
+        clean = trace_fn(masking_b_phase, cpi_s=10.0)
+        fail_on_call(monkeypatch, "band_power", 2)
+        held = trace_fn(masking_b_phase, cpi_s=10.0)
+        assert len(held) == len(clean) == 51
+        assert held.entries[:16] == clean.entries[:16]
+        for entry in held.entries[16:32]:
+            assert entry.hr_bpm == held.entries[15].hr_bpm
+            assert (entry.tag, entry.delta_hz) == (tag, delta)
 
     @pytest.mark.parametrize("trace_fn, stage",
                              [(fn, stage) for fn, stage, _, _ in HOLD_CASES])

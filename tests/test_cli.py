@@ -8,12 +8,13 @@ import pytest
 import pulsecancel.ahet as ahet_mod
 import pulsecancel.cli as cli_mod
 from pulsecancel.ahet import eca_conventional_trace
-from pulsecancel.anls import breathing_track, reconstruct_reference
+from pulsecancel.anls import (BreathingTrack, breathing_track,
+                             reconstruct_reference)
 from pulsecancel.cli import main
 from pulsecancel.ingest import read_raw_cube, read_reference_trace
 from pulsecancel.preprocess import cube_phase
 from pulsecancel.scenario import window_starts
-from pulsecancel.spectral import band_power, power_spectrum
+from pulsecancel.spectral import power_spectrum
 from pulsecancel.types import PhaseSignal
 
 
@@ -233,31 +234,32 @@ class TestSpectra:
     def test_dumps_what_the_eca_method_tracks_on(self, synth_outputs,
                                                  tmp_path, monkeypatch):
         # off the anls-step lattice the record-wide breathing track and a
-        # per-window one differ; the dump follows the tracking methods
+        # per-window one differ; the dump follows the tracking methods.  It
+        # is the full padded spectrum of each window eca cancels, cancelled
+        # by the record's track one window at a time: the per-window form
+        # of what eca tracks on, which tests/test_ahet.py pins the block
+        # driver to
         cube_path, _ = synth_outputs
         outdir = tmp_path / "spectra"
         assert run_cli("spectra", "--in", str(cube_path), "--cancel",
                        "--step", "0.5", "--out", str(outdir)) == 0
         seen = []
+        residuals = BreathingTrack.residuals
 
-        def recording(*args, **kwargs):
-            freqs, power = band_power(*args, **kwargs)
-            seen.extend((freqs, row) for row in power)
-            return freqs, power
+        def recording(self, windows, starts_s):
+            seen.extend(zip(starts_s.tolist(), np.array(windows)))
+            return residuals(self, windows, starts_s)
 
-        monkeypatch.setattr(ahet_mod, "band_power", recording)
+        monkeypatch.setattr(BreathingTrack, "residuals", recording)
         phase = _cli_phase(cube_path)
         track = breathing_track(phase, grid=(0.1, 0.5, 0.0016666667))
         eca_conventional_trace(phase, step_s=0.5, track=track)
         files = sorted(outdir.iterdir())
         assert len(files) == len(seen) == 41
-        # the method reads the dump's bins up to its band, computed a block
-        # at a time: equal to rounding
-        for path, (freqs, power) in zip(files, seen):
-            dumped = np.loadtxt(path, delimiter=",", skiprows=1)
-            assert dumped[:freqs.size, 0].tolist() == freqs.tolist()
-            assert np.max(np.abs(dumped[:freqs.size, 1] - power)) \
-                <= 1e-12 * np.max(power), path.name
+        for path, (start_s, segment) in zip(files, seen):
+            spectrum = power_spectrum(track.residual(segment, start_s),
+                                      phase.sample_rate)
+            assert _same_text(path, _spectrum_csv(spectrum)), path.name
 
 
 class TestExitCodes:

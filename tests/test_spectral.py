@@ -230,15 +230,15 @@ class TestBandPower:
 
 
 class TestStackPeaks:
-    def test_rows_equal_top_peaks_with_a_per_row_lower_edge(self):
+    @pytest.mark.parametrize("lo_hz", [0.0, 1.0, 2.5, 4.9, 5.0])
+    def test_rows_equal_top_peaks(self, lo_hz):
         rng = np.random.default_rng(5)
         power = rng.uniform(0.0, 1.0, (6, 201))
         freqs = np.linspace(0.0, 5.0, 201)
-        lo = np.array([0.0, 1.0, 2.5, 4.9, 5.0, np.nan])
-        f, p = band_peaks(freqs, power, lo, 4.0, 3)
+        f, p = band_peaks(freqs, power, lo_hz, 4.0, 3)
         for i in range(6):
-            want = [] if not lo[i] < 4.0 else top_peaks(
-                synthetic_spectrum(power[i]), lo[i], 4.0, 3)
+            want = [] if not lo_hz < 4.0 else top_peaks(
+                synthetic_spectrum(power[i]), lo_hz, 4.0, 3)
             got = [(fi, pi) for fi, pi in zip(f[i], p[i]) if not np.isnan(fi)]
             assert got == [(w.frequency_hz, w.power) for w in want]
 
