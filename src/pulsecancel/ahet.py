@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
-                       row_medians, strongest_peaks, top_peaks)
+                       row_medians, strongest_peaks)
 from .types import HrTrace, PhaseSignal, TraceEntry
 from .scenario import window_starts
 
@@ -122,20 +122,20 @@ def _measure(freqs: np.ndarray, power: np.ndarray,
     return fund_hz, harm_hz.reshape(2, rows).T
 
 
-def _refined_search(spectrum: Spectrum, state: TrackerState,
-                    config: AhetConfig):
-    """Re-search narrow regions around the established rate h_bar."""
+def _refined_search(freqs: np.ndarray, power: np.ndarray,
+                    state: TrackerState, config: AhetConfig):
+    """Re-search narrow regions around the established rate h_bar in one
+    window's spectrum (power on grid freqs)."""
     va = config.jump_threshold_hz
     f_lo, f_hi = state.h_bar_hz - va, state.h_bar_hz + va
-    fund = top_peaks(spectrum, f_lo, f_hi, 1)
-    if not fund:
+    fund = float(band_peaks(freqs, power[None, :], f_lo, f_hi)[0][0, 0])
+    if math.isnan(fund):
         return None
-    harm = top_peaks(spectrum, 2.0 * f_lo, 2.0 * f_hi, 1)
-    if not harm:
-        return fund[0].frequency_hz, TAG_REFINED, math.inf
-    delta = abs(2.0 * fund[0].frequency_hz - harm[0].frequency_hz)
-    return (_combine(fund[0].frequency_hz, harm[0].frequency_hz),
-            TAG_REFINED, delta)
+    harm = float(band_peaks(freqs, power[None, :], 2.0 * f_lo,
+                            2.0 * f_hi)[0][0, 0])
+    if math.isnan(harm):
+        return fund, TAG_REFINED, math.inf
+    return _combine(fund, harm), TAG_REFINED, abs(2.0 * fund - harm)
 
 
 def _top_hz(config: AhetConfig) -> float:
@@ -145,10 +145,10 @@ def _top_hz(config: AhetConfig) -> float:
                2.0 * (config.fundamental_band_hz[1] + config.jump_threshold_hz))
 
 
-def _decide(fund_hz, harm_hz, spectrum: Spectrum, state: TrackerState,
-            config: AhetConfig):
+def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
+            state: TrackerState, config: AhetConfig):
     """ahet_step's sequential update from one window's _measure row; only
-    the refined search reads the spectrum itself."""
+    the refined search reads the window's spectrum (power on grid freqs)."""
     band = config.fundamental_band_hz
     fund_hz, harm_hz = fund_hz.tolist(), harm_hz.tolist()
 
@@ -174,7 +174,7 @@ def _decide(fund_hz, harm_hz, spectrum: Spectrum, state: TrackerState,
 
     if chosen is None:
         if state.h_bar_hz is not None:
-            chosen = _refined_search(spectrum, state, config)
+            chosen = _refined_search(freqs, power, state, config)
         if chosen is None:
             if state.last_estimate_hz is not None:
                 chosen = (state.last_estimate_hz, TAG_REFINED, math.inf)
@@ -213,8 +213,8 @@ def ahet_step(spectrum: Spectrum, state: TrackerState,
     """
     fund_hz, harm_hz = _measure(spectrum.frequencies,
                                 spectrum.power[None, :], config)
-    return (*_decide(fund_hz[0], harm_hz[0], spectrum, state, config),
-            state)
+    return (*_decide(fund_hz[0], harm_hz[0], spectrum.frequencies,
+                     spectrum.power, state, config), state)
 
 
 # --- full-record drivers ---------------------------------------------------
@@ -249,7 +249,7 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     band_power up to top_hz, measure over the block, then decide per window.
 
     measure(freqs, power) returns arrays indexed by window first;
-    decide(*its row for the window, spectrum) returns (f_hz, tag, delta_hz).
+    decide(*its row for the window) returns (f_hz, tag, delta_hz).
     A window whose stages raise ValueError or LinAlgError holds the
     previous estimate, tagged hold = (tag, delta_hz); a failure on the very
     first window propagates.  A block-wide stage that raises fails every
@@ -257,7 +257,6 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     """
     fs = phase.sample_rate
     starts, centers_s, stack = _windows(phase, cpi_s, step_s)
-    n_cpi = stack.shape[1]
     trace = HrTrace()
     last_hz = None
     for b0 in range(0, len(starts), _BLOCK):
@@ -276,9 +275,7 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
             try:
                 if errors[j] is not None:
                     raise errors[j]
-                spectrum = Spectrum(freqs, power[j], fs, n_cpi / fs,
-                                    zero_pad_factor, taper)
-                f_hz, tag, delta = decide(*(m[j] for m in measured), spectrum)
+                f_hz, tag, delta = decide(*(m[j] for m in measured))
             except (ValueError, np.linalg.LinAlgError):
                 if last_hz is None:
                     raise
@@ -294,7 +291,7 @@ def _strongest_peak(band_hz: tuple, tag: str) -> tuple:
     def measure(freqs, power):
         return band_peaks(freqs, power, band_hz[0], band_hz[1], 1)[:1]
 
-    def decide(f_hz, _spectrum):
+    def decide(f_hz):
         return _strongest_hz(float(f_hz[0])), tag, 0.0
 
     return measure, decide, (tag, 0.0), band_hz[1]
@@ -316,12 +313,16 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
         track = breathing_track(phase)
     state = TrackerState()
 
-    # a held window leaves state alone: its last estimate is the held value
-    def decide(fund_hz, harm_hz, spectrum):
-        return _decide(fund_hz, harm_hz, spectrum, state, config)
+    # the refined search reads each window's spectrum: its grid and row
+    def measure(freqs, power):
+        return (*_measure(freqs, power, config),
+                np.broadcast_to(freqs, power.shape), power)
 
-    return _track(phase, cpi_s, step_s, track,
-                  lambda freqs, power: _measure(freqs, power, config), decide,
+    # a held window leaves state alone: its last estimate is the held value
+    def decide(fund_hz, harm_hz, freqs, power):
+        return _decide(fund_hz, harm_hz, freqs, power, state, config)
+
+    return _track(phase, cpi_s, step_s, track, measure, decide,
                   (TAG_REFINED, math.inf), _top_hz(config), zero_pad_factor,
                   taper)
 

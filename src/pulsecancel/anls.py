@@ -8,11 +8,12 @@ normal-equation inverses.
 """
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular
 
 from .spectral import row_medians
@@ -55,29 +56,21 @@ class HarmonicModel:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class BreathingTrack:
-    """Per-subwindow breathing fits across a record."""
+    """Breathing fundamentals across a record: subwindow i spans window_s
+    seconds from starts_s[i] and fits best at hz[i] with order harmonics.
+    Tracks compare and hash by value."""
 
-    models: list = field(default_factory=list)
+    starts_s: tuple
+    hz: tuple
+    order: int = 3
     window_s: float = 5.0
     step_s: float = 1.0
     sample_rate: float = 100.0
 
     def __len__(self):
-        return len(self.models)
-
-    def hz(self) -> np.ndarray:
-        return np.array([m.fundamental_hz for m in self.models], dtype=float)
-
-    def starts_s(self) -> np.ndarray:
-        return np.array([m.window_start_s for m in self.models], dtype=float)
-
-    @cached_property
-    def _subwindows(self) -> tuple:
-        # (starts_s, hz), built at the first refit: the per-window refits
-        # of a record would otherwise rebuild both from the models each time
-        return self.starts_s(), self.hz()
+        return len(self.hz)
 
     def _refit_hz(self, starts_s, n: int) -> np.ndarray:
         """Median fundamental of the subwindows inside each n-sample
@@ -85,22 +78,21 @@ class BreathingTrack:
         ones); nan where none is inside."""
         fs = self.sample_rate
         span_s = round(self.window_s * fs) / fs      # a subwindow's samples
-        sub_s, hz = self._subwindows
+        sub_s = np.array(self.starts_s)
         starts_s = np.asarray(starts_s, dtype=float)[:, None]
         inside = (sub_s >= starts_s - 1e-9) \
             & (sub_s + span_s <= starts_s + n / fs + 1e-9)
-        return row_medians(hz, inside)
+        return row_medians(np.array(self.hz), inside)
 
     def refit(self, segment: np.ndarray,
               start_s: float = 0.0) -> HarmonicModel:
         """Fit a segment starting start_s into the record at the median
-        fundamental of the subwindows inside it.  The models must not
-        change after the first refit."""
+        fundamental of the subwindows inside it."""
         f_hat = float(self._refit_hz([start_s], len(segment))[0])
         if math.isnan(f_hat):
             raise ValueError(_NO_SUBWINDOW)
-        return fit_amplitudes(segment, self.sample_rate, f_hat,
-                              self.models[0].order, window_start_s=start_s)
+        return fit_amplitudes(segment, self.sample_rate, f_hat, self.order,
+                              window_start_s=start_s)
 
     def residual(self, segment: np.ndarray,
                  start_s: float = 0.0) -> np.ndarray:
@@ -132,8 +124,8 @@ class BreathingTrack:
             try:
                 if math.isnan(f_hat):
                     raise ValueError(_NO_SUBWINDOW)
-                _, q, _ = _checked_factorization(
-                    f_hat, self.models[0].order, n, self.sample_rate)
+                _, q, _ = _checked_factorization(f_hat, self.order, n,
+                                                 self.sample_rate)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 errors[i:j] = [exc] * (j - i)
             else:
@@ -288,37 +280,47 @@ def _orthonormal_bases(n: int, sample_rate: float, order: int,
     return freqs, flat
 
 
+def _best_fundamentals(segments: np.ndarray, sample_rate: float,
+                       grid: tuple, order: int) -> np.ndarray:
+    """Grid frequency with minimal residual for each row of a stack of
+    equal-length segments.
+
+    Residuals are evaluated as ||x||^2 - ||Q(f)^T x||^2 for each demeaned
+    row x over precomputed orthonormal bases, one matrix product for the
+    whole grid and stack.  Ties go to the lower frequency.
+    """
+    if segments.shape[1] < 2 * order + 1:
+        raise ValueError("segment too short for the requested order")
+    freqs, bases = _orthonormal_bases(segments.shape[1], sample_rate, order,
+                                      tuple(grid))
+    segs = segments - segments.mean(axis=1, keepdims=True)
+    proj = (bases @ segs.T).reshape(freqs.size, -1, len(segs))
+    resid = np.einsum("wn,wn->w", segs, segs) \
+        - np.einsum("fkw,fkw->fw", proj, proj)
+    return freqs[np.argmin(resid, axis=0)]
+
+
 def estimate_breathing(segment: np.ndarray, sample_rate: float,
                        grid: tuple = BREATHING_GRID_HZ, order: int = 3,
                        window_start_s: float = 0.0) -> HarmonicModel:
-    """Grid search for the breathing fundamental with minimal residual.
-
-    Residuals are evaluated as ||x||^2 - ||Q(f)^T x||^2 over precomputed
-    orthonormal bases, one matrix-vector product for the whole grid.  Ties
-    go to the lower frequency.
-    """
+    """Grid search for the breathing fundamental with minimal residual
+    (a stack of one for breathing_track's scorer), then the amplitude fit
+    at the winner."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
-    if x.size < 2 * order + 1:
-        raise ValueError("segment too short for the requested order")
-    freqs, bases = _orthonormal_bases(x.size, sample_rate, order, tuple(grid))
-    x0 = x - np.mean(x)
-    proj = (bases @ x0).reshape(freqs.size, -1)
-    resid = np.dot(x0, x0) - np.einsum("fk,fk->f", proj, proj)
-    best = int(np.argmin(resid))
-    return fit_amplitudes(x, sample_rate, float(freqs[best]), order,
+    f_hat = float(_best_fundamentals(x[None, :], sample_rate, grid, order)[0])
+    return fit_amplitudes(x, sample_rate, f_hat, order,
                           window_start_s=window_start_s)
 
 
 def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
                     step_s: float = 1.0, grid: tuple = BREATHING_GRID_HZ,
                     order: int = 3) -> BreathingTrack:
-    """Sliding-subwindow breathing estimates over a whole record.
+    """Sliding-subwindow breathing fundamentals over a whole record.
 
     All subwindows are scored against the shared basis stack in one matrix
-    product, then each gets its amplitude fit at its winning fundamental;
-    results match per-subwindow estimate_breathing calls.
+    product; the fundamentals match per-subwindow estimate_breathing.
     """
     fs = phase.sample_rate
     n_win = int(round(window_s * fs))
@@ -327,23 +329,12 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
         raise ValueError("record shorter than one analysis subwindow")
     if n_step <= 0:
         raise ValueError("step must be positive")
-    if n_win < 2 * order + 1:
-        raise ValueError("segment too short for the requested order")
     starts = range(0, phase.samples.size - n_win + 1, n_step)
-    freqs, bases = _orthonormal_bases(n_win, fs, order, tuple(grid))
-    segs = np.stack([phase.samples[i0:i0 + n_win] for i0 in starts])
-    segs = segs - segs.mean(axis=1, keepdims=True)
-    proj = (bases @ segs.T).reshape(freqs.size, -1, len(segs))
-    resid = np.einsum("wn,wn->w", segs, segs) \
-        - np.einsum("fkw,fkw->fw", proj, proj)
-    best = np.argmin(resid, axis=0)
-    track = BreathingTrack(window_s=window_s, step_s=step_s, sample_rate=fs)
-    for j, i0 in enumerate(starts):
-        model = fit_amplitudes(phase.samples[i0:i0 + n_win], fs,
-                               float(freqs[best[j]]), order,
-                               window_start_s=i0 / fs)
-        track.models.append(model)
-    return track
+    # a view: the scorer's demeaned stack is the subwindows' only copy
+    subwindows = sliding_window_view(phase.samples, n_win)[::n_step]
+    hz = _best_fundamentals(subwindows, fs, grid, order)
+    return BreathingTrack(tuple(i0 / fs for i0 in starts), tuple(hz.tolist()),
+                          order, window_s, step_s, fs)
 
 
 def reconstruct_reference(phase: PhaseSignal, window_s: float = 5.0,
@@ -355,4 +346,5 @@ def reconstruct_reference(phase: PhaseSignal, window_s: float = 5.0,
     track = breathing_track(phase, window_s, step_s, grid, order)
     model = track.refit(phase.samples)
     s_ref = model.predict(phase.samples.size, phase.sample_rate)
-    return ReferenceFit(s_ref=s_ref, model=model, subwindow_hz=track.hz())
+    return ReferenceFit(s_ref=s_ref, model=model,
+                       subwindow_hz=np.array(track.hz))

@@ -112,12 +112,13 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
 def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
     """Arctangent demodulation with unwrap, in double precision.
 
-    Zero-magnitude samples carry the previous sample's wrapped phase
-    forward; the count of such fills is returned.
+    Zero-magnitude and non-finite samples carry the previous sample's
+    wrapped phase forward; the count of such fills is returned.  (Unwrapped,
+    a single NaN would turn every later sample into NaN.)
     """
     z = np.asarray(z, dtype=np.complex128)
     wrapped = np.arctan2(z.imag, z.real)
-    dead = np.abs(z) == 0.0
+    dead = (z == 0) | ~np.isfinite(z)
     dropouts = int(np.count_nonzero(dead))
     if dropouts:
         # a dead first sample (and the dead run after it) reads 0: arctan2

@@ -1,13 +1,18 @@
 """Breathing-fundamental grid search and harmonic least squares."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pulsecancel import anls as anls_mod
 from pulsecancel.anls import (BREATHING_GRID_HZ, _design_factorization,
                               _orthonormal_bases, estimate_breathing,
                               breathing_track, fit_amplitudes,
                               grid_frequencies, harmonic_matrix,
                               reconstruct_reference)
+from pulsecancel.preprocess import slow_time_phase
+from pulsecancel.scenario import FAMILIES, scenario_slow_time
 from pulsecancel.types import PhaseSignal
 
 FS = 100.0
@@ -157,8 +162,44 @@ class TestTrackAndReference:
         x = harmonic_signal(f_true, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])
         track = breathing_track(PhaseSignal(x, FS))
         assert len(track) == 6
-        np.testing.assert_allclose(track.starts_s(), np.arange(6.0))
-        assert np.all(track.hz() == f_true)
+        np.testing.assert_allclose(track.starts_s, np.arange(6.0))
+        assert track.hz == (f_true,) * 6
+        assert (track.order, track.window_s, track.step_s,
+                track.sample_rate) == (3, 5.0, 1.0, FS)
+
+    def test_track_makes_no_amplitude_fits(self, monkeypatch):
+        calls = []
+        original = anls_mod.fit_amplitudes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(anls_mod, "fit_amplitudes", counting)
+        x = harmonic_signal(float(GRID[96]), 2000, [1.0, 0.3], [0.0, 0.4])
+        assert len(breathing_track(PhaseSignal(x, FS))) == 16
+        assert calls == []
+
+    def test_fundamentals_match_per_subwindow_estimates(self):
+        sc = FAMILIES["masking-b"](0, duration_s=60.0)
+        phase = slow_time_phase(scenario_slow_time(sc),
+                                sc.radar.frame_rate_hz)
+        fs = phase.sample_rate
+        track = breathing_track(phase)
+        assert len(track) == 56
+        for start_s, hz in zip(track.starts_s, track.hz):
+            i0 = int(round(start_s * fs))
+            model = estimate_breathing(phase.samples[i0:i0 + 500], fs,
+                                       window_start_s=start_s)
+            assert model.fundamental_hz == hz
+
+    def test_fields_are_frozen(self):
+        x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
+        track = breathing_track(PhaseSignal(x, FS))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            track.hz = (0.2,) * len(track)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            track.order = 2
 
     def test_track_validation(self):
         short = PhaseSignal(np.ones(100), FS)
@@ -188,8 +229,10 @@ class TestTrackAndReference:
         track = breathing_track(PhaseSignal(x, FS))
         segment = x[1200:2000]
         model = track.refit(segment, start_s=12.0)
-        inside = (track.starts_s() >= 12.0) & (track.starts_s() <= 15.0)
-        assert model.fundamental_hz == float(np.median(track.hz()[inside]))
+        starts_s = np.array(track.starts_s)
+        inside = (starts_s >= 12.0) & (starts_s <= 15.0)
+        assert model.fundamental_hz == float(np.median(
+            np.array(track.hz)[inside]))
         assert model.fundamental_hz == f_b
         assert model.order == 3
         assert model.window_start_s == 12.0
@@ -248,8 +291,7 @@ class TestResiduals:
     def test_a_rank_deficient_refit_fails_its_whole_group(self):
         # every subwindow fitted at 0 Hz: the shared design has no rank
         x, track = self.record()
-        for model in track.models:
-            model.fundamental_hz = 0.0
+        track = dataclasses.replace(track, hz=(0.0,) * len(track))
         windows = np.stack([x[:1000], x[100:1100]])
         out, errors = track.residuals(windows, [0.0, 1.0])
         assert all(isinstance(e, ValueError) and "rank-deficient" in str(e)
@@ -263,11 +305,18 @@ class TestEquality:
         track = breathing_track(PhaseSignal(x, FS))
         again = breathing_track(PhaseSignal(x, FS))
         assert (track == again) is True
-        assert (track.models[0] == again.models[0]) is True
-        other = breathing_track(PhaseSignal(1.5 * x, FS))
+        assert hash(track) == hash(again)
+        y = harmonic_signal(float(GRID[120]), 1000, [1.0, 0.3], [0.0, 0.4])
+        other = breathing_track(PhaseSignal(y, FS))
         assert (track == other) is False
-        assert (track.models[0] != other.models[0]) is True
-        assert track.models[0] != "a model"
+        assert (track == dataclasses.replace(track, order=2)) is False
+        assert track != "a track"
+
+        model = fit_amplitudes(x[:500], FS, float(GRID[96]))
+        assert (model == fit_amplitudes(x[:500], FS, float(GRID[96]))) is True
+        scaled = fit_amplitudes(1.5 * x[:500], FS, float(GRID[96]))
+        assert (model != scaled) is True
+        assert model != "a model"
 
 
 class TestCaches:

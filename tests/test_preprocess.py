@@ -10,7 +10,8 @@ from pulsecancel.preprocess import (NoTargetError, RangeProfiles, cube_phase,
                                     enhance_phase, extract_phase,
                                     range_profiles, slow_time_phase)
 from pulsecancel.scenario import (RadarConfig, RadarCube, Scenario,
-                                  masking_scenario, synthesize_displacement,
+                                  masking_scenario, scenario_slow_time,
+                                  synthesize_displacement,
                                   synthesize_radar_cube)
 
 
@@ -128,9 +129,11 @@ class TestDetectTargetBin:
 class TestDemodulate:
     def test_unwraps_multi_cycle_phase(self):
         theta = 0.3 + 3.0 * np.sin(2 * np.pi * 0.4 * np.arange(300) / 100.0)
-        out, dropouts = demodulate(np.exp(1j * theta))
+        z = np.exp(1j * theta)
+        out, dropouts = demodulate(z)
         np.testing.assert_allclose(out, theta, atol=1e-12)
         assert dropouts == 0
+        assert out.tobytes() == np.unwrap(np.arctan2(z.imag, z.real)).tobytes()
 
     def test_dropouts_carry_previous_phase(self):
         theta = np.array([0.1, 0.2, 0.3, 0.4])
@@ -171,6 +174,38 @@ class TestDemodulate:
         assert dropouts == 2
         assert out[:2].tolist() == [0.0, 0.0]
         assert out[2] == 0.5
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, np.nan),
+                                     complex(np.nan, 1.0),
+                                     complex(np.inf, 0.0),
+                                     complex(-np.inf, np.inf)])
+    @pytest.mark.parametrize("dead", [[0], [0, 1, 2], [7, 8, 9, 40],
+                                      list(range(100, 300)), [399]])
+    def test_non_finite_run_demodulates_like_zeros(self, bad, dead):
+        rng = np.random.default_rng(4)
+        z = rng.uniform(0.5, 2.0, 400) * np.exp(1j * rng.uniform(-4, 4, 400))
+        zeros = z.copy()
+        zeros[dead] = 0.0
+        z[dead] = bad
+        out, dropouts = demodulate(z)
+        expected, expected_dropouts = demodulate(zeros)
+        assert dropouts == expected_dropouts == len(dead)
+        assert out.tobytes() == expected.tobytes()
+        if dead[0] == 0:
+            assert out[0] == 0.0
+
+    def test_nan_run_in_a_record_stays_local(self):
+        # 3 s of NaN from 50 s on: unwrapped as they were, they made the
+        # rest of the record NaN
+        sc = masking_scenario(0, variant="b", duration_s=120.0)
+        z = scenario_slow_time(sc)
+        z[5000:5300] = np.nan
+        phase = slow_time_phase(z, sc.radar.frame_rate_hz)
+        z[5000:5300] = 0.0
+        zeros = slow_time_phase(z, sc.radar.frame_rate_hz)
+        assert phase.dropouts == zeros.dropouts == 300
+        assert np.isfinite(phase.samples).all()
+        assert phase.samples.tobytes() == zeros.samples.tobytes()
 
 
 class TestPhaseExtraction:
