@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .ahet import (AhetConfig, _cpi_windows, ahet_trace, conventional_trace,
                    eca_conventional_trace)
-from .anls import BreathingTrack, breathing_track
+from .anls import BREATHING_GRID_HZ, BreathingTrack, breathing_track
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
 from .preprocess import NoTargetError, cube_phase
@@ -83,7 +83,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
                    help="breathing-search subwindow in seconds")
     p.add_argument("--anls-step", type=float, default=1.0,
                    help="breathing-search subwindow step in seconds")
-    p.add_argument("--rr-grid", default="0.1:0.5:0.0016666667",
+    # repr round-trips through _parse_range, so the default grid is the
+    # library's to the last bit (a rounded step drops the 0.5 Hz point)
+    p.add_argument("--rr-grid",
+                   default=":".join(map(repr, BREATHING_GRID_HZ)),
                    help="breathing grid lo:hi:step in Hz")
     p.add_argument("--ve", type=float, default=0.1,
                    help="credibility gap bound in Hz")

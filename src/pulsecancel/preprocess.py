@@ -1,13 +1,15 @@
 """Raw cube to unwrapped slow-time phase.
 
-The range FFT runs in single precision: cubes of any complex dtype are
-windowed into complex64 and transformed with scipy.fft, and only that one
-copy of the spectra is kept.  The detection map is each range bin's
-residual power after average cancellation (subtracting the bin's
-across-frame complex mean), computed from those spectra in float64.  Phase
-is demodulated in float64 from the uncancelled bin values: for chest
-motion spanning a sizable arc of the unit circle, removing the bin mean
-also removes part of the target's own phasor and bends the recovered phase.
+The range FFT runs in single precision, a fixed chunk of frames at a time:
+each chunk of a cube of any complex dtype is windowed into one reused
+complex64 buffer and transformed in place with scipy.fft, and only its
+n_fast/2 one-sided bins are copied into a contiguous frames x bins array.
+The detection map is each range bin's residual power after average
+cancellation (subtracting the bin's across-frame complex mean), summed in
+float64 as real^2 + imag^2 over the range gate's bins only.  Phase is
+demodulated in float64 from the uncancelled bin values: for chest motion
+spanning a sizable arc of the unit circle, removing the bin mean also
+removes part of the target's own phasor and bends the recovered phase.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,13 @@ from .scenario import RadarCube, RadarConfig
 from .types import PhaseSignal
 
 # Frames per block when summing residual power; bounds the float64
-# temporaries of mean_power to a few MB whatever the record length.
+# temporaries of _residual_power to a few MB whatever the record length.
 _POWER_BLOCK_FRAMES = 2048
+
+# Frames windowed and transformed at a time by range_profiles; bounds its
+# complex64 scratch buffer (512 x 200 samples: 800 kB) whatever the record
+# length.
+_FFT_CHUNK_FRAMES = 512
 
 
 class NoTargetError(RuntimeError):
@@ -30,7 +37,12 @@ class NoTargetError(RuntimeError):
 
 @dataclass
 class RangeProfiles:
-    """Windowed range FFT per frame: complex64 frames x one-sided bins."""
+    """Windowed range FFT per frame: complex64 frames x one-sided bins.
+
+    range_profiles fills `values` a chunk of frames at a time, so it is a
+    C-contiguous array that owns just frames x n_fast/2 complex64 samples;
+    no two-sided spectra stay alive behind it.
+    """
 
     values: np.ndarray            # frames x bins, complex64, uncancelled
     slow_time_rate: float
@@ -51,17 +63,29 @@ class RangeProfiles:
     def mean_power(self) -> np.ndarray:
         """Across-frame residual power per bin, mean |x - mean x|^2.
 
-        This is the power average cancellation leaves.  It is summed in
-        float64 a block of frames at a time, so no cancelled copy of the
-        spectra is made and a bin whose static part dwarfs its motion keeps
-        its digits.
+        This is the power average cancellation leaves, for every bin;
+        detect_target_bin sums the same quantity over its gate only.
         """
-        mean = np.mean(self.values, axis=0, dtype=np.complex128)
-        power = np.zeros(self.n_bins)
-        for start in range(0, self.n_frames, _POWER_BLOCK_FRAMES):
-            block = self.values[start:start + _POWER_BLOCK_FRAMES] - mean
-            power += np.sum(np.abs(block) ** 2, axis=0)
-        return power / self.n_frames
+        return _residual_power(self.values)
+
+
+def _residual_power(values: np.ndarray) -> np.ndarray:
+    """Mean |x - mean x|^2 down each column of frames x bins `values`.
+
+    The mean is taken in complex128 and the residual summed in float64 as
+    real^2 + imag^2 (no abs), a block of frames at a time, so no cancelled
+    copy of the spectra is made and a bin whose static part dwarfs its
+    motion keeps its digits.
+    """
+    n_frames, n_bins = values.shape
+    mean = np.mean(values, axis=0, dtype=np.complex128)
+    power = np.zeros(2 * n_bins)
+    for start in range(0, n_frames, _POWER_BLOCK_FRAMES):
+        # complex128 residual viewed as interleaved (real, imag) float64
+        block = (values[start:start + _POWER_BLOCK_FRAMES] - mean
+                 ).view(np.float64)
+        power += np.einsum("ij,ij->j", block, block)
+    return power.reshape(n_bins, 2).sum(axis=1) / n_frames
 
 
 def range_profiles(cube: RadarCube) -> RangeProfiles:
@@ -70,16 +94,26 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
     complex value in its bin.  Windowing casts the cube to complex64, and
-    the transform runs in that precision.
+    the transform runs in that precision, _FFT_CHUNK_FRAMES frames at a
+    time through one reused buffer; each frame's transform is the same as
+    a one-shot FFT of the whole windowed cube, bit for bit.
     """
     n_fast = cube.n_fast
     if n_fast < 4:
         raise ValueError("too few fast-time samples for a range FFT")
     window = get_window("hann", n_fast, fftbins=False)
-    windowed = np.multiply(cube.iq, window, dtype=np.complex64)
-    spectra = scipy.fft.fft(windowed, axis=1, overwrite_x=True)
+    n_frames = cube.n_frames
+    values = np.empty((n_frames, n_fast // 2), dtype=np.complex64)
+    buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), n_fast),
+                      dtype=np.complex64)
+    for start in range(0, n_frames, _FFT_CHUNK_FRAMES):
+        chunk = cube.iq[start:start + _FFT_CHUNK_FRAMES]
+        windowed = buffer[:chunk.shape[0]]
+        np.multiply(chunk, window, out=windowed, dtype=np.complex64)
+        spectra = scipy.fft.fft(windowed, axis=1, overwrite_x=True)
+        values[start:start + chunk.shape[0]] = spectra[:, :n_fast // 2]
     return RangeProfiles(
-        values=spectra[:, :n_fast // 2],
+        values=values,
         slow_time_rate=cube.config.frame_rate_hz,
         bin_width_m=cube.config.range_bin_width_m,
         config=cube.config,
@@ -90,8 +124,9 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
                       max_range_m: float) -> int:
     """Bin with maximal residual power (mean_power) inside the range gate.
 
-    Ties resolve to the nearer bin.  A gate with zero residual power (all
-    static, or empty scene) raises NoTargetError.
+    Only the gate's bins are summed.  Ties resolve to the nearer bin.  A
+    gate with zero residual power (all static, or empty scene) raises
+    NoTargetError.
     """
     if min_range_m > max_range_m:
         raise ValueError("range gate is inverted")
@@ -101,12 +136,13 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
         raise ValueError(f"range gate [{min_range_m}, {max_range_m}] m "
                          f"covers no bins (bin width "
                          f"{profiles.bin_width_m:.4f} m)")
-    power = profiles.mean_power()[gate]
+    # bin ranges increase, so the gate is one run of columns
+    power = _residual_power(profiles.values[:, gate[0]:gate[-1] + 1])
     if not np.isfinite(power).all():
         raise NoTargetError("non-finite power in range gate")
     if np.max(power) <= 0.0:
         raise NoTargetError("no target: residual power in gate is zero")
-    return int(gate[np.argmax(power)])
+    return int(gate[0] + np.argmax(power))
 
 
 def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:

@@ -109,6 +109,17 @@ class Scenario:
     Harmonic lists hold (amplitude_m, phase_rad) pairs for orders 1..K.
     standoff_m is the static chest range; it is kept as metadata and never
     baked into the motion samples, so phase-extraction tests are offset-free.
+
+    complex_noise_std (sigma) is defined at a different point on each path:
+    - slow time (scenario_slow_time): per frame, against the target's unit
+      phasor exp(j*theta);
+    - cube (synthesize_radar_cube): per ADC sample.  After the symmetric
+      Hann range FFT a bin's noise is sigma * sqrt(sum w^2) (8.64 sigma for
+      200 samples), while the target gains sum w (99.5) less its straddle
+      loss, so a bin's SNR sits about (sum w)^2 / sum w^2 (+21.2 dB) above
+      the slow-time figure for the same sigma.
+    transmit_power_scale is the target's amplitude on the cube path only;
+    the slow-time phasor always has unit modulus.
     """
 
     radar: RadarConfig = field(default_factory=RadarConfig)

@@ -8,10 +8,11 @@ import pytest
 import pulsecancel.ahet as ahet_mod
 import pulsecancel.cli as cli_mod
 from pulsecancel.ahet import eca_conventional_trace
-from pulsecancel.anls import (BreathingTrack, breathing_track,
-                             reconstruct_reference)
+from pulsecancel.anls import (BREATHING_GRID_HZ, BreathingTrack,
+                             breathing_track, reconstruct_reference)
 from pulsecancel.cli import main
-from pulsecancel.ingest import read_raw_cube, read_reference_trace
+from pulsecancel.ingest import (read_raw_cube, read_reference_trace,
+                                write_trace)
 from pulsecancel.preprocess import cube_phase
 from pulsecancel.scenario import window_starts
 from pulsecancel.spectral import power_spectrum
@@ -99,6 +100,22 @@ class TestRun:
         assert len(trace) == 21
         assert trace.times()[0] == 10.0
         assert abs(float(np.median(trace.bpm())) - 76.6) < 1.0
+
+    @pytest.mark.parametrize("method", ["ahet", "eca"])
+    def test_default_flags_write_the_library_trace(self, synth_outputs,
+                                                   tmp_path, method):
+        # the default --rr-grid is BREATHING_GRID_HZ itself, so run --in
+        # computes the library trace of the cube, byte for byte
+        cube_path, _ = synth_outputs
+        out = tmp_path / "trace.csv"
+        assert run_cli("run", "--in", str(cube_path), "--method", method,
+                       "--out", str(out)) == 0
+        phase = cube_phase(read_raw_cube(cube_path))
+        trace = (ahet_mod.ahet_trace(phase) if method == "ahet"
+                 else eca_conventional_trace(phase))
+        expected = tmp_path / "expected.csv"
+        write_trace(trace, expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_trace_to_stdout(self, synth_outputs, capsys):
         cube_path, _ = synth_outputs
@@ -224,7 +241,7 @@ class TestSpectra:
         for w, i0 in enumerate(starts):
             segment = phase.samples[i0:i0 + n_cpi]
             fit = reconstruct_reference(PhaseSignal(segment, fs), 5.0, 1.0,
-                                        (0.1, 0.5, 0.0016666667), 3)
+                                        BREATHING_GRID_HZ, 3)
             cancelled = segment - fit.model.predict(n_cpi, fs,
                                                     include_offset=True)
             expected = _spectrum_csv(power_spectrum(cancelled, fs))
@@ -252,7 +269,7 @@ class TestSpectra:
 
         monkeypatch.setattr(BreathingTrack, "residuals", recording)
         phase = _cli_phase(cube_path)
-        track = breathing_track(phase, grid=(0.1, 0.5, 0.0016666667))
+        track = breathing_track(phase, grid=BREATHING_GRID_HZ)
         eca_conventional_trace(phase, step_s=0.5, track=track)
         files = sorted(outdir.iterdir())
         assert len(files) == len(seen) == 41

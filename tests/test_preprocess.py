@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import get_window
 
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
-from pulsecancel.preprocess import (NoTargetError, RangeProfiles, cube_phase,
-                                    demodulate, detect_target_bin,
-                                    enhance_phase, extract_phase,
-                                    range_profiles, slow_time_phase)
+from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
+                                    RangeProfiles, _residual_power,
+                                    cube_phase, demodulate,
+                                    detect_target_bin, enhance_phase,
+                                    extract_phase, range_profiles,
+                                    slow_time_phase)
 from pulsecancel.scenario import (RadarConfig, RadarCube, Scenario,
                                   masking_scenario, scenario_slow_time,
                                   synthesize_displacement,
@@ -61,6 +64,29 @@ class TestRangeProfiles:
         # the moving target sits 1 m away, so this bin is clutter-dominated
         assert np.std(col) / np.abs(np.mean(col)) < 0.05
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES // 2 + 1,
+                                        2 * _FFT_CHUNK_FRAMES,
+                                        2 * _FFT_CHUNK_FRAMES + 37])
+    def test_chunked_transform_is_the_one_shot_fft(self, dtype, frames):
+        # below one chunk, an exact multiple of it, and a multiple plus a
+        # remainder
+        rng = np.random.default_rng(frames)
+        n_fast = RadarConfig().adc_samples_per_chirp
+        iq = (rng.normal(size=(frames, n_fast))
+              + 1j * rng.normal(size=(frames, n_fast))).astype(dtype)
+        values = range_profiles(RadarCube(iq, RadarConfig())).values
+
+        window = get_window("hann", n_fast, fftbins=False)
+        one_shot = scipy.fft.fft(np.multiply(iq, window, dtype=np.complex64),
+                                 axis=1)[:, :n_fast // 2]
+        assert values.dtype == np.complex64
+        assert values.tobytes() == one_shot.tobytes()
+        # the one-sided bins are the whole array, not a view into the
+        # two-sided spectra
+        assert values.flags.c_contiguous and values.flags.owndata
+        assert values.nbytes == frames * (n_fast // 2) * 8
+
     def test_rejects_tiny_fast_time(self):
         cube = RadarCube(np.ones((5, 2), dtype=complex),
                          RadarConfig(adc_samples_per_chirp=2))
@@ -83,6 +109,9 @@ class TestMeanPower:
 
         gate = np.flatnonzero((profiles.bin_ranges() >= 0.3)
                               & (profiles.bin_ranges() <= 3.0))
+        # detection sums the gate's bins only, to the same values
+        gate_power = _residual_power(profiles.values[:, gate[0]:gate[-1] + 1])
+        assert gate_power.tobytes() == profiles.mean_power()[gate].tobytes()
         detected = detect_target_bin(profiles, 0.3, 3.0)
         assert detected == gate[np.argmax(expected[gate])]
         assert detected == 23   # the 1 m target, not the 2 m clutter

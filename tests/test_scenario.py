@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
-from pulsecancel.preprocess import cube_phase
+from pulsecancel.preprocess import cube_phase, range_profiles
 from pulsecancel.scenario import (BREATHING_AMPLITUDE_M, FAMILIES,
                                   DisplacementSignal, IntermodTone,
                                   RadarConfig, Scenario,
@@ -182,6 +183,37 @@ class TestRadarCube:
         # one draw per frame, as on the slow-time path
         expected = np.random.default_rng(0).normal(0.0, 0.05, 2000)
         assert np.corrcoef(jitter, expected)[0, 1] > 0.99
+
+    def test_complex_noise_is_per_sample_on_the_cube_path(self):
+        # sigma per ADC sample becomes sigma * sqrt(sum w^2) in a noise-only
+        # range bin; on the slow-time path it is sigma per frame
+        sigma = 0.1
+        sc = Scenario(duration_s=30.0, complex_noise_std=sigma)
+        profiles = range_profiles(synthesize_radar_cube(sc))
+        window = get_window("hann", sc.radar.adc_samples_per_chirp,
+                            fftbins=False)
+        # bins 50-99 (2.1-4.2 m) hold no scatterer: the target sits at 1 m
+        noise = np.sqrt(np.mean(profiles.mean_power()[50:]))
+        assert noise == pytest.approx(sigma * np.sqrt(np.sum(window ** 2)),
+                                      rel=0.01)
+        assert np.sqrt(np.sum(window ** 2)) == pytest.approx(8.64, abs=0.01)
+
+        disp = synthesize_displacement(sc)
+        theta = displacement_to_phase(disp, sc.radar).samples
+        residual = scenario_slow_time(sc) - np.exp(1j * theta)
+        assert np.sqrt(np.mean(np.abs(residual) ** 2)) == pytest.approx(
+            sigma, rel=0.03)
+
+    def test_transmit_power_scales_the_cube_path_only(self):
+        quiet = Scenario(duration_s=2.0, complex_noise_std=0.1)
+        loud = Scenario(duration_s=2.0, complex_noise_std=0.1,
+                        transmit_power_scale=4.0)
+        np.testing.assert_array_equal(scenario_slow_time(quiet),
+                                      scenario_slow_time(loud))
+        ratio = (range_profiles(synthesize_radar_cube(loud)).mean_power()
+                 / range_profiles(synthesize_radar_cube(quiet)).mean_power())
+        # bin 23 holds the 1 m target: 4x its amplitude is 16x its power
+        assert ratio[23] == pytest.approx(16.0, rel=0.01)
 
     def test_phase_noise_is_seed_reproducible(self):
         def cube(seed):
