@@ -15,34 +15,25 @@ from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
                        row_medians, strongest_peaks)
 from .types import HrTrace, PhaseSignal, TraceEntry
-from .scenario import window_starts
+from .scenario import HEARTBEAT_BAND_HZ, window_starts
 
 TAG_RELIABLE_1 = "reliable-1st-peak"
 TAG_RELIABLE_2 = "reliable-2nd-peak"
 TAG_REFINED = "refined"
 
-HEART_BAND_HZ = (0.7, 2.0)
+HARMONIC_CEILING_HZ = 4.0   # harmonics are searched up to here
+STABLE_COUNT = 5            # stable reliable estimates before h_bar freezes
+HARMONIC_FLOOR = 10.0       # harmonic peak vs in-region median power
 
 
 @dataclass(frozen=True)
 class AhetConfig:
     deviation_threshold_hz: float = 0.1     # credibility gap bound
     jump_threshold_hz: float = 0.1          # window-to-window fluctuation bound
-    fundamental_band_hz: tuple = HEART_BAND_HZ
-    harmonic_ceiling_hz: float = 4.0
-    stable_count: int = 5
-    harmonic_floor: float = 10.0            # harmonic peak vs in-region median power
 
     def __post_init__(self):
         if self.deviation_threshold_hz <= 0 or self.jump_threshold_hz <= 0:
             raise ValueError("thresholds must be positive")
-        lo, hi = self.fundamental_band_hz
-        if not 0 < lo < hi:
-            raise ValueError("bad fundamental band")
-        if self.harmonic_ceiling_hz <= hi:
-            raise ValueError("harmonic ceiling must sit above the band")
-        if self.stable_count < 1:
-            raise ValueError("stable_count must be >= 1")
 
 
 @dataclass
@@ -66,11 +57,10 @@ def _strongest_hz(f_hz: float) -> float:
     return f_hz
 
 
-def conventional_hr(spectrum: Spectrum,
-                    band_hz: tuple = HEART_BAND_HZ) -> float:
+def conventional_hr(spectrum: Spectrum) -> float:
     """Plain strongest-peak estimate in the heart band, in Hz."""
     f_hz, _ = band_peaks(spectrum.frequencies, spectrum.power[None, :],
-                         band_hz[0], band_hz[1], 1)
+                         *HEARTBEAT_BAND_HZ, 1)
     return _strongest_hz(float(f_hz[0, 0]))
 
 
@@ -88,9 +78,9 @@ def _measure(freqs: np.ndarray, power: np.ndarray,
     A candidate's harmonic is the strongest peak from just under its double
     (so a slightly flat harmonic still lands inside) up to the harmonic
     ceiling.  A peak that does not clear that region's median power by
-    harmonic_floor is treated as noise rather than a harmonic.
+    HARMONIC_FLOOR is treated as noise rather than a harmonic.
     """
-    band, hi = config.fundamental_band_hz, config.harmonic_ceiling_hz
+    band, hi = HEARTBEAT_BAND_HZ, HARMONIC_CEILING_HZ
     # bins past the harmonic ceiling's upper neighbor are never read
     n = int(freqs.searchsorted(hi, side="right")) + 1
     freqs, power = freqs[:n], power[:, :n]
@@ -113,12 +103,10 @@ def _measure(freqs: np.ndarray, power: np.ndarray,
     harm_hz, harm_p = strongest_peaks(
         both, both[1] >= np.maximum(a[both[0]], 1), 2 * rows, 1)
     harm_hz = harm_hz[:, 0]
-    if config.harmonic_floor > 0:
-        in_floor = np.arange(freqs.searchsorted(hi, side="right"))
-        floor = row_medians(np.concatenate([power[:, :in_floor.size]] * 2),
-                            in_floor >= a[:, None])
-        harm_hz[(floor > 0)
-                & (harm_p[:, 0] < config.harmonic_floor * floor)] = np.nan
+    in_floor = np.arange(freqs.searchsorted(hi, side="right"))
+    floor = row_medians(np.concatenate([power[:, :in_floor.size]] * 2),
+                        in_floor >= a[:, None])
+    harm_hz[(floor > 0) & (harm_p[:, 0] < HARMONIC_FLOOR * floor)] = np.nan
     return fund_hz, harm_hz.reshape(2, rows).T
 
 
@@ -141,15 +129,14 @@ def _refined_search(freqs: np.ndarray, power: np.ndarray,
 def _top_hz(config: AhetConfig) -> float:
     """Highest frequency the tracker reads: the harmonic ceiling, or the
     refined harmonic region around an h_bar at the top of the band."""
-    return max(config.harmonic_ceiling_hz,
-               2.0 * (config.fundamental_band_hz[1] + config.jump_threshold_hz))
+    return max(HARMONIC_CEILING_HZ,
+               2.0 * (HEARTBEAT_BAND_HZ[1] + config.jump_threshold_hz))
 
 
 def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
             state: TrackerState, config: AhetConfig):
     """ahet_step's sequential update from one window's _measure row; only
     the refined search reads the window's spectrum (power on grid freqs)."""
-    band = config.fundamental_band_hz
     fund_hz, harm_hz = fund_hz.tolist(), harm_hz.tolist()
 
     chosen = None
@@ -187,13 +174,13 @@ def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
                 raise ValueError("no usable peak in the fundamental band")
 
     f_hz, tag, delta = chosen
-    f_hz = min(max(f_hz, band[0]), band[1])
+    f_hz = min(max(f_hz, HEARTBEAT_BAND_HZ[0]), HEARTBEAT_BAND_HZ[1])
 
     if tag in (TAG_RELIABLE_1, TAG_RELIABLE_2) and state.h_bar_hz is None:
         if (state.last_estimate_hz is None
                 or abs(f_hz - state.last_estimate_hz) <= config.jump_threshold_hz):
             state.stable_history.append((f_hz, tag))
-            if len(state.stable_history) >= config.stable_count:
+            if len(state.stable_history) >= STABLE_COUNT:
                 values = [hz for hz, _ in state.stable_history]
                 state.h_bar_hz = float(np.mean(values))
     state.last_estimate_hz = f_hz
@@ -285,16 +272,16 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     return trace
 
 
-def _strongest_peak(band_hz: tuple, tag: str) -> tuple:
+def _strongest_peak(tag: str) -> tuple:
     """_track's (measure, decide, hold, top_hz) for a strongest-peak
     method."""
     def measure(freqs, power):
-        return band_peaks(freqs, power, band_hz[0], band_hz[1], 1)[:1]
+        return band_peaks(freqs, power, *HEARTBEAT_BAND_HZ, 1)[:1]
 
     def decide(f_hz):
         return _strongest_hz(float(f_hz[0])), tag, 0.0
 
-    return measure, decide, (tag, 0.0), band_hz[1]
+    return measure, decide, (tag, 0.0), HEARTBEAT_BAND_HZ[1]
 
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
@@ -329,18 +316,15 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
 
 def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                        step_s: float = 1.0,
-                       band_hz: tuple = HEART_BAND_HZ,
                        zero_pad_factor: int = 8,
                        taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking on the raw phase, window by window."""
     return _track(phase, cpi_s, step_s, None,
-                  *_strongest_peak(band_hz, "conventional"), zero_pad_factor,
-                  taper)
+                  *_strongest_peak("conventional"), zero_pad_factor, taper)
 
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            step_s: float = 1.0,
-                           band_hz: tuple = HEART_BAND_HZ,
                            track: BreathingTrack | None = None,
                            zero_pad_factor: int = 8,
                            taper: str = "hann") -> HrTrace:
@@ -348,4 +332,4 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
     if track is None:
         track = breathing_track(phase)
     return _track(phase, cpi_s, step_s, track,
-                  *_strongest_peak(band_hz, "eca"), zero_pad_factor, taper)
+                  *_strongest_peak("eca"), zero_pad_factor, taper)

@@ -32,7 +32,6 @@ class HarmonicModel:
     coefficients: np.ndarray      # (order, 2): sin and cos weight per k
     residual_power: float         # mean squared residual of the fit
     offset: float = 0.0           # intercept fitted jointly with the harmonics
-    window_start_s: float = 0.0
 
     def __eq__(self, other):
         """Field by field, the coefficient arrays element by element."""
@@ -91,8 +90,7 @@ class BreathingTrack:
         f_hat = float(self._refit_hz([start_s], len(segment))[0])
         if math.isnan(f_hat):
             raise ValueError(_NO_SUBWINDOW)
-        return fit_amplitudes(segment, self.sample_rate, f_hat, self.order,
-                              window_start_s=start_s)
+        return fit_amplitudes(segment, self.sample_rate, f_hat, self.order)
 
     def residual(self, segment: np.ndarray,
                  start_s: float = 0.0) -> np.ndarray:
@@ -221,8 +219,7 @@ def _checked_factorization(fundamental_hz: float, order: int, n: int,
 
 
 def fit_amplitudes(segment: np.ndarray, sample_rate: float,
-                   fundamental_hz: float, order: int = 3,
-                   window_start_s: float = 0.0) -> HarmonicModel:
+                   fundamental_hz: float, order: int = 3) -> HarmonicModel:
     """Least-squares harmonic fit at a fixed fundamental.
 
     An intercept column is fitted jointly with the harmonics: sin/cos
@@ -244,7 +241,6 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
         coefficients=coef[:2 * order].reshape(order, 2),
         residual_power=float(np.dot(resid, resid) / x.size),
         offset=float(coef[-1]),
-        window_start_s=window_start_s,
     )
 
 
@@ -300,18 +296,17 @@ def _best_fundamentals(segments: np.ndarray, sample_rate: float,
     return freqs[np.argmin(resid, axis=0)]
 
 
-def estimate_breathing(segment: np.ndarray, sample_rate: float,
-                       grid: tuple = BREATHING_GRID_HZ, order: int = 3,
-                       window_start_s: float = 0.0) -> HarmonicModel:
-    """Grid search for the breathing fundamental with minimal residual
-    (a stack of one for breathing_track's scorer), then the amplitude fit
-    at the winner."""
+def estimate_breathing(segment: np.ndarray,
+                       sample_rate: float) -> HarmonicModel:
+    """Grid search over BREATHING_GRID_HZ for the 3-harmonic breathing
+    fundamental with minimal residual (a stack of one for breathing_track's
+    scorer), then the amplitude fit at the winner."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
-    f_hat = float(_best_fundamentals(x[None, :], sample_rate, grid, order)[0])
-    return fit_amplitudes(x, sample_rate, f_hat, order,
-                          window_start_s=window_start_s)
+    f_hat = float(_best_fundamentals(x[None, :], sample_rate,
+                                     BREATHING_GRID_HZ, 3)[0])
+    return fit_amplitudes(x, sample_rate, f_hat)
 
 
 def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
@@ -337,13 +332,11 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
                           order, window_s, step_s, fs)
 
 
-def reconstruct_reference(phase: PhaseSignal, window_s: float = 5.0,
-                          step_s: float = 1.0,
-                          grid: tuple = BREATHING_GRID_HZ,
-                          order: int = 3) -> ReferenceFit:
+def reconstruct_reference(phase: PhaseSignal) -> ReferenceFit:
     """Breathing reference for one analysis window: the refit of its own
-    breathing track (BreathingTrack.refit) over the whole window."""
-    track = breathing_track(phase, window_s, step_s, grid, order)
+    breathing track (breathing_track's defaults, BreathingTrack.refit) over
+    the whole window."""
+    track = breathing_track(phase)
     model = track.refit(phase.samples)
     s_ref = model.predict(phase.samples.size, phase.sample_rate)
     return ReferenceFit(s_ref=s_ref, model=model,

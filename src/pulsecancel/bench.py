@@ -128,8 +128,7 @@ def interval_rmse(trace: HrTrace, reference: HrTrace,
 
 def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
                 methods=("conventional", "ahet"),
-                duration_s: float = 280.0,
-                interval_s: float = 40.0) -> BenchReport:
+                duration_s: float = 280.0) -> BenchReport:
     """Run every (seed, cpi, method) combination over a scenario family.
 
     Synthesis happens at the slow-time level: the statistics under test
@@ -161,8 +160,7 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
                     trace = METHODS[method](phase, cpi_s=cpi_s, **kwargs)
                     record = RunRecord(
                         cpi_s, seed, method, rmse(trace, reference),
-                        intervals=interval_rmse(trace, reference,
-                                                interval_s))
+                        intervals=interval_rmse(trace, reference))
                 except Exception as exc:  # noqa: BLE001 - survey must go on
                     record = RunRecord(cpi_s, seed, method, float("nan"),
                                        error=f"{type(exc).__name__}: {exc}")
@@ -171,8 +169,7 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
 
 
 def time_profile(cube: RadarCube, methods=("conventional", "ahet"),
-                 cpi_s: float = 20.0, step_s: float = 1.0,
-                 gate_m: tuple = (0.3, 3.0)) -> list[TimingRow]:
+                 cpi_s: float = 20.0) -> list[TimingRow]:
     """Wall-clock of cube -> trace per method, normalized to the first.
 
     Preprocessing (range FFT, bin detection, phase enhancement) is inside
@@ -183,14 +180,14 @@ def time_profile(cube: RadarCube, methods=("conventional", "ahet"),
             raise ValueError(f"unknown method {m!r}")
     # steady-state wall clock: populate basis and factorization caches with
     # one untimed pass per method, then time each full cube -> trace run
-    warm = cube_phase(cube, gate_m)
+    warm = cube_phase(cube)
     for method in methods:
-        METHODS[method](warm, cpi_s=cpi_s, step_s=step_s)
+        METHODS[method](warm, cpi_s=cpi_s)
     rows = []
     for method in methods:
         t0 = time.perf_counter()
-        phase = cube_phase(cube, gate_m)
-        METHODS[method](phase, cpi_s=cpi_s, step_s=step_s)
+        phase = cube_phase(cube)
+        METHODS[method](phase, cpi_s=cpi_s)
         rows.append(TimingRow(method, time.perf_counter() - t0, 0.0))
     base = rows[0].seconds
     if "conventional" in methods:

@@ -110,38 +110,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def read_raw_cube(path, config: RadarConfig | None = None) -> RadarCube:
-    """Load a cube file, using the sidecar when present.
-
-    Without a sidecar a config is required; the frame count is then inferred
-    from the file length, which must divide evenly into frame records.
-    """
+def read_raw_cube(path) -> RadarCube:
+    """Load a cube file; its sidecar gives the layout and the config."""
     path = Path(path)
     if not path.exists():
         raise CubeFormatError(f"no such cube file {path}")
+    header = read_cube_header(path)
     actual = path.stat().st_size
-
-    if sidecar_path(path).exists():
-        header = read_cube_header(path)
-        if config is not None and config != header.config:
-            raise CubeFormatError("explicit config disagrees with sidecar")
-        expected = header.frames * header.fast_time * 4
-        if actual != expected:
-            raise CubeFormatError(
-                f"{path}: sidecar declares {header.frames} x "
-                f"{header.fast_time} samples = {expected} bytes, file has "
-                f"{actual}")
-    else:
-        if config is None:
-            raise CubeFormatError(f"{path} has no sidecar; a radar config "
-                                  f"is required to interpret it")
-        record = config.adc_samples_per_chirp * 4
-        if actual == 0 or actual % record:
-            raise CubeFormatError(f"{path}: {actual} bytes is not a "
-                                  f"multiple of the {record}-byte frame "
-                                  f"record")
-        header = RawCubeHeader(actual // record,
-                               config.adc_samples_per_chirp, 1.0, config)
+    expected = header.frames * header.fast_time * 4
+    if actual != expected:
+        raise CubeFormatError(
+            f"{path}: sidecar declares {header.frames} x "
+            f"{header.fast_time} samples = {expected} bytes, file has "
+            f"{actual}")
 
     words = np.fromfile(path, dtype="<i2")
     pairs = np.multiply(words, 1.0 / header.scale, dtype=np.float32)
@@ -197,6 +178,9 @@ def read_reference_trace(path) -> HrTrace:
                 delta = float(row[3]) if len(row) > 3 else 0.0
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path} row {row_num}: {exc}") from exc
+            if not math.isfinite(t):
+                raise ValueError(f"{path} row {row_num}: time {t} is not "
+                                 f"finite")
             if prev_t is not None and t <= prev_t:
                 raise ValueError(f"{path} row {row_num}: time {t} not "
                                  f"increasing")

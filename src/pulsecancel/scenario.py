@@ -445,42 +445,47 @@ def load_scenario(source) -> Scenario:
 
     Rates accept either *_hz or *_bpm keys.  Harmonics are lists of
     [amplitude_m, phase_rad]; intermod tones are [rule, amplitude_m,
-    phase_rad].  A "radar" sub-object overrides front-end defaults.
+    phase_rad].  A "radar" sub-object overrides front-end defaults.  A
+    value of the wrong type or shape is a ValueError, like any other bad
+    value.
     """
     if not isinstance(source, dict):
         raise ValueError("scenario source must be a JSON object")
     doc = dict(source)
-    kwargs = {}
+    try:
+        kwargs = {}
 
-    radar_doc = doc.pop("radar", None)
-    if radar_doc is not None:
-        kwargs["radar"] = RadarConfig(**radar_doc)
+        radar_doc = doc.pop("radar", None)
+        if radar_doc is not None:
+            kwargs["radar"] = RadarConfig(**radar_doc)
 
-    for name in ("breathing", "heartbeat"):
-        hz = doc.pop(f"{name}_hz", None)
-        bpm = doc.pop(f"{name}_bpm", None)
-        if hz is not None and bpm is not None:
-            raise ValueError(f"give {name} rate in Hz or BPM, not both")
-        if bpm is not None:
-            hz = bpm / 60.0
-        if hz is not None:
-            kwargs[f"{name}_hz"] = hz
+        for name in ("breathing", "heartbeat"):
+            hz = doc.pop(f"{name}_hz", None)
+            bpm = doc.pop(f"{name}_bpm", None)
+            if hz is not None and bpm is not None:
+                raise ValueError(f"give {name} rate in Hz or BPM, not both")
+            if bpm is not None:
+                hz = bpm / 60.0
+            if hz is not None:
+                kwargs[f"{name}_hz"] = hz
 
-    for name in ("breathing_harmonics", "heartbeat_harmonics"):
-        if name in doc:
-            kwargs[name] = [tuple(pair) for pair in doc.pop(name)]
-    if "intermod_tones" in doc:
-        kwargs["intermod_tones"] = [IntermodTone(*tone)
-                                    for tone in doc.pop("intermod_tones")]
+        for name in ("breathing_harmonics", "heartbeat_harmonics"):
+            if name in doc:
+                kwargs[name] = [tuple(pair) for pair in doc.pop(name)]
+        if "intermod_tones" in doc:
+            kwargs["intermod_tones"] = [IntermodTone(*tone)
+                                        for tone in doc.pop("intermod_tones")]
 
-    passthrough = ("duration_s", "standoff_m", "clutter",
-                   "transmit_power_scale", "complex_noise_std",
-                   "phase_noise_std", "seed", "allow_amplitude_override")
-    for name in passthrough:
-        if name in doc:
-            kwargs[name] = doc.pop(name)
-    if "clutter" in kwargs:
-        kwargs["clutter"] = [tuple(pair) for pair in kwargs["clutter"]]
-    if doc:
-        raise ValueError(f"unknown scenario keys: {sorted(doc)}")
-    return Scenario(**kwargs)
+        passthrough = ("duration_s", "standoff_m", "clutter",
+                       "transmit_power_scale", "complex_noise_std",
+                       "phase_noise_std", "seed", "allow_amplitude_override")
+        for name in passthrough:
+            if name in doc:
+                kwargs[name] = doc.pop(name)
+        if "clutter" in kwargs:
+            kwargs["clutter"] = [tuple(pair) for pair in kwargs["clutter"]]
+        if doc:
+            raise ValueError(f"unknown scenario keys: {sorted(doc)}")
+        return Scenario(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"malformed scenario: {exc}") from exc

@@ -44,12 +44,8 @@ class TestCredibility:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="thresholds"):
             AhetConfig(deviation_threshold_hz=0.0)
-        with pytest.raises(ValueError, match="band"):
-            AhetConfig(fundamental_band_hz=(2.0, 0.7))
-        with pytest.raises(ValueError, match="ceiling"):
-            AhetConfig(harmonic_ceiling_hz=1.5)
-        with pytest.raises(ValueError, match="stable_count"):
-            AhetConfig(stable_count=0)
+        with pytest.raises(ValueError, match="thresholds"):
+            AhetConfig(jump_threshold_hz=-0.1)
 
 
 class TestConventional:

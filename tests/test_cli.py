@@ -7,7 +7,7 @@ import pytest
 
 import pulsecancel.ahet as ahet_mod
 import pulsecancel.cli as cli_mod
-from pulsecancel.ahet import eca_conventional_trace
+from pulsecancel.ahet import AhetConfig, eca_conventional_trace
 from pulsecancel.anls import (BREATHING_GRID_HZ, BreathingTrack,
                              breathing_track, reconstruct_reference)
 from pulsecancel.cli import main
@@ -116,6 +116,22 @@ class TestRun:
         expected = tmp_path / "expected.csv"
         write_trace(trace, expected)
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_tracker_bounds_reach_the_tracker(self, synth_outputs, tmp_path):
+        # --ve and --va are the tracker's only settings
+        cube_path, _ = synth_outputs
+        loose, default = tmp_path / "loose.csv", tmp_path / "default.csv"
+        assert run_cli("run", "--in", str(cube_path), "--ve", "0.5",
+                       "--va", "0.5", "--out", str(loose)) == 0
+        assert run_cli("run", "--in", str(cube_path), "--out",
+                       str(default)) == 0
+        phase = cube_phase(read_raw_cube(cube_path))
+        expected = tmp_path / "expected.csv"
+        write_trace(ahet_mod.ahet_trace(phase, config=AhetConfig(0.5, 0.5),
+                                        track=breathing_track(phase)),
+                    expected)
+        assert loose.read_bytes() == expected.read_bytes()
+        assert loose.read_bytes() != default.read_bytes()
 
     def test_trace_to_stdout(self, synth_outputs, capsys):
         cube_path, _ = synth_outputs
@@ -240,8 +256,7 @@ class TestSpectra:
         assert len(list(outdir.iterdir())) == len(starts) == 21
         for w, i0 in enumerate(starts):
             segment = phase.samples[i0:i0 + n_cpi]
-            fit = reconstruct_reference(PhaseSignal(segment, fs), 5.0, 1.0,
-                                        BREATHING_GRID_HZ, 3)
+            fit = reconstruct_reference(PhaseSignal(segment, fs))
             cancelled = segment - fit.model.predict(n_cpi, fs,
                                                     include_offset=True)
             expected = _spectrum_csv(power_spectrum(cancelled, fs))
@@ -308,10 +323,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run_cli("run", "--scenario", str(bad)) == 2
 
-    def test_unknown_scenario_key_is_a_data_error(self, tmp_path):
+    def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"breathing_rate": 0.26}))
-        assert run_cli("synth", "--scenario", str(bad)) == 2
+        # an unknown key, then values of the wrong type or shape
+        for doc in ({"breathing_rate": 0.26}, {"duration_s": "20"},
+                    {"radar": {"bogus": 1}}, {"intermod_tones": [["HR-RR"]]}):
+            bad.write_text(json.dumps(doc))
+            assert run_cli("synth", "--scenario", str(bad)) == 2, doc
+            err = capsys.readouterr().err
+            assert err.startswith("pulsecancel synth: error: ")
+            assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_bench_without_seeds_is_a_usage_error(self, seeds, tmp_path):
