@@ -9,13 +9,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
                        row_medians, strongest_peaks)
 from .types import HrTrace, PhaseSignal, TraceEntry
-from .scenario import HEARTBEAT_BAND_HZ, window_starts
+from .scenario import HEARTBEAT_BAND_HZ, sliding_windows
 
 TAG_RELIABLE_1 = "reliable-1st-peak"
 TAG_RELIABLE_2 = "reliable-2nd-peak"
@@ -212,23 +211,6 @@ def ahet_step(spectrum: Spectrum, state: TrackerState,
 _BLOCK = 16
 
 
-def _windows(phase: PhaseSignal, cpi_s: float, step_s: float) -> tuple:
-    """The sliding windows: (starts, centers_s, stack), their start indices
-    and center times as lists, and the windows one per row of a view on
-    the samples (no copy)."""
-    fs = phase.sample_rate
-    starts = window_starts(phase.samples.size, fs, cpi_s, step_s)
-    # window_starts steps by this same rounded count from 0
-    stack = sliding_window_view(phase.samples, int(round(cpi_s * fs)))
-    return (starts, [i0 / fs + cpi_s / 2.0 for i0 in starts],
-            stack[::int(round(step_s * fs))])
-
-
-def _cpi_windows(phase: PhaseSignal, cpi_s: float, step_s: float):
-    """(start, center_s, samples) of each sliding window, in order."""
-    return zip(*_windows(phase, cpi_s, step_s))
-
-
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
            track: BreathingTrack | None, measure, decide, hold: tuple,
            top_hz: float, zero_pad_factor: int, taper: str) -> HrTrace:
@@ -243,22 +225,23 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     window of its block.
     """
     fs = phase.sample_rate
-    starts, centers_s, stack = _windows(phase, cpi_s, step_s)
+    starts, stack = sliding_windows(phase.samples, fs, cpi_s, step_s)
     trace = HrTrace()
     last_hz = None
     for b0 in range(0, len(starts), _BLOCK):
+        block = starts[b0:b0 + _BLOCK]
         windows = stack[b0:b0 + _BLOCK]
         errors = [None] * len(windows)
         try:
             if track is not None:
-                windows, errors = track.residuals(
-                    windows, np.array(starts[b0:b0 + _BLOCK]) / fs)
+                windows, errors = track.residuals(windows,
+                                                  np.array(block) / fs)
             freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
                                       taper)
             measured = measure(freqs, power)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(windows)
-        for j, center_s in enumerate(centers_s[b0:b0 + _BLOCK]):
+        for j, i0 in enumerate(block):
             try:
                 if errors[j] is not None:
                     raise errors[j]
@@ -268,7 +251,8 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
                     raise
                 f_hz, (tag, delta) = last_hz, hold
             last_hz = f_hz
-            trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
+            trace.append(TraceEntry(i0 / fs + cpi_s / 2.0, f_hz * 60.0, tag,
+                                    delta))
     return trace
 
 

@@ -13,13 +13,13 @@ from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular
 
+from .scenario import BREATHING_BAND_HZ, sliding_windows, window_samples
 from .spectral import row_medians
 from .types import PhaseSignal
 
-BREATHING_GRID_HZ = (0.1, 0.5, 1.0 / 600.0)
+BREATHING_GRID_HZ = (*BREATHING_BAND_HZ, 1.0 / 600.0)
 _NO_SUBWINDOW = "no breathing subwindow inside the segment"
 
 
@@ -76,7 +76,7 @@ class BreathingTrack:
         segment starting starts_s into the record (robust to a few bad
         ones); nan where none is inside."""
         fs = self.sample_rate
-        span_s = round(self.window_s * fs) / fs      # a subwindow's samples
+        span_s = window_samples(self.window_s, fs) / fs
         sub_s = np.array(self.starts_s)
         starts_s = np.asarray(starts_s, dtype=float)[:, None]
         inside = (sub_s >= starts_s - 1e-9) \
@@ -314,19 +314,14 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
                     order: int = 3) -> BreathingTrack:
     """Sliding-subwindow breathing fundamentals over a whole record.
 
-    All subwindows are scored against the shared basis stack in one matrix
-    product; the fundamentals match per-subwindow estimate_breathing.
+    The subwindows are scenario.sliding_windows' layout of window_s every
+    step_s, which rejects a bad window or step.  All subwindows are scored
+    against the shared basis stack in one matrix product; the fundamentals
+    match per-subwindow estimate_breathing.
     """
     fs = phase.sample_rate
-    n_win = int(round(window_s * fs))
-    n_step = int(round(step_s * fs))
-    if n_win > phase.samples.size:
-        raise ValueError("record shorter than one analysis subwindow")
-    if n_step <= 0:
-        raise ValueError("step must be positive")
-    starts = range(0, phase.samples.size - n_win + 1, n_step)
     # a view: the scorer's demeaned stack is the subwindows' only copy
-    subwindows = sliding_window_view(phase.samples, n_win)[::n_step]
+    starts, subwindows = sliding_windows(phase.samples, fs, window_s, step_s)
     hz = _best_fundamentals(subwindows, fs, grid, order)
     return BreathingTrack(tuple(i0 / fs for i0 in starts), tuple(hz.tolist()),
                           order, window_s, step_s, fs)

@@ -11,14 +11,14 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .ahet import (AhetConfig, _cpi_windows, ahet_trace, conventional_trace,
+from .ahet import (AhetConfig, ahet_trace, conventional_trace,
                    eca_conventional_trace)
 from .anls import BREATHING_GRID_HZ, BreathingTrack, breathing_track
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
 from .preprocess import NoTargetError, cube_phase
 from .scenario import (FAMILIES, load_scenario, reference_trace,
-                       synthesize_radar_cube)
+                       sliding_windows, synthesize_radar_cube)
 from .spectral import power_spectrum
 from .types import PhaseSignal
 
@@ -216,22 +216,22 @@ def _cmd_spectra(args) -> int:
     phase = _phase_from_args(args)
     outdir = Path(args.out) if args.out else _default_out("spectra")
     outdir.mkdir(parents=True, exist_ok=True)
-    windows = list(_cpi_windows(phase, args.cpi, args.step))
+    fs = phase.sample_rate
+    starts, windows = sliding_windows(phase.samples, fs, args.cpi, args.step)
     if args.max_windows:
-        windows = windows[:args.max_windows]
+        starts = starts[:args.max_windows]
     track = _track_from_args(args, phase,
                              bench_mod.CANCELLING if args.cancel else ())
-    for w, (i0, _center_s, segment) in enumerate(windows):
+    for w, (i0, segment) in enumerate(zip(starts, windows)):
         if track is not None:
-            segment = track.residual(segment, i0 / phase.sample_rate)
-        spectrum = power_spectrum(segment, phase.sample_rate, args.pad,
-                                  args.taper)
+            segment = track.residual(segment, i0 / fs)
+        spectrum = power_spectrum(segment, fs, args.pad, args.taper)
         path = outdir / f"spectrum_{w:05d}.csv"
         with open(path, "w") as fh:
             fh.write("freq_hz,power\n")
             for f, p in zip(spectrum.frequencies, spectrum.power):
                 fh.write(f"{float(f)!r},{float(p)!r}\n")
-    _log(f"wrote {len(windows)} spectra to {outdir}")
+    _log(f"wrote {len(starts)} spectra to {outdir}")
     return 0
 
 

@@ -11,18 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr as _qr_economic, solve_triangular
 
+RIDGE = 1e-8               # relative regularizer, engaged past MAX_CONDITION
+MAX_CONDITION = 1e10
+
 
 @dataclass(frozen=True)
 class EcaConfig:
     filter_order: int = 5          # number of lagged reference copies
-    ridge: float = 1e-8            # relative regularizer, engaged past max_condition
-    max_condition: float = 1e10
 
     def __post_init__(self):
         if self.filter_order < 1:
             raise ValueError("filter_order must be >= 1")
-        if self.ridge < 0 or self.max_condition <= 1:
-            raise ValueError("bad regularization settings")
 
 
 @dataclass
@@ -55,34 +54,25 @@ def lag_matrix(reference: np.ndarray, order: int) -> np.ndarray:
 
 def eca_cancel(theta: np.ndarray, reference: np.ndarray,
                config: EcaConfig = EcaConfig()) -> EcaResult:
-    """Project theta onto the orthogonal complement of the reference lags.
+    """Project theta onto the orthogonal complement of the reference lags
+    and an intercept.
 
-    reference may be the 1-D breathing signal (the lag matrix is built at
-    config.filter_order) or a prebuilt N x M lag matrix.  The weights solve
-    min ||theta - X w|| through an orthogonal factorization; a small ridge
-    is added only when the lag matrix condition exceeds config.max_condition.
+    reference is the 1-D breathing signal, as long as theta; its lag matrix
+    is built at config.filter_order.  The weights solve
+    min ||theta - [X 1] w|| through an orthogonal factorization; a small
+    ridge is added only when the design's condition exceeds MAX_CONDITION.
 
-    In the 1-D path an intercept column is fitted alongside the lags and
-    removed with them.  Unwrapped phase carries a standoff offset of
-    thousands of radians; without the intercept the solver exploits the
-    sub-percent means of the lag columns to chase that constant and skews
-    the lag weights away from the breathing fit.  An all-zero reference
-    returns theta untouched, flagged degenerate.
+    The intercept column is fitted alongside the lags and removed with
+    them.  Unwrapped phase carries a standoff offset of thousands of
+    radians; without the intercept the solver exploits the sub-percent
+    means of the lag columns to chase that constant and skews the lag
+    weights away from the breathing fit.  An all-zero reference returns
+    theta untouched, flagged degenerate.
     """
     theta = np.asarray(theta, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    intercept = False
-    if reference.ndim == 1:
-        if reference.size != theta.size:
-            raise ValueError("reference length must match theta")
-        x = lag_matrix(reference, config.filter_order)
-        intercept = True
-    elif reference.ndim == 2:
-        if reference.shape[0] != theta.size:
-            raise ValueError("lag matrix rows must match theta")
-        x = reference
-    else:
-        raise ValueError("reference must be 1-D signal or 2-D lag matrix")
+    x = lag_matrix(reference, config.filter_order)
+    if x.shape[0] != theta.size:
+        raise ValueError("reference length must match theta")
 
     centered = theta - np.mean(theta)
     power = float(np.dot(centered, centered))
@@ -90,7 +80,7 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
         return EcaResult(theta.copy(), np.zeros(x.shape[1]), np.inf,
                          1.0 if power else 0.0, degenerate=True)
 
-    design = np.hstack([x, np.ones((x.shape[0], 1))]) if intercept else x
+    design = np.hstack([x, np.ones((x.shape[0], 1))])
     # one reduced QR serves both the condition check (singular values of R
     # equal those of the design) and the well-conditioned solve
     q, r = _qr_economic(design, mode="economic", check_finite=False)
@@ -98,9 +88,8 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
     condition = np.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
 
     epsilon = 0.0
-    if condition > config.max_condition:
-        epsilon = config.ridge * float(np.mean(np.sum(design * design,
-                                                      axis=0)))
+    if condition > MAX_CONDITION:
+        epsilon = RIDGE * float(np.mean(np.sum(design * design, axis=0)))
         x_solve = np.vstack([design,
                              np.sqrt(epsilon) * np.eye(design.shape[1])])
         rhs = np.concatenate([theta, np.zeros(design.shape[1])])
@@ -113,7 +102,5 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
 
     cancelled = theta - design @ coef
     ratio = float(np.dot(cancelled, cancelled) / power) if power else 0.0
-    weights = coef[:x.shape[1]] if intercept else coef
-    offset = float(coef[-1]) if intercept else 0.0
-    return EcaResult(cancelled, weights, condition, ratio,
-                     ridge_epsilon=epsilon, offset=offset)
+    return EcaResult(cancelled, coef[:-1], condition, ratio,
+                     ridge_epsilon=epsilon, offset=float(coef[-1]))

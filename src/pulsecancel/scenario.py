@@ -8,9 +8,12 @@ recovers (4*pi/lambda)*d(t) without beat-phase coupling.
 """
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import HrTrace, PhaseSignal, TraceEntry
 
@@ -102,6 +105,11 @@ class IntermodTone:
         return float(self.rule)
 
 
+def _finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class Scenario:
     """Complete generative description of one subject + radar session.
@@ -138,6 +146,22 @@ class Scenario:
     allow_amplitude_override: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) \
+                or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("standoff_m", "transmit_power_scale",
+                     "complex_noise_std", "phase_noise_std"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got "
+                                 f"{getattr(self, name)!r}")
+        if self.complex_noise_std < 0 or self.phase_noise_std < 0:
+            raise ValueError("noise stds must be >= 0")
+        for rng_m, amp in self.clutter:
+            if not (_finite_real(rng_m) and _finite_real(amp)):
+                raise ValueError(f"clutter pair ({rng_m!r}, {amp!r}) must "
+                                 f"hold finite numbers")
+            if rng_m <= 0:
+                raise ValueError("clutter range must be positive")
         lo, hi = BREATHING_BAND_HZ
         if not lo <= self.breathing_hz <= hi:
             raise ValueError(f"breathing rate {self.breathing_hz} Hz outside "
@@ -163,9 +187,6 @@ class Scenario:
             raise ValueError(f"max simulated frequency "
                              f"{self.max_frequency_hz():.3f} Hz reaches the "
                              f"slow-time Nyquist {nyquist:.3f} Hz")
-        for rng_m, _amp in self.clutter:
-            if rng_m <= 0:
-                raise ValueError("clutter range must be positive")
 
     def _check_amplitudes(self):
         lo, hi = BREATHING_AMPLITUDE_M
@@ -324,17 +345,32 @@ def synthesize_radar_cube(scenario: Scenario) -> RadarCube:
     return RadarCube(cube, cfg)
 
 
+def window_samples(span_s: float, sample_rate: float) -> int:
+    """Samples in span_s seconds: the one rounding of a window or step."""
+    return int(round(span_s * sample_rate))
+
+
 def window_starts(n_samples: int, sample_rate: float, cpi_s: float,
                   step_s: float) -> list[int]:
-    """Start indices of sliding analysis windows over a record."""
-    n_win = int(round(cpi_s * sample_rate))
-    n_step = int(round(step_s * sample_rate))
+    """Start indices of sliding analysis windows over a record; the one
+    place that rejects a bad window or step."""
+    n_win = window_samples(cpi_s, sample_rate)
+    n_step = window_samples(step_s, sample_rate)
     if n_win <= 0 or n_step <= 0:
         raise ValueError("window and step must be positive")
     if n_win > n_samples:
         raise ValueError(f"window of {n_win} samples longer than record "
                          f"of {n_samples}")
     return list(range(0, n_samples - n_win + 1, n_step))
+
+
+def sliding_windows(samples: np.ndarray, sample_rate: float, window_s: float,
+                    step_s: float) -> tuple[list[int], np.ndarray]:
+    """(starts, stack): window_starts over samples and the windows, one per
+    row of a strided view on the samples (no copy)."""
+    starts = window_starts(samples.size, sample_rate, window_s, step_s)
+    stack = sliding_window_view(samples, window_samples(window_s, sample_rate))
+    return starts, stack[::window_samples(step_s, sample_rate)]
 
 
 def reference_trace(scenario: Scenario, cpi_s: float,

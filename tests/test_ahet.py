@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import pulsecancel.ahet as ahet_mod
-from pulsecancel.ahet import (AhetConfig, TrackerState, _cpi_windows,
-                              ahet_step, ahet_trace, conventional_hr,
-                              conventional_trace, credibility,
-                              eca_conventional_trace)
+from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step,
+                              ahet_trace, conventional_hr, conventional_trace,
+                              credibility, eca_conventional_trace)
 from pulsecancel.anls import breathing_track
 from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, masking_scenario,
-                                  scenario_slow_time)
+                                  scenario_slow_time, sliding_windows)
 from pulsecancel.spectral import Spectrum, band_peak_power, power_spectrum
 from pulsecancel.types import HrTrace, PhaseSignal, TraceEntry
 
@@ -395,9 +394,10 @@ class TestDeadStretch:
         trace = BLOCK_METHODS[method](masking_b_phase, cpi_s=5.0, step_s=0.5,
                                       track=track)
         state = TrackerState()
-        windows = list(_cpi_windows(masking_b_phase, 5.0, 0.5))
-        assert len(trace) == len(windows) == 111
-        for j, (i0, _, segment) in enumerate(windows):
+        starts, windows = sliding_windows(masking_b_phase.samples, fs, 5.0,
+                                          0.5)
+        assert len(trace) == len(starts) == 111
+        for j, (i0, segment) in enumerate(zip(starts, windows)):
             entry = trace.entries[j]
             if j % 2:
                 assert entry.hr_bpm == trace.entries[j - 1].hr_bpm
@@ -425,7 +425,7 @@ def per_window_trace(phase, cpi_s, method, track):
     fs = phase.sample_rate
     state = TrackerState()
     trace = HrTrace()
-    for i0, center_s, segment in _cpi_windows(phase, cpi_s, 1.0):
+    for i0, segment in zip(*sliding_windows(phase.samples, fs, cpi_s, 1.0)):
         if method != "conventional":
             segment = track.residual(segment, i0 / fs)
         spectrum = power_spectrum(segment, fs)
@@ -433,7 +433,8 @@ def per_window_trace(phase, cpi_s, method, track):
             f_hz, tag, delta, _ = ahet_step(spectrum, state)
         else:
             f_hz, tag, delta = conventional_hr(spectrum), method, 0.0
-        trace.append(TraceEntry(center_s, f_hz * 60.0, tag, delta))
+        trace.append(TraceEntry(i0 / fs + cpi_s / 2.0, f_hz * 60.0, tag,
+                                delta))
     return trace
 
 
@@ -488,6 +489,7 @@ class TestBlockDriverContract:
     def test_record_shorter_than_one_block(self, method):
         sc = FAMILIES["masking-c"](2, duration_s=30.0)
         phase = slow_time_phase(scenario_slow_time(sc), sc.radar.frame_rate_hz)
-        assert len(list(_cpi_windows(phase, 20.0, 1.0))) == 11 \
-            < ahet_mod._BLOCK
+        starts, _ = sliding_windows(phase.samples, phase.sample_rate, 20.0,
+                                    1.0)
+        assert len(starts) == 11 < ahet_mod._BLOCK
         assert_matches_per_window(phase, 20.0, method, breathing_track(phase))

@@ -201,11 +201,16 @@ class TestTrackAndReference:
             track.order = 2
 
     def test_track_validation(self):
+        # the subwindow layout is scenario.window_starts', errors included
         short = PhaseSignal(np.ones(100), FS)
-        with pytest.raises(ValueError, match="shorter than one analysis"):
+        with pytest.raises(ValueError, match="window of 500 samples longer "
+                                             "than record of 100"):
             breathing_track(short)
-        with pytest.raises(ValueError, match="step"):
-            breathing_track(PhaseSignal(np.ones(1000), FS), step_s=0.0)
+        long = PhaseSignal(np.ones(1000), FS)
+        for kwargs in ({"step_s": 0.0}, {"window_s": -1.0}):
+            with pytest.raises(ValueError,
+                               match="window and step must be positive"):
+                breathing_track(long, **kwargs)
 
     def test_reference_is_median_refit_prediction(self):
         f_true = float(GRID[96])

@@ -1,16 +1,20 @@
-"""The functions the benchmark's tracer wraps still exist.
+"""The library names the benchmark uses still exist.
 
-perfbench/tracer.py names the pulsecancel functions a traced run times;
+perfbench/tracer.py names the pulsecancel functions a traced run times, and
+perfbench/workloads.py and tracer.py call pulsecancel as pc.<module>.<name>;
 removing or renaming one would otherwise surface only when the benchmark
 itself runs.
 """
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pulsecancel
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _span_functions():
@@ -27,3 +31,41 @@ def test_every_traced_function_resolves():
                if not callable(getattr(getattr(pulsecancel, layer, None),
                                        name, None))]
     assert missing == []
+
+
+def _library_names():
+    """(module, name) of every pc.<module>.<name> (or self.pc.<module>.<name>)
+    in the benchmark's workloads and tracer, read without importing them."""
+    names = set()
+    for path in (PERFBENCH / "workloads.py", TRACER):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)):
+                continue
+            root = node.value.value
+            if (isinstance(root, ast.Name) and root.id == "pc") \
+                    or (isinstance(root, ast.Attribute) and root.attr == "pc"):
+                names.add((node.value.attr, node.attr))
+    return names
+
+
+def test_every_library_name_the_benchmark_uses_resolves():
+    names = _library_names()
+    assert ("scenario", "window_starts") in names
+    assert ("eca", "eca_cancel") in names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(getattr(pulsecancel, module, None), name)]
+    assert missing == []
+
+
+def test_every_argument_the_tracer_binds_by_name_exists():
+    # tracer._argument(pc.<module>.<name>, args, kwargs, "<parameter>")
+    calls = [node for node in ast.walk(ast.parse(TRACER.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_argument"]
+    assert calls
+    for call in calls:
+        fn, parameter = call.args[0], call.args[-1].value
+        target = getattr(getattr(pulsecancel, fn.value.attr), fn.attr)
+        assert parameter in inspect.signature(target).parameters, \
+            (fn.attr, parameter)

@@ -325,9 +325,14 @@ class TestExitCodes:
 
     def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        # an unknown key, then values of the wrong type or shape
+        # an unknown key, then values of the wrong type, shape or sign
         for doc in ({"breathing_rate": 0.26}, {"duration_s": "20"},
-                    {"radar": {"bogus": 1}}, {"intermod_tones": [["HR-RR"]]}):
+                    {"radar": {"bogus": 1}}, {"intermod_tones": [["HR-RR"]]},
+                    {"seed": "a"}, {"seed": 1.5}, {"seed": True},
+                    {"standoff_m": "1"}, {"standoff_m": float("nan")},
+                    {"transmit_power_scale": "2"},
+                    {"complex_noise_std": "0.1"}, {"clutter": [[1.0, "x"]]},
+                    {"complex_noise_std": -1}, {"phase_noise_std": -0.5}):
             bad.write_text(json.dumps(doc))
             assert run_cli("synth", "--scenario", str(bad)) == 2, doc
             err = capsys.readouterr().err
@@ -363,6 +368,16 @@ class TestExitCodes:
         assert run_cli("run", "--in", str(cube_path), "--method", "eca",
                        flag, value) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--anls-window", "-1"),
+                                             ("--anls-step", "0")])
+    def test_bad_breathing_subwindow_is_a_data_error(self, synth_outputs,
+                                                     capsys, flag, value):
+        # the breathing track's layout is the window layout's, errors too
+        cube_path, _ = synth_outputs
+        assert run_cli("run", "--in", str(cube_path), flag, value) == 2
+        assert capsys.readouterr().err.endswith(
+            "\npulsecancel run: error: window and step must be positive\n")
 
     def test_unknown_compare_method_is_a_data_error(self, scenario_file):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",

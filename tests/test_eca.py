@@ -64,7 +64,8 @@ class TestExactCancellation:
 
 
 class TestProjectorInvariants:
-    """Ran on the literal 2-D path, where P is a plain projection."""
+    """P projects onto the complement of the lags and an intercept,
+    [lag_matrix(s, m), ones], as in C01."""
 
     def instances(self, count=50):
         rng = np.random.default_rng(7)
@@ -73,34 +74,40 @@ class TestProjectorInvariants:
             m = int(rng.integers(1, 9))
             s = rng.normal(size=n)
             theta = rng.normal(size=n)
-            yield theta, lag_matrix(s, m)
+            yield theta, s, EcaConfig(filter_order=m)
+
+    @staticmethod
+    def design(s, config):
+        return np.hstack([lag_matrix(s, config.filter_order),
+                          np.ones((s.size, 1))])
 
     def test_idempotent(self):
-        for theta, x in self.instances():
-            once = eca_cancel(theta, x).cancelled
-            twice = eca_cancel(once, x).cancelled
+        for theta, s, cfg in self.instances():
+            once = eca_cancel(theta, s, cfg).cancelled
+            twice = eca_cancel(once, s, cfg).cancelled
             assert np.linalg.norm(twice - once) \
                 <= 1e-9 * max(np.linalg.norm(theta), 1e-30)
 
     def test_orthogonal_to_reference_columns(self):
-        for theta, x in self.instances():
-            out = eca_cancel(theta, x).cancelled
+        for theta, s, cfg in self.instances():
+            x = self.design(s, cfg)
+            out = eca_cancel(theta, s, cfg).cancelled
             bound = 1e-9 * np.linalg.norm(x) * np.linalg.norm(theta)
             assert np.max(np.abs(x.T @ out)) <= max(bound, 1e-30)
 
     def test_contraction(self):
-        for theta, x in self.instances():
-            out = eca_cancel(theta, x).cancelled
+        for theta, s, cfg in self.instances():
+            out = eca_cancel(theta, s, cfg).cancelled
             assert np.linalg.norm(out) <= np.linalg.norm(theta) * (1 + 1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         s = rng.normal(size=300)
-        x = lag_matrix(s, 4)
+        cfg = EcaConfig(filter_order=4)
         a, b = rng.normal(size=300), rng.normal(size=300)
-        combo = eca_cancel(2.0 * a - 3.0 * b, x).cancelled
-        parts = 2.0 * eca_cancel(a, x).cancelled \
-            - 3.0 * eca_cancel(b, x).cancelled
+        combo = eca_cancel(2.0 * a - 3.0 * b, s, cfg).cancelled
+        parts = 2.0 * eca_cancel(a, s, cfg).cancelled \
+            - 3.0 * eca_cancel(b, s, cfg).cancelled
         np.testing.assert_allclose(combo, parts, atol=1e-9)
 
 
@@ -138,10 +145,10 @@ class TestEdgeCases:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="length must match"):
             eca_cancel(np.ones(10), np.ones(11))
-        with pytest.raises(ValueError, match="rows must match"):
-            eca_cancel(np.ones(10), np.ones((11, 2)))
-        with pytest.raises(ValueError, match="1-D signal or 2-D"):
-            eca_cancel(np.ones(10), np.ones((10, 2, 1)))
+        # a reference that is not 1-D, a prebuilt lag matrix included
+        for shape in ((10, 2), (11, 2), (10, 2, 1)):
+            with pytest.raises(ValueError, match="reference must be 1-D"):
+                eca_cancel(np.ones(10), np.ones(shape))
 
     def test_filter_order_config(self):
         s = breathing_like(500, seed=6)
@@ -149,5 +156,3 @@ class TestEdgeCases:
         assert result.weights.shape == (3,)
         with pytest.raises(ValueError, match="filter_order"):
             EcaConfig(filter_order=0)
-        with pytest.raises(ValueError, match="regularization"):
-            EcaConfig(ridge=-1.0)

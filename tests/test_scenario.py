@@ -12,8 +12,8 @@ from pulsecancel.scenario import (BREATHING_AMPLITUDE_M, FAMILIES,
                                   load_scenario, masking_scenario,
                                   reference_trace, scenario_slow_time,
                                   synthesize_displacement,
-                                  synthesize_radar_cube, synthesize_slow_time,
-                                  window_starts)
+                                  sliding_windows, synthesize_radar_cube,
+                                  synthesize_slow_time, window_starts)
 
 
 class TestRadarConfig:
@@ -235,6 +235,18 @@ class TestWindows:
             window_starts(100, 100.0, 2.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             window_starts(1000, 100.0, 2.0, 0.0)
+
+    def test_sliding_windows_are_views_at_window_starts(self):
+        x = np.arange(1000.0)
+        for window_s, step_s in ((2.0, 1.0), (2.5, 0.7), (10.0, 3.0)):
+            starts, stack = sliding_windows(x, 100.0, window_s, step_s)
+            assert starts == window_starts(x.size, 100.0, window_s, step_s)
+            assert np.shares_memory(stack, x)
+            n = int(round(window_s * 100.0))
+            np.testing.assert_array_equal(
+                stack, np.array([x[i0:i0 + n] for i0 in starts]))
+        with pytest.raises(ValueError, match="positive"):
+            sliding_windows(x, 100.0, -1.0, 1.0)
 
     def test_reference_trace_centers_and_value(self, fixture_scenario):
         trace = reference_trace(fixture_scenario, 20.0)
