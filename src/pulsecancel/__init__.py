@@ -3,7 +3,7 @@ cancellation ahead of spectral peak tracking."""
 
 from .ahet import (AhetConfig, TrackerState, ahet_step, ahet_trace,
                    conventional_hr, conventional_trace, credibility,
-                   eca_conventional_trace)
+                   eca_conventional_trace, shared_cancellation)
 from .anls import (HarmonicModel, estimate_breathing, fit_amplitudes,
                    harmonic_matrix, reconstruct_reference)
 from .bench import interval_rmse, monte_carlo, rmse, time_profile

@@ -5,6 +5,8 @@ corroborates it.  Untrusted windows fall back to narrow re-search regions
 around the track's established rate, or hold the last estimate.
 """
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -14,7 +16,7 @@ from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
                        row_medians, strongest_peaks)
 from .types import HrTrace, PhaseSignal, TraceEntry
-from .scenario import HEARTBEAT_BAND_HZ, sliding_windows
+from .scenario import HEARTBEAT_BAND_HZ, sliding_windows, window_center
 
 TAG_RELIABLE_1 = "reliable-1st-peak"
 TAG_RELIABLE_2 = "reliable-2nd-peak"
@@ -212,60 +214,151 @@ _BLOCK = 16
 
 
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
-           track: BreathingTrack | None, measure, decide, hold: tuple,
-           top_hz: float, zero_pad_factor: int, taper: str) -> HrTrace:
-    """Sliding windows a block at a time: track.residuals (when given),
-    band_power up to top_hz, measure over the block, then decide per window.
+           track: BreathingTrack | None, readers: list, top_hz: float,
+           zero_pad_factor: int, taper: str) -> list:
+    """Sliding windows a block at a time: one track.residuals (when given)
+    and one band_power up to top_hz per block, then every reader over them.
 
-    measure(freqs, power) returns arrays indexed by window first;
-    decide(*its row for the window) returns (f_hz, tag, delta_hz).
-    A window whose stages raise ValueError or LinAlgError holds the
-    previous estimate, tagged hold = (tag, delta_hz); a failure on the very
-    first window propagates.  A block-wide stage that raises fails every
-    window of its block.
+    A reader is a (measure, decide, hold) triple.  measure(freqs, power)
+    returns arrays indexed by window first; decide(*its row for the
+    window) returns (f_hz, tag, delta_hz).  Returns one result per reader,
+    in order: its trace, or the exception that ended it.
+
+    Each reader keeps its own estimates.  A window whose stages raise
+    ValueError or LinAlgError holds that reader's previous estimate,
+    tagged hold = (tag, delta_hz); a block-wide stage that raises fails
+    every window of its block.  A failure on a reader's very first window
+    ends that reader alone: the others go on.
     """
     fs = phase.sample_rate
     starts, stack = sliding_windows(phase.samples, fs, cpi_s, step_s)
-    trace = HrTrace()
-    last_hz = None
+    results = [HrTrace() for _ in readers]
+    last_hz = [None] * len(readers)
     for b0 in range(0, len(starts), _BLOCK):
+        live = [r for r, out in enumerate(results) if isinstance(out, HrTrace)]
+        if not live:
+            break
         block = starts[b0:b0 + _BLOCK]
         windows = stack[b0:b0 + _BLOCK]
         errors = [None] * len(windows)
+        spectra = None
         try:
             if track is not None:
                 windows, errors = track.residuals(windows,
                                                   np.array(block) / fs)
-            freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
-                                      taper)
-            measured = measure(freqs, power)
+            spectra = band_power(windows, fs, top_hz, zero_pad_factor, taper)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(windows)
-        for j, i0 in enumerate(block):
-            try:
-                if errors[j] is not None:
-                    raise errors[j]
-                f_hz, tag, delta = decide(*(m[j] for m in measured))
-            except (ValueError, np.linalg.LinAlgError):
-                if last_hz is None:
-                    raise
-                f_hz, (tag, delta) = last_hz, hold
-            last_hz = f_hz
-            trace.append(TraceEntry(i0 / fs + cpi_s / 2.0, f_hz * 60.0, tag,
-                                    delta))
-    return trace
+        for r in live:
+            measure, decide, hold = readers[r]
+            failed, measured = errors, ()
+            if spectra is not None:
+                try:
+                    measured = measure(*spectra)
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    failed = [exc] * len(windows)
+            for j, i0 in enumerate(block):
+                try:
+                    if failed[j] is not None:
+                        raise failed[j]
+                    f_hz, tag, delta = decide(*(m[j] for m in measured))
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    if last_hz[r] is None:
+                        results[r] = exc
+                        break
+                    f_hz, (tag, delta) = last_hz[r], hold
+                last_hz[r] = f_hz
+                results[r].append(TraceEntry(window_center(i0, fs, cpi_s),
+                                             f_hz * 60.0, tag, delta))
+    return results
+
+
+def _unwrap(result):
+    """A reader's result from _track: its trace, or raise what ended it."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _strongest_peak(tag: str) -> tuple:
-    """_track's (measure, decide, hold, top_hz) for a strongest-peak
-    method."""
+    """_track's reader for a strongest-peak method."""
     def measure(freqs, power):
         return band_peaks(freqs, power, *HEARTBEAT_BAND_HZ, 1)[:1]
 
     def decide(f_hz):
         return _strongest_hz(float(f_hz[0])), tag, 0.0
 
-    return measure, decide, (tag, 0.0), HEARTBEAT_BAND_HZ[1]
+    return measure, decide, (tag, 0.0)
+
+
+def _tracker(config: AhetConfig) -> tuple:
+    """_track's reader for the credibility tracker, with a fresh state."""
+    state = TrackerState()
+
+    # the refined search reads each window's spectrum: its grid and row
+    def measure(freqs, power):
+        return (*_measure(freqs, power, config),
+                np.broadcast_to(freqs, power.shape), power)
+
+    # a held window leaves state alone: its last estimate is the held value
+    def decide(fund_hz, harm_hz, freqs, power):
+        return _decide(fund_hz, harm_hz, freqs, power, state, config)
+
+    return measure, decide, (TAG_REFINED, math.inf)
+
+
+# traces kept by the open shared_cancellation scope, or None outside one
+_SHARED = contextvars.ContextVar("pulsecancel_shared_cancellation",
+                                 default=None)
+
+
+@contextlib.contextmanager
+def shared_cancellation():
+    """Within the scope, eca_conventional_trace and ahet_trace on the same
+    record share one cancel-and-spectrum pass.
+
+    The first cancelling call runs both methods over one track.residuals
+    and one band_power per block, returns its own trace and keeps the
+    other's.  A later call of the other method takes the kept trace when
+    it names the same PhaseSignal and BreathingTrack objects, cpi_s,
+    step_s, zero_pad_factor, taper and AhetConfig (eca's is the default
+    one); any other call computes on its own.  A kept trace is what that
+    call would compute alone, bit for bit.  Outside a scope every call
+    computes alone.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
+                step_s: float, track: BreathingTrack | None,
+                config: AhetConfig, zero_pad_factor: int,
+                taper: str) -> HrTrace:
+    """The "eca" or "ahet" trace over track's residuals, on the tracker's
+    grid for config: alone, or within shared_cancellation from one pass
+    that keeps the other method's trace."""
+    if track is None:
+        track = breathing_track(phase)
+    shared = _SHARED.get()
+    key = (id(phase), id(track), cpi_s, step_s, zero_pad_factor, taper,
+           config)
+    if shared is not None and (method, key) in shared:
+        return _unwrap(shared.pop((method, key))[-1])
+    readers = {"eca": _strongest_peak("eca"), "ahet": _tracker(config)}
+    if shared is None:
+        readers = {method: readers[method]}
+    results = dict(zip(readers, _track(phase, cpi_s, step_s, track,
+                                       list(readers.values()),
+                                       _top_hz(config), zero_pad_factor,
+                                       taper)))
+    mine = results.pop(method)
+    for other, result in results.items():
+        # the kept phase and track hold their ids while the key names them
+        shared[(other, key)] = (phase, track, result)
+    return _unwrap(mine)
 
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
@@ -278,24 +371,11 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
     track is the record's anls.breathing_track (None fits one with its
     defaults).  A window that fails any stage holds the previous estimate
     (tagged refined with an infinite gap); a failure on the very first
-    window propagates.
+    window propagates.  Within shared_cancellation it shares its pass with
+    eca_conventional_trace.
     """
-    if track is None:
-        track = breathing_track(phase)
-    state = TrackerState()
-
-    # the refined search reads each window's spectrum: its grid and row
-    def measure(freqs, power):
-        return (*_measure(freqs, power, config),
-                np.broadcast_to(freqs, power.shape), power)
-
-    # a held window leaves state alone: its last estimate is the held value
-    def decide(fund_hz, harm_hz, freqs, power):
-        return _decide(fund_hz, harm_hz, freqs, power, state, config)
-
-    return _track(phase, cpi_s, step_s, track, measure, decide,
-                  (TAG_REFINED, math.inf), _top_hz(config), zero_pad_factor,
-                  taper)
+    return _cancelling("ahet", phase, cpi_s, step_s, track, config,
+                       zero_pad_factor, taper)
 
 
 def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
@@ -303,8 +383,9 @@ def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                        zero_pad_factor: int = 8,
                        taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking on the raw phase, window by window."""
-    return _track(phase, cpi_s, step_s, None,
-                  *_strongest_peak("conventional"), zero_pad_factor, taper)
+    return _unwrap(*_track(phase, cpi_s, step_s, None,
+                           [_strongest_peak("conventional")],
+                           HEARTBEAT_BAND_HZ[1], zero_pad_factor, taper))
 
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
@@ -312,8 +393,12 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            track: BreathingTrack | None = None,
                            zero_pad_factor: int = 8,
                            taper: str = "hann") -> HrTrace:
-    """Strongest-peak tracking after breathing cancellation (no credibility)."""
-    if track is None:
-        track = breathing_track(phase)
-    return _track(phase, cpi_s, step_s, track,
-                  *_strongest_peak("eca"), zero_pad_factor, taper)
+    """Strongest-peak tracking after breathing cancellation (no
+    credibility).
+
+    It reads the spectra on the tracker's default grid (674 bins at a
+    20 s CPI), shared or not, so within shared_cancellation its pass also
+    gives ahet_trace's, and its output never depends on the caller.
+    """
+    return _cancelling("eca", phase, cpi_s, step_s, track, AhetConfig(),
+                       zero_pad_factor, taper)

@@ -1,5 +1,6 @@
 """Accuracy and runtime benchmarking against simulator ground truth."""
 
+import contextlib
 import csv
 import json
 import time
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ahet import ahet_trace, conventional_trace, eca_conventional_trace
+from .ahet import (ahet_trace, conventional_trace, eca_conventional_trace,
+                   shared_cancellation)
 from .anls import breathing_track
 from .preprocess import cube_phase, slow_time_phase
 from .scenario import FAMILIES, RadarCube, reference_trace, scenario_slow_time
@@ -85,18 +87,15 @@ def _pair_times(trace: HrTrace, reference: HrTrace):
     steps = [np.median(np.diff(t)) for t in (t_est, t_ref) if t.size > 1]
     tol = max(steps) / 2.0 if steps else np.inf
 
-    order = np.searchsorted(t_ref, t_est)
-    pairs_est, pairs_ref = [], []
-    for i, t in enumerate(t_est):
-        j = min(order[i], t_ref.size - 1)
-        if j > 0 and abs(t_ref[j - 1] - t) < abs(t_ref[j] - t):
-            j -= 1
-        if abs(t_ref[j] - t) <= tol + 1e-12:
-            pairs_est.append(v_est[i])
-            pairs_ref.append(v_ref[j])
-    if not pairs_est:
+    # each estimate's nearest reference time, the earlier one on a tie
+    j = np.minimum(np.searchsorted(t_ref, t_est), t_ref.size - 1)
+    before = np.maximum(j - 1, 0)
+    j = np.where((j > 0) & (np.abs(t_ref[before] - t_est)
+                            < np.abs(t_ref[j] - t_est)), before, j)
+    paired = np.abs(t_ref[j] - t_est) <= tol + 1e-12
+    if not paired.any():
         raise ValueError("traces share no overlapping time support")
-    return np.array(pairs_est), np.array(pairs_ref), t_est
+    return v_est[paired], v_ref[j[paired]], t_est
 
 
 def rmse(trace: HrTrace, reference: HrTrace) -> float:
@@ -134,7 +133,10 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
     Synthesis happens at the slow-time level: the statistics under test
     live in the phase signal, and skipping the fast-time dimension keeps
     large sweeps affordable.  The cancelling methods share one breathing
-    track per record.  A failed run (or track fit) is recorded, not fatal.
+    track per record and, when both run, one cancel-and-spectrum pass per
+    record and CPI (ahet.shared_cancellation); each method is still called
+    once per run, in order.  A failed run (or track fit) is recorded, not
+    fatal.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -145,26 +147,31 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
     make = FAMILIES[family]
     report = BenchReport(family, duration_s, list(seeds), list(cpis),
                          list(methods))
+    # eca and ahet share one cancel-and-spectrum pass per record and CPI
+    share = CANCELLING <= set(methods)
     for seed in seeds:
         scenario = make(seed, duration_s=duration_s)
         z = scenario_slow_time(scenario)
         phase = slow_time_phase(z, scenario.radar.frame_rate_hz)
         track = None
-        for cpi_s in cpis:
-            reference = reference_trace(scenario, cpi_s)
-            for method in methods:
-                try:
-                    if method in CANCELLING and track is None:
-                        track = breathing_track(phase)
-                    kwargs = {"track": track} if method in CANCELLING else {}
-                    trace = METHODS[method](phase, cpi_s=cpi_s, **kwargs)
-                    record = RunRecord(
-                        cpi_s, seed, method, rmse(trace, reference),
-                        intervals=interval_rmse(trace, reference))
-                except Exception as exc:  # noqa: BLE001 - survey must go on
-                    record = RunRecord(cpi_s, seed, method, float("nan"),
-                                       error=f"{type(exc).__name__}: {exc}")
-                report.records.append(record)
+        with shared_cancellation() if share else contextlib.nullcontext():
+            for cpi_s in cpis:
+                reference = reference_trace(scenario, cpi_s)
+                for method in methods:
+                    try:
+                        if method in CANCELLING and track is None:
+                            track = breathing_track(phase)
+                        kwargs = ({"track": track} if method in CANCELLING
+                                  else {})
+                        trace = METHODS[method](phase, cpi_s=cpi_s, **kwargs)
+                        record = RunRecord(
+                            cpi_s, seed, method, rmse(trace, reference),
+                            intervals=interval_rmse(trace, reference))
+                    except Exception as exc:  # noqa: BLE001 - survey goes on
+                        record = RunRecord(
+                            cpi_s, seed, method, float("nan"),
+                            error=f"{type(exc).__name__}: {exc}")
+                    report.records.append(record)
     return report
 
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data/processing error.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .ahet import (AhetConfig, ahet_trace, conventional_trace,
-                   eca_conventional_trace)
+                   eca_conventional_trace, shared_cancellation)
 from .anls import BREATHING_GRID_HZ, BreathingTrack, breathing_track
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
@@ -117,10 +118,14 @@ def _track_from_args(args, phase: PhaseSignal, methods):
                            args.kb)
 
 
+def _config_from_args(args) -> AhetConfig:
+    return AhetConfig(deviation_threshold_hz=args.ve,
+                      jump_threshold_hz=args.va)
+
+
 def _trace_from_args(args, phase: PhaseSignal, method: str,
                      track: BreathingTrack | None):
-    config = AhetConfig(deviation_threshold_hz=args.ve,
-                        jump_threshold_hz=args.va)
+    config = _config_from_args(args)
     common = dict(cpi_s=args.cpi, step_s=args.step,
                   zero_pad_factor=args.pad, taper=args.taper)
     if method == "ahet":
@@ -176,10 +181,15 @@ def _cmd_compare(args) -> int:
     else:
         raise UsageError("--truth is required with --in")
     track = _track_from_args(args, phase, methods)
-    for method in methods:
-        trace = _trace_from_args(args, phase, method, track)
-        print(f"method={method} rmse_bpm="
-              f"{bench_mod.rmse(trace, reference):.3f}")
+    # eca's share of the pass tracks with the default bounds, so other
+    # bounds leave ahet nothing to take
+    share = (bench_mod.CANCELLING <= set(methods)
+             and _config_from_args(args) == AhetConfig())
+    with shared_cancellation() if share else contextlib.nullcontext():
+        for method in methods:
+            trace = _trace_from_args(args, phase, method, track)
+            print(f"method={method} rmse_bpm="
+                  f"{bench_mod.rmse(trace, reference):.3f}")
     return 0
 
 

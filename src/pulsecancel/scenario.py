@@ -27,6 +27,15 @@ HEARTBEAT_AMPLITUDE_M = (1e-5, 5e-4)
 INTERMOD_RULES = ("HR-RR", "HR+RR", "HR+2RR")
 
 
+def _finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """FMCW front-end parameters (77 GHz short-range profile by default)."""
@@ -39,10 +48,16 @@ class RadarConfig:
     frame_period_s: float = 10e-3
 
     def __post_init__(self):
-        if min(self.carrier_frequency_hz, self.chirp_slope_hz_per_s,
-               self.adc_sample_rate_hz, self.chirp_duration_s,
-               self.frame_period_s) <= 0:
-            raise ValueError("radar parameters must be positive")
+        for name in ("carrier_frequency_hz", "chirp_slope_hz_per_s",
+                     "adc_sample_rate_hz", "chirp_duration_s",
+                     "frame_period_s"):
+            value = getattr(self, name)
+            if not _finite_real(value) or value <= 0:
+                raise ValueError(f"{name} must be a finite positive number, "
+                                 f"got {value!r}")
+        if not _integer(self.adc_samples_per_chirp):
+            raise ValueError(f"adc_samples_per_chirp must be an integer, "
+                             f"got {self.adc_samples_per_chirp!r}")
         if self.adc_samples_per_chirp < 2:
             raise ValueError("need at least 2 ADC samples per chirp")
         sampled = self.adc_samples_per_chirp / self.adc_sample_rate_hz
@@ -90,8 +105,16 @@ class IntermodTone:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.rule, str) and self.rule not in INTERMOD_RULES:
-            raise ValueError(f"unknown intermod rule {self.rule!r}")
+        if isinstance(self.rule, str):
+            if self.rule not in INTERMOD_RULES:
+                raise ValueError(f"unknown intermod rule {self.rule!r}")
+        elif not _finite_real(self.rule):
+            raise ValueError(f"intermod rule must be a rule name or a "
+                             f"finite frequency, got {self.rule!r}")
+        for name in ("amplitude_m", "phase_rad"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"tone {name} must be a finite number, got "
+                                 f"{getattr(self, name)!r}")
         if self.amplitude_m < 0:
             raise ValueError("tone amplitude must be >= 0")
 
@@ -103,11 +126,6 @@ class IntermodTone:
                 "HR+2RR": heartbeat_hz + 2.0 * breathing_hz,
             }[self.rule]
         return float(self.rule)
-
-
-def _finite_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass
@@ -146,16 +164,22 @@ class Scenario:
     allow_amplitude_override: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) \
-                or isinstance(self.seed, bool):
+        if not _integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("standoff_m", "transmit_power_scale",
+        for name in ("duration_s", "breathing_hz", "heartbeat_hz",
+                     "standoff_m", "transmit_power_scale",
                      "complex_noise_std", "phase_noise_std"):
             if not _finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got "
                                  f"{getattr(self, name)!r}")
         if self.complex_noise_std < 0 or self.phase_noise_std < 0:
             raise ValueError("noise stds must be >= 0")
+        for name in ("breathing_harmonics", "heartbeat_harmonics"):
+            for pair in getattr(self, name):
+                if len(pair) != 2 or not all(map(_finite_real, pair)):
+                    raise ValueError(f"{name} entry {pair!r} must be an "
+                                     f"(amplitude_m, phase_rad) pair of "
+                                     f"finite numbers")
         for rng_m, amp in self.clutter:
             if not (_finite_real(rng_m) and _finite_real(amp)):
                 raise ValueError(f"clutter pair ({rng_m!r}, {amp!r}) must "
@@ -373,18 +397,22 @@ def sliding_windows(samples: np.ndarray, sample_rate: float, window_s: float,
     return starts, stack[::window_samples(step_s, sample_rate)]
 
 
+def window_center(start: int, sample_rate: float, window_s: float) -> float:
+    """Time of a window's center, the time its trace entry carries."""
+    return start / sample_rate + window_s / 2.0
+
+
 def reference_trace(scenario: Scenario, cpi_s: float,
                     step_s: float = 1.0) -> HrTrace:
-    """Ground-truth HR at each analysis-window center."""
-    if cpi_s > scenario.duration_s:
-        raise ValueError("CPI longer than the scenario")
+    """Ground-truth HR at each analysis-window center, on the windows the
+    trace methods use."""
     fs = scenario.radar.frame_rate_hz
     starts = window_starts(scenario.n_frames, fs, cpi_s, step_s)
     hr_bpm = scenario.heartbeat_hz * 60.0
     trace = HrTrace()
     for i0 in starts:
-        center = i0 / fs + cpi_s / 2.0
-        trace.append(TraceEntry(center, hr_bpm, "reference", 0.0))
+        trace.append(TraceEntry(window_center(i0, fs, cpi_s), hr_bpm,
+                                "reference", 0.0))
     return trace
 
 

@@ -1,6 +1,7 @@
 """Credibility-gated heart-rate tracking on constructed and end-to-end
 spectra."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 import pulsecancel.ahet as ahet_mod
 from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step,
                               ahet_trace, conventional_hr, conventional_trace,
-                              credibility, eca_conventional_trace)
-from pulsecancel.anls import breathing_track
+                              credibility, eca_conventional_trace,
+                              shared_cancellation)
+from pulsecancel.anls import BreathingTrack, breathing_track
 from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, masking_scenario,
                                   scenario_slow_time, sliding_windows)
@@ -493,3 +495,84 @@ class TestBlockDriverContract:
                                     1.0)
         assert len(starts) == 11 < ahet_mod._BLOCK
         assert_matches_per_window(phase, 20.0, method, breathing_track(phase))
+
+
+def count_block_stages(monkeypatch):
+    """Count the block driver's band_power and BreathingTrack.residuals
+    calls."""
+    counts = {"band_power": 0, "residuals": 0}
+    band_power, residuals = ahet_mod.band_power, BreathingTrack.residuals
+
+    def counting_band_power(*args, **kwargs):
+        counts["band_power"] += 1
+        return band_power(*args, **kwargs)
+
+    def counting_residuals(self, *args, **kwargs):
+        counts["residuals"] += 1
+        return residuals(self, *args, **kwargs)
+
+    monkeypatch.setattr(ahet_mod, "band_power", counting_band_power)
+    monkeypatch.setattr(BreathingTrack, "residuals", counting_residuals)
+    return counts
+
+
+class TestSharedCancellation:
+    @pytest.mark.parametrize("order", [("eca", "ahet"), ("ahet", "eca")])
+    def test_shared_traces_equal_the_unshared_calls(self, contract_records,
+                                                    order):
+        for phase, track in contract_records:
+            for cpi_s in (15.0, 20.0, 30.0):
+                alone = {m: BLOCK_METHODS[m](phase, cpi_s=cpi_s, track=track)
+                         for m in order}
+                with shared_cancellation():
+                    shared = {m: BLOCK_METHODS[m](phase, cpi_s=cpi_s,
+                                                  track=track)
+                              for m in order}
+                for method in order:
+                    assert shared[method].entries == alone[method].entries
+
+    @pytest.mark.parametrize("scoped, passes", [(True, 1), (False, 2)])
+    def test_one_cancel_and_spectrum_per_block_for_the_pair(
+            self, masking_b_phase, monkeypatch, scoped, passes):
+        # 41 windows of 20 s over 60 s make blocks of 16, 16 and 9
+        track = breathing_track(masking_b_phase)
+        counts = count_block_stages(monkeypatch)
+        with shared_cancellation() if scoped else contextlib.nullcontext():
+            eca_conventional_trace(masking_b_phase, track=track)
+            ahet_trace(masking_b_phase, track=track)
+        assert counts == {"band_power": 3 * passes, "residuals": 3 * passes}
+
+    @pytest.mark.parametrize("change", [
+        lambda phase: dict(config=AhetConfig(deviation_threshold_hz=0.2)),
+        lambda phase: dict(step_s=2.0),
+        lambda phase: dict(phase=PhaseSignal(phase.samples.copy(),
+                                             phase.sample_rate)),
+    ], ids=["config", "step", "equal-phase"])
+    def test_no_share_on_a_different_call(self, masking_b_phase, monkeypatch,
+                                          change):
+        track = breathing_track(masking_b_phase)
+        kwargs = {"phase": masking_b_phase, "track": track,
+                  **change(masking_b_phase)}
+        counts = count_block_stages(monkeypatch)
+        alone = ahet_trace(**kwargs)
+        own = counts["band_power"]
+        counts["band_power"] = 0
+        with shared_cancellation():
+            eca_conventional_trace(masking_b_phase, track=track)
+            shared = ahet_trace(**kwargs)
+        # the eca call's pass over its 3 blocks, then the ahet call's own
+        assert counts["band_power"] == 3 + own
+        assert shared.entries == alone.entries
+
+    def test_a_failed_first_window_ends_only_its_method(
+            self, masking_b_phase, monkeypatch):
+        # the tracker fails on its first window; eca, in the same pass,
+        # still tracks, and the ahet call raises what ended the tracker
+        track = breathing_track(masking_b_phase)
+        eca = eca_conventional_trace(masking_b_phase, track=track)
+        fail_on_call(monkeypatch, "_measure", 1)
+        with shared_cancellation():
+            assert eca_conventional_trace(masking_b_phase,
+                                          track=track).entries == eca.entries
+            with pytest.raises(ValueError, match="injected failure"):
+                ahet_trace(masking_b_phase, track=track)

@@ -9,7 +9,8 @@ import pulsecancel.ahet as ahet_mod
 import pulsecancel.bench as bench_mod
 from pulsecancel.bench import (BenchReport, RunRecord, interval_rmse,
                                monte_carlo, rmse, time_profile, write_report)
-from pulsecancel.scenario import Scenario, synthesize_radar_cube
+from pulsecancel.scenario import (FAMILIES, Scenario, reference_trace,
+                                  synthesize_radar_cube)
 from pulsecancel.types import HrTrace, TraceEntry
 
 
@@ -40,6 +41,38 @@ class TestRmse:
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError, match="empty"):
             rmse(make_trace([], []), make_trace([1.0], [70.0]))
+
+    def test_pairing_matches_the_per_entry_loop(self):
+        rng = np.random.default_rng(3)
+        cases = [(np.arange(10.0, 270.0), np.arange(7.5, 272.5)),
+                 (np.array([1.5, 2.5, 9.0]), np.array([1.0, 2.0, 3.0])),
+                 (np.array([5.0]), np.array([4.0, 6.0])),
+                 (np.sort(rng.uniform(0, 50, 40)), np.arange(0.0, 50.0, 2.0))]
+        for t_est, t_ref in cases:
+            est = make_trace(t_est, rng.uniform(60, 90, t_est.size))
+            ref = make_trace(t_ref, rng.uniform(60, 90, t_ref.size))
+            got = bench_mod._pair_times(est, ref)
+            want = loop_pair_times(est, ref)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+
+def loop_pair_times(trace, reference):
+    """The per-entry form of bench._pair_times, kept as its reference."""
+    t_est, v_est = trace.times(), trace.bpm()
+    t_ref, v_ref = reference.times(), reference.bpm()
+    steps = [np.median(np.diff(t)) for t in (t_est, t_ref) if t.size > 1]
+    tol = max(steps) / 2.0 if steps else np.inf
+    order = np.searchsorted(t_ref, t_est)
+    pairs_est, pairs_ref = [], []
+    for i, t in enumerate(t_est):
+        j = min(order[i], t_ref.size - 1)
+        if j > 0 and abs(t_ref[j - 1] - t) < abs(t_ref[j] - t):
+            j -= 1
+        if abs(t_ref[j] - t) <= tol + 1e-12:
+            pairs_est.append(v_est[i])
+            pairs_ref.append(v_ref[j])
+    return np.array(pairs_est), np.array(pairs_ref), t_est
 
 
 class TestIntervalRmse:
@@ -152,6 +185,55 @@ class TestSharedTrack:
             else:
                 assert r.error == "ValueError: injected track failure"
                 assert np.isnan(r.rmse_bpm)
+
+
+def count_band_power(monkeypatch):
+    """Count the trace drivers' band_power calls."""
+    calls = []
+    original = ahet_mod.band_power
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ahet_mod, "band_power", counting)
+    return calls
+
+
+class TestSharedCancellation:
+    @pytest.mark.parametrize("methods", [("conventional", "eca", "ahet"),
+                                         ("ahet", "conventional", "eca")])
+    def test_one_call_per_record_returning_its_trace(self, monkeypatch,
+                                                     methods):
+        # perfbench's phase-survey wraps each METHODS entry this way and
+        # reads the calls back against the records, in order
+        calls = []
+        for name, fn in list(bench_mod.METHODS.items()):
+            def recording(phase, cpi_s=20.0, _name=name, _fn=fn, **kwargs):
+                trace = _fn(phase, cpi_s=cpi_s, **kwargs)
+                calls.append((_name, cpi_s, trace))
+                return trace
+            monkeypatch.setitem(bench_mod.METHODS, name, recording)
+        band_power = count_band_power(monkeypatch)
+        report = monte_carlo("masking-b", [0, 1], methods=methods, **SURVEY)
+        assert [(name, cpi_s) for name, cpi_s, _ in calls] \
+            == [(r.method, r.cpi_s) for r in report.records]
+        for (_, cpi_s, trace), record in zip(calls, report.records):
+            assert record.error is None
+            scenario = FAMILIES["masking-b"](record.seed, duration_s=40.0)
+            assert rmse(trace, reference_trace(scenario, cpi_s)) \
+                == record.rmse_bpm
+        # 26, 21 and 11 windows make 2, 2 and 1 blocks per pass; each
+        # seed runs a conventional pass and one eca and ahet share
+        assert len(band_power) == 2 * 2 * (2 + 2 + 1)
+
+    def test_time_profile_times_unshared_runs(self, monkeypatch):
+        # 11 windows of 20 s: one block per run, warm-up and timed, so a
+        # timed run that took a kept trace would leave a call out
+        band_power = count_band_power(monkeypatch)
+        cube = synthesize_radar_cube(Scenario(duration_s=30.0))
+        time_profile(cube, methods=("conventional", "eca", "ahet"))
+        assert len(band_power) == 2 * 3
 
 
 class TestWriteReport:

@@ -1,6 +1,10 @@
 """Command-line surface: happy paths and exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from pulsecancel.preprocess import cube_phase
 from pulsecancel.scenario import window_starts
 from pulsecancel.spectral import power_spectrum
 from pulsecancel.types import PhaseSignal
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
@@ -295,6 +302,15 @@ class TestSpectra:
 
 
 class TestExitCodes:
+    def test_module_runs_the_command_line(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "pulsecancel", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: pulsecancel ")
+
     def test_both_sources_is_a_usage_error(self, scenario_file, tmp_path):
         code = run_cli("run", "--in", str(tmp_path / "x.bin"),
                        "--scenario", scenario_file)
@@ -332,7 +348,13 @@ class TestExitCodes:
                     {"standoff_m": "1"}, {"standoff_m": float("nan")},
                     {"transmit_power_scale": "2"},
                     {"complex_noise_std": "0.1"}, {"clutter": [[1.0, "x"]]},
-                    {"complex_noise_std": -1}, {"phase_noise_std": -0.5}):
+                    {"complex_noise_std": -1}, {"phase_noise_std": -0.5},
+                    {"breathing_harmonics": [[1.5e-3, "x"]]},
+                    {"intermod_tones": [["HR-RR", 1e-4, "p"]]},
+                    {"allow_amplitude_override": True,
+                     "heartbeat_harmonics": [["3e-4", 0.0]]},
+                    {"radar": {"adc_samples_per_chirp": 2.5}},
+                    {"duration_s": float("inf")}):
             bad.write_text(json.dumps(doc))
             assert run_cli("synth", "--scenario", str(bad)) == 2, doc
             err = capsys.readouterr().err

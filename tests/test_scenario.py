@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import get_window
 
+from pulsecancel.ahet import conventional_trace
 from pulsecancel.preprocess import cube_phase, range_profiles
 from pulsecancel.scenario import (BREATHING_AMPLITUDE_M, FAMILIES,
                                   DisplacementSignal, IntermodTone,
@@ -253,8 +254,18 @@ class TestWindows:
         assert len(trace) == 1
         assert trace.entries[0].time_s == 10.0
         assert trace.entries[0].hr_bpm == pytest.approx(76.6)
-        with pytest.raises(ValueError, match="longer than the scenario"):
+        with pytest.raises(ValueError, match="longer than record"):
             reference_trace(fixture_scenario, 30.0)
+
+    def test_reference_trace_follows_the_window_layout(self, fixture_scenario,
+                                                       fixture_phase):
+        # 20.004 s rounds to the record's 2000 samples: one window, not a
+        # CPI longer than the 20 s scenario
+        for cpi_s in (20.0, 20.004, 7.3):
+            reference = reference_trace(fixture_scenario, cpi_s)
+            trace = conventional_trace(fixture_phase, cpi_s=cpi_s)
+            assert reference.times().tolist() == trace.times().tolist()
+        assert len(reference_trace(fixture_scenario, 20.004)) == 1
 
 
 class TestFamilies:
