@@ -7,6 +7,7 @@ around the track's established rate, or hold the last estimate.
 
 import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,10 +59,15 @@ def _strongest_hz(f_hz: float) -> float:
     return f_hz
 
 
+def _heart_peaks(freqs: np.ndarray, power: np.ndarray) -> tuple:
+    """The strongest-peak methods' measure: each row's strongest
+    heart-band peak, as band_peaks' (frequencies, powers), rows x 1."""
+    return band_peaks(freqs, power, *HEARTBEAT_BAND_HZ, 1)
+
+
 def conventional_hr(spectrum: Spectrum) -> float:
     """Plain strongest-peak estimate in the heart band, in Hz."""
-    f_hz, _ = band_peaks(spectrum.frequencies, spectrum.power[None, :],
-                         *HEARTBEAT_BAND_HZ, 1)
+    f_hz, _ = _heart_peaks(spectrum.frequencies, spectrum.power[None, :])
     return _strongest_hz(float(f_hz[0, 0]))
 
 
@@ -214,97 +220,72 @@ _BLOCK = 16
 
 
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
-           track: BreathingTrack | None, readers: list, top_hz: float,
-           zero_pad_factor: int, taper: str) -> list:
-    """Sliding windows a block at a time: one track.residuals (when given)
-    and one band_power up to top_hz per block, then every reader over them.
+           track: BreathingTrack | None, measure, methods: list,
+           top_hz: float, zero_pad_factor: int, taper: str) -> list:
+    """Sliding windows a block at a time: one track.residuals (when given),
+    one band_power up to top_hz and one measure per block, then every
+    method's decision over its rows.
 
-    A reader is a (measure, decide, hold) triple.  measure(freqs, power)
-    returns arrays indexed by window first; decide(*its row for the
-    window) returns (f_hz, tag, delta_hz).  Returns one result per reader,
-    in order: its trace, or the exception that ended it.
+    measure(freqs, power) returns arrays indexed by window first.  A method
+    is a (decide, hold) pair: decide(*the window's row of each, freqs, its
+    power row) returns (f_hz, tag, delta_hz).  Returns one trace per
+    method, in order.
 
-    Each reader keeps its own estimates.  A window whose stages raise
-    ValueError or LinAlgError holds that reader's previous estimate,
+    Each method keeps its own estimates.  A window whose stages raise
+    ValueError or LinAlgError holds that method's previous estimate,
     tagged hold = (tag, delta_hz); a block-wide stage that raises fails
-    every window of its block.  A failure on a reader's very first window
-    ends that reader alone: the others go on.
+    every window of its block.  A failure on a method's very first window
+    propagates.
     """
     fs = phase.sample_rate
     starts, stack = sliding_windows(phase.samples, fs, cpi_s, step_s)
-    results = [HrTrace() for _ in readers]
-    last_hz = [None] * len(readers)
+    traces = [HrTrace() for _ in methods]
+    last_hz = [None] * len(methods)
     for b0 in range(0, len(starts), _BLOCK):
-        live = [r for r, out in enumerate(results) if isinstance(out, HrTrace)]
-        if not live:
-            break
         block = starts[b0:b0 + _BLOCK]
         windows = stack[b0:b0 + _BLOCK]
         errors = [None] * len(windows)
-        spectra = None
         try:
             if track is not None:
                 windows, errors = track.residuals(windows,
                                                   np.array(block) / fs)
-            spectra = band_power(windows, fs, top_hz, zero_pad_factor, taper)
+            freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
+                                      taper)
+            measured = measure(freqs, power)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(windows)
-        for r in live:
-            measure, decide, hold = readers[r]
-            failed, measured = errors, ()
-            if spectra is not None:
-                try:
-                    measured = measure(*spectra)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    failed = [exc] * len(windows)
+        for r, (decide, hold) in enumerate(methods):
             for j, i0 in enumerate(block):
                 try:
-                    if failed[j] is not None:
-                        raise failed[j]
-                    f_hz, tag, delta = decide(*(m[j] for m in measured))
-                except (ValueError, np.linalg.LinAlgError) as exc:
+                    if errors[j] is not None:
+                        raise errors[j]
+                    f_hz, tag, delta = decide(*(m[j] for m in measured),
+                                              freqs, power[j])
+                except (ValueError, np.linalg.LinAlgError):
                     if last_hz[r] is None:
-                        results[r] = exc
-                        break
+                        raise
                     f_hz, (tag, delta) = last_hz[r], hold
                 last_hz[r] = f_hz
-                results[r].append(TraceEntry(window_center(i0, fs, cpi_s),
-                                             f_hz * 60.0, tag, delta))
-    return results
-
-
-def _unwrap(result):
-    """A reader's result from _track: its trace, or raise what ended it."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+                traces[r].append(TraceEntry(window_center(i0, fs, cpi_s),
+                                            f_hz * 60.0, tag, delta))
+    return traces
 
 
 def _strongest_peak(tag: str) -> tuple:
-    """_track's reader for a strongest-peak method."""
-    def measure(freqs, power):
-        return band_peaks(freqs, power, *HEARTBEAT_BAND_HZ, 1)[:1]
-
-    def decide(f_hz):
+    """_track's method for a strongest-peak decision: the first column of
+    the measure's first array (_heart_peaks' or _measure's)."""
+    def decide(f_hz, *_):
         return _strongest_hz(float(f_hz[0])), tag, 0.0
 
-    return measure, decide, (tag, 0.0)
+    return decide, (tag, 0.0)
 
 
 def _tracker(config: AhetConfig) -> tuple:
-    """_track's reader for the credibility tracker, with a fresh state."""
-    state = TrackerState()
-
-    # the refined search reads each window's spectrum: its grid and row
-    def measure(freqs, power):
-        return (*_measure(freqs, power, config),
-                np.broadcast_to(freqs, power.shape), power)
-
-    # a held window leaves state alone: its last estimate is the held value
-    def decide(fund_hz, harm_hz, freqs, power):
-        return _decide(fund_hz, harm_hz, freqs, power, state, config)
-
-    return measure, decide, (TAG_REFINED, math.inf)
+    """_track's method for the credibility tracker, with a fresh state.  A
+    held window leaves the state alone: its last estimate is the held
+    value."""
+    return (functools.partial(_decide, state=TrackerState(), config=config),
+            (TAG_REFINED, math.inf))
 
 
 # traces kept by the open shared_cancellation scope, or None outside one
@@ -317,14 +298,16 @@ def shared_cancellation():
     """Within the scope, eca_conventional_trace and ahet_trace on the same
     record share one cancel-and-spectrum pass.
 
-    The first cancelling call runs both methods over one track.residuals
-    and one band_power per block, returns its own trace and keeps the
-    other's.  A later call of the other method takes the kept trace when
-    it names the same PhaseSignal and BreathingTrack objects, cpi_s,
-    step_s, zero_pad_factor, taper and AhetConfig (eca's is the default
-    one); any other call computes on its own.  A kept trace is what that
-    call would compute alone, bit for bit.  Outside a scope every call
-    computes alone.
+    The first cancelling call runs both methods over one track.residuals,
+    one band_power and one _measure per block (eca reads its first
+    fundamental column), returns its own trace and keeps the other's.  A
+    window without a heart-band peak fails both methods, so a failure on
+    the first window propagates and keeps nothing.  A later call of the
+    other method takes the kept trace when it names the same PhaseSignal
+    and BreathingTrack objects, cpi_s, step_s, zero_pad_factor, taper and
+    AhetConfig (eca's is the default one); any other call computes on its
+    own.  A kept trace is what that call would compute alone, bit for bit.
+    Outside a scope every call computes alone.
     """
     token = _SHARED.set({})
     try:
@@ -346,19 +329,22 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
     key = (id(phase), id(track), cpi_s, step_s, zero_pad_factor, taper,
            config)
     if shared is not None and (method, key) in shared:
-        return _unwrap(shared.pop((method, key))[-1])
-    readers = {"eca": _strongest_peak("eca"), "ahet": _tracker(config)}
+        return shared.pop((method, key))[-1]
+    methods = {"eca": _strongest_peak("eca"), "ahet": _tracker(config)}
     if shared is None:
-        readers = {method: readers[method]}
-    results = dict(zip(readers, _track(phase, cpi_s, step_s, track,
-                                       list(readers.values()),
-                                       _top_hz(config), zero_pad_factor,
-                                       taper)))
-    mine = results.pop(method)
-    for other, result in results.items():
+        methods = {method: methods[method]}
+    # eca alone reads its strongest peak without the harmonic search
+    measure = (functools.partial(_measure, config=config)
+               if "ahet" in methods else _heart_peaks)
+    traces = dict(zip(methods, _track(phase, cpi_s, step_s, track, measure,
+                                      list(methods.values()),
+                                      _top_hz(config), zero_pad_factor,
+                                      taper)))
+    mine = traces.pop(method)
+    for other, trace in traces.items():
         # the kept phase and track hold their ids while the key names them
-        shared[(other, key)] = (phase, track, result)
-    return _unwrap(mine)
+        shared[(other, key)] = (phase, track, trace)
+    return mine
 
 
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
@@ -383,9 +369,9 @@ def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                        zero_pad_factor: int = 8,
                        taper: str = "hann") -> HrTrace:
     """Strongest-peak tracking on the raw phase, window by window."""
-    return _unwrap(*_track(phase, cpi_s, step_s, None,
-                           [_strongest_peak("conventional")],
-                           HEARTBEAT_BAND_HZ[1], zero_pad_factor, taper))
+    return _track(phase, cpi_s, step_s, None, _heart_peaks,
+                  [_strongest_peak("conventional")], HEARTBEAT_BAND_HZ[1],
+                  zero_pad_factor, taper)[0]
 
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -238,17 +239,19 @@ def write_report(report: BenchReport, outdir) -> None:
                 writer.writerow([row.method, f"{row.seconds:.6f}",
                                  f"{row.normalized:.6f}"])
 
+    medians = {f"{method}@{cpi:g}s": report.median_rmse(method, cpi)
+               for method in report.methods for cpi in report.cpis}
     summary = {
         "family": report.family,
         "duration_s": report.duration_s,
         "seeds": report.seeds,
         "cpis": report.cpis,
         "methods": report.methods,
-        "median_rmse_bpm": {
-            f"{method}@{cpi:g}s": report.median_rmse(method, cpi)
-            for method in report.methods for cpi in report.cpis
-        },
+        # null where no run of the method completed at that CPI
+        "median_rmse_bpm": {key: None if math.isnan(m) else m
+                            for key, m in medians.items()},
         "failed_runs": sum(1 for r in report.records if r.error),
     }
     (outdir / "report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        + "\n")

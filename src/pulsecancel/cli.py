@@ -181,10 +181,7 @@ def _cmd_compare(args) -> int:
     else:
         raise UsageError("--truth is required with --in")
     track = _track_from_args(args, phase, methods)
-    # eca's share of the pass tracks with the default bounds, so other
-    # bounds leave ahet nothing to take
-    share = (bench_mod.CANCELLING <= set(methods)
-             and _config_from_args(args) == AhetConfig())
+    share = bench_mod.CANCELLING <= set(methods)
     with shared_cancellation() if share else contextlib.nullcontext():
         for method in methods:
             trace = _trace_from_args(args, phase, method, track)

@@ -145,6 +145,11 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
     return int(gate[0] + np.argmax(power))
 
 
+def _dead(z: np.ndarray) -> np.ndarray:
+    """The samples demodulate fills: zero magnitude or non-finite."""
+    return (z == 0) | ~np.isfinite(z)
+
+
 def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
     """Arctangent demodulation with unwrap, in double precision.
 
@@ -154,7 +159,7 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
     """
     z = np.asarray(z, dtype=np.complex128)
     wrapped = np.arctan2(z.imag, z.real)
-    dead = (z == 0) | ~np.isfinite(z)
+    dead = _dead(z)
     dropouts = int(np.count_nonzero(dead))
     if dropouts:
         # a dead first sample (and the dead run after it) reads 0: arctan2
@@ -213,7 +218,9 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     hi = min(profiles.n_bins - 1, target_bin + width)
     acc = t_zero.copy()
     total = 1.0
-    dropouts = target.dropouts
+    # the contributing bins with fills; a frame is one dropout when any of
+    # them was filled there
+    filled = [target_bin] if target.dropouts else []
     for b in range(lo, hi + 1):
         if b == target_bin:
             continue
@@ -227,7 +234,9 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
         if corr >= min_corr:
             acc += corr * n_zero
             total += corr
-            dropouts += neighbor.dropouts
+            if neighbor.dropouts:
+                filled.append(b)
+    dead = _dead(profiles.values[:, filled]).any(axis=1)
     return PhaseSignal(t_mean + acc / total, profiles.slow_time_rate,
                        source_bin=target_bin, enhanced=True,
-                       dropouts=dropouts)
+                       dropouts=int(np.count_nonzero(dead)))

@@ -564,15 +564,38 @@ class TestSharedCancellation:
         assert counts["band_power"] == 3 + own
         assert shared.entries == alone.entries
 
-    def test_a_failed_first_window_ends_only_its_method(
-            self, masking_b_phase, monkeypatch):
-        # the tracker fails on its first window; eca, in the same pass,
-        # still tracks, and the ahet call raises what ended the tracker
-        track = breathing_track(masking_b_phase)
-        eca = eca_conventional_trace(masking_b_phase, track=track)
-        fail_on_call(monkeypatch, "_measure", 1)
+    def test_a_dead_first_window_fails_both_calls(self, masking_b_phase):
+        # no heart-band peak on the first window: eca has no strongest peak
+        # and the fresh tracker no fundamental, so the pass fails for both
+        phase = with_dead_stretch(masking_b_phase, 0.0, 12.0)
+        track = breathing_track(phase)
         with shared_cancellation():
-            assert eca_conventional_trace(masking_b_phase,
-                                          track=track).entries == eca.entries
-            with pytest.raises(ValueError, match="injected failure"):
-                ahet_trace(masking_b_phase, track=track)
+            for trace_fn in (eca_conventional_trace, ahet_trace):
+                with pytest.raises(ValueError,
+                                   match="no (spectral|usable) peak"):
+                    trace_fn(phase, cpi_s=10.0, track=track)
+
+    def test_one_peak_search_per_block_for_the_pair(self, masking_b_phase,
+                                                    monkeypatch):
+        # 41 windows of 20 s over 60 s make 3 blocks
+        track = breathing_track(masking_b_phase)
+        counts = {"_measure": 0, "band_peaks": 0}
+        for name in counts:
+            original = getattr(ahet_mod, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ahet_mod, name, counting)
+        ahet_trace(masking_b_phase, track=track)
+        alone = dict(counts)
+        counts.update({"_measure": 0, "band_peaks": 0})
+        with shared_cancellation():
+            eca_conventional_trace(masking_b_phase, track=track)
+            ahet_trace(masking_b_phase, track=track)
+        assert counts["_measure"] == alone["_measure"] == 3
+        assert counts["band_peaks"] <= alone["band_peaks"]
+        counts.update({"_measure": 0, "band_peaks": 0})
+        eca_conventional_trace(masking_b_phase, track=track)
+        assert counts == {"_measure": 0, "band_peaks": 3}

@@ -258,6 +258,21 @@ class TestWriteReport:
         assert summary["median_rmse_bpm"]["conventional@15s"] == 1.25
         assert summary["failed_runs"] == 0
 
+    def test_a_median_with_no_completed_run_is_null(self, tmp_path):
+        # strict JSON: the parser rejects NaN and Infinity
+        report = BenchReport("masking-b", 30.0, [0], [4.0], ["ahet"],
+                             records=[RunRecord(4.0, 0, "ahet", float("nan"),
+                                                error="ValueError: short")])
+        write_report(report, tmp_path / "out")
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        summary = json.loads((tmp_path / "out" / "report.json").read_text(),
+                             parse_constant=reject)
+        assert summary["median_rmse_bpm"] == {"ahet@4s": None}
+        assert summary["failed_runs"] == 1
+
     def test_accuracy_outputs_are_reproducible(self, tmp_path):
         report = self.make_report()
         write_report(report, tmp_path / "a")

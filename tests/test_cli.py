@@ -11,9 +11,11 @@ import pytest
 
 import pulsecancel.ahet as ahet_mod
 import pulsecancel.cli as cli_mod
-from pulsecancel.ahet import AhetConfig, eca_conventional_trace
+from pulsecancel.ahet import (AhetConfig, conventional_trace,
+                              eca_conventional_trace)
 from pulsecancel.anls import (BREATHING_GRID_HZ, BreathingTrack,
                              breathing_track, reconstruct_reference)
+from pulsecancel.bench import rmse
 from pulsecancel.cli import main
 from pulsecancel.ingest import (read_raw_cube, read_reference_trace,
                                 write_trace)
@@ -191,6 +193,27 @@ class TestCompare:
         assert run_cli("compare", "--in", str(cube_path), "--truth",
                        str(truth_path), "--methods", methods) == 0
         assert len(calls) == fits
+
+    def test_tracker_bounds_print_the_unscoped_traces(self, synth_outputs,
+                                                      capsys):
+        # eca's share of the pass tracks with the default bounds, so ahet
+        # at other bounds computes its own trace
+        cube_path, truth_path = synth_outputs
+        assert run_cli("compare", "--in", str(cube_path), "--truth",
+                       str(truth_path), "--methods", "conventional,eca,ahet",
+                       "--ve", "0.3", "--va", "0.2") == 0
+        phase = cube_phase(read_raw_cube(cube_path))
+        track = breathing_track(phase)
+        traces = {
+            "conventional": conventional_trace(phase),
+            "eca": eca_conventional_trace(phase, track=track),
+            "ahet": ahet_mod.ahet_trace(phase, config=AhetConfig(0.3, 0.2),
+                                        track=track),
+        }
+        truth = read_reference_trace(truth_path)
+        assert capsys.readouterr().out.splitlines() == [
+            f"method={m} rmse_bpm={rmse(t, truth):.3f}"
+            for m, t in traces.items()]
 
     def test_truth_from_scenario_needs_no_csv(self, scenario_file, capsys):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",

@@ -293,6 +293,18 @@ class TestEnhancePhase:
         assert np.mean(fused.samples) == pytest.approx(np.mean(s) + 0.5,
                                                        abs=1e-9)
 
+    def test_a_dead_frame_counts_once(self):
+        # every frame is dead in some contributing bin, none in all of them
+        t = np.arange(600) / 100.0
+        s = np.sin(2 * np.pi * 0.3 * t)
+        profiles = phase_profiles([s] * 5)
+        for b in range(5):
+            profiles.values[b::5, b] = 0.0 if b % 2 else np.nan
+            profiles.values[(b + 1) % 5::5, b] = 0.0
+        fused = enhance_phase(profiles, 2, width=2, min_corr=0.7)
+        assert extract_phase(profiles, 2).dropouts == 240
+        assert fused.dropouts == fused.samples.size == 600
+
     def test_negative_width_rejected(self):
         profiles = phase_profiles([np.zeros(20)])
         with pytest.raises(ValueError, match="width"):
@@ -311,6 +323,15 @@ class TestCubePhase:
         err = (phase.samples - np.mean(phase.samples)
                - (truth_rad - np.mean(truth_rad)))
         assert np.max(np.abs(err)) < 1e-3
+
+    def test_dropouts_count_frames(self):
+        cube = synthesize_radar_cube(Scenario(duration_s=10.0))
+        assert cube_phase(cube).dropouts == 0
+        cube.iq[100:110] = 0.0
+        phase = cube_phase(cube)
+        assert phase.dropouts == 10
+        assert extract_phase(range_profiles(cube),
+                             phase.source_bin).dropouts == 10
 
 
 class TestPrecision:
