@@ -7,7 +7,7 @@ from .ahet import (AhetConfig, TrackerState, ahet_step, ahet_trace,
 from .anls import (HarmonicModel, estimate_breathing, fit_amplitudes,
                    harmonic_matrix, reconstruct_reference)
 from .bench import interval_rmse, monte_carlo, rmse, time_profile
-from .eca import EcaConfig, EcaResult, eca_cancel, lag_matrix
+from .eca import EcaResult, eca_cancel, lag_matrix
 from .ingest import (read_raw_cube, read_reference_trace, write_raw_cube,
                      write_trace, write_truth)
 from .preprocess import (RangeProfiles, cube_phase, detect_target_bin,

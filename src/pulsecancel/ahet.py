@@ -40,7 +40,7 @@ class AhetConfig:
 
 @dataclass
 class TrackerState:
-    stable_history: list = field(default_factory=list)  # (hz, tag) pairs
+    stable_history: list = field(default_factory=list)  # rates in Hz
     h_bar_hz: float | None = None                       # frozen once
     last_estimate_hz: float | None = None
 
@@ -186,10 +186,9 @@ def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
     if tag in (TAG_RELIABLE_1, TAG_RELIABLE_2) and state.h_bar_hz is None:
         if (state.last_estimate_hz is None
                 or abs(f_hz - state.last_estimate_hz) <= config.jump_threshold_hz):
-            state.stable_history.append((f_hz, tag))
+            state.stable_history.append(f_hz)
             if len(state.stable_history) >= STABLE_COUNT:
-                values = [hz for hz, _ in state.stable_history]
-                state.h_bar_hz = float(np.mean(values))
+                state.h_bar_hz = float(np.mean(state.stable_history))
     state.last_estimate_hz = f_hz
     return f_hz, tag, delta
 
@@ -247,8 +246,7 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
         errors = [None] * len(windows)
         try:
             if track is not None:
-                windows, errors = track.residuals(windows,
-                                                  np.array(block) / fs)
+                windows, errors = track.residuals(windows, block)
             freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
                                       taper)
             measured = measure(freqs, power)

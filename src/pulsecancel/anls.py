@@ -40,12 +40,6 @@ class HarmonicModel:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
-    def amplitudes(self) -> np.ndarray:
-        return np.hypot(self.coefficients[:, 0], self.coefficients[:, 1])
-
-    def phases(self) -> np.ndarray:
-        return np.arctan2(self.coefficients[:, 1], self.coefficients[:, 0])
-
     def predict(self, n: int, sample_rate: float,
                 include_offset: bool = False) -> np.ndarray:
         design = _design(self.fundamental_hz, self.order, n, sample_rate)
@@ -58,53 +52,53 @@ class HarmonicModel:
 @dataclass(frozen=True)
 class BreathingTrack:
     """Breathing fundamentals across a record: subwindow i spans window_s
-    seconds from starts_s[i] and fits best at hz[i] with order harmonics.
-    Tracks compare and hash by value."""
+    seconds from sample starts[i] and fits best at hz[i] with order
+    harmonics.  Tracks compare and hash by value."""
 
-    starts_s: tuple
+    starts: tuple
     hz: tuple
     order: int = 3
     window_s: float = 5.0
-    step_s: float = 1.0
     sample_rate: float = 100.0
 
     def __len__(self):
         return len(self.hz)
 
-    def _refit_hz(self, starts_s, n: int) -> np.ndarray:
+    def _refit_hz(self, starts, n: int) -> np.ndarray:
         """Median fundamental of the subwindows inside each n-sample
-        segment starting starts_s into the record (robust to a few bad
-        ones); nan where none is inside."""
-        fs = self.sample_rate
-        span_s = window_samples(self.window_s, fs) / fs
-        sub_s = np.array(self.starts_s)
-        starts_s = np.asarray(starts_s, dtype=float)[:, None]
-        inside = (sub_s >= starts_s - 1e-9) \
-            & (sub_s + span_s <= starts_s + n / fs + 1e-9)
+        segment starting at sample starts[i] of the record (robust to a few
+        bad ones); nan where none is inside.  A start in seconds, or any
+        other non-integer, is a ValueError."""
+        starts = np.asarray(starts)
+        if starts.dtype.kind not in "iu":
+            raise ValueError(f"segment starts are sample indices, got "
+                             f"{starts.dtype} values")
+        n_sub = window_samples(self.window_s, self.sample_rate)
+        sub = np.array(self.starts)
+        starts = starts[:, None]
+        inside = (sub >= starts) & (sub + n_sub <= starts + n)
         return row_medians(np.array(self.hz), inside)
 
-    def refit(self, segment: np.ndarray,
-              start_s: float = 0.0) -> HarmonicModel:
-        """Fit a segment starting start_s into the record at the median
-        fundamental of the subwindows inside it."""
-        f_hat = float(self._refit_hz([start_s], len(segment))[0])
+    def refit(self, segment: np.ndarray, start: int = 0) -> HarmonicModel:
+        """Fit a segment starting at sample start of the record at the
+        median fundamental of the subwindows inside it."""
+        f_hat = float(self._refit_hz([start], len(segment))[0])
         if math.isnan(f_hat):
             raise ValueError(_NO_SUBWINDOW)
         return fit_amplitudes(segment, self.sample_rate, f_hat, self.order)
 
-    def residual(self, segment: np.ndarray,
-                 start_s: float = 0.0) -> np.ndarray:
+    def residual(self, segment: np.ndarray, start: int = 0) -> np.ndarray:
         """The segment minus its refit, harmonics and intercept: the
         pipeline's cancel step.  Lagged copies of the reference are harmonic
         series at the same fundamental, so (but for their zero-filled heads)
         projecting them off too would remove nothing more."""
-        model = self.refit(segment, start_s)
+        model = self.refit(segment, start)
         return segment - model.predict(len(segment), self.sample_rate,
                                        include_offset=True)
 
-    def residuals(self, windows: np.ndarray, starts_s) -> tuple:
+    def residuals(self, windows: np.ndarray, starts) -> tuple:
         """residual() of every row of a stack of equal-length windows, in
-        order of their starts.
+        order of their sample starts.
 
         Returns (residuals, errors): errors[i] is the ValueError or
         LinAlgError that window i's refit raised (its row is then left as
@@ -117,7 +111,7 @@ class BreathingTrack:
         errors = [None] * len(out)
         i = 0
         # nan (no subwindow inside) equals nothing: each is its own run
-        for f_hat, run in groupby(self._refit_hz(starts_s, n).tolist()):
+        for f_hat, run in groupby(self._refit_hz(starts, n).tolist()):
             j = i + len(list(run))
             try:
                 if math.isnan(f_hat):
@@ -323,8 +317,8 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
     # a view: the scorer's demeaned stack is the subwindows' only copy
     starts, subwindows = sliding_windows(phase.samples, fs, window_s, step_s)
     hz = _best_fundamentals(subwindows, fs, grid, order)
-    return BreathingTrack(tuple(i0 / fs for i0 in starts), tuple(hz.tolist()),
-                          order, window_s, step_s, fs)
+    return BreathingTrack(tuple(starts), tuple(hz.tolist()), order, window_s,
+                          fs)
 
 
 def reconstruct_reference(phase: PhaseSignal) -> ReferenceFit:

@@ -231,7 +231,7 @@ def _cmd_spectra(args) -> int:
                              bench_mod.CANCELLING if args.cancel else ())
     for w, (i0, segment) in enumerate(zip(starts, windows)):
         if track is not None:
-            segment = track.residual(segment, i0 / fs)
+            segment = track.residual(segment, i0)
         spectrum = power_spectrum(segment, fs, args.pad, args.taper)
         path = outdir / f"spectrum_{w:05d}.csv"
         with open(path, "w") as fh:

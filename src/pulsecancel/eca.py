@@ -15,15 +15,6 @@ RIDGE = 1e-8               # relative regularizer, engaged past MAX_CONDITION
 MAX_CONDITION = 1e10
 
 
-@dataclass(frozen=True)
-class EcaConfig:
-    filter_order: int = 5          # number of lagged reference copies
-
-    def __post_init__(self):
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
-
-
 @dataclass
 class EcaResult:
     cancelled: np.ndarray
@@ -53,12 +44,12 @@ def lag_matrix(reference: np.ndarray, order: int) -> np.ndarray:
 
 
 def eca_cancel(theta: np.ndarray, reference: np.ndarray,
-               config: EcaConfig = EcaConfig()) -> EcaResult:
+               order: int = 5) -> EcaResult:
     """Project theta onto the orthogonal complement of the reference lags
     and an intercept.
 
     reference is the 1-D breathing signal, as long as theta; its lag matrix
-    is built at config.filter_order.  The weights solve
+    holds order lagged copies of it.  The weights solve
     min ||theta - [X 1] w|| through an orthogonal factorization; a small
     ridge is added only when the design's condition exceeds MAX_CONDITION.
 
@@ -70,7 +61,7 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
     theta untouched, flagged degenerate.
     """
     theta = np.asarray(theta, dtype=float)
-    x = lag_matrix(reference, config.filter_order)
+    x = lag_matrix(reference, order)
     if x.shape[0] != theta.size:
         raise ValueError("reference length must match theta")
 

@@ -239,18 +239,6 @@ class Scenario:
 
 
 @dataclass
-class DisplacementSignal:
-    """Chest motion in meters at the slow-time rate (standoff excluded)."""
-
-    samples: np.ndarray
-    sample_rate: float
-    standoff_m: float
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate
-
-
-@dataclass
 class RadarCube:
     """Raw IF samples, frames x fast-time, complex.
 
@@ -275,8 +263,9 @@ class RadarCube:
         return self.iq.shape[1]
 
 
-def synthesize_displacement(scenario: Scenario) -> DisplacementSignal:
-    """Sum the harmonic series and intermod tones at the frame rate."""
+def synthesize_displacement(scenario: Scenario) -> np.ndarray:
+    """Chest motion in meters, one sample per frame (standoff excluded):
+    the harmonic series and intermod tones summed at the frame rate."""
     t = np.arange(scenario.n_frames) / scenario.radar.frame_rate_hz
     d = np.zeros_like(t)
     for k, (amp, phase) in enumerate(scenario.breathing_harmonics, start=1):
@@ -286,15 +275,15 @@ def synthesize_displacement(scenario: Scenario) -> DisplacementSignal:
     for tone in scenario.intermod_tones:
         f = tone.frequency_hz(scenario.breathing_hz, scenario.heartbeat_hz)
         d += tone.amplitude_m * np.sin(2.0 * np.pi * f * t + tone.phase_rad)
-    return DisplacementSignal(d, scenario.radar.frame_rate_hz,
-                              scenario.standoff_m)
+    return d
 
 
-def displacement_to_phase(displacement: DisplacementSignal,
+def displacement_to_phase(displacement: np.ndarray,
                           radar: RadarConfig) -> PhaseSignal:
-    """theta[n] = (4*pi/lambda) * d[n], the ideal demodulated phase."""
-    theta = 4.0 * np.pi * displacement.samples / radar.wavelength_m
-    return PhaseSignal(theta, displacement.sample_rate)
+    """theta[n] = (4*pi/lambda) * d[n], the ideal demodulated phase at the
+    radar's frame rate."""
+    theta = 4.0 * np.pi * displacement / radar.wavelength_m
+    return PhaseSignal(theta, radar.frame_rate_hz)
 
 
 def synthesize_slow_time(theta: np.ndarray, complex_noise_std: float = 0.0,
@@ -315,8 +304,8 @@ def synthesize_slow_time(theta: np.ndarray, complex_noise_std: float = 0.0,
 
 def scenario_slow_time(scenario: Scenario) -> np.ndarray:
     """Slow-time complex signal for a scenario, using its own noise and seed."""
-    disp = synthesize_displacement(scenario)
-    theta = displacement_to_phase(disp, scenario.radar).samples
+    theta = displacement_to_phase(synthesize_displacement(scenario),
+                                  scenario.radar).samples
     return synthesize_slow_time(theta, scenario.complex_noise_std,
                                 scenario.phase_noise_std, scenario.seed)
 
@@ -332,8 +321,7 @@ def synthesize_radar_cube(scenario: Scenario) -> RadarCube:
     one draw per frame, before any complex noise is drawn.
     """
     cfg = scenario.radar
-    disp = synthesize_displacement(scenario)
-    target_range = scenario.standoff_m + disp.samples
+    target_range = scenario.standoff_m + synthesize_displacement(scenario)
 
     max_range = float(np.max(target_range))
     for rng_m, _amp in scenario.clutter:

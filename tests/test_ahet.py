@@ -405,7 +405,7 @@ class TestDeadStretch:
                 assert entry.hr_bpm == trace.entries[j - 1].hr_bpm
                 assert (entry.tag, entry.delta_hz) == (tag, delta)
                 continue
-            spectrum = power_spectrum(track.residual(segment, i0 / fs), fs)
+            spectrum = power_spectrum(track.residual(segment, i0), fs)
             if method == "ahet":
                 f_hz, want_tag, _, _ = ahet_step(spectrum, state)
             else:
@@ -429,7 +429,7 @@ def per_window_trace(phase, cpi_s, method, track):
     trace = HrTrace()
     for i0, segment in zip(*sliding_windows(phase.samples, fs, cpi_s, 1.0)):
         if method != "conventional":
-            segment = track.residual(segment, i0 / fs)
+            segment = track.residual(segment, i0)
         spectrum = power_spectrum(segment, fs)
         if method == "ahet":
             f_hz, tag, delta, _ = ahet_step(spectrum, state)

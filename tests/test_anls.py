@@ -12,7 +12,8 @@ from pulsecancel.anls import (BREATHING_GRID_HZ, _design_factorization,
                               grid_frequencies, harmonic_matrix,
                               reconstruct_reference)
 from pulsecancel.preprocess import slow_time_phase
-from pulsecancel.scenario import FAMILIES, scenario_slow_time
+from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
+                                  window_samples, window_starts)
 from pulsecancel.types import PhaseSignal
 
 FS = 100.0
@@ -58,8 +59,6 @@ class TestFitAmplitudes:
                                    atol=1e-12)
         assert model.offset == pytest.approx(0.7, abs=1e-12)
         assert model.residual_power < 1e-18
-        assert model.amplitudes()[0] == pytest.approx(np.hypot(2.0, 0.5))
-        assert model.phases()[0] == pytest.approx(np.arctan2(0.5, 2.0))
 
     def test_partial_cycle_offset_is_not_leaked_into_harmonics(self):
         # 0.12 Hz over 5 s is well under one cycle; the sin/cos columns are
@@ -162,10 +161,22 @@ class TestTrackAndReference:
         x = harmonic_signal(f_true, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])
         track = breathing_track(PhaseSignal(x, FS))
         assert len(track) == 6
-        np.testing.assert_allclose(track.starts_s, np.arange(6.0))
+        assert track.starts == (0, 100, 200, 300, 400, 500)
         assert track.hz == (f_true,) * 6
-        assert (track.order, track.window_s, track.step_s,
-                track.sample_rate) == (3, 5.0, 1.0, FS)
+        assert (track.order, track.window_s, track.sample_rate) \
+            == (3, 5.0, FS)
+
+    @pytest.mark.parametrize("fs, window_s, step_s",
+                             [(FS, 5.0, 1.0), (1000.0 / 3.0, 5.0, 1.0),
+                              (1000.0 / 3.0, 5.0, 0.3), (FS, 3.7, 0.7)])
+    def test_starts_are_the_window_layout_in_samples(self, fs, window_s,
+                                                     step_s):
+        n = int(20 * fs)
+        x = harmonic_signal(float(GRID[96]), n, [1.0, 0.3], [0.0, 0.4],
+                            fs=fs)
+        track = breathing_track(PhaseSignal(x, fs), window_s, step_s)
+        assert track.starts == tuple(window_starts(n, fs, window_s, step_s))
+        assert all(type(i0) is int for i0 in track.starts)
 
     def test_track_makes_no_amplitude_fits(self, monkeypatch):
         calls = []
@@ -187,8 +198,7 @@ class TestTrackAndReference:
         fs = phase.sample_rate
         track = breathing_track(phase)
         assert len(track) == 56
-        for start_s, hz in zip(track.starts_s, track.hz):
-            i0 = int(round(start_s * fs))
+        for i0, hz in zip(track.starts, track.hz):
             model = estimate_breathing(phase.samples[i0:i0 + 500], fs)
             assert model.fundamental_hz == hz
 
@@ -232,17 +242,18 @@ class TestTrackAndReference:
             harmonic_signal(f_b, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])])
         track = breathing_track(PhaseSignal(x, FS))
         segment = x[1200:2000]
-        model = track.refit(segment, start_s=12.0)
-        starts_s = np.array(track.starts_s)
-        inside = (starts_s >= 12.0) & (starts_s <= 15.0)
+        model = track.refit(segment, start=1200)
+        starts = np.array(track.starts)
+        inside = (starts >= 1200) & (starts + 500 <= 2000)
+        assert np.flatnonzero(inside).tolist() == [12, 13, 14, 15]
         assert model.fundamental_hz == float(np.median(
             np.array(track.hz)[inside]))
         assert model.fundamental_hz == f_b
         assert model.order == 3
         np.testing.assert_array_equal(
-            track.residual(segment, 12.0),
+            track.residual(segment, 1200),
             segment - model.predict(800, FS, include_offset=True))
-        assert np.linalg.norm(track.residual(segment, 12.0)) \
+        assert np.linalg.norm(track.residual(segment, 1200)) \
             <= 1e-9 * np.linalg.norm(segment)
 
     def test_refit_needs_a_subwindow_inside_the_segment(self):
@@ -251,7 +262,46 @@ class TestTrackAndReference:
         with pytest.raises(ValueError, match="no breathing subwindow"):
             track.refit(x[:400])
         with pytest.raises(ValueError, match="no breathing subwindow"):
-            track.refit(x[500:], start_s=5.5)
+            track.refit(x[550:], start=550)
+
+    @pytest.mark.parametrize("fs", [FS, 1000.0 / 3.0])
+    def test_a_subwindow_ending_on_the_last_sample_is_inside(self, fs):
+        n = int(20 * fs)
+        x = harmonic_signal(float(GRID[96]), n, [1.0], [0.0], fs=fs)
+        track = breathing_track(PhaseSignal(x, fs))
+        # a distinct fundamental per subwindow names the ones inside
+        track = dataclasses.replace(
+            track, hz=tuple(float(GRID[40 + i]) for i in range(len(track))))
+        n_sub = window_samples(5.0, fs)
+        first, last = track.starts[3], track.starts[6]
+        span = last + n_sub - first      # subwindows 3..6, 6 ending on it
+        model = track.refit(x[first:first + span], first)
+        assert model.fundamental_hz == float(np.median(track.hz[3:7]))
+        # a sample shorter: subwindow 6 ends a sample past the window
+        model = track.refit(x[first:first + span - 1], first)
+        assert model.fundamental_hz == float(np.median(track.hz[3:6]))
+        # a sample later: subwindow 3 starts a sample before the window
+        model = track.refit(x[first + 1:first + 1 + span], first + 1)
+        assert model.fundamental_hz == float(np.median(track.hz[4:7]))
+        with pytest.raises(ValueError, match="no breathing subwindow"):
+            track.refit(x[first:first + n_sub - 1], first)
+
+    def test_a_start_in_seconds_is_rejected(self):
+        # 12.0 would otherwise read the subwindows 12 samples in
+        x = harmonic_signal(float(GRID[96]), 2000, [1.0], [0.0])
+        track = breathing_track(PhaseSignal(x, FS))
+        segment = x[1200:2000]
+        windows = np.stack([x[:1000], x[100:1100]])
+        for start in (12.0, np.float64(12.0), 12.5):
+            for call in (track.refit, track.residual):
+                with pytest.raises(ValueError, match="sample indices"):
+                    call(segment, start)
+        for starts in ([0.0, 1.0], np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="sample indices"):
+                track.residuals(windows, starts)
+        for start in (1200, np.int64(1200)):
+            np.testing.assert_array_equal(track.residual(segment, start),
+                                          track.residual(segment, 1200))
 
 
 class TestResiduals:
@@ -269,10 +319,10 @@ class TestResiduals:
         x, track = self.record()
         starts = np.arange(0, 2001, 100)
         windows = np.stack([x[i0:i0 + 2000] for i0 in starts])
-        out, errors = track.residuals(windows, starts / FS)
+        out, errors = track.residuals(windows, starts)
         assert errors == [None] * starts.size
         for row, i0, window in zip(out, starts, windows):
-            expected = track.residual(window, i0 / FS)
+            expected = track.residual(window, i0)
             assert np.max(np.abs(row - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
 
@@ -282,12 +332,12 @@ class TestResiduals:
         x, track = self.record()
         starts = np.array([100, 150, 200])
         windows = np.stack([x[i0:i0 + 500] for i0 in starts])
-        out, errors = track.residuals(windows, starts / FS)
+        out, errors = track.residuals(windows, starts)
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], ValueError)
         assert "no breathing subwindow" in str(errors[1])
         np.testing.assert_array_equal(out[1], windows[1])
-        expected = track.residual(windows[2], 2.0)
+        expected = track.residual(windows[2], 200)
         assert np.max(np.abs(out[2] - expected)) \
             <= 1e-12 * np.max(np.abs(expected))
 
@@ -296,7 +346,7 @@ class TestResiduals:
         x, track = self.record()
         track = dataclasses.replace(track, hz=(0.0,) * len(track))
         windows = np.stack([x[:1000], x[100:1100]])
-        out, errors = track.residuals(windows, [0.0, 1.0])
+        out, errors = track.residuals(windows, [0, 100])
         assert all(isinstance(e, ValueError) and "rank-deficient" in str(e)
                    for e in errors)
         np.testing.assert_array_equal(out, windows)

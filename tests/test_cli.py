@@ -308,9 +308,9 @@ class TestSpectra:
         seen = []
         residuals = BreathingTrack.residuals
 
-        def recording(self, windows, starts_s):
-            seen.extend(zip(starts_s.tolist(), np.array(windows)))
-            return residuals(self, windows, starts_s)
+        def recording(self, windows, starts):
+            seen.extend(zip(starts, np.array(windows)))
+            return residuals(self, windows, starts)
 
         monkeypatch.setattr(BreathingTrack, "residuals", recording)
         phase = _cli_phase(cube_path)
@@ -318,8 +318,8 @@ class TestSpectra:
         eca_conventional_trace(phase, step_s=0.5, track=track)
         files = sorted(outdir.iterdir())
         assert len(files) == len(seen) == 41
-        for path, (start_s, segment) in zip(files, seen):
-            spectrum = power_spectrum(track.residual(segment, start_s),
+        for path, (start, segment) in zip(files, seen):
+            spectrum = power_spectrum(track.residual(segment, start),
                                       phase.sample_rate)
             assert _same_text(path, _spectrum_csv(spectrum)), path.name
 

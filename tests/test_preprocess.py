@@ -318,7 +318,7 @@ class TestCubePhase:
         phase = cube_phase(cube)
         assert phase.enhanced
         assert phase.source_bin == 23
-        truth = synthesize_displacement(sc).samples
+        truth = synthesize_displacement(sc)
         truth_rad = 4.0 * np.pi * truth / sc.radar.wavelength_m
         err = (phase.samples - np.mean(phase.samples)
                - (truth_rad - np.mean(truth_rad)))

@@ -7,8 +7,7 @@ from scipy.signal import get_window
 from pulsecancel.ahet import conventional_trace
 from pulsecancel.preprocess import cube_phase, range_profiles
 from pulsecancel.scenario import (BREATHING_AMPLITUDE_M, FAMILIES,
-                                  DisplacementSignal, IntermodTone,
-                                  RadarConfig, Scenario,
+                                  IntermodTone, RadarConfig, Scenario,
                                   displacement_to_phase, fig_masking_scenario,
                                   load_scenario, masking_scenario,
                                   reference_trace, scenario_slow_time,
@@ -99,17 +98,16 @@ class TestDisplacement:
                       heartbeat_harmonics=[(0.0, 0.0)],
                       allow_amplitude_override=True)
         disp = synthesize_displacement(sc)
-        t = disp.times()
+        # one sample per frame at the radar's 100 Hz frame rate
+        t = np.arange(sc.n_frames) / 100.0
         expected = 1.5e-3 * np.sin(2 * np.pi * 0.25 * t + 0.3)
-        np.testing.assert_allclose(disp.samples, expected, atol=1e-15)
-        assert disp.sample_rate == 100.0
-        assert disp.standoff_m == sc.standoff_m
+        np.testing.assert_allclose(disp, expected, atol=1e-15)
 
     def test_harmonics_and_tones_superpose(self):
         sc = Scenario(duration_s=10.0,
                       breathing_harmonics=[(1.5e-3, 0.0), (4e-4, 0.2)],
                       intermod_tones=[IntermodTone("HR-RR", 2e-4, 0.1)])
-        d = synthesize_displacement(sc).samples
+        d = synthesize_displacement(sc)
         t = np.arange(sc.n_frames) / 100.0
         manual = np.zeros_like(t)
         for k, (amp, ph) in enumerate(sc.breathing_harmonics, start=1):
@@ -121,9 +119,9 @@ class TestDisplacement:
         np.testing.assert_allclose(d, manual, atol=1e-15)
 
     def test_half_millimeter_maps_to_known_phase(self):
-        disp = DisplacementSignal(np.array([5e-4]), 100.0, 1.0)
-        theta = displacement_to_phase(disp, RadarConfig())
+        theta = displacement_to_phase(np.array([5e-4]), RadarConfig())
         assert theta.samples[0] == pytest.approx(1.6126842288427605, abs=1e-12)
+        assert theta.sample_rate == 100.0
 
 
 class TestSlowTime:
