@@ -34,8 +34,11 @@ class AhetConfig:
     jump_threshold_hz: float = 0.1          # window-to-window fluctuation bound
 
     def __post_init__(self):
-        if self.deviation_threshold_hz <= 0 or self.jump_threshold_hz <= 0:
+        bounds = (self.deviation_threshold_hz, self.jump_threshold_hz)
+        if min(bounds) <= 0:
             raise ValueError("thresholds must be positive")
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"thresholds must be finite, got {bounds}")
 
 
 @dataclass
@@ -301,11 +304,11 @@ def shared_cancellation():
     fundamental column), returns its own trace and keeps the other's.  A
     window without a heart-band peak fails both methods, so a failure on
     the first window propagates and keeps nothing.  A later call of the
-    other method takes the kept trace when it names the same PhaseSignal
-    and BreathingTrack objects, cpi_s, step_s, zero_pad_factor, taper and
-    AhetConfig (eca's is the default one); any other call computes on its
-    own.  A kept trace is what that call would compute alone, bit for bit.
-    Outside a scope every call computes alone.
+    other method takes the kept trace when it names the same phase object,
+    an equal BreathingTrack, and equal cpi_s, step_s, zero_pad_factor,
+    taper and AhetConfig (eca's is the default one); any other call
+    computes on its own.  A kept trace is what that call would compute
+    alone, bit for bit.  Outside a scope every call computes alone.
     """
     token = _SHARED.set({})
     try:
@@ -324,10 +327,9 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
     if track is None:
         track = breathing_track(phase)
     shared = _SHARED.get()
-    key = (id(phase), id(track), cpi_s, step_s, zero_pad_factor, taper,
-           config)
+    key = (phase, track, cpi_s, step_s, zero_pad_factor, taper, config)
     if shared is not None and (method, key) in shared:
-        return shared.pop((method, key))[-1]
+        return shared.pop((method, key))
     methods = {"eca": _strongest_peak("eca"), "ahet": _tracker(config)}
     if shared is None:
         methods = {method: methods[method]}
@@ -340,8 +342,7 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
                                       taper)))
     mine = traces.pop(method)
     for other, trace in traces.items():
-        # the kept phase and track hold their ids while the key names them
-        shared[(other, key)] = (phase, track, trace)
+        shared[(other, key)] = trace
     return mine
 
 

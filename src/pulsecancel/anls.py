@@ -116,8 +116,8 @@ class BreathingTrack:
             try:
                 if math.isnan(f_hat):
                     raise ValueError(_NO_SUBWINDOW)
-                _, q, _ = _checked_factorization(f_hat, self.order, n,
-                                                 self.sample_rate)
+                _, q, _ = _design_factorization(f_hat, self.order, n,
+                                                self.sample_rate)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 errors[i:j] = [exc] * (j - i)
             else:
@@ -179,36 +179,29 @@ def _design(fundamental_hz: float, order: int, n: int,
 @lru_cache(maxsize=64)
 def _design_factorization(fundamental_hz: float, order: int, n: int,
                           sample_rate: float) -> tuple:
-    """Intercept-augmented design with its reduced QR and singular values.
+    """(design, Q, R) of an n-sample fit: the intercept-augmented design and
+    its reduced QR, cached read-only after the length and rank checks.  A
+    segment too short for the coefficients, or a rank-deficient design
+    (e.g. fundamental at 0), raises ValueError and caches nothing.
 
     Sliding analysis refits the same few fundamentals at a fixed window
-    length over and over; the factorization depends only on the design,
-    so it is cached with it (arrays read-only).  The singular values of R
-    equal those of the design, giving the rank check without a second
-    factorization.
+    length over and over; the factorization depends only on the design.
+    The singular values of R equal those of the design, giving the rank
+    check without a second factorization.
     """
-    design = _design(fundamental_hz, order, n, sample_rate)
-    q, r = np.linalg.qr(design)
-    sv = np.linalg.svd(r, compute_uv=False)
-    for a in (q, r, sv):
-        a.flags.writeable = False
-    return design, q, r, sv
-
-
-def _checked_factorization(fundamental_hz: float, order: int, n: int,
-                           sample_rate: float) -> tuple:
-    """(design, Q, R) of an n-sample fit, after the length and rank checks:
-    a rank-deficient design (e.g. fundamental at 0) is rejected."""
     if n < 2 * order + 1:
         raise ValueError(f"segment of {n} samples too short for "
                          f"{2 * order} coefficients")
-    design, q, r, sv = _design_factorization(fundamental_hz, order, n,
-                                             sample_rate)
+    design = _design(fundamental_hz, order, n, sample_rate)
+    q, r = np.linalg.qr(design)
+    sv = np.linalg.svd(r, compute_uv=False)
     cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
     if int(np.count_nonzero(sv > cutoff)) < 2 * order + 1:
         cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
         raise ValueError(f"rank-deficient harmonic design at "
                          f"{fundamental_hz} Hz (condition ~ {cond:.3e})")
+    for a in (q, r):
+        a.flags.writeable = False
     return design, q, r
 
 
@@ -225,8 +218,8 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
-    design, q, r = _checked_factorization(fundamental_hz, order, x.size,
-                                          sample_rate)
+    design, q, r = _design_factorization(fundamental_hz, order, x.size,
+                                         sample_rate)
     coef = solve_triangular(r, q.T @ x, check_finite=False)
     resid = x - design @ coef
     return HarmonicModel(

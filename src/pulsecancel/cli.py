@@ -65,6 +65,13 @@ def _scenario_from_args(args):
     return scenario
 
 
+def _add_source_flags(p: argparse.ArgumentParser):
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--in", dest="in_path", help="raw cube input")
+    src.add_argument("--scenario", help="scenario JSON to synthesize instead")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--gate", default="0.3:3.0",
                    help="range gate in meters, lo:hi")
@@ -259,10 +266,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="track heart rate over a cube or scenario")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="in_path", help="raw cube input")
-    src.add_argument("--scenario", help="scenario JSON to synthesize instead")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    _add_source_flags(p)
     p.add_argument("--method", choices=sorted(bench_mod.METHODS),
                    default="ahet")
     p.add_argument("--out", help="trace CSV path (default stdout)")
@@ -270,10 +274,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="RMSE of each method against truth")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="in_path", help="raw cube input")
-    src.add_argument("--scenario", help="scenario JSON to synthesize instead")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    _add_source_flags(p)
     p.add_argument("--truth", help="ground-truth CSV")
     p.add_argument("--methods", default="conventional,eca,ahet")
     _add_pipeline_flags(p)
@@ -293,10 +294,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("spectra", help="dump per-window spectra as CSV")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="in_path", help="raw cube input")
-    src.add_argument("--scenario", help="scenario JSON to synthesize instead")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    _add_source_flags(p)
     p.add_argument("--cancel", action="store_true",
                    help="dump post-cancellation spectra")
     p.add_argument("--out", help="output directory (default spectra/)")

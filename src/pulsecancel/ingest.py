@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import RadarConfig, RadarCube
+from .scenario import RadarConfig, RadarCube, _finite_real
 from .types import HrTrace, TraceEntry
 
 INT16_HEADROOM = 0.9
@@ -87,13 +87,13 @@ def read_cube_header(path) -> RawCubeHeader:
                                   f"{doc['endianness']!r}")
         dims = {key: doc[key] for key in ("frames", "fast_time")}
         for key, value in dims.items():
-            if not (_is_number(value) and float(value).is_integer()
+            if not (_finite_real(value) and float(value).is_integer()
                     and value > 0):
                 raise CubeFormatError(f"malformed sidecar {side}: {key} "
                                       f"must be a positive integer, got "
                                       f"{value!r}")
         scale = doc.get("scale", 1.0)
-        if not (_is_number(scale) and math.isfinite(scale) and scale > 0):
+        if not (_finite_real(scale) and scale > 0):
             raise CubeFormatError(f"malformed sidecar {side}: scale must be "
                                   f"finite and positive, got {scale!r}")
         return RawCubeHeader(
@@ -104,10 +104,6 @@ def read_cube_header(path) -> RawCubeHeader:
         )
     except (KeyError, TypeError) as exc:
         raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def read_raw_cube(path) -> RadarCube:

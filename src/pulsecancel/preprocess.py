@@ -205,6 +205,8 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     """
     if width < 0:
         raise ValueError("width must be >= 0")
+    if np.isnan(min_corr):
+        raise ValueError("min_corr must be a number, got nan")
     target = extract_phase(profiles, target_bin)
     if width == 0:
         target.enhanced = True

@@ -366,6 +366,9 @@ def window_starts(n_samples: int, sample_rate: float, cpi_s: float,
                   step_s: float) -> list[int]:
     """Start indices of sliding analysis windows over a record; the one
     place that rejects a bad window or step."""
+    if not (math.isfinite(cpi_s) and math.isfinite(step_s)):
+        raise ValueError(f"window and step must be finite, got {cpi_s} s "
+                         f"and {step_s} s")
     n_win = window_samples(cpi_s, sample_rate)
     n_step = window_samples(step_s, sample_rate)
     if n_win <= 0 or n_step <= 0:

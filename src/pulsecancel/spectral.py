@@ -97,37 +97,33 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
     )
 
 
-@lru_cache(maxsize=8)
-def _band_grid(n_fft: int, sample_rate: float, top_hz: float) -> np.ndarray:
-    """The padded grid's bins up to top_hz plus one (read-only): a peak at
-    the top bin needs its upper neighbor."""
-    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
-    k = min(int(np.searchsorted(freqs, top_hz, side="right")) + 1,
-            freqs.size)
-    band = freqs[:k].copy()
-    band.flags.writeable = False
-    return band
-
-
 @lru_cache(maxsize=2)
-def _chirp_z(n: int, m: int, n_fft: int, taper: str) -> tuple:
-    """Bluestein's chirp-z transform for bins 0..m-1 of the n_fft-point DFT
-    of n tapered samples: (taper times pre-chirp, convolution length,
-    spectrum of the conjugate chirp), read-only.
+def _chirp_z(n: int, sample_rate: float, top_hz: float, zero_pad_factor: int,
+             taper: str) -> tuple:
+    """Bluestein's chirp-z transform for the bins of the padded
+    n * zero_pad_factor-point DFT of n tapered samples up to top_hz plus one
+    (a peak at the top bin needs its upper neighbor): (their frequencies,
+    taper times pre-chirp, convolution length, spectrum of the conjugate
+    chirp), read-only.
 
     The chirp exp(-i pi k^2 / n_fft) reduces k^2 modulo 2 n_fft in
     integers, so its phase carries no rounding that grows with k.  The
     post-chirp has unit modulus, and power never needs it.
     """
+    n_fft = n * zero_pad_factor
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    m = min(int(np.searchsorted(freqs, top_hz, side="right")) + 1,
+            freqs.size)
+    freqs = freqs[:m].copy()
     k = np.arange(max(n, m))
     chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n_fft)) / n_fft)
     size = scipy.fft.next_fast_len(n + m - 1)
     kernel = scipy.fft.fft(np.conj(np.concatenate([chirp[n - 1:0:-1],
                                                    chirp[:m]])), size)
     pre = _taper(taper, n) * chirp[:n]
-    for a in (pre, kernel):
+    for a in (freqs, pre, kernel):
         a.flags.writeable = False
-    return pre, size, kernel
+    return freqs, pre, size, kernel
 
 
 def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
@@ -145,8 +141,8 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
     rows, n = windows.shape
     _check_window(n, sample_rate, zero_pad_factor)
     n_fft = n * zero_pad_factor
-    freqs = _band_grid(n_fft, sample_rate, float(top_hz))
-    pre, size, kernel = _chirp_z(n, freqs.size, n_fft, taper)
+    freqs, pre, size, kernel = _chirp_z(n, sample_rate, top_hz,
+                                        zero_pad_factor, taper)
     y = np.zeros((rows, size), dtype=complex)
     np.subtract(windows, np.mean(windows, axis=1, keepdims=True),
                 out=y[:, :n])

@@ -5,9 +5,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseSignal:
-    """Unwrapped slow-time phase in radians.
+    """Unwrapped slow-time phase in radians; phases compare and hash by
+    identity.
 
     samples holds the demodulated phase at the slow-time (frame) rate.
     source_bin is the range bin the phase came from, or -1 for synthetic

@@ -542,6 +542,22 @@ class TestSharedCancellation:
             ahet_trace(masking_b_phase, track=track)
         assert counts == {"band_power": 3 * passes, "residuals": 3 * passes}
 
+    def test_an_equal_track_takes_the_kept_trace(self, masking_b_phase,
+                                                 monkeypatch):
+        # the key holds the track's value, not the object
+        track = breathing_track(masking_b_phase)
+        equal = breathing_track(masking_b_phase)
+        assert equal == track and equal is not track
+        alone = (eca_conventional_trace(masking_b_phase, track=track),
+                 ahet_trace(masking_b_phase, track=equal))
+        counts = count_block_stages(monkeypatch)
+        with shared_cancellation():
+            shared = (eca_conventional_trace(masking_b_phase, track=track),
+                      ahet_trace(masking_b_phase, track=equal))
+        assert counts == {"band_power": 3, "residuals": 3}
+        for got, want in zip(shared, alone):
+            assert got.entries == want.entries
+
     @pytest.mark.parametrize("change", [
         lambda phase: dict(config=AhetConfig(deviation_threshold_hz=0.2)),
         lambda phase: dict(step_s=2.0),

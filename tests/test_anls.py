@@ -371,6 +371,13 @@ class TestEquality:
         assert (model != scaled) is True
         assert model != "a model"
 
+    def test_phases_compare_by_identity(self):
+        x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
+        phase = PhaseSignal(x, FS)
+        assert (phase == PhaseSignal(x, FS)) is False
+        assert (phase == phase) is True
+        assert len({phase, phase}) == 1
+
 
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
@@ -395,6 +402,14 @@ class TestCaches:
         np.testing.assert_array_equal(design[:, :6],
                                       harmonic_matrix(0.26, 3, 500, FS))
         np.testing.assert_array_equal(design[:, 6], 1.0)
+
+    def test_a_failed_check_caches_nothing(self):
+        x = harmonic_signal(0.26, 500, [1.0], [0.0])
+        _design_factorization.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                fit_amplitudes(x, FS, 0.0)
+            assert _design_factorization.cache_info().currsize == 0
 
     def test_predict_at_an_unfitted_length(self):
         # rendering at new lengths is bit-identical to the harmonic matrix

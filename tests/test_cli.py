@@ -424,6 +424,36 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith(
             "\npulsecancel run: error: window and step must be positive\n")
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("run", "--cpi", "inf", "window and step must be finite"),
+        ("run", "--cpi", "nan", "window and step must be finite"),
+        ("run", "--step", "inf", "window and step must be finite"),
+        ("run", "--anls-window", "inf", "window and step must be finite"),
+        ("run", "--anls-step", "inf", "window and step must be finite"),
+        ("compare", "--step", "inf", "window and step must be finite"),
+        ("synth", "--cpi", "inf", "window and step must be finite"),
+        ("run", "--ve", "nan", "thresholds must be finite"),
+        ("run", "--ve", "inf", "thresholds must be finite"),
+        ("run", "--va", "inf", "thresholds must be finite"),
+        ("run", "--min-corr", "nan", "min_corr must be a number"),
+    ])
+    def test_non_finite_number_is_a_data_error(self, synth_outputs,
+                                               scenario_file, tmp_path,
+                                               capsys, command, flag, value,
+                                               message):
+        cube_path, truth_path = synth_outputs
+        source = {"run": ["--in", str(cube_path)],
+                  "compare": ["--in", str(cube_path), "--truth",
+                              str(truth_path)],
+                  "synth": ["--scenario", scenario_file, "--out",
+                            str(tmp_path / "cube.bin"), "--truth",
+                            str(tmp_path / "truth.csv")]}[command]
+        assert run_cli(command, *source, flag, value) == 2
+        err = capsys.readouterr().err
+        prefix = f"pulsecancel {command}: error: "
+        assert err.splitlines()[-1].startswith(prefix + message), err
+        assert err.count(prefix) == 1 and "Traceback" not in err
+
     def test_unknown_compare_method_is_a_data_error(self, scenario_file):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",
                        "conventional,bogus")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pulsecancel.spectral import (Spectrum, _taper, band_peak_power,
-                                  band_peaks, band_power, power_spectrum,
-                                  row_medians, top_peaks)
+from pulsecancel.spectral import (Spectrum, _chirp_z, _taper,
+                                  band_peak_power, band_peaks, band_power,
+                                  power_spectrum, row_medians, top_peaks)
 
 FS = 100.0
 
@@ -219,6 +219,15 @@ class TestBandPower:
         # without the extra bin the top bin has no upper neighbor: no peak
         cut = band_spectrum(freqs[:-1], power[0, :-1], full)
         assert top_peaks(cut, lo_hz, top_hz, 1) == []
+
+    def test_one_transform_per_geometry(self):
+        _chirp_z.cache_clear()
+        freqs, _ = band_power(tone(1.0)[None, :], FS, 2.0)
+        again, _ = band_power(tone(1.3)[None, :], FS, 2.0)
+        assert _chirp_z.cache_info().misses == 1
+        assert again is freqs
+        with pytest.raises(ValueError, match="read-only"):
+            freqs[0] = 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
