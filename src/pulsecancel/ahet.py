@@ -223,7 +223,7 @@ _BLOCK = 16
 
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
            track: BreathingTrack | None, measure, methods: list,
-           top_hz: float, zero_pad_factor: int, taper: str) -> list:
+           top_hz: float, zero_pad_factor: int) -> list:
     """Sliding windows a block at a time: one track.residuals (when given),
     one band_power up to top_hz and one measure per block, then every
     method's decision over its rows.
@@ -250,8 +250,7 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
         try:
             if track is not None:
                 windows, errors = track.residuals(windows, block)
-            freqs, power = band_power(windows, fs, top_hz, zero_pad_factor,
-                                      taper)
+            freqs, power = band_power(windows, fs, top_hz, zero_pad_factor)
             measured = measure(freqs, power)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(windows)
@@ -305,10 +304,10 @@ def shared_cancellation():
     window without a heart-band peak fails both methods, so a failure on
     the first window propagates and keeps nothing.  A later call of the
     other method takes the kept trace when it names the same phase object,
-    an equal BreathingTrack, and equal cpi_s, step_s, zero_pad_factor,
-    taper and AhetConfig (eca's is the default one); any other call
-    computes on its own.  A kept trace is what that call would compute
-    alone, bit for bit.  Outside a scope every call computes alone.
+    an equal BreathingTrack, and equal cpi_s, step_s, zero_pad_factor and
+    AhetConfig (eca's is the default one); any other call computes on its
+    own.  A kept trace is what that call would compute alone, bit for bit.
+    Outside a scope every call computes alone.
     """
     token = _SHARED.set({})
     try:
@@ -319,15 +318,14 @@ def shared_cancellation():
 
 def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
                 step_s: float, track: BreathingTrack | None,
-                config: AhetConfig, zero_pad_factor: int,
-                taper: str) -> HrTrace:
+                config: AhetConfig, zero_pad_factor: int) -> HrTrace:
     """The "eca" or "ahet" trace over track's residuals, on the tracker's
     grid for config: alone, or within shared_cancellation from one pass
     that keeps the other method's trace."""
     if track is None:
         track = breathing_track(phase)
     shared = _SHARED.get()
-    key = (phase, track, cpi_s, step_s, zero_pad_factor, taper, config)
+    key = (phase, track, cpi_s, step_s, zero_pad_factor, config)
     if shared is not None and (method, key) in shared:
         return shared.pop((method, key))
     methods = {"eca": _strongest_peak("eca"), "ahet": _tracker(config)}
@@ -338,8 +336,7 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
                if "ahet" in methods else _heart_peaks)
     traces = dict(zip(methods, _track(phase, cpi_s, step_s, track, measure,
                                       list(methods.values()),
-                                      _top_hz(config), zero_pad_factor,
-                                      taper)))
+                                      _top_hz(config), zero_pad_factor)))
     mine = traces.pop(method)
     for other, trace in traces.items():
         shared[(other, key)] = trace
@@ -349,7 +346,7 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
 def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
                config: AhetConfig = AhetConfig(),
                track: BreathingTrack | None = None,
-               zero_pad_factor: int = 8, taper: str = "hann") -> HrTrace:
+               zero_pad_factor: int = 8) -> HrTrace:
     """Full pipeline per sliding window: breathing reconstruction,
     cancellation, spectrum, credibility tracking.
 
@@ -360,24 +357,22 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
     eca_conventional_trace.
     """
     return _cancelling("ahet", phase, cpi_s, step_s, track, config,
-                       zero_pad_factor, taper)
+                       zero_pad_factor)
 
 
 def conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                        step_s: float = 1.0,
-                       zero_pad_factor: int = 8,
-                       taper: str = "hann") -> HrTrace:
+                       zero_pad_factor: int = 8) -> HrTrace:
     """Strongest-peak tracking on the raw phase, window by window."""
     return _track(phase, cpi_s, step_s, None, _heart_peaks,
                   [_strongest_peak("conventional")], HEARTBEAT_BAND_HZ[1],
-                  zero_pad_factor, taper)[0]
+                  zero_pad_factor)[0]
 
 
 def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
                            step_s: float = 1.0,
                            track: BreathingTrack | None = None,
-                           zero_pad_factor: int = 8,
-                           taper: str = "hann") -> HrTrace:
+                           zero_pad_factor: int = 8) -> HrTrace:
     """Strongest-peak tracking after breathing cancellation (no
     credibility).
 
@@ -386,4 +381,4 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
     gives ahet_trace's, and its output never depends on the caller.
     """
     return _cancelling("eca", phase, cpi_s, step_s, track, AhetConfig(),
-                       zero_pad_factor, taper)
+                       zero_pad_factor)

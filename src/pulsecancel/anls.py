@@ -232,6 +232,9 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
 
 
 def grid_frequencies(lo_hz: float, hi_hz: float, step_hz: float) -> np.ndarray:
+    if not all(map(math.isfinite, (lo_hz, hi_hz, step_hz))):
+        raise ValueError(f"grid must be finite, got lo:hi:step "
+                         f"{lo_hz!r}:{hi_hz!r}:{step_hz!r}")
     if not (lo_hz > 0 and hi_hz > lo_hz and step_hz > 0):
         raise ValueError("grid must satisfy 0 < lo < hi with positive step")
     count = int(round((hi_hz - lo_hz) / step_hz)) + 1

@@ -84,7 +84,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--step", type=float, default=1.0,
                    help="window step in seconds")
     p.add_argument("--pad", type=int, default=8, help="FFT zero-pad factor")
-    p.add_argument("--taper", default="hann", help="spectral taper")
     p.add_argument("--kb", type=int, default=3,
                    help="breathing harmonics in the reconstruction")
     p.add_argument("--anls-window", type=float, default=5.0,
@@ -134,7 +133,7 @@ def _trace_from_args(args, phase: PhaseSignal, method: str,
                      track: BreathingTrack | None):
     config = _config_from_args(args)
     common = dict(cpi_s=args.cpi, step_s=args.step,
-                  zero_pad_factor=args.pad, taper=args.taper)
+                  zero_pad_factor=args.pad)
     if method == "ahet":
         return ahet_trace(phase, config=config, track=track, **common)
     if method == "eca":
@@ -239,7 +238,7 @@ def _cmd_spectra(args) -> int:
     for w, (i0, segment) in enumerate(zip(starts, windows)):
         if track is not None:
             segment = track.residual(segment, i0)
-        spectrum = power_spectrum(segment, fs, args.pad, args.taper)
+        spectrum = power_spectrum(segment, fs, args.pad)
         path = outdir / f"spectrum_{w:05d}.csv"
         with open(path, "w") as fh:
             fh.write("freq_hz,power\n")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.signal import get_window
 
 from .scenario import RadarCube, RadarConfig
+from .spectral import _hann
 from .types import PhaseSignal
 
 # Frames per block when summing residual power; bounds the float64
@@ -101,7 +101,7 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
     n_fast = cube.n_fast
     if n_fast < 4:
         raise ValueError("too few fast-time samples for a range FFT")
-    window = get_window("hann", n_fast, fftbins=False)
+    window = _hann(n_fast, False)
     n_frames = cube.n_frames
     values = np.empty((n_frames, n_fast // 2), dtype=np.complex64)
     buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), n_fast),
@@ -209,7 +209,6 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
         raise ValueError("min_corr must be a number, got nan")
     target = extract_phase(profiles, target_bin)
     if width == 0:
-        target.enhanced = True
         return target
 
     t_mean = float(np.mean(target.samples))
@@ -240,5 +239,5 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
                 filled.append(b)
     dead = _dead(profiles.values[:, filled]).any(axis=1)
     return PhaseSignal(t_mean + acc / total, profiles.slow_time_rate,
-                       source_bin=target_bin, enhanced=True,
+                       source_bin=target_bin,
                        dropouts=int(np.count_nonzero(dead)))

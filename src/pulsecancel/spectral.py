@@ -13,14 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-from scipy.signal import get_window
 
 
 @dataclass
 class Spectrum:
-    """One-sided power spectrum of a mean-removed, tapered, padded window.
+    """One-sided power spectrum of a mean-removed, Hann-windowed, padded
+    window.
 
-    Power is normalized so the bins sum to the tapered signal's energy
+    Power is normalized so the bins sum to the windowed signal's energy
     (Parseval).  Grid spacing is sample_rate / (n_samples * zero_pad_factor).
     """
 
@@ -29,7 +29,6 @@ class Spectrum:
     sample_rate: float
     window_seconds: float
     zero_pad_factor: int
-    taper: str
 
     @property
     def spacing_hz(self) -> float:
@@ -48,9 +47,15 @@ class Peak:
 
 
 @lru_cache(maxsize=8)
-def _taper(taper: str, n: int) -> np.ndarray:
-    """Window samples, cached per (taper, n) and returned read-only."""
-    w = get_window(taper, n, fftbins=True)
+def _hann(n: int, periodic: bool) -> np.ndarray:
+    """n-point Hann window, periodic (the spectra's) or symmetric (the
+    range FFT's), cached and returned read-only.
+
+    This is the sum SciPy builds its Hann window from, so the samples equal
+    SciPy's bit for bit; np.hanning and 0.5 - 0.5 cos(2 pi k / (n - 1))
+    differ from them at rounding.
+    """
+    w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + periodic)))[:n]
     w.flags.writeable = False
     return w
 
@@ -78,14 +83,13 @@ def _one_sided(spec: np.ndarray, n_fft: int) -> np.ndarray:
 
 
 def power_spectrum(x: np.ndarray, sample_rate: float,
-                   zero_pad_factor: int = 8,
-                   taper: str = "hann") -> Spectrum:
+                   zero_pad_factor: int = 8) -> Spectrum:
     """Magnitude-squared one-sided FFT of one analysis window."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("window must be 1-D")
     _check_window(x.size, sample_rate, zero_pad_factor)
-    xw = (x - np.mean(x)) * _taper(taper, x.size)
+    xw = (x - np.mean(x)) * _hann(x.size, True)
     n_fft = x.size * zero_pad_factor
     return Spectrum(
         frequencies=np.fft.rfftfreq(n_fft, 1.0 / sample_rate),
@@ -93,18 +97,17 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
         sample_rate=sample_rate,
         window_seconds=x.size / sample_rate,
         zero_pad_factor=zero_pad_factor,
-        taper=taper,
     )
 
 
 @lru_cache(maxsize=2)
-def _chirp_z(n: int, sample_rate: float, top_hz: float, zero_pad_factor: int,
-             taper: str) -> tuple:
+def _chirp_z(n: int, sample_rate: float, top_hz: float,
+             zero_pad_factor: int) -> tuple:
     """Bluestein's chirp-z transform for the bins of the padded
-    n * zero_pad_factor-point DFT of n tapered samples up to top_hz plus one
-    (a peak at the top bin needs its upper neighbor): (their frequencies,
-    taper times pre-chirp, convolution length, spectrum of the conjugate
-    chirp), read-only.
+    n * zero_pad_factor-point DFT of n Hann-windowed samples up to top_hz
+    plus one (a peak at the top bin needs its upper neighbor): (their
+    frequencies, window times pre-chirp, convolution length, spectrum of
+    the conjugate chirp), read-only.
 
     The chirp exp(-i pi k^2 / n_fft) reduces k^2 modulo 2 n_fft in
     integers, so its phase carries no rounding that grows with k.  The
@@ -120,15 +123,14 @@ def _chirp_z(n: int, sample_rate: float, top_hz: float, zero_pad_factor: int,
     size = scipy.fft.next_fast_len(n + m - 1)
     kernel = scipy.fft.fft(np.conj(np.concatenate([chirp[n - 1:0:-1],
                                                    chirp[:m]])), size)
-    pre = _taper(taper, n) * chirp[:n]
+    pre = _hann(n, True) * chirp[:n]
     for a in (freqs, pre, kernel):
         a.flags.writeable = False
     return freqs, pre, size, kernel
 
 
 def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
-               zero_pad_factor: int = 8,
-               taper: str = "hann") -> tuple[np.ndarray, np.ndarray]:
+               zero_pad_factor: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Power spectra of a stack of windows (one per row), up to top_hz.
 
     Returns (frequencies, power): frequencies are power_spectrum's grid up
@@ -142,7 +144,7 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
     _check_window(n, sample_rate, zero_pad_factor)
     n_fft = n * zero_pad_factor
     freqs, pre, size, kernel = _chirp_z(n, sample_rate, top_hz,
-                                        zero_pad_factor, taper)
+                                        zero_pad_factor)
     y = np.zeros((rows, size), dtype=complex)
     np.subtract(windows, np.mean(windows, axis=1, keepdims=True),
                 out=y[:, :n])

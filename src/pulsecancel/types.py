@@ -19,7 +19,6 @@ class PhaseSignal:
     samples: np.ndarray
     sample_rate: float
     source_bin: int = -1
-    enhanced: bool = False
     dropouts: int = 0
 
     def __post_init__(self):

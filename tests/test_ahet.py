@@ -29,7 +29,7 @@ def spiky_spectrum(peaks, background=None, f_max=5.0, n=2001):
     for f, p in peaks:
         power[int(round(f / f_max * (n - 1)))] = p
     return Spectrum(frequencies=freqs, power=power, sample_rate=2 * f_max,
-                    window_seconds=20.0, zero_pad_factor=1, taper="hann")
+                    window_seconds=20.0, zero_pad_factor=1)
 
 
 class TestCredibility:

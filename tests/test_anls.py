@@ -103,6 +103,10 @@ class TestGrid:
             grid_frequencies(0.5, 0.1, 0.01)
         with pytest.raises(ValueError):
             grid_frequencies(0.1, 0.5, 0.0)
+        for grid in ((0.1, 0.5, np.inf), (0.1, np.inf, 0.01),
+                     (0.1, 0.5, np.nan)):
+            with pytest.raises(ValueError, match="grid must be finite"):
+                grid_frequencies(*grid)
 
 
 class TestEstimateBreathing:

@@ -35,6 +35,24 @@ def run_cli(*args):
         return int(exc.code)
 
 
+def fresh_python(*args):
+    """A new interpreter, run with args, that imports this pulsecancel."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal and the scipy.stats it imports take most of a second to
+    # load, and the package needs neither
+    done = fresh_python("-c", "import sys, pulsecancel; print([m for m in "
+                        "sys.modules if m.startswith(('scipy.signal', "
+                        "'scipy.stats'))])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 SCENARIO = {
     "duration_s": 40.0,
     "breathing_bpm": 15.6,
@@ -326,11 +344,7 @@ class TestSpectra:
 
 class TestExitCodes:
     def test_module_runs_the_command_line(self):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "pulsecancel", "--help"],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        done = fresh_python("-m", "pulsecancel", "--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: pulsecancel ")
 
@@ -342,12 +356,17 @@ class TestExitCodes:
     def test_missing_source_is_a_usage_error(self):
         assert run_cli("run") == 1
 
-    @pytest.mark.parametrize("flag", ["--eca-order", "--eca-ridge"])
-    def test_removed_cancellation_flags_are_usage_errors(self, flag,
-                                                         scenario_file):
-        # the cancel stage has no order or ridge; a flag accepted and then
-        # ignored would hide that
-        assert run_cli("run", "--scenario", scenario_file, flag, "3") == 1
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--eca-order", "3"), ("run", "--eca-ridge", "3"),
+        ("run", "--taper", "hann"), ("compare", "--taper", "hann"),
+        ("spectra", "--taper", "hann"),
+    ])
+    def test_removed_flags_are_usage_errors(self, command, flag, value,
+                                            scenario_file):
+        # the cancel stage has no order or ridge and Hann is the only taper;
+        # a flag accepted and then ignored would hide that
+        assert run_cli(command, "--scenario", scenario_file, flag,
+                       value) == 1
 
     def test_compare_from_cube_without_truth_is_a_usage_error(
             self, synth_outputs):
@@ -436,6 +455,8 @@ class TestExitCodes:
         ("run", "--ve", "inf", "thresholds must be finite"),
         ("run", "--va", "inf", "thresholds must be finite"),
         ("run", "--min-corr", "nan", "min_corr must be a number"),
+        ("run", "--rr-grid", "0.1:0.5:inf", "grid must be finite"),
+        ("run", "--rr-grid", "0.1:inf:0.01", "grid must be finite"),
     ])
     def test_non_finite_number_is_a_data_error(self, synth_outputs,
                                                scenario_file, tmp_path,

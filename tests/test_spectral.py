@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
-from pulsecancel.spectral import (Spectrum, _chirp_z, _taper,
+from pulsecancel.spectral import (Spectrum, _chirp_z, _hann,
                                   band_peak_power, band_peaks, band_power,
                                   power_spectrum, row_medians, top_peaks)
 
@@ -20,7 +21,7 @@ def synthetic_spectrum(power):
     power = np.asarray(power, dtype=float)
     return Spectrum(frequencies=np.linspace(0.0, 5.0, power.size),
                     power=power, sample_rate=10.0, window_seconds=20.0,
-                    zero_pad_factor=1, taper="hann")
+                    zero_pad_factor=1)
 
 
 class TestPowerSpectrum:
@@ -58,20 +59,11 @@ class TestPowerSpectrum:
         p3 = band_peak_power(power_spectrum(tone(1.0, amp=3.0), FS), 1.0, 0.05)
         assert p3 == pytest.approx(9.0 * p1, rel=1e-9)
 
-    def test_boxcar_taper_is_selectable(self):
-        x = tone(1.0)
-        hann = power_spectrum(x, FS, taper="hann")
-        box = power_spectrum(x, FS, taper="boxcar")
-        assert hann.taper == "hann"
-        # the boxcar keeps more of the tone's energy in the main lobe
-        assert band_peak_power(box, 1.0, 0.01) \
-            > band_peak_power(hann, 1.0, 0.01)
-
     def test_cached_taper_is_read_only_and_stable(self):
-        w = _taper("hann", 2000)
+        w = _hann(2000, True)
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 1.0
-        np.testing.assert_array_equal(_taper("hann", 2000), w)
+        np.testing.assert_array_equal(_hann(2000, True), w)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="1-D"):
@@ -157,12 +149,24 @@ class TestBandPeakPower:
             band_peak_power(spec, midway, spec.spacing_hz / 4.0)
 
 
+class TestHann:
+    # np.hanning and the textbook 0.5 - 0.5 cos(...) differ from SciPy's
+    # window at rounding, which would move every spectrum and trace
+    @pytest.mark.parametrize("periodic, sizes", [
+        (False, range(4, 257)),                       # range FFT, n_fast
+        (True, [*range(16, 401), 1500, 2000, 3000]),  # 15/20/30 s CPIs
+    ], ids=["symmetric", "periodic"])
+    def test_equals_scipy_bit_for_bit(self, periodic, sizes):
+        for n in sizes:
+            expected = get_window("hann", n, fftbins=periodic)
+            assert _hann(n, periodic).tobytes() == expected.tobytes(), n
+
+
 class TestParseval:
     def test_power_sums_to_tapered_energy(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=400)
         spec = power_spectrum(x, FS, zero_pad_factor=4)
-        from scipy.signal import get_window
         w = get_window("hann", 400, fftbins=True)
         xw = (x - np.mean(x)) * w
         assert np.sum(spec.power) == pytest.approx(np.sum(xw ** 2), rel=1e-9)
@@ -170,21 +174,20 @@ class TestParseval:
 
 def band_spectrum(freqs, power, like):
     return Spectrum(freqs, power, like.sample_rate, like.window_seconds,
-                    like.zero_pad_factor, like.taper)
+                    like.zero_pad_factor)
 
 
 class TestBandPower:
     @pytest.mark.parametrize("pad", [1, 8])
-    @pytest.mark.parametrize("taper", ["hann", "boxcar"])
-    def test_rows_equal_the_padded_spectrum_over_the_band(self, pad, taper):
+    def test_rows_equal_the_padded_spectrum_over_the_band(self, pad):
         # odd window length; the rows differ in content and offset
         rng = np.random.default_rng(4)
         n = 1999
         windows = np.stack([tone(1.1, amp=40.0)[:n] + rng.normal(size=n) + 3.0,
                             tone(0.45, amp=7.0)[:n] + tone(2.9)[:n],
                             rng.normal(size=n)])
-        freqs, power = band_power(windows, FS, 4.2, pad, taper)
-        full = [power_spectrum(w, FS, pad, taper) for w in windows]
+        freqs, power = band_power(windows, FS, 4.2, pad)
+        full = [power_spectrum(w, FS, pad) for w in windows]
         k = int(np.searchsorted(full[0].frequencies, 4.2, side="right")) + 1
         assert freqs.tolist() == full[0].frequencies[:k].tolist()
         for row, spec in zip(power, full):
