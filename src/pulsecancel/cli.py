@@ -187,7 +187,10 @@ def _cmd_compare(args) -> int:
     else:
         raise UsageError("--truth is required with --in")
     track = _track_from_args(args, phase, methods)
-    share = bench_mod.CANCELLING <= set(methods)
+    # eca's share of a pass tracks at the default bounds, so at other
+    # bounds ahet could not take it
+    share = (bench_mod.CANCELLING <= set(methods)
+             and _config_from_args(args) == AhetConfig())
     with shared_cancellation() if share else contextlib.nullcontext():
         for method in methods:
             trace = _trace_from_args(args, phase, method, track)

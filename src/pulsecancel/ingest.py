@@ -3,9 +3,11 @@ heart-rate trace CSV.
 
 Cube payloads are little-endian signed 16-bit, frame-major, one I and one Q
 word per sample.  The sidecar records the dimensions, the quantization scale
-and the radar configuration, so a cube file is self-describing.  Cubes load
-as complex64: one float32 pass multiplies every word by 1/scale, which
-holds a 16-bit sample to within float32 rounding.
+and the radar configuration, so a cube file is self-describing.  A cube
+loads as its int16 words (FileCube) and is decoded to complex64 a chunk of
+frames at a time, as the range FFT or a writer reads it: a float32 multiply
+of every word by 1/scale, which holds a 16-bit sample to within float32
+rounding.
 """
 
 import contextlib
@@ -23,6 +25,10 @@ from .types import HrTrace, TraceEntry
 
 INT16_HEADROOM = 0.9
 BPM_VALID = (20.0, 250.0)
+
+# Frames quantized and written at a time by write_raw_cube; bounds its
+# temporaries to a few MB whatever the record length.
+_CHUNK_FRAMES = 512
 
 
 class CubeFormatError(ValueError):
@@ -48,17 +54,26 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
 
     Without an explicit scale, floats are scaled so the largest I or Q
     component sits at 90% of int16 full scale.  Pass the scale from a
-    previously read header to get a byte-identical rewrite.
+    previously read header to get a byte-identical rewrite.  The peak
+    search, the quantization and the writes run _CHUNK_FRAMES frames at a
+    time, in the precision of the cube's own samples.
     """
     path = Path(path)
-    iq = cube.iq
+    chunks = range(0, cube.n_frames, _CHUNK_FRAMES)
     if scale is None:
-        peak = float(max(np.max(np.abs(iq.real)), np.max(np.abs(iq.imag))))
+        peak = 0.0
+        for start in chunks:
+            iq = cube.frames(start, start + _CHUNK_FRAMES)
+            peak = max(peak, np.max(np.abs(iq.real)), np.max(np.abs(iq.imag)))
+        peak = float(peak)
         scale = INT16_HEADROOM * 32767.0 / peak if peak > 0 else 1.0
-    words = np.empty((cube.n_frames, cube.n_fast, 2), dtype="<i2")
-    words[:, :, 0] = np.clip(np.rint(iq.real * scale), -32768, 32767)
-    words[:, :, 1] = np.clip(np.rint(iq.imag * scale), -32768, 32767)
-    words.tofile(path)
+    with open(path, "wb") as fh:
+        for start in chunks:
+            iq = cube.frames(start, start + _CHUNK_FRAMES)
+            words = np.empty(iq.shape + (2,), dtype="<i2")
+            words[:, :, 0] = np.clip(np.rint(iq.real * scale), -32768, 32767)
+            words[:, :, 1] = np.clip(np.rint(iq.imag * scale), -32768, 32767)
+            words.tofile(fh)
 
     header = RawCubeHeader(cube.n_frames, cube.n_fast, scale, cube.config)
     doc = {
@@ -121,9 +136,46 @@ def read_raw_cube(path) -> RadarCube:
             f"{actual}")
 
     words = np.fromfile(path, dtype="<i2")
-    pairs = np.multiply(words, 1.0 / header.scale, dtype=np.float32)
-    iq = pairs.view(np.complex64).reshape(header.frames, header.fast_time)
-    return RadarCube(iq, header.config)
+    return FileCube(words.reshape(header.frames, header.fast_time, 2),
+                    header.scale, header.config)
+
+
+class FileCube(RadarCube):
+    """A cube read from file: its int16 I/Q words and the sidecar scale.
+
+    No decoded copy is kept.  `iq` decodes the whole cube to complex64 on
+    each access; range_profiles and write_raw_cube decode a chunk of
+    frames at a time through `frames`, the one decoding rule.
+    """
+
+    def __init__(self, words: np.ndarray, scale: float, config: RadarConfig):
+        self.words = words            # frames x fast-time x (I, Q), int16
+        self.scale = scale
+        self.config = config
+
+    @property
+    def iq(self) -> np.ndarray:
+        return self.frames(0, self.n_frames)
+
+    @property
+    def n_frames(self) -> int:
+        return self.words.shape[0]
+
+    @property
+    def n_fast(self) -> int:
+        return self.words.shape[1]
+
+    def frames(self, start: int, stop: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Frames start:stop as complex64, into `out` when given: each
+        word times 1/scale, in float32."""
+        words = self.words[start:stop]
+        if out is None:
+            out = np.empty(words.shape[:2], dtype=np.complex64)
+        np.multiply(words, 1.0 / self.scale,
+                    out=out.view(np.float32).reshape(words.shape),
+                    dtype=np.float32)
+        return out
 
 
 # --- trace CSV -------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Raw cube to unwrapped slow-time phase.
 
 The range FFT runs in single precision, a fixed chunk of frames at a time:
-each chunk of a cube of any complex dtype is windowed into one reused
-complex64 buffer and transformed in place with scipy.fft, and only its
-n_fast/2 one-sided bins are copied into a contiguous frames x bins array.
+each chunk is cast into one reused complex64 buffer (a file cube's int16
+words are decoded straight into it, so no decoded cube is ever held),
+windowed and transformed in place with scipy.fft, and only its n_fast/2
+one-sided bins are copied into a contiguous frames x bins array.
 The detection map is each range bin's residual power after average
 cancellation (subtracting the bin's across-frame complex mean), summed in
 float64 as real^2 + imag^2 over the range gate's bins only.  Phase is
@@ -25,9 +26,9 @@ from .types import PhaseSignal
 # temporaries of _residual_power to a few MB whatever the record length.
 _POWER_BLOCK_FRAMES = 2048
 
-# Frames windowed and transformed at a time by range_profiles; bounds its
-# complex64 scratch buffer (512 x 200 samples: 800 kB) whatever the record
-# length.
+# Frames decoded, windowed and transformed at a time by range_profiles;
+# bounds its complex64 scratch buffer (512 x 200 samples: 800 kB) whatever
+# the record length.
 _FFT_CHUNK_FRAMES = 512
 
 
@@ -93,10 +94,11 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
 
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
-    complex value in its bin.  Windowing casts the cube to complex64, and
-    the transform runs in that precision, _FFT_CHUNK_FRAMES frames at a
-    time through one reused buffer; each frame's transform is the same as
-    a one-shot FFT of the whole windowed cube, bit for bit.
+    complex value in its bin.  _FFT_CHUNK_FRAMES frames at a time,
+    cube.frames casts (or, for a file cube, decodes its int16 words) into
+    one reused complex64 buffer, which is windowed and transformed in
+    place; each frame's transform is the same as a one-shot FFT of the
+    whole windowed complex64 cube, bit for bit.
     """
     n_fast = cube.n_fast
     if n_fast < 4:
@@ -107,11 +109,11 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
     buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), n_fast),
                       dtype=np.complex64)
     for start in range(0, n_frames, _FFT_CHUNK_FRAMES):
-        chunk = cube.iq[start:start + _FFT_CHUNK_FRAMES]
-        windowed = buffer[:chunk.shape[0]]
-        np.multiply(chunk, window, out=windowed, dtype=np.complex64)
+        stop = min(start + _FFT_CHUNK_FRAMES, n_frames)
+        windowed = cube.frames(start, stop, out=buffer[:stop - start])
+        np.multiply(windowed, window, out=windowed, dtype=np.complex64)
         spectra = scipy.fft.fft(windowed, axis=1, overwrite_x=True)
-        values[start:start + chunk.shape[0]] = spectra[:, :n_fast // 2]
+        values[start:stop] = spectra[:, :n_fast // 2]
     return RangeProfiles(
         values=values,
         slow_time_rate=cube.config.frame_rate_hz,

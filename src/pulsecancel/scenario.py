@@ -242,8 +242,10 @@ class Scenario:
 class RadarCube:
     """Raw IF samples, frames x fast-time, complex.
 
-    The simulator renders complex128; cubes read from file are complex64.
-    The range FFT runs in complex64 either way.
+    The simulator renders complex128.  A cube read from file
+    (ingest.FileCube) holds only its int16 words: its `iq` decodes them to
+    complex64 on each access, and its `frames` a chunk at a time.  The
+    range FFT runs in complex64 either way.
     """
 
     iq: np.ndarray
@@ -261,6 +263,14 @@ class RadarCube:
     @property
     def n_fast(self) -> int:
         return self.iq.shape[1]
+
+    def frames(self, start: int, stop: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """iq[start:stop]: a view, or, given `out`, cast into that array."""
+        if out is None:
+            return self.iq[start:stop]
+        out[...] = self.iq[start:stop]
+        return out
 
 
 def synthesize_displacement(scenario: Scenario) -> np.ndarray:

@@ -233,6 +233,40 @@ class TestCompare:
             f"method={m} rmse_bpm={rmse(t, truth):.3f}"
             for m, t in traces.items()]
 
+    @pytest.mark.parametrize("bounds", [(), ("--ve", "0.3")])
+    def test_measures_once_per_block_per_pass(self, synth_outputs, capsys,
+                                              monkeypatch, bounds):
+        # at the default bounds ahet takes eca's shared pass; at others it
+        # runs its own and eca reads only its strongest peaks, so either
+        # way the tracker measures each block once
+        cube_path, truth_path = synth_outputs
+        phase = cube_phase(read_raw_cube(cube_path))
+        track = breathing_track(phase)
+        config = AhetConfig(0.3, 0.1) if bounds else AhetConfig()
+        truth = read_reference_trace(truth_path)
+        expected = [
+            f"method={m} rmse_bpm={rmse(t, truth):.3f}" for m, t in {
+                "conventional": conventional_trace(phase),
+                "eca": eca_conventional_trace(phase, track=track),
+                "ahet": ahet_mod.ahet_trace(phase, config=config,
+                                            track=track),
+            }.items()]
+        calls = []
+        original = ahet_mod._measure
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ahet_mod, "_measure", counting)
+        assert run_cli("compare", "--in", str(cube_path), "--truth",
+                       str(truth_path), "--methods", "conventional,eca,ahet",
+                       *bounds) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        # 21 windows, in blocks of 16
+        assert ahet_mod._BLOCK == 16
+        assert len(calls) == 2
+
     def test_truth_from_scenario_needs_no_csv(self, scenario_file, capsys):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",
                        "ahet")

@@ -2,14 +2,15 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pulsecancel.ingest import (CubeFormatError, read_cube_header,
-                                read_raw_cube, read_reference_trace,
-                                sidecar_path, write_raw_cube, write_trace,
-                                write_truth)
+from pulsecancel.ingest import (_CHUNK_FRAMES, CubeFormatError,
+                                read_cube_header, read_raw_cube,
+                                read_reference_trace, sidecar_path,
+                                write_raw_cube, write_trace, write_truth)
 from pulsecancel.scenario import RadarConfig, RadarCube
 from pulsecancel.types import HrTrace, TraceEntry
 
@@ -53,6 +54,28 @@ class TestCubeRoundTrip:
         header = write_raw_cube(cube, p1)
         write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_chunked_write_is_the_one_shot_quantization(self, tmp_path):
+        # one chunk and one frame: the last chunk holds a single frame
+        cube = small_cube(frames=_CHUNK_FRAMES + 1)
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        header = write_raw_cube(cube, p1)
+        words = np.stack([np.rint(cube.iq.real * header.scale),
+                          np.rint(cube.iq.imag * header.scale)], axis=-1)
+        assert p1.read_bytes() == words.astype("<i2").tobytes()
+        write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_peak_memory_is_one_chunk(self, tmp_path):
+        cube = small_cube(frames=8 * _CHUNK_FRAMES, fast=200)
+        chunk = _CHUNK_FRAMES * 200 * cube.iq.itemsize
+        tracemalloc.start()
+        try:
+            write_raw_cube(cube, tmp_path / "cube.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6 + chunk
 
     def test_decodes_to_complex64(self, tmp_path):
         path = tmp_path / "cube.bin"

@@ -1,5 +1,7 @@
 """Range processing, target detection, and phase demodulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -366,3 +368,45 @@ class TestPrecision:
             err = ((phase.samples - np.mean(phase.samples))
                    - (theta - np.mean(theta)))
             assert np.max(np.abs(err)) < 1e-4
+
+
+def write_noise_cube(path, frames, seed=0):
+    """A file cube of complex noise; its gate holds residual power."""
+    rng = np.random.default_rng(seed)
+    n_fast = RadarConfig().adc_samples_per_chirp
+    iq = rng.normal(size=(frames, n_fast)) + 1j * rng.normal(size=(frames,
+                                                                  n_fast))
+    write_raw_cube(RadarCube(iq, RadarConfig()), path)
+    return read_raw_cube(path)
+
+
+class TestFileCubeDecode:
+    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES - 1,
+                                        _FFT_CHUNK_FRAMES,
+                                        _FFT_CHUNK_FRAMES + 1,
+                                        2 * _FFT_CHUNK_FRAMES + 1])
+    def test_chunked_decode_is_the_decoded_cube(self, tmp_path, frames):
+        # the last chunk is partial, full, and one frame long
+        cube = write_noise_cube(tmp_path / "cube.bin", frames)
+        decoded = RadarCube(cube.iq, cube.config)
+        assert decoded.iq.dtype == np.complex64
+        assert (range_profiles(cube).values.tobytes()
+                == range_profiles(decoded).values.tobytes())
+
+    def test_peak_memory_holds_no_decoded_cube(self, tmp_path):
+        # the int16 words and the one-sided spectra, plus a few MB of
+        # chunk buffers and detection blocks; a complex64 copy of the
+        # cube alone would be twice the words
+        frames = 16 * _FFT_CHUNK_FRAMES
+        path = tmp_path / "cube.bin"
+        write_noise_cube(path, frames)
+        n_fast = RadarConfig().adc_samples_per_chirp
+        words = frames * n_fast * 4
+        spectra = frames * (n_fast // 2) * 8
+        tracemalloc.start()
+        try:
+            cube_phase(read_raw_cube(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < words + spectra + 8e6
