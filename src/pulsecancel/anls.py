@@ -2,9 +2,12 @@
 
 The breathing rate is found by grid search: for each candidate fundamental
 the phase segment is projected onto a sin/cos harmonic basis and the
-candidate with minimal residual wins.  Amplitudes come from the same
-least-squares fit.  All solves go through orthogonal QR factorizations; no
-normal-equation inverses.
+candidate with minimal residual wins.  The grid's orthonormal bases are
+held as one factor: a shared orthonormal span of a few dozen directions and
+each basis's coordinates in it, so scoring a segment against the whole grid
+costs one projection onto the span and one small product.  Amplitudes come
+from the same least-squares fit.  All solves go through orthogonal QR
+factorizations; no normal-equation inverses.
 """
 
 import math
@@ -13,13 +16,17 @@ from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from .scenario import BREATHING_BAND_HZ, sliding_windows, window_samples
 from .spectral import row_medians
 from .types import PhaseSignal
 
 BREATHING_GRID_HZ = (*BREATHING_BAND_HZ, 1.0 / 600.0)
+# The grid factor (_factored_bases) is built this many grid frequencies at a
+# time, and resolves every basis onto its span to this absolute tolerance.
+_SPAN_CHUNK = 16
+_SPAN_TOL = 1e-13
 _NO_SUBWINDOW = "no breathing subwindow inside the segment"
 
 
@@ -143,22 +150,32 @@ def harmonic_matrix(fundamental_hz: float, order: int, n: int,
     Columns 2k-2 and 2k-1 (0-based) hold sin and cos of harmonic k, which
     linearizes the unknown per-harmonic phases.
     """
+    # row-major: a column-major design rounds the refit products otherwise
+    return np.ascontiguousarray(_harmonic_stack(
+        np.array([fundamental_hz], dtype=float), order, n, sample_rate)[0])
+
+
+def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
+                    sample_rate: float) -> np.ndarray:
+    """harmonic_matrix of each of freqs, stacked (freqs.size, n, 2 * order),
+    with its checks on every fundamental."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if n < 1:
         raise ValueError("need at least one sample")
-    if fundamental_hz < 0:
+    if freqs.min() < 0:
         raise ValueError("fundamental must be >= 0")
-    if order * fundamental_hz >= sample_rate / 2.0:
-        raise ValueError(f"harmonic {order} of {fundamental_hz} Hz reaches "
+    if order * freqs.max() >= sample_rate / 2.0:
+        raise ValueError(f"harmonic {order} of {freqs.max()} Hz reaches "
                          f"Nyquist at fs={sample_rate} Hz")
     t = np.arange(n) / sample_rate
-    h = np.empty((n, 2 * order))
-    for k in range(1, order + 1):
-        arg = 2.0 * np.pi * k * fundamental_hz * t
-        h[:, 2 * k - 2] = np.sin(arg)
-        h[:, 2 * k - 1] = np.cos(arg)
-    return h
+    arg = (2.0 * np.pi * np.arange(1, order + 1) * freqs[:, None])[..., None] \
+        * t
+    # columns contiguous in time, so each design is Fortran-ordered
+    h = np.empty((freqs.size, order, 2, n))
+    h[:, :, 0] = np.sin(arg)
+    h[:, :, 1] = np.cos(arg)
+    return h.reshape(freqs.size, 2 * order, n).transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=64)
@@ -243,27 +260,68 @@ def grid_frequencies(lo_hz: float, hi_hz: float, step_hz: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _orthonormal_bases(n: int, sample_rate: float, order: int,
-                       grid: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked orthonormal bases Q(f) for every grid frequency.
-
-    Columns are centered before factorization: projecting the demeaned
-    segment onto span of the centered columns equals the joint fit with an
-    intercept, keeping the grid search consistent with fit_amplitudes.
-    The bases are flattened to one (F * k, n) matrix so the whole grid is
-    scored with a single matrix-vector product.  Cached per (n, fs, order,
+def _factored_bases(n: int, sample_rate: float, order: int,
+                    grid: tuple) -> tuple:
+    """(freqs, span, coords): the orthonormal bases Q(f) of every grid
+    frequency, factored through one shared span.  Cached per (n, fs, order,
     grid) and returned read-only: the bases depend only on geometry, so
-    sliding windows of equal length reuse one QR batch.
+    sliding windows of equal length reuse one build.
+
+    Q(f) is the reduced QR basis of the centered harmonic design: projecting
+    the demeaned segment onto span of the centered columns equals the joint
+    fit with an intercept, keeping the grid search consistent with
+    fit_amplitudes.  span is an n x r orthonormal basis that holds every
+    Q(f) and coords the (F * 2 * order) x r stack of the Q(f)^T span blocks
+    in grid order, so Q(f)^T x = coords_f span^T x and every entry of
+    Q(f) - span coords_f^T is at most _SPAN_TOL.  The bases are sinusoids of
+    a narrow band over a short window, so r stays a few dozen (40 at the
+    defaults) where the stack has F * 2 * order rows.
+
+    The span grows _SPAN_CHUNK grid frequencies at a time, a coarse
+    subsample spread over the whole grid first so that later chunks rarely
+    add to it.  Each chunk's basis rows are projected off the span; where a
+    row keeps more than _SPAN_TOL, what is left is projected off once more
+    and the span gains the leading columns of its column-pivoted QR, down
+    to the first pivot within _SPAN_TOL (every row then keeps at most that
+    pivot).  A chunk's coordinates are taken against the span after its own
+    directions join; the directions later chunks add hold at most
+    _SPAN_TOL of its rows, and its coordinates on them are left zero.
     """
     freqs = grid_frequencies(*grid)
-    designs = np.stack([harmonic_matrix(f, order, n, sample_rate)
-                        for f in freqs])
-    designs = designs - designs.mean(axis=1, keepdims=True)
-    q, _ = np.linalg.qr(designs)
-    flat = np.ascontiguousarray(q.transpose(0, 2, 1).reshape(-1, n))
-    for a in (freqs, flat):
+    width = 2 * order
+    coarse = np.unique(np.linspace(0, freqs.size - 1, _SPAN_CHUNK).round()
+                       .astype(int))
+    rest = np.setdiff1d(np.arange(freqs.size), coarse)
+    chunks = [coarse] + [rest[i:i + _SPAN_CHUNK]
+                         for i in range(0, rest.size, _SPAN_CHUNK)]
+    span = np.empty((n, 0))
+    blocks = []
+    for idx in chunks:
+        designs = _harmonic_stack(freqs[idx], order, n, sample_rate)
+        designs -= designs.mean(axis=1, keepdims=True)
+        rows = np.linalg.qr(designs)[0].transpose(0, 2, 1).reshape(-1, n)
+        block = rows @ span
+        left = rows - block @ span.T
+        kept = np.einsum("mn,mn->m", left, left) > _SPAN_TOL ** 2
+        if kept.any():
+            left = left[kept]
+            left -= (left @ span) @ span.T
+            q, r, _ = qr(left.T, mode="economic", pivoting=True,
+                         check_finite=False)
+            new = q[:, :np.count_nonzero(np.abs(np.diag(r)) > _SPAN_TOL)]
+            if new.shape[1]:
+                # a tiny leftover's directions carry its rounding along span
+                new -= span @ (span.T @ new)
+                span = np.hstack([span, np.linalg.qr(new)[0]])
+                block = rows @ span
+        blocks.append(block)
+    coords = np.zeros((freqs.size, width, span.shape[1]))
+    for idx, block in zip(chunks, blocks):
+        coords[idx, :, :block.shape[1]] = block.reshape(idx.size, width, -1)
+    coords = coords.reshape(-1, span.shape[1])
+    for a in (freqs, span, coords):
         a.flags.writeable = False
-    return freqs, flat
+    return freqs, span, coords
 
 
 def _best_fundamentals(segments: np.ndarray, sample_rate: float,
@@ -272,15 +330,19 @@ def _best_fundamentals(segments: np.ndarray, sample_rate: float,
     equal-length segments.
 
     Residuals are evaluated as ||x||^2 - ||Q(f)^T x||^2 for each demeaned
-    row x over precomputed orthonormal bases, one matrix product for the
-    whole grid and stack.  Ties go to the lower frequency.
+    row x, with Q(f)^T x read from the grid factor as coords_f (span^T x):
+    one projection onto the shared span for the whole stack, then one small
+    product for the whole grid.  Ties go to the lower frequency.  A segment
+    with a non-finite sample is a ValueError.
     """
     if segments.shape[1] < 2 * order + 1:
         raise ValueError("segment too short for the requested order")
-    freqs, bases = _orthonormal_bases(segments.shape[1], sample_rate, order,
-                                      tuple(grid))
+    if not np.isfinite(segments).all():
+        raise ValueError("breathing segment holds non-finite samples")
+    freqs, span, coords = _factored_bases(segments.shape[1], sample_rate,
+                                          order, tuple(grid))
     segs = segments - segments.mean(axis=1, keepdims=True)
-    proj = (bases @ segs.T).reshape(freqs.size, -1, len(segs))
+    proj = (coords @ (span.T @ segs.T)).reshape(freqs.size, -1, len(segs))
     resid = np.einsum("wn,wn->w", segs, segs) \
         - np.einsum("fkw,fkw->fw", proj, proj)
     return freqs[np.argmin(resid, axis=0)]
@@ -289,8 +351,10 @@ def _best_fundamentals(segments: np.ndarray, sample_rate: float,
 def estimate_breathing(segment: np.ndarray,
                        sample_rate: float) -> HarmonicModel:
     """Grid search over BREATHING_GRID_HZ for the 3-harmonic breathing
-    fundamental with minimal residual (a stack of one for breathing_track's
-    scorer), then the amplitude fit at the winner."""
+    fundamental with minimal residual, then the amplitude fit at the winner.
+    The segment is scored as a stack of one by breathing_track's scorer,
+    through the grid factor's span and coordinates; a non-finite sample is a
+    ValueError."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
@@ -306,8 +370,10 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
 
     The subwindows are scenario.sliding_windows' layout of window_s every
     step_s, which rejects a bad window or step.  All subwindows are scored
-    against the shared basis stack in one matrix product; the fundamentals
-    match per-subwindow estimate_breathing.
+    together through the grid factor: one projection onto its shared span,
+    then one product with every grid frequency's coordinates.  The
+    fundamentals match per-subwindow estimate_breathing, and a non-finite
+    sample in any subwindow is a ValueError.
     """
     fs = phase.sample_rate
     # a view: the scorer's demeaned stack is the subwindows' only copy

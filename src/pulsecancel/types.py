@@ -25,6 +25,8 @@ class PhaseSignal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("phase samples must be 1-D")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("phase samples must be finite")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 

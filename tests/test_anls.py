@@ -1,23 +1,50 @@
 """Breathing-fundamental grid search and harmonic least squares."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pulsecancel import anls as anls_mod
-from pulsecancel.anls import (BREATHING_GRID_HZ, _design_factorization,
-                              _orthonormal_bases, estimate_breathing,
+from pulsecancel.ahet import ahet_trace
+from pulsecancel.anls import (_SPAN_TOL, BREATHING_GRID_HZ,
+                              _best_fundamentals, _design_factorization,
+                              _factored_bases, estimate_breathing,
                               breathing_track, fit_amplitudes,
                               grid_frequencies, harmonic_matrix,
                               reconstruct_reference)
 from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
-                                  window_samples, window_starts)
+                                  sliding_windows, window_samples,
+                                  window_starts)
 from pulsecancel.types import PhaseSignal
 
 FS = 100.0
 GRID = grid_frequencies(*BREATHING_GRID_HZ)
+# order and grid of a non-default breathing search
+ALT_GRID = (0.12, 0.45, 0.002)
+
+
+def stacked_bases(n, fs, order, grid):
+    """The grid's orthonormal bases Q(f) as one (F * 2 * order, n) stack:
+    each frequency's centered harmonic design, QR-factored."""
+    freqs = grid_frequencies(*grid)
+    designs = np.stack([harmonic_matrix(f, order, n, fs) for f in freqs])
+    designs = designs - designs.mean(axis=1, keepdims=True)
+    q, _ = np.linalg.qr(designs)
+    return freqs, np.ascontiguousarray(q.transpose(0, 2, 1).reshape(-1, n))
+
+
+def stacked_fundamentals(segments, fs, grid, order):
+    """Reference grid scorer: residuals against the whole stack of bases,
+    one product, ties to the lower frequency."""
+    freqs, bases = stacked_bases(segments.shape[1], fs, order, grid)
+    segs = segments - segments.mean(axis=1, keepdims=True)
+    proj = (bases @ segs.T).reshape(freqs.size, -1, len(segs))
+    resid = np.einsum("wn,wn->w", segs, segs) \
+        - np.einsum("fkw,fkw->fw", proj, proj)
+    return freqs[np.argmin(resid, axis=0)]
 
 
 def harmonic_signal(f_hz, n, amplitudes, phases, offset=0.0, fs=FS):
@@ -107,6 +134,128 @@ class TestGrid:
                      (0.1, 0.5, np.nan)):
             with pytest.raises(ValueError, match="grid must be finite"):
                 grid_frequencies(*grid)
+
+
+class TestGridFactor:
+    """The scorer reads Q(f)^T x from the factored grid; the stacked QR
+    bases it replaces are the reference."""
+
+    SETTINGS = [(500, 3, BREATHING_GRID_HZ), (500, 2, ALT_GRID),
+                (500, 4, ALT_GRID), (800, 3, BREATHING_GRID_HZ)]
+
+    @staticmethod
+    def panel_phase(family, seed):
+        sc = FAMILIES[family](seed)
+        return slow_time_phase(scenario_slow_time(sc),
+                               sc.radar.frame_rate_hz)
+
+    @pytest.mark.parametrize("window_s, step_s", [(5.0, 1.0), (8.0, 0.5)])
+    def test_picks_equal_the_stacked_reference_on_the_panel(self, window_s,
+                                                            step_s):
+        for family in ("masking-b", "masking-c"):
+            for seed in range(4):
+                phase = self.panel_phase(family, seed)
+                _, subwindows = sliding_windows(phase.samples, FS, window_s,
+                                                step_s)
+                track = breathing_track(phase, window_s, step_s)
+                np.testing.assert_array_equal(
+                    track.hz, stacked_fundamentals(subwindows, FS,
+                                                   BREATHING_GRID_HZ, 3))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_picks_equal_the_reference_at_other_orders(self, order):
+        phase = self.panel_phase("masking-b", 0)
+        _, subwindows = sliding_windows(phase.samples, FS, 5.0, 1.0)
+        np.testing.assert_array_equal(
+            _best_fundamentals(subwindows, FS, ALT_GRID, order),
+            stacked_fundamentals(subwindows, FS, ALT_GRID, order))
+
+    @pytest.mark.parametrize("n, order, grid", SETTINGS[:3])
+    def test_picks_equal_the_reference_on_white_noise(self, n, order, grid):
+        # no harmonic structure: the residuals of neighbouring grid
+        # frequencies sit closest together here
+        noise = np.random.default_rng(7).normal(size=(400, n))
+        np.testing.assert_array_equal(
+            _best_fundamentals(noise, FS, grid, order),
+            stacked_fundamentals(noise, FS, grid, order))
+
+    def test_an_exact_tie_goes_to_the_lowest_frequency(self):
+        # a flat segment leaves every candidate the same zero residual
+        flat = np.full((3, 500), 0.25)
+        for grid, order in ((BREATHING_GRID_HZ, 3), (ALT_GRID, 4)):
+            picks = _best_fundamentals(flat, FS, grid, order)
+            assert picks.tolist() == [grid[0]] * 3
+            np.testing.assert_array_equal(
+                picks, stacked_fundamentals(flat, FS, grid, order))
+
+    @pytest.mark.parametrize("n, order, grid", SETTINGS)
+    def test_factor_reproduces_every_basis(self, n, order, grid):
+        freqs, span, coords = _factored_bases(n, FS, order, grid)
+        ref_freqs, bases = stacked_bases(n, FS, order, grid)
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        factored = coords @ span.T
+        # QR fixes each basis column up to its sign, and a pivot that is
+        # rounding-small can round either way
+        signs = np.sign(np.einsum("mn,mn->m", bases, factored))
+        assert np.all(signs != 0)
+        assert np.max(np.abs(bases - signs[:, None] * factored)) <= _SPAN_TOL
+        np.testing.assert_allclose(span.T @ span, np.eye(span.shape[1]),
+                                   rtol=0, atol=1e-14)
+
+    def test_span_is_a_few_dozen_directions_at_the_defaults(self):
+        _, span, coords = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
+        assert span.shape[0] == 500
+        assert coords.shape == (GRID.size * 6, span.shape[1])
+        assert span.shape[1] <= 64
+
+    def test_building_the_default_factor_is_small(self):
+        _factored_bases.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 5e6      # the stacked bases peaked at 17.5 MB
+        assert kept - before < 1e6
+
+
+class TestNonFinitePhase:
+    """A non-finite sample is an error, never a grid-floor breathing rate."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def record():
+        return harmonic_signal(float(GRID[96]), 2000, [1.0, 0.3],
+                               [0.0, 0.4])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_phase_signal_rejects_it(self, bad):
+        x = self.record()
+        x[1234] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PhaseSignal(x, FS)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_estimate_breathing_rejects_it(self, bad):
+        x = self.record()[:500]
+        x[17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_breathing(x, FS)
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_breathing(np.full(500, bad), FS)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_track_and_trace_reject_a_sample_set_after_construction(self,
+                                                                    bad):
+        phase = PhaseSignal(self.record(), FS)
+        phase.samples[1234] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            breathing_track(phase)
+        with pytest.raises(ValueError, match="non-finite"):
+            ahet_trace(phase, cpi_s=10.0)
 
 
 class TestEstimateBreathing:
@@ -386,7 +535,7 @@ class TestEquality:
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
         cached = [*_design_factorization(0.26, 3, 500, FS),
-                  *_orthonormal_bases(500, FS, 3, BREATHING_GRID_HZ)]
+                  *_factored_bases(500, FS, 3, BREATHING_GRID_HZ)]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -396,10 +545,12 @@ class TestCaches:
         again = _design_factorization(0.26, 3, 500, FS)
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
-        freqs, bases = _orthonormal_bases(500, FS, 3, BREATHING_GRID_HZ)
-        freqs2, bases2 = _orthonormal_bases(500, FS, 3, BREATHING_GRID_HZ)
-        np.testing.assert_array_equal(freqs, freqs2)
-        np.testing.assert_array_equal(bases, bases2)
+        first = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
+        _factored_bases.cache_clear()
+        again = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
+        assert first is not again
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
 
     def test_design_starts_with_the_harmonic_matrix(self):
         design = _design_factorization(0.26, 3, 500, FS)[0]
