@@ -3,8 +3,14 @@
 power_spectrum gives one window's full zero-padded spectrum.  band_power
 gives a stack of windows' spectra on the same grid, but only up to the
 highest frequency a caller reads: one chirp-z transform (Rabiner, Schafer
-& Rader, 1969) in place of the padded FFT.  Peak picking works on stacks
-of spectra (band_peaks); top_peaks is a stack of one.
+& Rader, 1969) in place of the padded FFT.  The windows are real, so it
+transforms them in pairs, one as the real and one as the imaginary part
+of a complex row, and separates the two spectra by the conjugate symmetry
+of a real signal's spectrum (Press et al., Numerical Recipes, "FFT of two
+real functions simultaneously").  A row is then exact to rounding of the
+larger of its pair, and a window that is exactly zero after its mean is
+removed gets exactly zero power.  Peak picking works on stacks of spectra
+(band_peaks); top_peaks is a stack of one.
 """
 
 import math
@@ -69,15 +75,16 @@ def _check_window(n: int, sample_rate: float, zero_pad_factor: int):
         raise ValueError("sample_rate must be positive")
 
 
-def _one_sided(spec: np.ndarray, n_fft: int) -> np.ndarray:
-    """Power of the first bins of an n_fft-point DFT, Parseval-normalized.
+def _one_sided(power: np.ndarray, n_fft: int) -> np.ndarray:
+    """Parseval-normalizes, in place, |X|^2 of the first bins of an
+    n_fft-point DFT.
 
     Interior bins carry both halves of the two-sided spectrum; the Nyquist
     bin of an even transform, when present, carries one.
     """
-    power = np.abs(spec) ** 2 / n_fft
+    power /= n_fft
     power[..., 1:] *= 2.0
-    if n_fft % 2 == 0 and spec.shape[-1] == n_fft // 2 + 1:
+    if n_fft % 2 == 0 and power.shape[-1] == n_fft // 2 + 1:
         power[..., -1] /= 2.0
     return power
 
@@ -93,7 +100,7 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
     n_fft = x.size * zero_pad_factor
     return Spectrum(
         frequencies=np.fft.rfftfreq(n_fft, 1.0 / sample_rate),
-        power=_one_sided(np.fft.rfft(xw, n_fft), n_fft),
+        power=_one_sided(np.abs(np.fft.rfft(xw, n_fft)) ** 2, n_fft),
         sample_rate=sample_rate,
         window_seconds=x.size / sample_rate,
         zero_pad_factor=zero_pad_factor,
@@ -103,56 +110,86 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
 @lru_cache(maxsize=2)
 def _chirp_z(n: int, sample_rate: float, top_hz: float,
              zero_pad_factor: int) -> tuple:
-    """Bluestein's chirp-z transform for the bins of the padded
-    n * zero_pad_factor-point DFT of n Hann-windowed samples up to top_hz
-    plus one (a peak at the top bin needs its upper neighbor): (their
-    frequencies, window times pre-chirp, convolution length, spectrum of
-    the conjugate chirp), read-only.
+    """Bluestein's chirp-z transform for the bins -(m-1)..(m-1) of the
+    padded n * zero_pad_factor-point DFT of n Hann-windowed samples, where
+    bins 0..m-1 reach top_hz plus one (a peak at the top bin needs its upper
+    neighbor): (the m frequencies, window times pre-chirp, convolution
+    length, spectrum of the conjugate chirp, post-chirp of bins 0..m-1),
+    read-only.
 
-    The chirp exp(-i pi k^2 / n_fft) reduces k^2 modulo 2 n_fft in
-    integers, so its phase carries no rounding that grows with k.  The
-    post-chirp has unit modulus, and power never needs it.
+    With w[k] = exp(-i pi k^2 / n_fft), bin k is w[k] times the
+    convolution of the pre-chirped samples with conj(w) at k; the kernel
+    spans lags -(n+m-2)..(m-1), so the 2m-1 bins take one convolution of
+    next_fast_len(n + 2m - 2) points.  w is even in k, so one post-chirp
+    serves k and -k.  The chirp reduces k^2 modulo 2 n_fft in integers, so
+    its phase carries no rounding that grows with k.
     """
     n_fft = n * zero_pad_factor
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     m = min(int(np.searchsorted(freqs, top_hz, side="right")) + 1,
             freqs.size)
     freqs = freqs[:m].copy()
-    k = np.arange(max(n, m))
+    k = np.arange(n + m - 1)
     chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n_fft)) / n_fft)
-    size = scipy.fft.next_fast_len(n + m - 1)
-    kernel = scipy.fft.fft(np.conj(np.concatenate([chirp[n - 1:0:-1],
+    size = scipy.fft.next_fast_len(n + 2 * m - 2)
+    kernel = scipy.fft.fft(np.conj(np.concatenate([chirp[:0:-1],
                                                    chirp[:m]])), size)
     pre = _hann(n, True) * chirp[:n]
-    for a in (freqs, pre, kernel):
+    post = chirp[:m].copy()
+    for a in (freqs, pre, kernel, post):
         a.flags.writeable = False
-    return freqs, pre, size, kernel
+    return freqs, pre, size, kernel, post
 
 
 def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
                zero_pad_factor: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Power spectra of a stack of windows (one per row), up to top_hz.
+    """Power spectra of a stack of real windows (one per row), up to top_hz.
 
     Returns (frequencies, power): frequencies are power_spectrum's grid up
-    to top_hz plus one bin, and each row of power equals power_spectrum of
-    that window over those bins, to rounding.
+    to top_hz plus one bin.  Rows 2i and 2i+1 share one complex transform,
+    as its real and imaginary parts (an odd last row rides alone), and are
+    separated by the symmetry of a real signal's spectrum.  So each row of
+    power equals power_spectrum of that window over those bins to within
+    1e-12 of the larger of its pair's peak powers, not of its own.  A
+    window whose mean-removed samples are all exactly zero gets exactly
+    zero power.  Raises ValueError on a non-finite sample, which would
+    spread into its partner, and on a top_hz that is NaN or not positive.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2:
         raise ValueError("windows must be a 2-D stack")
     rows, n = windows.shape
     _check_window(n, sample_rate, zero_pad_factor)
+    if not top_hz > 0:
+        raise ValueError("top_hz must be positive")
+    if not np.isfinite(windows).all():
+        raise ValueError("windows hold non-finite samples")
     n_fft = n * zero_pad_factor
-    freqs, pre, size, kernel = _chirp_z(n, sample_rate, top_hz,
-                                        zero_pad_factor)
-    y = np.zeros((rows, size), dtype=complex)
-    np.subtract(windows, np.mean(windows, axis=1, keepdims=True),
-                out=y[:, :n])
+    freqs, pre, size, kernel, post = _chirp_z(n, sample_rate, top_hz,
+                                              zero_pad_factor)
+    m = freqs.size
+    pairs = rows // 2
+    mean = np.mean(windows, axis=1, keepdims=True)
+    y = np.zeros((rows - pairs, size), dtype=complex)
+    np.subtract(windows[0::2], mean[0::2], out=y.real[:, :n])
+    np.subtract(windows[1::2], mean[1::2], out=y.imag[:pairs, :n])
     y[:, :n] *= pre
     y = scipy.fft.fft(y, axis=1, overwrite_x=True)
     y *= kernel
     y = scipy.fft.ifft(y, axis=1, overwrite_x=True)
-    return freqs, _one_sided(y[:, n - 1:n - 1 + freqs.size], n_fft)
+    # Z[k] = A[k] + i B[k] on bins -(m-1)..(m-1), A and B the spectra of
+    # the real and imaginary rows: 2A[k] = Z[k] + conj Z[-k] and
+    # 2i B[k] = Z[k] - conj Z[-k]
+    z = y[:, n + m - 2:n + 2 * m - 2] * post
+    z_neg = np.conj(y[:, n + m - 2:n - 2:-1] * post)
+    power = np.empty((rows, m))
+    for out, half in ((power[0::2], z + z_neg),
+                      (power[1::2], z[:pairs] - z_neg[:pairs])):
+        np.square(half.real, out=out)
+        out += half.imag ** 2
+    power *= 0.25
+    power[(windows == mean).all(axis=1)] = 0.0
+    return freqs, _one_sided(power, n_fft)
 
 
 def _refine(freqs: np.ndarray, power: np.ndarray, rows: np.ndarray,

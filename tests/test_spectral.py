@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import get_window
 
 from pulsecancel.spectral import (Spectrum, _chirp_z, _hann,
@@ -177,23 +178,75 @@ def band_spectrum(freqs, power, like):
                     like.zero_pad_factor)
 
 
+def band_windows(rows, n, seed=4):
+    """rows windows of n samples that differ in content, level and offset."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    f = rng.uniform(0.3, 4.0, (rows, 1))
+    amp = 10.0 ** rng.uniform(-1.0, 2.0, (rows, 1))
+    return (amp * np.sin(2 * np.pi * f * t + rng.uniform(0, 6, (rows, 1)))
+            + rng.normal(size=(rows, n)) + rng.normal(0.0, 5.0, (rows, 1)))
+
+
+def assert_rows_match(windows, pad, top_hz, tol=1e-12):
+    """band_power's rows equal power_spectrum's over the band, each within
+    tol of the larger peak power of its pair (rows 2i and 2i+1)."""
+    freqs, power = band_power(windows, FS, top_hz, pad)
+    full = [power_spectrum(w, FS, pad) for w in windows]
+    k = int(np.searchsorted(full[0].frequencies, top_hz, side="right")) + 1
+    k = min(k, full[0].frequencies.size)
+    assert freqs.tolist() == full[0].frequencies[:k].tolist()
+    assert power.shape == (len(windows), k)
+    expected = np.stack([spec.power[:k] for spec in full])
+    loudest = expected.max(axis=1)
+    partner = np.minimum(np.arange(len(windows)) ^ 1, len(windows) - 1)
+    pair_max = np.maximum(loudest, loudest[partner])
+    error = np.max(np.abs(power - expected), axis=1)
+    assert np.all(error <= tol * pair_max), error / pair_max
+    return power
+
+
 class TestBandPower:
     @pytest.mark.parametrize("pad", [1, 8])
     def test_rows_equal_the_padded_spectrum_over_the_band(self, pad):
-        # odd window length; the rows differ in content and offset
-        rng = np.random.default_rng(4)
-        n = 1999
-        windows = np.stack([tone(1.1, amp=40.0)[:n] + rng.normal(size=n) + 3.0,
-                            tone(0.45, amp=7.0)[:n] + tone(2.9)[:n],
-                            rng.normal(size=n)])
-        freqs, power = band_power(windows, FS, 4.2, pad)
-        full = [power_spectrum(w, FS, pad) for w in windows]
-        k = int(np.searchsorted(full[0].frequencies, 4.2, side="right")) + 1
-        assert freqs.tolist() == full[0].frequencies[:k].tolist()
-        for row, spec in zip(power, full):
-            expected = spec.power[:k]
-            assert np.max(np.abs(row - expected)) \
-                <= 1e-12 * np.max(expected)
+        # 1999 is odd; 1500, 2000 and 3000 are the 15/20/30 s CPIs; a top
+        # at Nyquist takes every bin, so bins -(m-1)..(m-1) wrap round the
+        # DFT; 1, 3 and 17 rows leave an odd row alone
+        for n, top_hz in [(1999, 4.2), (1500, 4.2), (2000, 4.2),
+                          (3000, 4.2), (2000, FS / 2), (1999, FS / 2)]:
+            for rows in (1, 3, 17):
+                assert_rows_match(band_windows(rows, n), pad, top_hz)
+
+    def test_a_zero_row_stays_exactly_zero_beside_a_loud_one(self):
+        # pairs (loud, zeros), (constant, loud), then a lone zero row
+        loud = band_windows(2, 2000, seed=9) * 1e3
+        windows = np.stack([loud[0], np.zeros(2000), np.full(2000, 3.0),
+                            loud[1], np.zeros(2000)])
+        power = assert_rows_match(windows, 8, 4.2)
+        for row in (1, 2, 4):
+            assert not np.any(power[row]), row
+
+    def test_a_quiet_row_beside_a_loud_one_keeps_the_pair_bound(self):
+        # 1e3 in amplitude, 1e6 in power: the quiet row's error is bounded
+        # by its partner's peak, not its own
+        windows = band_windows(4, 2000, seed=12)
+        windows /= np.std(windows, axis=1, keepdims=True)
+        windows[0::2] *= 1e3
+        assert_rows_match(windows, 8, 4.2)
+        assert_rows_match(windows[::-1], 8, 4.2)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16, 17])
+    def test_two_rows_per_transform(self, monkeypatch, rows):
+        windows = band_windows(rows, 2000)
+        band_power(windows, FS, 4.2)              # the kernel is cached
+        seen = []
+        for name in ("fft", "ifft"):
+            def counting(x, *args, _f=getattr(scipy.fft, name), **kwargs):
+                seen.append(x.shape)
+                return _f(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counting)
+        band_power(windows, FS, 4.2)
+        assert [shape[0] for shape in seen] == [(rows + 1) // 2] * 2
 
     def test_band_stops_one_bin_past_the_top(self):
         freqs, power = band_power(tone(1.0)[None, :], FS, 2.0)
@@ -239,6 +292,21 @@ class TestBandPower:
             band_power(np.ones((2, 10)), FS, 4.0)
         with pytest.raises(ValueError, match="zero_pad_factor"):
             band_power(np.ones((2, 100)), FS, 4.0, zero_pad_factor=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_an_error(self, bad):
+        # packed with its partner, it would spread into the partner's row
+        windows = band_windows(3, 400)
+        windows[1, 57] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            band_power(windows, FS, 4.0)
+
+    @pytest.mark.parametrize("top_hz", [np.nan, 0.0, -1.0])
+    def test_a_top_that_is_not_positive_is_an_error(self, top_hz):
+        # unchecked, a NaN top selects every bin and a negative one a
+        # single bin
+        with pytest.raises(ValueError, match="top_hz"):
+            band_power(band_windows(2, 400), FS, top_hz)
 
 
 class TestStackPeaks:
