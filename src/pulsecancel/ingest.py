@@ -3,11 +3,11 @@ heart-rate trace CSV.
 
 Cube payloads are little-endian signed 16-bit, frame-major, one I and one Q
 word per sample.  The sidecar records the dimensions, the quantization scale
-and the radar configuration, so a cube file is self-describing.  A cube
-loads as its int16 words (FileCube) and is decoded to complex64 a chunk of
-frames at a time, as the range FFT or a writer reads it: a float32 multiply
-of every word by 1/scale, which holds a 16-bit sample to within float32
-rounding.
+and the radar configuration, so a cube file is self-describing.  A read
+cube (FileCube) holds its path and header, not its words: the range FFT or
+a writer reads it from the file a chunk of frames at a time and decodes
+each chunk to complex64 with a float32 multiply of every word by 1/scale,
+which holds a 16-bit sample to within float32 rounding.
 """
 
 import contextlib
@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,9 +57,14 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
     component sits at 90% of int16 full scale.  Pass the scale from a
     previously read header to get a byte-identical rewrite.  The peak
     search, the quantization and the writes run _CHUNK_FRAMES frames at a
-    time, in the precision of the cube's own samples.
+    time, in the precision of the cube's own samples.  A FileCube cannot be
+    written over the file it streams from: opening that file for writing
+    would truncate the words still to be read.
     """
     path = Path(path)
+    if isinstance(cube, FileCube) and _same_file(cube.path, path):
+        raise ValueError(f"cannot write a cube over {path}, the file it "
+                         f"reads from")
     chunks = range(0, cube.n_frames, _CHUNK_FRAMES)
     if scale is None:
         peak = 0.0
@@ -121,37 +127,56 @@ def read_cube_header(path) -> RawCubeHeader:
         raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except FileNotFoundError:
+        return False
+
+
 def read_raw_cube(path) -> RadarCube:
-    """Load a cube file; its sidecar gives the layout and the config."""
+    """Open a cube file: check its sidecar and payload size, read no words.
+
+    The sidecar gives the layout and the config.  The returned FileCube
+    reads the payload a chunk of frames at a time as it is used.
+    """
     path = Path(path)
     if not path.exists():
         raise CubeFormatError(f"no such cube file {path}")
     header = read_cube_header(path)
-    actual = path.stat().st_size
+    st = path.stat()
+    actual = st.st_size
     expected = header.frames * header.fast_time * 4
     if actual != expected:
         raise CubeFormatError(
             f"{path}: sidecar declares {header.frames} x "
             f"{header.fast_time} samples = {expected} bytes, file has "
             f"{actual}")
+    return FileCube(path.resolve(), header, _stamp(st))
 
-    words = np.fromfile(path, dtype="<i2")
-    return FileCube(words.reshape(header.frames, header.fast_time, 2),
-                    header.scale, header.config)
+
+def _stamp(st: os.stat_result) -> tuple[int, int]:
+    """What identifies one version of a payload: its size and mtime."""
+    return st.st_size, st.st_mtime_ns
 
 
 class FileCube(RadarCube):
-    """A cube read from file: its int16 I/Q words and the sidecar scale.
+    """A cube read from file: its resolved path and sidecar header.
 
-    No decoded copy is kept.  `iq` decodes the whole cube to complex64 on
-    each access; range_profiles and write_raw_cube decode a chunk of
-    frames at a time through `frames`, the one decoding rule.
+    No word stays resident.  `frames` reads and decodes the frames asked
+    for, the one decoding rule; range_profiles and write_raw_cube go
+    through it a chunk at a time, and `iq` decodes the whole file on each
+    access.  The file's size and mtime as read_raw_cube saw them are
+    kept, and a read of a file that is gone or has changed since raises
+    CubeFormatError.
     """
 
-    def __init__(self, words: np.ndarray, scale: float, config: RadarConfig):
-        self.words = words            # frames x fast-time x (I, Q), int16
-        self.scale = scale
-        self.config = config
+    def __init__(self, path: Path, header: RawCubeHeader,
+                 stamp: tuple[int, int]):
+        self.path = path
+        self.header = header
+        self.config = header.config
+        self.stamp = stamp
 
     @property
     def iq(self) -> np.ndarray:
@@ -159,21 +184,38 @@ class FileCube(RadarCube):
 
     @property
     def n_frames(self) -> int:
-        return self.words.shape[0]
+        return self.header.frames
 
     @property
     def n_fast(self) -> int:
-        return self.words.shape[1]
+        return self.header.fast_time
 
     def frames(self, start: int, stop: int,
                out: np.ndarray | None = None) -> np.ndarray:
-        """Frames start:stop as complex64, into `out` when given: each
-        word times 1/scale, in float32."""
-        words = self.words[start:stop]
+        """Frames start:stop (clipped as a slice is) as complex64, into
+        `out` when given: each word read from the file times 1/scale, in
+        float32."""
+        start, stop, _ = slice(start, stop).indices(self.n_frames)
+        shape = (max(stop - start, 0), self.n_fast, 2)
         if out is None:
-            out = np.empty(words.shape[:2], dtype=np.complex64)
-        np.multiply(words, 1.0 / self.scale,
-                    out=out.view(np.float32).reshape(words.shape),
+            out = np.empty(shape[:2], dtype=np.complex64)
+        if shape[0] == 0:
+            return out
+        try:
+            stamp = _stamp(os.stat(self.path))
+        except FileNotFoundError:
+            raise CubeFormatError(f"cube file {self.path} is gone") from None
+        if stamp != self.stamp:
+            raise CubeFormatError(f"cube file {self.path} changed since it "
+                                  f"was read")
+        count = shape[0] * self.n_fast * 2
+        words = np.fromfile(self.path, dtype="<i2", count=count,
+                            offset=start * self.n_fast * 4)
+        if words.size != count:
+            raise CubeFormatError(f"{self.path}: short read of frames "
+                                  f"{start}:{stop}")
+        np.multiply(words.reshape(shape), 1.0 / self.header.scale,
+                    out=out.view(np.float32).reshape(shape),
                     dtype=np.float32)
         return out
 

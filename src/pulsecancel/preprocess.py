@@ -2,9 +2,12 @@
 
 The range FFT runs in single precision, a fixed chunk of frames at a time:
 each chunk is cast into one reused complex64 buffer (a file cube's int16
-words are decoded straight into it, so no decoded cube is ever held),
-windowed and transformed in place with scipy.fft, and only its n_fast/2
-one-sided bins are copied into a contiguous frames x bins array.
+words are read and decoded straight into it, so no cube is ever held
+whole), windowed and transformed in place with scipy.fft, and only a run
+of its n_fast/2 one-sided bins is copied into a contiguous frames x bins
+array.  cube_phase keeps just the range gate's bins and the neighbors
+phase enhancement reads.  Bin numbers are absolute one-sided bin indices
+wherever a run is held.
 The detection map is each range bin's residual power after average
 cancellation (subtracting the bin's across-frame complex mean), summed in
 float64 as real^2 + imag^2 over the range gate's bins only.  Phase is
@@ -38,17 +41,21 @@ class NoTargetError(RuntimeError):
 
 @dataclass
 class RangeProfiles:
-    """Windowed range FFT per frame: complex64 frames x one-sided bins.
+    """Windowed range FFT per frame: complex64 frames x a run of one-sided
+    bins.
 
-    range_profiles fills `values` a chunk of frames at a time, so it is a
-    C-contiguous array that owns just frames x n_fast/2 complex64 samples;
-    no two-sided spectra stay alive behind it.
+    Column j of `values` is one-sided bin first_bin + j.  range_profiles
+    fills `values` a chunk of frames at a time, so it is a C-contiguous
+    array that owns just frames x held-bins complex64 samples; no
+    two-sided spectra stay alive behind it.  The one-sided bins number
+    config.adc_samples_per_chirp // 2, held or not.
     """
 
     values: np.ndarray            # frames x bins, complex64, uncancelled
     slow_time_rate: float
     bin_width_m: float
     config: RadarConfig
+    first_bin: int = 0
 
     @property
     def n_frames(self) -> int:
@@ -58,16 +65,41 @@ class RangeProfiles:
     def n_bins(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def held(self) -> range:
+        """The absolute one-sided bins `values` holds."""
+        return range(self.first_bin, self.first_bin + self.n_bins)
+
     def bin_ranges(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.bin_width_m
+        return np.arange(self.first_bin,
+                         self.first_bin + self.n_bins) * self.bin_width_m
 
     def mean_power(self) -> np.ndarray:
-        """Across-frame residual power per bin, mean |x - mean x|^2.
+        """Across-frame residual power per held bin, mean |x - mean x|^2.
 
-        This is the power average cancellation leaves, for every bin;
+        This is the power average cancellation leaves, for every held bin;
         detect_target_bin sums the same quantity over its gate only.
         """
         return _residual_power(self.values)
+
+
+def gate_bins(n_bins: int, bin_width_m: float, min_range_m: float,
+              max_range_m: float) -> range:
+    """The range gate's one-sided bins: every bin b < n_bins whose range
+    b * bin_width_m lies in [min_range_m, max_range_m].
+
+    The one gate rule, for cube_phase's held run and detect_target_bin
+    alike.  Bin ranges increase, so the gate is one run.  An inverted gate,
+    or one that covers no bin, raises ValueError.
+    """
+    if min_range_m > max_range_m:
+        raise ValueError("range gate is inverted")
+    ranges = np.arange(n_bins) * bin_width_m
+    gate = np.flatnonzero((ranges >= min_range_m) & (ranges <= max_range_m))
+    if gate.size == 0:
+        raise ValueError(f"range gate [{min_range_m}, {max_range_m}] m "
+                         f"covers no bins (bin width {bin_width_m:.4f} m)")
+    return range(int(gate[0]), int(gate[-1]) + 1)
 
 
 def _residual_power(values: np.ndarray) -> np.ndarray:
@@ -89,23 +121,42 @@ def _residual_power(values: np.ndarray) -> np.ndarray:
     return power.reshape(n_bins, 2).sum(axis=1) / n_frames
 
 
-def range_profiles(cube: RadarCube) -> RangeProfiles:
-    """Hann-windowed FFT over fast time, keeping n_fast/2 one-sided bins.
+def _one_sided_bins(cube: RadarCube) -> int:
+    """How many one-sided bins cube's range FFT has: n_fast // 2, with
+    n_fast the cube's and its config's fast-time samples per frame."""
+    if cube.n_fast < 4:
+        raise ValueError("too few fast-time samples for a range FFT")
+    if cube.n_fast != cube.config.adc_samples_per_chirp:
+        raise ValueError(f"cube has {cube.n_fast} fast-time samples per "
+                         f"frame, its config "
+                         f"{cube.config.adc_samples_per_chirp}")
+    return cube.n_fast // 2
+
+
+def range_profiles(cube: RadarCube, bins: range | None = None
+                   ) -> RangeProfiles:
+    """Hann-windowed FFT over fast time, keeping the run `bins` (by default
+    all n_fast/2) of one-sided bins.
 
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
     complex value in its bin.  _FFT_CHUNK_FRAMES frames at a time,
-    cube.frames casts (or, for a file cube, decodes its int16 words) into
-    one reused complex64 buffer, which is windowed and transformed in
-    place; each frame's transform is the same as a one-shot FFT of the
-    whole windowed complex64 cube, bit for bit.
+    cube.frames casts (or, for a file cube, reads and decodes) into one
+    reused complex64 buffer, which is windowed and transformed in place;
+    every frame is transformed whatever `bins` holds, and each frame's
+    transform is the same as a one-shot FFT of the whole windowed complex64
+    cube, bit for bit.
     """
+    n_half = _one_sided_bins(cube)
+    if bins is None:
+        bins = range(n_half)
+    if not (bins.step == 1 and 0 <= bins.start < bins.stop <= n_half):
+        raise ValueError(f"bins {bins} is not a non-empty run of the "
+                         f"one-sided bins 0..{n_half - 1}")
     n_fast = cube.n_fast
-    if n_fast < 4:
-        raise ValueError("too few fast-time samples for a range FFT")
     window = _hann(n_fast, False)
     n_frames = cube.n_frames
-    values = np.empty((n_frames, n_fast // 2), dtype=np.complex64)
+    values = np.empty((n_frames, len(bins)), dtype=np.complex64)
     buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), n_fast),
                       dtype=np.complex64)
     for start in range(0, n_frames, _FFT_CHUNK_FRAMES):
@@ -113,12 +164,13 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
         windowed = cube.frames(start, stop, out=buffer[:stop - start])
         np.multiply(windowed, window, out=windowed, dtype=np.complex64)
         spectra = scipy.fft.fft(windowed, axis=1, overwrite_x=True)
-        values[start:stop] = spectra[:, :n_fast // 2]
+        values[start:stop] = spectra[:, bins.start:bins.stop]
     return RangeProfiles(
         values=values,
         slow_time_rate=cube.config.frame_rate_hz,
         bin_width_m=cube.config.range_bin_width_m,
         config=cube.config,
+        first_bin=bins.start,
     )
 
 
@@ -126,25 +178,26 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
                       max_range_m: float) -> int:
     """Bin with maximal residual power (mean_power) inside the range gate.
 
-    Only the gate's bins are summed.  Ties resolve to the nearer bin.  A
-    gate with zero residual power (all static, or empty scene) raises
-    NoTargetError.
+    The gate is gate_bins over all config.adc_samples_per_chirp // 2
+    one-sided bins, and profiles that do not hold all of it raise
+    ValueError.  Only the gate's bins are summed.  Ties resolve to the
+    nearer bin.  A gate with zero residual power (all static, or empty
+    scene) raises NoTargetError.
     """
-    if min_range_m > max_range_m:
-        raise ValueError("range gate is inverted")
-    ranges = profiles.bin_ranges()
-    gate = np.flatnonzero((ranges >= min_range_m) & (ranges <= max_range_m))
-    if gate.size == 0:
-        raise ValueError(f"range gate [{min_range_m}, {max_range_m}] m "
-                         f"covers no bins (bin width "
-                         f"{profiles.bin_width_m:.4f} m)")
-    # bin ranges increase, so the gate is one run of columns
-    power = _residual_power(profiles.values[:, gate[0]:gate[-1] + 1])
+    gate = gate_bins(profiles.config.adc_samples_per_chirp // 2,
+                     profiles.bin_width_m, min_range_m, max_range_m)
+    held = profiles.held
+    if gate.start < held.start or gate.stop > held.stop:
+        raise ValueError(f"profiles hold bins {held.start}.."
+                         f"{held.stop - 1}, not all of the range gate's "
+                         f"{gate.start}..{gate.stop - 1}")
+    power = _residual_power(profiles.values[:, gate.start - held.start:
+                                            gate.stop - held.start])
     if not np.isfinite(power).all():
         raise NoTargetError("non-finite power in range gate")
     if np.max(power) <= 0.0:
         raise NoTargetError("no target: residual power in gate is zero")
-    return int(gate[0] + np.argmax(power))
+    return gate.start + int(np.argmax(power))
 
 
 def _dead(z: np.ndarray) -> np.ndarray:
@@ -174,10 +227,12 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def extract_phase(profiles: RangeProfiles, bin_index: int) -> PhaseSignal:
-    """Unwrapped phase of the raw slow-time signal at one range bin."""
-    if not 0 <= bin_index < profiles.n_bins:
-        raise ValueError(f"bin {bin_index} outside 0..{profiles.n_bins - 1}")
-    theta, dropouts = demodulate(profiles.values[:, bin_index])
+    """Unwrapped phase of the raw slow-time signal at one held range bin."""
+    held = profiles.held
+    if bin_index not in held:
+        raise ValueError(f"bin {bin_index} outside {held.start}.."
+                         f"{held.stop - 1}")
+    theta, dropouts = demodulate(profiles.values[:, bin_index - held.start])
     return PhaseSignal(theta, profiles.slow_time_rate,
                        source_bin=bin_index, dropouts=dropouts)
 
@@ -190,10 +245,29 @@ def slow_time_phase(z: np.ndarray, sample_rate: float) -> PhaseSignal:
 
 def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0),
                enhance_width: int = 2, min_corr: float = 0.7) -> PhaseSignal:
-    """Full preprocessing chain: range FFT, bin detection, enhanced phase."""
-    profiles = range_profiles(cube)
+    """Full preprocessing chain: range FFT, bin detection, enhanced phase.
+
+    The range FFT keeps only the gate's bins and enhance_width neighbors
+    on each side, clipped to the one-sided bins: every bin detection and
+    enhance_phase read.  The gate, the width and min_corr are checked
+    before any frame is read.
+    """
+    _check_enhance(enhance_width, min_corr)
+    n_half = _one_sided_bins(cube)
+    gate = gate_bins(n_half, cube.config.range_bin_width_m,
+                     gate_m[0], gate_m[1])
+    profiles = range_profiles(cube, range(
+        max(0, gate.start - enhance_width),
+        min(n_half, gate.stop + enhance_width)))
     target = detect_target_bin(profiles, gate_m[0], gate_m[1])
     return enhance_phase(profiles, target, enhance_width, min_corr)
+
+
+def _check_enhance(width: int, min_corr: float) -> None:
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    if np.isnan(min_corr):
+        raise ValueError("min_corr must be a number, got nan")
 
 
 def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
@@ -203,12 +277,10 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     Neighbors within +-width bins whose zero-mean phase has Pearson
     correlation >= min_corr with the target's contribute, weighted by that
     correlation.  The target itself always carries weight 1, so its weight
-    is never below any neighbor's.  width=0 reduces to extract_phase.
+    is never below any neighbor's.  Neighbors are clipped to the held
+    bins.  width=0 reduces to extract_phase.
     """
-    if width < 0:
-        raise ValueError("width must be >= 0")
-    if np.isnan(min_corr):
-        raise ValueError("min_corr must be a number, got nan")
+    _check_enhance(width, min_corr)
     target = extract_phase(profiles, target_bin)
     if width == 0:
         return target
@@ -217,8 +289,9 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     t_zero = target.samples - t_mean
     t_std = float(np.std(t_zero))
 
-    lo = max(0, target_bin - width)
-    hi = min(profiles.n_bins - 1, target_bin + width)
+    held = profiles.held
+    lo = max(held.start, target_bin - width)
+    hi = min(held.stop - 1, target_bin + width)
     acc = t_zero.copy()
     total = 1.0
     # the contributing bins with fills; a frame is one dropout when any of
@@ -239,7 +312,8 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
             total += corr
             if neighbor.dropouts:
                 filled.append(b)
-    dead = _dead(profiles.values[:, filled]).any(axis=1)
+    dead = _dead(profiles.values[:, [b - held.start for b in filled]]
+                 ).any(axis=1)
     return PhaseSignal(t_mean + acc / total, profiles.slow_time_rate,
                        source_bin=target_bin,
                        dropouts=int(np.count_nonzero(dead)))

@@ -243,9 +243,10 @@ class RadarCube:
     """Raw IF samples, frames x fast-time, complex.
 
     The simulator renders complex128.  A cube read from file
-    (ingest.FileCube) holds only its int16 words: its `iq` decodes them to
-    complex64 on each access, and its `frames` a chunk at a time.  The
-    range FFT runs in complex64 either way.
+    (ingest.FileCube) holds no samples, only its path and header: its
+    `frames` reads and decodes a chunk of frames to complex64, and its `iq`
+    the whole file, on each call.  The range FFT runs in complex64 either
+    way.
     """
 
     iq: np.ndarray

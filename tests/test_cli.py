@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,28 @@ class TestExitCodes:
 
     def test_missing_cube_file_is_a_data_error(self, tmp_path):
         assert run_cli("run", "--in", str(tmp_path / "ghost.bin")) == 2
+
+    def test_cube_deleted_mid_run_is_a_data_error(self, synth_outputs,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # a read cube streams its words from the file as the range FFT
+        # runs, so the file can vanish between the read and the transform
+        cube_path, _ = synth_outputs
+        path = tmp_path / "cube.bin"
+        shutil.copy(cube_path, path)
+        shutil.copy(cube_path.with_suffix(".json"), path.with_suffix(".json"))
+
+        def read_then_delete(in_path):
+            cube = read_raw_cube(in_path)
+            path.unlink()
+            return cube
+
+        monkeypatch.setattr(cli_mod, "read_raw_cube", read_then_delete)
+        assert run_cli("run", "--in", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("pulsecancel run: error: cube file ")
+        assert err.endswith("cube.bin is gone\n")
 
     def test_invalid_scenario_json_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"

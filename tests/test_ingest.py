@@ -2,12 +2,13 @@
 
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pulsecancel.ingest import (_CHUNK_FRAMES, CubeFormatError,
+from pulsecancel.ingest import (_CHUNK_FRAMES, CubeFormatError, _stamp,
                                 read_cube_header, read_raw_cube,
                                 read_reference_trace, sidecar_path,
                                 write_raw_cube, write_trace, write_truth)
@@ -77,6 +78,22 @@ class TestCubeRoundTrip:
             tracemalloc.stop()
         assert peak < 2e6 + chunk
 
+    def test_file_rewrite_peak_memory_is_one_chunk(self, tmp_path):
+        # the read holds no words, so a rewrite holds about one chunk of
+        # decoded frames and its words, not the whole file
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        header = write_raw_cube(small_cube(frames=8 * _CHUNK_FRAMES,
+                                           fast=200), p1)
+        chunk = _CHUNK_FRAMES * 200 * 8
+        tracemalloc.start()
+        try:
+            write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p1.read_bytes() == p2.read_bytes()
+        assert peak < 2e6 + chunk
+
     def test_decodes_to_complex64(self, tmp_path):
         path = tmp_path / "cube.bin"
         write_raw_cube(small_cube(), path)
@@ -92,6 +109,109 @@ class TestCubeRoundTrip:
         assert doc["sample_format"] == "int16"
         header = read_cube_header(path)
         assert header.config == cube.config
+
+
+def decoded_words(path):
+    """The whole payload decoded at once by the one rule: each word times
+    1/scale in float32."""
+    header = read_cube_header(path)
+    words = np.fromfile(path, dtype="<i2")
+    floats = np.multiply(words, 1.0 / header.scale, dtype=np.float32)
+    return floats.view(np.complex64).reshape(header.frames,
+                                             header.fast_time)
+
+
+class TestStreamingRead:
+    FRAMES = 2 * _CHUNK_FRAMES + 5
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "cube.bin"
+        write_raw_cube(small_cube(frames=self.FRAMES), path)
+        return path
+
+    def test_read_holds_no_words(self, path):
+        tracemalloc.start()
+        try:
+            cube = read_raw_cube(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        assert cube.n_frames == self.FRAMES and cube.n_fast == 16
+
+    @pytest.mark.parametrize("start, stop", [
+        (0, FRAMES), (_CHUNK_FRAMES - 2, _CHUNK_FRAMES + 3),
+        (_CHUNK_FRAMES, 2 * _CHUNK_FRAMES), (7, 7), (0, 0),
+        (FRAMES, FRAMES), (FRAMES - 3, FRAMES + 40), (FRAMES + 2, FRAMES + 9),
+    ])
+    def test_frames_is_the_whole_decode_sliced(self, path, start, stop):
+        cube = read_raw_cube(path)
+        expected = decoded_words(path)[start:stop]
+        got = cube.frames(start, stop)
+        assert got.dtype == np.complex64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        out = np.full((self.FRAMES, 16), np.nan, dtype=np.complex64)
+        into = cube.frames(start, stop, out=out[:expected.shape[0]])
+        assert into.base is out
+        assert into.tobytes() == expected.tobytes()
+
+    def test_iq_is_the_whole_decode(self, path):
+        assert (read_raw_cube(path).iq.tobytes()
+                == decoded_words(path).tobytes())
+
+    def test_deleted_file_raises(self, path):
+        cube = read_raw_cube(path)
+        path.unlink()
+        with pytest.raises(CubeFormatError, match=r"cube\.bin is gone"):
+            cube.frames(0, 4)
+
+    def test_resized_file_raises(self, path):
+        cube = read_raw_cube(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 64)
+        with pytest.raises(CubeFormatError, match="changed since it was read"):
+            cube.frames(0, 4)
+
+    def test_rewritten_file_raises(self, path):
+        cube = read_raw_cube(path)
+        before = path.stat().st_mtime_ns
+        write_raw_cube(small_cube(frames=self.FRAMES, seed=1), path)
+        # a rewrite inside one tick of a coarse filesystem clock keeps the
+        # mtime; move it on so the check does not depend on that clock
+        os.utime(path, ns=(before + 10**9, before + 10**9))
+        with pytest.raises(CubeFormatError, match="changed since it was read"):
+            cube.frames(0, 4)
+
+    def test_short_read_raises(self, path):
+        # the file shrinks between the size check and the read
+        cube = read_raw_cube(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 64)
+        cube.stamp = _stamp(path.stat())
+        assert cube.frames(0, 4).shape == (4, 16)
+        with pytest.raises(CubeFormatError, match="short read of frames"):
+            cube.frames(self.FRAMES - 4, self.FRAMES)
+
+    @pytest.mark.parametrize("alias", ["same", "relative", "hard link"])
+    def test_write_over_its_own_source_raises_before_writing(
+            self, path, alias, monkeypatch):
+        cube = read_raw_cube(path)
+        payload, sidecar = path.read_bytes(), sidecar_path(path).read_text()
+        if alias == "same":
+            dest = path
+        elif alias == "relative":
+            monkeypatch.chdir(path.parent)
+            dest = path.name
+        else:
+            dest = path.with_name("alias.bin")
+            os.link(path, dest)
+        with pytest.raises(ValueError, match="the file it reads from"):
+            write_raw_cube(cube, dest, scale=cube.header.scale)
+        assert path.read_bytes() == payload
+        assert sidecar_path(path).read_text() == sidecar
+        assert cube.frames(0, 4).shape == (4, 16)
 
 
 class TestCubeErrors:

@@ -12,18 +12,18 @@ from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
                                     RangeProfiles, _residual_power,
                                     cube_phase, demodulate,
                                     detect_target_bin, enhance_phase,
-                                    extract_phase, range_profiles,
-                                    slow_time_phase)
+                                    extract_phase, gate_bins,
+                                    range_profiles, slow_time_phase)
 from pulsecancel.scenario import (RadarConfig, RadarCube, Scenario,
                                   masking_scenario, scenario_slow_time,
                                   synthesize_displacement,
                                   synthesize_radar_cube)
 
 
-def profiles_of(values, bin_width=0.5):
+def profiles_of(values, bin_width=0.5, first_bin=0):
     return RangeProfiles(values=np.asarray(values, dtype=complex),
                          slow_time_rate=100.0, bin_width_m=bin_width,
-                         config=RadarConfig())
+                         config=RadarConfig(), first_bin=first_bin)
 
 
 def make_profiles(power, bin_width=0.5):
@@ -38,11 +38,11 @@ def make_profiles(power, bin_width=0.5):
     return profiles_of(sign[:, None] * np.sqrt(power), bin_width)
 
 
-def phase_profiles(samples_by_bin):
+def phase_profiles(samples_by_bin, first_bin=0):
     """Unit-modulus slow-time signals, one list entry per range bin."""
     values = np.stack([np.exp(1j * np.asarray(s)) for s in samples_by_bin],
                       axis=1)
-    return profiles_of(values)
+    return profiles_of(values, first_bin=first_bin)
 
 
 class TestRangeProfiles:
@@ -394,19 +394,160 @@ class TestFileCubeDecode:
                 == range_profiles(decoded).values.tobytes())
 
     def test_peak_memory_holds_no_decoded_cube(self, tmp_path):
-        # the int16 words and the one-sided spectra, plus a few MB of
-        # chunk buffers and detection blocks; a complex64 copy of the
-        # cube alone would be twice the words
+        # the gate's columns and their neighbors, plus a few MB of chunk
+        # buffers and detection blocks; the int16 words or all the
+        # one-sided spectra would each add as much again
         frames = 16 * _FFT_CHUNK_FRAMES
         path = tmp_path / "cube.bin"
         write_noise_cube(path, frames)
-        n_fast = RadarConfig().adc_samples_per_chirp
-        words = frames * n_fast * 4
-        spectra = frames * (n_fast // 2) * 8
+        config = RadarConfig()
+        gate = gate_bins(config.adc_samples_per_chirp // 2,
+                         config.range_bin_width_m, 0.3, 3.0)
+        gated = frames * (len(gate) + 2 * 2) * 8
         tracemalloc.start()
         try:
             cube_phase(read_raw_cube(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < words + spectra + 8e6
+        assert peak < gated + 8e6
+
+
+@pytest.fixture(scope="module")
+def cubes(tmp_path_factory):
+    """One 6 s record (more than one FFT chunk) in memory and from file;
+    its target sits in bin 23."""
+    memory = synthesize_radar_cube(Scenario(duration_s=6.0))
+    path = tmp_path_factory.mktemp("cube") / "cube.bin"
+    write_raw_cube(memory, path)
+    return {"memory": memory, "file": read_raw_cube(path)}
+
+
+BIN_RANGES = np.arange(100) * RadarConfig().range_bin_width_m
+
+
+class TestHeldBins:
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("bins", [range(0, 1), range(7, 71),
+                                      range(5, 73), range(95, 100),
+                                      range(99, 100), range(0, 100)])
+    def test_held_run_is_the_full_profiles_columns(self, cubes, kind, bins):
+        cube = cubes[kind]
+        full = range_profiles(cube)
+        held = range_profiles(cube, bins)
+        assert held.first_bin == bins.start and held.held == bins
+        assert held.values.flags.c_contiguous and held.values.flags.owndata
+        assert (held.values.tobytes()
+                == full.values[:, bins.start:bins.stop].tobytes())
+        assert (held.bin_ranges().tobytes()
+                == full.bin_ranges()[bins.start:bins.stop].tobytes())
+
+    @pytest.mark.parametrize("bins", [range(5, 5), range(-1, 3),
+                                      range(0, 101), range(0, 10, 2)])
+    def test_rejects_a_run_outside_the_one_sided_bins(self, cubes, bins):
+        with pytest.raises(ValueError, match="not a non-empty run"):
+            range_profiles(cubes["memory"], bins)
+
+    def test_cube_and_config_must_agree_on_fast_time(self):
+        cube = RadarCube(np.ones((4, 8), dtype=complex), RadarConfig())
+        with pytest.raises(ValueError, match="8 fast-time samples per "
+                                             "frame, its config 200"):
+            range_profiles(cube)
+
+    def test_gate_edges_are_the_bin_ranges(self):
+        # the gate compares each bin's own range with its edges, so a gate
+        # from a bin's exact range to itself holds that bin alone; a rule
+        # that divides the edges by the bin width would misplace some of
+        # them (3 * width / width is 2.9999999999999996, which floors to 2)
+        width = RadarConfig().range_bin_width_m
+        assert BIN_RANGES[3] / width < 3
+        for b in range(100):
+            edge = BIN_RANGES[b]
+            assert gate_bins(100, width, edge, edge) == range(b, b + 1)
+        assert gate_bins(100, width, 0.3, 3.0) == range(7, 71)
+        assert gate_bins(100, width, 0.0, 1e3) == range(0, 100)
+
+    @pytest.mark.parametrize("bins", [range(10, 40), range(7, 70),
+                                      range(8, 71), range(40, 100)])
+    def test_detection_needs_the_whole_gate(self, cubes, bins):
+        # the target (bin 23) is held in the first three: a detection in
+        # the held part alone would find it and hide the missing bins
+        profiles = range_profiles(cubes["memory"], bins)
+        with pytest.raises(ValueError, match="not all of the range gate's "
+                                             "7..70"):
+            detect_target_bin(profiles, 0.3, 3.0)
+
+    def test_detection_returns_absolute_bins(self, cubes):
+        full = range_profiles(cubes["memory"])
+        for bins in (range(7, 71), range(0, 100), range(3, 90)):
+            profiles = range_profiles(cubes["memory"], bins)
+            assert detect_target_bin(profiles, 0.3, 3.0) == 23
+            phase = extract_phase(profiles, 23)
+            assert phase.source_bin == 23
+            assert (phase.samples.tobytes()
+                    == extract_phase(full, 23).samples.tobytes())
+
+    def test_extraction_outside_the_held_run_raises(self, cubes):
+        profiles = range_profiles(cubes["memory"], range(20, 30))
+        for b in (19, 30):
+            with pytest.raises(ValueError, match=f"bin {b} outside 20..29"):
+                extract_phase(profiles, b)
+
+    def test_enhancement_clips_neighbors_to_the_held_run(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(600) / 100.0
+        s = np.sin(2 * np.pi * 0.3 * t)
+        bins = [s + 0.1 * rng.normal(size=t.size) for _ in range(3)]
+        at_zero = enhance_phase(phase_profiles(bins), 0, width=2)
+        held = enhance_phase(phase_profiles(bins, first_bin=40), 40, width=2)
+        assert held.source_bin == 40
+        assert held.samples.tobytes() == at_zero.samples.tobytes()
+
+
+GATES = {
+    "target first": (BIN_RANGES[23], 3.0),
+    "target last": (0.3, BIN_RANGES[23]),
+    "target alone": (BIN_RANGES[23], BIN_RANGES[23]),
+    "rounding edges": (BIN_RANGES[3], BIN_RANGES[24]),
+    "from 0 m": (0.0, 3.0),
+    "to the last bin": (2.0, BIN_RANGES[99]),
+    "past the last bin": (0.3, 1e3),
+}
+
+
+class TestCubePhaseHoldsTheGate:
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_is_the_full_profiles_chain(self, cubes, kind, gate, width):
+        cube = cubes[kind]
+        full = range_profiles(cube)
+        target = detect_target_bin(full, *gate)
+        expected = enhance_phase(full, target, width)
+        phase = cube_phase(cube, gate, width)
+        assert phase.source_bin == target
+        assert phase.dropouts == expected.dropouts
+        assert phase.samples.tobytes() == expected.samples.tobytes()
+        if BIN_RANGES[23] in gate:
+            assert target == 23
+
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("gate, width, min_corr, message", [
+        ((3.0, 0.3), 2, 0.7, "range gate is inverted"),
+        ((0.1, 0.11), 2, 0.7, "covers no bins"),
+        ((0.3, float("nan")), 2, 0.7, "covers no bins"),
+        ((0.3, 3.0), -1, 0.7, "width must be >= 0"),
+        ((0.3, 3.0), 2, float("nan"), "min_corr must be a number"),
+    ])
+    def test_bad_settings_fail_before_any_frame_is_read(
+            self, cubes, monkeypatch, kind, gate, width, min_corr, message):
+        cube = cubes[kind]
+        calls = []
+        read = cube.frames
+        monkeypatch.setattr(cube, "frames",
+                            lambda *a, **k: calls.append(a) or read(*a, **k))
+        with pytest.raises(ValueError, match=message):
+            cube_phase(cube, gate, width, min_corr)
+        assert calls == []
+        cube_phase(cube)
+        assert len(calls) == 2     # 600 frames: two chunks
