@@ -180,7 +180,7 @@ def time_profile(cube: RadarCube, methods=("conventional", "ahet"),
                  cpi_s: float = 20.0) -> list[TimingRow]:
     """Wall-clock of cube -> trace per method, normalized to the first.
 
-    Preprocessing (range FFT, bin detection, phase enhancement) is inside
+    Preprocessing (range FFT, bin detection, phase extraction) is inside
     the timed region for every method, as in an online deployment.
     """
     for m in methods:

@@ -75,10 +75,6 @@ def _add_source_flags(p: argparse.ArgumentParser):
 def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--gate", default="0.3:3.0",
                    help="range gate in meters, lo:hi")
-    p.add_argument("--enhance-width", type=int, default=2,
-                   help="neighbor bins each side for phase enhancement")
-    p.add_argument("--min-corr", type=float, default=0.7,
-                   help="correlation threshold for neighbor bins")
     p.add_argument("--cpi", type=float, default=20.0,
                    help="analysis window in seconds")
     p.add_argument("--step", type=float, default=1.0,
@@ -111,7 +107,7 @@ def _phase_from_args(args) -> PhaseSignal:
              f"(seed {scenario.seed})")
         cube = synthesize_radar_cube(scenario)
     gate = _parse_range(args.gate, "--gate")
-    return cube_phase(cube, gate, args.enhance_width, args.min_corr)
+    return cube_phase(cube, gate)
 
 
 def _track_from_args(args, phase: PhaseSignal, methods):

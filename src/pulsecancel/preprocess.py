@@ -5,8 +5,8 @@ each chunk is cast into one reused complex64 buffer (a file cube's int16
 words are read and decoded straight into it, so no cube is ever held
 whole), windowed and transformed in place with scipy.fft, and only a run
 of its n_fast/2 one-sided bins is copied into a contiguous frames x bins
-array.  cube_phase keeps just the range gate's bins and the neighbors
-phase enhancement reads.  Bin numbers are absolute one-sided bin indices
+array.  cube_phase keeps just the range gate's bins and demodulates the
+one bin detection picks.  Bin numbers are absolute one-sided bin indices
 wherever a run is held.
 The detection map is each range bin's residual power after average
 cancellation (subtracting the bin's across-frame complex mean), summed in
@@ -243,31 +243,18 @@ def slow_time_phase(z: np.ndarray, sample_rate: float) -> PhaseSignal:
     return PhaseSignal(theta, sample_rate, dropouts=dropouts)
 
 
-def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0),
-               enhance_width: int = 2, min_corr: float = 0.7) -> PhaseSignal:
-    """Full preprocessing chain: range FFT, bin detection, enhanced phase.
+def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
+    """Full preprocessing chain: range FFT, bin detection, phase.
 
-    The range FFT keeps only the gate's bins and enhance_width neighbors
-    on each side, clipped to the one-sided bins: every bin detection and
-    enhance_phase read.  The gate, the width and min_corr are checked
-    before any frame is read.
+    The range FFT keeps only the gate's bins, every bin detection reads,
+    and the phase is the detected bin's alone.  The gate is checked before
+    any frame is read.
     """
-    _check_enhance(enhance_width, min_corr)
-    n_half = _one_sided_bins(cube)
-    gate = gate_bins(n_half, cube.config.range_bin_width_m,
+    gate = gate_bins(_one_sided_bins(cube), cube.config.range_bin_width_m,
                      gate_m[0], gate_m[1])
-    profiles = range_profiles(cube, range(
-        max(0, gate.start - enhance_width),
-        min(n_half, gate.stop + enhance_width)))
-    target = detect_target_bin(profiles, gate_m[0], gate_m[1])
-    return enhance_phase(profiles, target, enhance_width, min_corr)
-
-
-def _check_enhance(width: int, min_corr: float) -> None:
-    if width < 0:
-        raise ValueError("width must be >= 0")
-    if np.isnan(min_corr):
-        raise ValueError("min_corr must be a number, got nan")
+    profiles = range_profiles(cube, gate)
+    return extract_phase(profiles,
+                         detect_target_bin(profiles, gate_m[0], gate_m[1]))
 
 
 def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
@@ -279,8 +266,15 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     correlation.  The target itself always carries weight 1, so its weight
     is never below any neighbor's.  Neighbors are clipped to the held
     bins.  width=0 reduces to extract_phase.
+
+    No pipeline path calls it: cube_phase demodulates the target bin alone,
+    since a neighbor whose unwrap slips drags the average far off the
+    target's phase.  It is kept only while the benchmark tracer names it.
     """
-    _check_enhance(width, min_corr)
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    if np.isnan(min_corr):
+        raise ValueError("min_corr must be a number, got nan")
     target = extract_phase(profiles, target_bin)
     if width == 0:
         return target

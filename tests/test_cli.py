@@ -305,7 +305,7 @@ def _same_text(path, expected):
 
 def _cli_phase(cube_path):
     """Phase as the CLI computes it with default pipeline flags."""
-    return cube_phase(read_raw_cube(cube_path), (0.3, 3.0), 2, 0.7)
+    return cube_phase(read_raw_cube(cube_path), (0.3, 3.0))
 
 
 class TestSpectra:
@@ -402,6 +402,17 @@ class TestExitCodes:
         # a flag accepted and then ignored would hide that
         assert run_cli(command, "--scenario", scenario_file, flag,
                        value) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--enhance-width", "2"),
+                                             ("--min-corr", "0.7")])
+    def test_neighbor_fusion_flags_are_gone(self, synth_outputs, capsys,
+                                            flag, value):
+        # the front end demodulates the target bin alone; a fusion flag
+        # accepted and then ignored would hide that
+        cube_path, _ = synth_outputs
+        assert run_cli("run", "--in", str(cube_path), flag, value) == 1
+        assert (f"error: unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
 
     def test_compare_from_cube_without_truth_is_a_usage_error(
             self, synth_outputs):
@@ -511,7 +522,6 @@ class TestExitCodes:
         ("run", "--ve", "nan", "thresholds must be finite"),
         ("run", "--ve", "inf", "thresholds must be finite"),
         ("run", "--va", "inf", "thresholds must be finite"),
-        ("run", "--min-corr", "nan", "min_corr must be a number"),
         ("run", "--rr-grid", "0.1:0.5:inf", "grid must be finite"),
         ("run", "--rr-grid", "0.1:inf:0.01", "grid must be finite"),
     ])

@@ -1,5 +1,6 @@
 """Range processing, target detection, and phase demodulation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 import scipy.fft
 from scipy.signal import get_window
 
+from pulsecancel.ahet import ahet_trace
+from pulsecancel.bench import rmse
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
 from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
                                     RangeProfiles, _residual_power,
@@ -15,7 +18,8 @@ from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
                                     extract_phase, gate_bins,
                                     range_profiles, slow_time_phase)
 from pulsecancel.scenario import (RadarConfig, RadarCube, Scenario,
-                                  masking_scenario, scenario_slow_time,
+                                  masking_scenario, reference_trace,
+                                  scenario_slow_time,
                                   synthesize_displacement,
                                   synthesize_radar_cube)
 
@@ -311,6 +315,11 @@ class TestEnhancePhase:
         with pytest.raises(ValueError, match="width"):
             enhance_phase(profiles, 0, width=-1)
 
+    def test_nan_min_corr_rejected(self):
+        profiles = phase_profiles([np.zeros(20)])
+        with pytest.raises(ValueError, match="min_corr must be a number"):
+            enhance_phase(profiles, 0, min_corr=float("nan"))
+
 
 class TestCubePhase:
     def test_end_to_end_recovers_chest_motion(self):
@@ -332,6 +341,17 @@ class TestCubePhase:
         assert phase.dropouts == 10
         assert extract_phase(range_profiles(cube),
                              phase.source_bin).dropouts == 10
+
+    def test_noisy_cube_tracks_from_the_target_bin_alone(self):
+        # at sigma 6 a neighbor bin's unwrap slips; averaging its phase
+        # into the target's put ahet 33 BPM off, the target bin alone is
+        # within 0.1 BPM
+        sc = dataclasses.replace(
+            masking_scenario(1, variant="c", duration_s=120.0),
+            complex_noise_std=6.0)
+        phase = cube_phase(synthesize_radar_cube(sc))
+        assert rmse(ahet_trace(phase, cpi_s=20.0),
+                    reference_trace(sc, 20.0)) < 1.0
 
 
 class TestPrecision:
@@ -360,14 +380,12 @@ class TestPrecision:
                                   cube.config.frame_rate_hz,
                                   cube.config.range_bin_width_m, cube.config)
         target = detect_target_bin(reference, 0.3, 3.0)
-        expected = {0: demodulate(spectra[:, target])[0],
-                    2: enhance_phase(reference, target, 2).samples}
-        for width, theta in expected.items():
-            phase = cube_phase(cube, enhance_width=width)
-            assert phase.source_bin == target
-            err = ((phase.samples - np.mean(phase.samples))
-                   - (theta - np.mean(theta)))
-            assert np.max(np.abs(err)) < 1e-4
+        theta = demodulate(spectra[:, target])[0]
+        phase = cube_phase(cube)
+        assert phase.source_bin == target
+        err = ((phase.samples - np.mean(phase.samples))
+               - (theta - np.mean(theta)))
+        assert np.max(np.abs(err)) < 1e-4
 
 
 def write_noise_cube(path, frames, seed=0):
@@ -394,16 +412,16 @@ class TestFileCubeDecode:
                 == range_profiles(decoded).values.tobytes())
 
     def test_peak_memory_holds_no_decoded_cube(self, tmp_path):
-        # the gate's columns and their neighbors, plus a few MB of chunk
-        # buffers and detection blocks; the int16 words or all the
-        # one-sided spectra would each add as much again
+        # the gate's columns, plus a few MB of chunk buffers and detection
+        # blocks; the int16 words or all the one-sided spectra would each
+        # add as much again
         frames = 16 * _FFT_CHUNK_FRAMES
         path = tmp_path / "cube.bin"
         write_noise_cube(path, frames)
         config = RadarConfig()
         gate = gate_bins(config.adc_samples_per_chirp // 2,
                          config.range_bin_width_m, 0.3, 3.0)
-        gated = frames * (len(gate) + 2 * 2) * 8
+        gated = frames * len(gate) * 8
         tracemalloc.start()
         try:
             cube_phase(read_raw_cube(path))
@@ -518,13 +536,12 @@ GATES = {
 class TestCubePhaseHoldsTheGate:
     @pytest.mark.parametrize("kind", ["memory", "file"])
     @pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
-    @pytest.mark.parametrize("width", [0, 1, 2, 5])
-    def test_is_the_full_profiles_chain(self, cubes, kind, gate, width):
+    def test_is_the_full_profiles_chain(self, cubes, kind, gate):
         cube = cubes[kind]
         full = range_profiles(cube)
         target = detect_target_bin(full, *gate)
-        expected = enhance_phase(full, target, width)
-        phase = cube_phase(cube, gate, width)
+        expected = extract_phase(full, target)
+        phase = cube_phase(cube, gate)
         assert phase.source_bin == target
         assert phase.dropouts == expected.dropouts
         assert phase.samples.tobytes() == expected.samples.tobytes()
@@ -532,22 +549,44 @@ class TestCubePhaseHoldsTheGate:
             assert target == 23
 
     @pytest.mark.parametrize("kind", ["memory", "file"])
-    @pytest.mark.parametrize("gate, width, min_corr, message", [
-        ((3.0, 0.3), 2, 0.7, "range gate is inverted"),
-        ((0.1, 0.11), 2, 0.7, "covers no bins"),
-        ((0.3, float("nan")), 2, 0.7, "covers no bins"),
-        ((0.3, 3.0), -1, 0.7, "width must be >= 0"),
-        ((0.3, 3.0), 2, float("nan"), "min_corr must be a number"),
+    @pytest.mark.parametrize("gate, message", [
+        ((3.0, 0.3), "range gate is inverted"),
+        ((0.1, 0.11), "covers no bins"),
+        ((0.3, float("nan")), "covers no bins"),
     ])
     def test_bad_settings_fail_before_any_frame_is_read(
-            self, cubes, monkeypatch, kind, gate, width, min_corr, message):
+            self, cubes, monkeypatch, kind, gate, message):
         cube = cubes[kind]
         calls = []
         read = cube.frames
         monkeypatch.setattr(cube, "frames",
                             lambda *a, **k: calls.append(a) or read(*a, **k))
         with pytest.raises(ValueError, match=message):
-            cube_phase(cube, gate, width, min_corr)
+            cube_phase(cube, gate)
         assert calls == []
         cube_phase(cube)
         assert len(calls) == 2     # 600 frames: two chunks
+
+
+class TestEnhancePhaseOnAHeldRun:
+    # enhance_phase is off the pipeline but still a library function: on a
+    # run of the gate and width neighbors each side, clipped to the
+    # one-sided bins, it is byte-equal to the same call on full profiles
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_is_the_full_profiles_chain(self, cubes, kind, gate, width):
+        cube = cubes[kind]
+        full = range_profiles(cube)
+        n_half = full.values.shape[1]
+        gate_run = gate_bins(n_half, cube.config.range_bin_width_m, *gate)
+        held = range_profiles(cube, range(
+            max(0, gate_run.start - width),
+            min(n_half, gate_run.stop + width)))
+        target = detect_target_bin(held, *gate)
+        assert target == detect_target_bin(full, *gate)
+        expected = enhance_phase(full, target, width)
+        phase = enhance_phase(held, target, width)
+        assert phase.source_bin == target
+        assert phase.dropouts == expected.dropouts
+        assert phase.samples.tobytes() == expected.samples.tobytes()
