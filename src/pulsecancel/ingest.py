@@ -59,8 +59,13 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
     search, the quantization and the writes run _CHUNK_FRAMES frames at a
     time, in the precision of the cube's own samples.  A FileCube cannot be
     written over the file it streams from: opening that file for writing
-    would truncate the words still to be read.
+    would truncate the words still to be read.  A cube with no frames or
+    no fast-time samples raises ValueError before anything is written:
+    read_raw_cube rejects the sidecar it would get.
     """
+    if cube.n_frames == 0 or cube.n_fast == 0:
+        raise ValueError(f"cannot write a {cube.n_frames} x {cube.n_fast} "
+                         f"cube: it holds no samples")
     path = Path(path)
     if isinstance(cube, FileCube) and _same_file(cube.path, path):
         raise ValueError(f"cannot write a cube over {path}, the file it "

@@ -3,19 +3,27 @@
 The range FFT runs in single precision, a fixed chunk of frames at a time:
 each chunk is cast into one reused complex64 buffer (a file cube's int16
 words are read and decoded straight into it, so no cube is ever held
-whole), windowed and transformed in place with scipy.fft, and only a run
-of its n_fast/2 one-sided bins is copied into a contiguous frames x bins
-array.  cube_phase keeps just the range gate's bins and demodulates the
-one bin detection picks.  Bin numbers are absolute one-sided bin indices
-wherever a run is held.
+whole), windowed and transformed in place with scipy.fft.  range_profiles
+copies a run of each chunk's n_fast/2 one-sided bins into a contiguous
+frames x bins array; cube_phase holds no run at all.  Bin numbers are
+absolute one-sided bin indices wherever a run is held.
 The detection map is each range bin's residual power after average
 cancellation (subtracting the bin's across-frame complex mean), summed in
-float64 as real^2 + imag^2 over the range gate's bins only.  Phase is
-demodulated in float64 from the uncancelled bin values: for chest motion
-spanning a sizable arc of the unit circle, removing the bin mean also
-removes part of the target's own phasor and bends the recovered phase.
+float64 as real^2 + imag^2 over the range gate's bins only.  It is
+computed a chunk of frames at a time: each chunk's float64 sum and
+residual sum of squares, per real and imaginary part, merged into the
+running ones by the pairwise update of Chan, Golub and LeVeque, so held
+profiles and a streamed pass give the same bits.
+cube_phase makes two passes over the cube: the first detects the bin from
+the FFT chunks, the second computes that bin alone, one windowed
+single-bin DFT per frame, so its memory is set by the chunk, plus the
+phase itself.  Phase is demodulated in float64 from the uncancelled bin
+values: for chest motion spanning a sizable arc of the unit circle,
+removing the bin mean also removes part of the target's own phasor and
+bends the recovered phase.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +33,9 @@ from .scenario import RadarCube, RadarConfig
 from .spectral import _hann
 from .types import PhaseSignal
 
-# Frames per block when summing residual power; bounds the float64
-# temporaries of _residual_power to a few MB whatever the record length.
-_POWER_BLOCK_FRAMES = 2048
-
-# Frames decoded, windowed and transformed at a time by range_profiles;
-# bounds its complex64 scratch buffer (512 x 200 samples: 800 kB) whatever
-# the record length.
+# Frames decoded and transformed at a time, and frames per residual-power
+# chunk; bounds the complex64 scratch buffer (512 x 200 samples: 800 kB)
+# and the float64 moment temporaries whatever the record length.
 _FFT_CHUNK_FRAMES = 512
 
 
@@ -48,7 +52,9 @@ class RangeProfiles:
     fills `values` a chunk of frames at a time, so it is a C-contiguous
     array that owns just frames x held-bins complex64 samples; no
     two-sided spectra stay alive behind it.  The one-sided bins number
-    config.adc_samples_per_chirp // 2, held or not.
+    config.adc_samples_per_chirp // 2, held or not.  Held profiles grow
+    with the record; cube_phase streams the same chunks instead, and its
+    detection is the same statistic as mean_power's, bit for bit.
     """
 
     values: np.ndarray            # frames x bins, complex64, uncancelled
@@ -102,28 +108,61 @@ def gate_bins(n_bins: int, bin_width_m: float, min_range_m: float,
     return range(int(gate[0]), int(gate[-1]) + 1)
 
 
-def _residual_power(values: np.ndarray) -> np.ndarray:
-    """Mean |x - mean x|^2 down each column of frames x bins `values`.
+def _moments(chunk: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(frames, sum, sum of squared residuals about the mean) down each
+    float64 part of a frames x bins complex chunk, its parts interleaved
+    (real, imag) per bin.
 
-    The mean is taken in complex128 and the residual summed in float64 as
-    real^2 + imag^2 (no abs), a block of frames at a time, so no cancelled
-    copy of the spectra is made and a bin whose static part dwarfs its
-    motion keeps its digits.
+    The chunk is first copied to a contiguous complex128 array, so the
+    bits depend on its values alone, not on the layout it is viewed from.
     """
-    n_frames, n_bins = values.shape
-    mean = np.mean(values, axis=0, dtype=np.complex128)
-    power = np.zeros(2 * n_bins)
-    for start in range(0, n_frames, _POWER_BLOCK_FRAMES):
-        # complex128 residual viewed as interleaved (real, imag) float64
-        block = (values[start:start + _POWER_BLOCK_FRAMES] - mean
-                 ).view(np.float64)
-        power += np.einsum("ij,ij->j", block, block)
-    return power.reshape(n_bins, 2).sum(axis=1) / n_frames
+    parts = chunk.astype(np.complex128).view(np.float64)
+    total = parts.sum(axis=0)
+    parts -= total / len(parts)
+    return len(parts), total, np.einsum("ij,ij->j", parts, parts)
+
+
+def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """The moments of a's frames and b's together: the pairwise update of
+    Chan, Golub & LeVeque in its sums form, S = S_a + S_b
+    + (n_b T_a - n_a T_b)^2 / (n_a n_b (n_a + n_b)).
+
+    Each part's residual is taken about its own mean and only the means'
+    difference enters squared, so a bin whose static part dwarfs its
+    motion keeps its digits, as E|x|^2 - |E x|^2 would not.  Carrying
+    sums, not a running mean, also leaves no mean rounded at every chunk:
+    under 1000x static clutter that drift alone put the power 3e-14 off
+    correctly rounded sums.
+    """
+    n_a, t_a, s_a = a
+    n_b, t_b, s_b = b
+    d = n_b * t_a - n_a * t_b
+    return (n_a + n_b, t_a + t_b,
+            s_a + s_b + d * d / (n_a * n_b * (n_a + n_b)))
+
+
+def _chunked_power(chunks) -> np.ndarray:
+    """Mean |x - mean x|^2 down each column, over a record given as frames x
+    bins complex chunks in frame order, holding one chunk's moments at a
+    time: the real and imaginary parts' residual sums, added per bin."""
+    n, _, m2 = functools.reduce(_merge, map(_moments, chunks))
+    return m2.reshape(-1, 2).sum(axis=1) / n
+
+
+def _residual_power(values: np.ndarray) -> np.ndarray:
+    """Mean |x - mean x|^2 down each column of frames x bins `values`,
+    merged over the _FFT_CHUNK_FRAMES chunks cube_phase streams."""
+    return _chunked_power(values[start:start + _FFT_CHUNK_FRAMES]
+                          for start in range(0, len(values),
+                                             _FFT_CHUNK_FRAMES))
 
 
 def _one_sided_bins(cube: RadarCube) -> int:
     """How many one-sided bins cube's range FFT has: n_fast // 2, with
-    n_fast the cube's and its config's fast-time samples per frame."""
+    n_fast the cube's and its config's fast-time samples per frame.  A
+    cube with no frames raises ValueError."""
+    if cube.n_frames == 0:
+        raise ValueError("cube has no frames")
     if cube.n_fast < 4:
         raise ValueError("too few fast-time samples for a range FFT")
     if cube.n_fast != cube.config.adc_samples_per_chirp:
@@ -131,6 +170,53 @@ def _one_sided_bins(cube: RadarCube) -> int:
                          f"frame, its config "
                          f"{cube.config.adc_samples_per_chirp}")
     return cube.n_fast // 2
+
+
+def _chunks(cube: RadarCube):
+    """(first frame, chunk) for each _FFT_CHUNK_FRAMES frames of cube in
+    order, each cast (or read and decoded) by cube.frames into one reused
+    complex64 buffer, valid until the next chunk is asked for."""
+    n_frames = cube.n_frames
+    buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), cube.n_fast),
+                      dtype=np.complex64)
+    for start in range(0, n_frames, _FFT_CHUNK_FRAMES):
+        stop = min(start + _FFT_CHUNK_FRAMES, n_frames)
+        yield start, cube.frames(start, stop, out=buffer[:stop - start])
+
+
+def _chunk_spectra(cube: RadarCube):
+    """(first frame, two-sided spectra) for each chunk of _chunks: the
+    chunk Hann-windowed and transformed in place, valid until the next."""
+    window = _hann(cube.n_fast, False)
+    for start, chunk in _chunks(cube):
+        np.multiply(chunk, window, out=chunk, dtype=np.complex64)
+        yield start, scipy.fft.fft(chunk, axis=1, overwrite_x=True)
+
+
+def _gate_power(cube: RadarCube, gate: range) -> np.ndarray:
+    """range_profiles(cube, gate).mean_power(), bit for bit, from the
+    streamed FFT chunks: no gate column is held."""
+    return _chunked_power(spectra[:, gate.start:gate.stop]
+                          for _, spectra in _chunk_spectra(cube))
+
+
+def _bin_values(cube: RadarCube, bin_index: int) -> np.ndarray:
+    """One range bin's complex64 value per frame, without the FFT: each
+    chunk of _chunks times that bin's Hann-weighted e^{-j2 pi b k / n}
+    vector, one matrix-vector product into the output per chunk.
+
+    It is the FFT column to within single-precision rounding, not bit for
+    bit.  The vector is built in float64, its phase reduced mod n exactly.
+    """
+    n_fast = cube.n_fast
+    k = np.arange(n_fast)
+    kernel = (_hann(n_fast, False)
+              * np.exp(-2j * np.pi * (bin_index * k % n_fast) / n_fast)
+              ).astype(np.complex64)
+    values = np.empty(cube.n_frames, dtype=np.complex64)
+    for start, chunk in _chunks(cube):
+        np.matmul(chunk, kernel, out=values[start:start + len(chunk)])
+    return values
 
 
 def range_profiles(cube: RadarCube, bins: range | None = None
@@ -153,18 +239,9 @@ def range_profiles(cube: RadarCube, bins: range | None = None
     if not (bins.step == 1 and 0 <= bins.start < bins.stop <= n_half):
         raise ValueError(f"bins {bins} is not a non-empty run of the "
                          f"one-sided bins 0..{n_half - 1}")
-    n_fast = cube.n_fast
-    window = _hann(n_fast, False)
-    n_frames = cube.n_frames
-    values = np.empty((n_frames, len(bins)), dtype=np.complex64)
-    buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), n_fast),
-                      dtype=np.complex64)
-    for start in range(0, n_frames, _FFT_CHUNK_FRAMES):
-        stop = min(start + _FFT_CHUNK_FRAMES, n_frames)
-        windowed = cube.frames(start, stop, out=buffer[:stop - start])
-        np.multiply(windowed, window, out=windowed, dtype=np.complex64)
-        spectra = scipy.fft.fft(windowed, axis=1, overwrite_x=True)
-        values[start:stop] = spectra[:, bins.start:bins.stop]
+    values = np.empty((cube.n_frames, len(bins)), dtype=np.complex64)
+    for start, spectra in _chunk_spectra(cube):
+        values[start:start + len(spectra)] = spectra[:, bins.start:bins.stop]
     return RangeProfiles(
         values=values,
         slow_time_rate=cube.config.frame_rate_hz,
@@ -191,8 +268,13 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
         raise ValueError(f"profiles hold bins {held.start}.."
                          f"{held.stop - 1}, not all of the range gate's "
                          f"{gate.start}..{gate.stop - 1}")
-    power = _residual_power(profiles.values[:, gate.start - held.start:
-                                            gate.stop - held.start])
+    return _strongest(gate, _residual_power(
+        profiles.values[:, gate.start - held.start:gate.stop - held.start]))
+
+
+def _strongest(gate: range, power: np.ndarray) -> int:
+    """The gate's bin of maximal residual power `power` (one entry per gate
+    bin), the nearer on a tie; NoTargetError when there is none."""
     if not np.isfinite(power).all():
         raise NoTargetError("non-finite power in range gate")
     if np.max(power) <= 0.0:
@@ -244,17 +326,23 @@ def slow_time_phase(z: np.ndarray, sample_rate: float) -> PhaseSignal:
 
 
 def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
-    """Full preprocessing chain: range FFT, bin detection, phase.
+    """Full preprocessing chain: range FFT, bin detection, phase, in two
+    passes over the cube.
 
-    The range FFT keeps only the gate's bins, every bin detection reads,
-    and the phase is the detected bin's alone.  The gate is checked before
-    any frame is read.
+    The first pass runs range_profiles' chunked FFT and merges each chunk's
+    gate moments, holding no bin's values: its target is
+    detect_target_bin(range_profiles(cube, gate), *gate_m), the same power
+    bit for bit.  The second reads the cube again and computes the target
+    bin alone (_bin_values) for demodulate; its phase is the FFT column's
+    to single-precision rounding.  Memory is a chunk's buffers plus the
+    phase.  The cube and the gate are checked before any frame is read.
     """
     gate = gate_bins(_one_sided_bins(cube), cube.config.range_bin_width_m,
                      gate_m[0], gate_m[1])
-    profiles = range_profiles(cube, gate)
-    return extract_phase(profiles,
-                         detect_target_bin(profiles, gate_m[0], gate_m[1]))
+    target = _strongest(gate, _gate_power(cube, gate))
+    theta, dropouts = demodulate(_bin_values(cube, target))
+    return PhaseSignal(theta, cube.config.frame_rate_hz, source_bin=target,
+                       dropouts=dropouts)
 
 
 def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,

@@ -17,8 +17,9 @@ from pulsecancel.anls import (BREATHING_GRID_HZ, estimate_breathing,
                               grid_frequencies, reconstruct_reference)
 from pulsecancel.bench import time_profile
 from pulsecancel.eca import eca_cancel, lag_matrix
-from pulsecancel.preprocess import (detect_target_bin, extract_phase,
-                                    range_profiles, slow_time_phase)
+from pulsecancel.preprocess import (cube_phase, detect_target_bin,
+                                    extract_phase, range_profiles,
+                                    slow_time_phase)
 from pulsecancel.scenario import (RadarConfig, Scenario,
                                   displacement_to_phase, fig_masking_scenario,
                                   masking_scenario, scenario_slow_time,
@@ -291,3 +292,18 @@ def test_c10_simulator_round_trip(capsys):
     _verdict(capsys, 10, ok,
              f"phase error {max_rad:.2e} rad < 1e-3, "
              f"bin misses {misses}/100")
+
+
+def test_c10_companion_cube_phase_round_trip():
+    """C10's phase bar on the same noiseless cube, for the pipeline's front
+    end: cube_phase detects the bin from streamed chunks and computes its
+    phase with a one-bin transform, not the FFT column C10 reads."""
+    sc = fig_masking_scenario()
+    cube = synthesize_radar_cube(sc)
+    phase = cube_phase(cube)
+    assert phase.source_bin == detect_target_bin(range_profiles(cube),
+                                                 0.3, 3.0)
+    truth = displacement_to_phase(synthesize_displacement(sc),
+                                  sc.radar).samples
+    error = (phase.samples - phase.samples.mean()) - (truth - truth.mean())
+    assert float(np.max(np.abs(error))) < 1e-3

@@ -215,6 +215,15 @@ class TestStreamingRead:
 
 
 class TestCubeErrors:
+    @pytest.mark.parametrize("shape", [(0, 16), (6, 0)])
+    def test_empty_cube_is_refused_before_writing(self, tmp_path, shape):
+        # read_raw_cube would reject the sidecar, "frames must be a
+        # positive integer, got 0"
+        cube = RadarCube(np.zeros(shape, dtype=complex), small_cube().config)
+        with pytest.raises(ValueError, match="cube: it holds no samples"):
+            write_raw_cube(cube, tmp_path / "cube.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CubeFormatError, match="no such cube file"):
             read_raw_cube(tmp_path / "nope.bin")

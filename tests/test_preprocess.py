@@ -1,6 +1,7 @@
 """Range processing, target detection, and phase demodulation."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from pulsecancel.ahet import ahet_trace
 from pulsecancel.bench import rmse
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
 from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
-                                    RangeProfiles, _residual_power,
-                                    cube_phase, demodulate,
+                                    RangeProfiles, _gate_power,
+                                    _residual_power, cube_phase, demodulate,
                                     detect_target_bin, enhance_phase,
                                     extract_phase, gate_bins,
                                     range_profiles, slow_time_phase)
@@ -106,20 +107,34 @@ class TestMeanPower:
         # more than one summing block
         sc = Scenario(duration_s=30.0, clutter=[(2.0, 1000.0)],
                       complex_noise_std=0.1)
-        profiles = range_profiles(synthesize_radar_cube(sc))
+        cube = synthesize_radar_cube(sc)
+        profiles = range_profiles(cube)
         values = profiles.values.astype(np.complex128)
         residual = values - np.mean(values, axis=0)
         expected = np.mean(np.abs(residual) ** 2, axis=0)
         np.testing.assert_allclose(profiles.mean_power(), expected,
                                    rtol=1e-6)
+        # against correctly rounded float64 sums (math.fsum) of the same
+        # complex128 residuals the chunk merge keeps every digit but the
+        # last few; the naive reference above is itself 2e-14 off them
+        parts = profiles.values.astype(np.complex128).view(np.float64)
+        rounded = np.array([
+            math.fsum((col - math.fsum(col) / len(col)) ** 2)
+            for col in parts.T]).reshape(-1, 2).sum(axis=1) / len(parts)
+        np.testing.assert_allclose(profiles.mean_power(), rounded,
+                                   rtol=1e-14)
 
         gate = np.flatnonzero((profiles.bin_ranges() >= 0.3)
                               & (profiles.bin_ranges() <= 3.0))
         # detection sums the gate's bins only, to the same values
         gate_power = _residual_power(profiles.values[:, gate[0]:gate[-1] + 1])
         assert gate_power.tobytes() == profiles.mean_power()[gate].tobytes()
+        # and so does the streamed merge cube_phase detects from
+        assert (_gate_power(cube, range(gate[0], gate[-1] + 1)).tobytes()
+                == gate_power.tobytes())
         detected = detect_target_bin(profiles, 0.3, 3.0)
         assert detected == gate[np.argmax(expected[gate])]
+        assert cube_phase(cube).source_bin == detected
         assert detected == 23   # the 1 m target, not the 2 m clutter
 
 
@@ -333,14 +348,31 @@ class TestCubePhase:
                - (truth_rad - np.mean(truth_rad)))
         assert np.max(np.abs(err)) < 1e-3
 
-    def test_dropouts_count_frames(self):
+    @pytest.mark.parametrize("dead", [slice(100, 110), slice(0, 5),
+                                      slice(_FFT_CHUNK_FRAMES - 3,
+                                            _FFT_CHUNK_FRAMES + 4),
+                                      slice(995, 1000)])
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_dropouts_count_frames(self, tmp_path, kind, dead):
+        # zeroed frames, at the start, across a chunk edge and at the end,
+        # are the held chain's dropouts in the one-bin pass too
         cube = synthesize_radar_cube(Scenario(duration_s=10.0))
         assert cube_phase(cube).dropouts == 0
-        cube.iq[100:110] = 0.0
+        cube.iq[dead] = 0.0
+        if kind == "file":
+            write_raw_cube(cube, tmp_path / "cube.bin")
+            cube = read_raw_cube(tmp_path / "cube.bin")
         phase = cube_phase(cube)
-        assert phase.dropouts == 10
+        count = len(range(1000)[dead])
+        assert phase.dropouts == count
         assert extract_phase(range_profiles(cube),
-                             phase.source_bin).dropouts == 10
+                             phase.source_bin).dropouts == count
+
+    def test_zero_frame_cube_fails_up_front(self):
+        cube = RadarCube(np.zeros((0, 200), dtype=complex), RadarConfig())
+        for run in (cube_phase, range_profiles):
+            with pytest.raises(ValueError, match="cube has no frames"):
+                run(cube)
 
     def test_noisy_cube_tracks_from_the_target_bin_alone(self):
         # at sigma 6 a neighbor bin's unwrap slips; averaging its phase
@@ -388,13 +420,32 @@ class TestPrecision:
         assert np.max(np.abs(err)) < 1e-4
 
 
+class NoiseCube(RadarCube):
+    """Complex noise, drawn from the seed and the first frame asked for, so
+    a writer that reads it a chunk at a time never holds the whole cube."""
+
+    def __init__(self, n_frames, seed=0):
+        self.config = RadarConfig()
+        self.size = n_frames
+        self.seed = seed
+
+    @property
+    def n_frames(self):
+        return self.size
+
+    @property
+    def n_fast(self):
+        return self.config.adc_samples_per_chirp
+
+    def frames(self, start, stop):
+        rng = np.random.default_rng((self.seed, start))
+        shape = (min(stop, self.size) - start, self.n_fast)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def write_noise_cube(path, frames, seed=0):
     """A file cube of complex noise; its gate holds residual power."""
-    rng = np.random.default_rng(seed)
-    n_fast = RadarConfig().adc_samples_per_chirp
-    iq = rng.normal(size=(frames, n_fast)) + 1j * rng.normal(size=(frames,
-                                                                  n_fast))
-    write_raw_cube(RadarCube(iq, RadarConfig()), path)
+    write_raw_cube(NoiseCube(frames, seed), path)
     return read_raw_cube(path)
 
 
@@ -412,9 +463,9 @@ class TestFileCubeDecode:
                 == range_profiles(decoded).values.tobytes())
 
     def test_peak_memory_holds_no_decoded_cube(self, tmp_path):
-        # the gate's columns, plus a few MB of chunk buffers and detection
-        # blocks; the int16 words or all the one-sided spectra would each
-        # add as much again
+        # below the gate's columns plus a few MB of chunk buffers; the
+        # int16 words or all the one-sided spectra would each add as much
+        # again
         frames = 16 * _FFT_CHUNK_FRAMES
         path = tmp_path / "cube.bin"
         write_noise_cube(path, frames)
@@ -429,6 +480,45 @@ class TestFileCubeDecode:
         finally:
             tracemalloc.stop()
         assert peak < gated + 8e6
+
+    def test_peak_memory_grows_by_the_phase_alone(self, tmp_path):
+        # four times the frames add the phase and demodulate's float64
+        # temporaries, well under 128 B a frame; holding the gate's 64
+        # complex64 columns would add 512 B a frame
+        frames = 16 * _FFT_CHUNK_FRAMES
+        peaks = []
+        for n in (frames, 4 * frames):
+            path = tmp_path / f"cube-{n}.bin"
+            write_noise_cube(path, n)
+            tracemalloc.start()
+            try:
+                cube_phase(read_raw_cube(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * frames * 128
+
+
+class TestStreamedDetection:
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES - 1,
+                                        _FFT_CHUNK_FRAMES,
+                                        _FFT_CHUNK_FRAMES + 1,
+                                        2 * _FFT_CHUNK_FRAMES + 1])
+    def test_gate_power_is_the_held_mean_power(self, tmp_path, kind,
+                                               frames):
+        # one chunk short, one exactly, one plus a frame and two plus one:
+        # the streamed merge and the held profiles' are one statistic
+        cube = write_noise_cube(tmp_path / "cube.bin", frames)
+        if kind == "memory":
+            cube = RadarCube(NoiseCube(frames).frames(0, frames),
+                             cube.config)
+        gate = gate_bins(100, cube.config.range_bin_width_m, 0.3, 3.0)
+        held = range_profiles(cube, gate)
+        assert (_gate_power(cube, gate).tobytes()
+                == held.mean_power().tobytes())
+        assert (cube_phase(cube).source_bin
+                == detect_target_bin(held, 0.3, 3.0))
 
 
 @pytest.fixture(scope="module")
@@ -544,9 +634,22 @@ class TestCubePhaseHoldsTheGate:
         phase = cube_phase(cube, gate)
         assert phase.source_bin == target
         assert phase.dropouts == expected.dropouts
-        assert phase.samples.tobytes() == expected.samples.tobytes()
-        if BIN_RANGES[23] in gate:
+        # the phase comes from a one-bin transform, not the FFT column;
+        # both round in single precision against the frames' whole scale
+        if gate[0] <= BIN_RANGES[23] <= gate[1]:
             assert target == 23
+            assert np.max(np.abs(phase.samples - expected.samples)) < 1e-6
+        n = cube.n_fast
+        kernel = (get_window("hann", n, fftbins=False)
+                  * np.exp(-2j * np.pi * target * np.arange(n) / n))
+        reference = demodulate(
+            cube.iq.astype(np.complex64).astype(np.complex128) @ kernel)[0]
+        fft_error = np.max(np.abs(expected.samples - reference))
+        # on a sidelobe bin 4e4 times weaker than the target's, where the
+        # FFT column is 1e-3 rad off a complex128 transform, it is no
+        # farther off
+        assert np.max(np.abs(phase.samples - reference)) <= max(fft_error,
+                                                                 1e-6)
 
     @pytest.mark.parametrize("kind", ["memory", "file"])
     @pytest.mark.parametrize("gate, message", [
@@ -565,7 +668,8 @@ class TestCubePhaseHoldsTheGate:
             cube_phase(cube, gate)
         assert calls == []
         cube_phase(cube)
-        assert len(calls) == 2     # 600 frames: two chunks
+        # 600 frames: two chunks, read by each of two passes
+        assert len(calls) == 4
 
 
 class TestEnhancePhaseOnAHeldRun:
