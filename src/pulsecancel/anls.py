@@ -8,6 +8,13 @@ each basis's coordinates in it, so scoring a segment against the whole grid
 costs one projection onto the span and one small product.  Amplitudes come
 from the same least-squares fit.  All solves go through orthogonal QR
 factorizations; no normal-equation inverses.
+
+Two routes refit a window at a fixed fundamental, each through its own
+cache.  The per-window route (fit_amplitudes, BreathingTrack.refit and
+residual, reconstruct_reference) reads the design, Q and R from
+_design_factorization, and HarmonicModel.predict renders from _design.  The
+block route (BreathingTrack.residuals, which the trace drivers run) reads
+only Q, from _refit_basis, so it pins no design.
 """
 
 import math
@@ -27,6 +34,9 @@ BREATHING_GRID_HZ = (*BREATHING_BAND_HZ, 1.0 / 600.0)
 # time, and resolves every basis onto its span to this absolute tolerance.
 _SPAN_CHUNK = 16
 _SPAN_TOL = 1e-13
+# _best_fundamentals scores this many segments at a time, so its projection
+# holds this many columns however long the record is.
+_SCORE_ROWS = 32
 _NO_SUBWINDOW = "no breathing subwindow inside the segment"
 
 
@@ -123,8 +133,7 @@ class BreathingTrack:
             try:
                 if math.isnan(f_hat):
                     raise ValueError(_NO_SUBWINDOW)
-                _, q, _ = _design_factorization(f_hat, self.order, n,
-                                                self.sample_rate)
+                q = _refit_basis(f_hat, self.order, n, self.sample_rate)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 errors[i:j] = [exc] * (j - i)
             else:
@@ -193,23 +202,19 @@ def _design(fundamental_hz: float, order: int, n: int,
     return design
 
 
-@lru_cache(maxsize=64)
-def _design_factorization(fundamental_hz: float, order: int, n: int,
-                          sample_rate: float) -> tuple:
-    """(design, Q, R) of an n-sample fit: the intercept-augmented design and
-    its reduced QR, cached read-only after the length and rank checks.  A
-    segment too short for the coefficients, or a rank-deficient design
-    (e.g. fundamental at 0), raises ValueError and caches nothing.
-
-    Sliding analysis refits the same few fundamentals at a fixed window
-    length over and over; the factorization depends only on the design.
-    The singular values of R equal those of the design, giving the rank
-    check without a second factorization.
+def _checked_qr(fundamental_hz: float, order: int, n: int,
+                sample_rate: float, design_of) -> tuple:
+    """(design, Q, R) of an n-sample fit, the design from design_of, after
+    the length and rank checks.  A segment too short for the coefficients,
+    or a rank-deficient design (e.g. fundamental at 0), raises ValueError.
+    The length check runs before the design is built.  The singular values
+    of R equal those of the design, giving the rank check without a second
+    factorization.
     """
     if n < 2 * order + 1:
         raise ValueError(f"segment of {n} samples too short for "
                          f"{2 * order} coefficients")
-    design = _design(fundamental_hz, order, n, sample_rate)
+    design = design_of(fundamental_hz, order, n, sample_rate)
     q, r = np.linalg.qr(design)
     sv = np.linalg.svd(r, compute_uv=False)
     cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
@@ -217,9 +222,40 @@ def _design_factorization(fundamental_hz: float, order: int, n: int,
         cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
         raise ValueError(f"rank-deficient harmonic design at "
                          f"{fundamental_hz} Hz (condition ~ {cond:.3e})")
+    return design, q, r
+
+
+@lru_cache(maxsize=64)
+def _design_factorization(fundamental_hz: float, order: int, n: int,
+                          sample_rate: float) -> tuple:
+    """(design, Q, R) of an n-sample fit for the per-window route
+    (fit_amplitudes): the intercept-augmented design, from _design's cache,
+    and its reduced QR, cached read-only after _checked_qr's checks.  A
+    failed check caches nothing.
+
+    Sliding analysis refits the same few fundamentals at a fixed window
+    length over and over; the factorization depends only on the design.
+    The block route (BreathingTrack.residuals) reads only Q and takes it
+    from _refit_basis instead, so the designs of its refits are not kept.
+    """
+    design, q, r = _checked_qr(fundamental_hz, order, n, sample_rate,
+                               _design)
     for a in (q, r):
         a.flags.writeable = False
     return design, q, r
+
+
+@lru_cache(maxsize=64)
+def _refit_basis(fundamental_hz: float, order: int, n: int,
+                 sample_rate: float) -> np.ndarray:
+    """Q of _design_factorization, bit for bit, cached read-only on its
+    own: BreathingTrack.residuals reads nothing else, so neither the
+    design (built uncached) nor R is kept.  A failed check caches nothing.
+    """
+    q = _checked_qr(fundamental_hz, order, n, sample_rate,
+                    _design.__wrapped__)[1]
+    q.flags.writeable = False
+    return q
 
 
 def fit_amplitudes(segment: np.ndarray, sample_rate: float,
@@ -331,21 +367,28 @@ def _best_fundamentals(segments: np.ndarray, sample_rate: float,
 
     Residuals are evaluated as ||x||^2 - ||Q(f)^T x||^2 for each demeaned
     row x, with Q(f)^T x read from the grid factor as coords_f (span^T x):
-    one projection onto the shared span for the whole stack, then one small
-    product for the whole grid.  Ties go to the lower frequency.  A segment
-    with a non-finite sample is a ValueError.
+    one projection onto the shared span, then one small product for the
+    whole grid.  The stack is scored _SCORE_ROWS rows at a time, so the
+    (F * 2 * order) x rows projection and the demeaned copy stay the size
+    of one chunk however many rows there are.  Ties go to the lower
+    frequency.  A segment with a non-finite sample is a ValueError.
     """
     if segments.shape[1] < 2 * order + 1:
         raise ValueError("segment too short for the requested order")
-    if not np.isfinite(segments).all():
-        raise ValueError("breathing segment holds non-finite samples")
     freqs, span, coords = _factored_bases(segments.shape[1], sample_rate,
                                           order, tuple(grid))
-    segs = segments - segments.mean(axis=1, keepdims=True)
-    proj = (coords @ (span.T @ segs.T)).reshape(freqs.size, -1, len(segs))
-    resid = np.einsum("wn,wn->w", segs, segs) \
-        - np.einsum("fkw,fkw->fw", proj, proj)
-    return freqs[np.argmin(resid, axis=0)]
+    best = np.empty(len(segments), dtype=np.intp)
+    for i in range(0, len(segments), _SCORE_ROWS):
+        rows = segments[i:i + _SCORE_ROWS]
+        if not np.isfinite(rows).all():
+            raise ValueError("breathing segment holds non-finite samples")
+        segs = rows - rows.mean(axis=1, keepdims=True)
+        proj = (coords @ (span.T @ segs.T)).reshape(freqs.size, -1,
+                                                    len(segs))
+        resid = np.einsum("wn,wn->w", segs, segs) \
+            - np.einsum("fkw,fkw->fw", proj, proj)
+        best[i:i + len(segs)] = np.argmin(resid, axis=0)
+    return freqs[best]
 
 
 def estimate_breathing(segment: np.ndarray,
@@ -369,14 +412,15 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
     """Sliding-subwindow breathing fundamentals over a whole record.
 
     The subwindows are scenario.sliding_windows' layout of window_s every
-    step_s, which rejects a bad window or step.  All subwindows are scored
-    together through the grid factor: one projection onto its shared span,
-    then one product with every grid frequency's coordinates.  The
-    fundamentals match per-subwindow estimate_breathing, and a non-finite
-    sample in any subwindow is a ValueError.
+    step_s, which rejects a bad window or step.  The subwindows are scored
+    through the grid factor a chunk of rows at a time (_best_fundamentals):
+    one projection onto its shared span, then one product with every grid
+    frequency's coordinates.  The fundamentals match per-subwindow
+    estimate_breathing, and a non-finite sample in any subwindow is a
+    ValueError.
     """
     fs = phase.sample_rate
-    # a view: the scorer's demeaned stack is the subwindows' only copy
+    # a view: the scorer's demeaned chunk is the subwindows' only copy
     starts, subwindows = sliding_windows(phase.samples, fs, window_s, step_s)
     hz = _best_fundamentals(subwindows, fs, grid, order)
     return BreathingTrack(tuple(starts), tuple(hz.tolist()), order, window_s,

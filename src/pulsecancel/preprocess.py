@@ -294,8 +294,10 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
     wrapped phase forward; the count of such fills is returned.  (Unwrapped,
     a single NaN would turn every later sample into NaN.)
     """
-    z = np.asarray(z, dtype=np.complex128)
-    wrapped = np.arctan2(z.imag, z.real)
+    # arctan2 widens the parts as given to float64, exactly as a complex128
+    # copy would, without holding one
+    z = np.asarray(z)
+    wrapped = np.arctan2(z.imag, z.real, dtype=np.float64)
     dead = _dead(z)
     dropouts = int(np.count_nonzero(dead))
     if dropouts:

@@ -8,12 +8,14 @@ import pytest
 
 from pulsecancel import anls as anls_mod
 from pulsecancel.ahet import ahet_trace
-from pulsecancel.anls import (_SPAN_TOL, BREATHING_GRID_HZ,
-                              _best_fundamentals, _design_factorization,
-                              _factored_bases, estimate_breathing,
+from pulsecancel.anls import (_SCORE_ROWS, _SPAN_TOL, BREATHING_GRID_HZ,
+                              _best_fundamentals, _design,
+                              _design_factorization, _factored_bases,
+                              _refit_basis, estimate_breathing,
                               breathing_track, fit_amplitudes,
                               grid_frequencies, harmonic_matrix,
                               reconstruct_reference)
+from pulsecancel.bench import monte_carlo
 from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
                                   sliding_windows, window_samples,
@@ -247,6 +249,18 @@ class TestNonFinitePhase:
         with pytest.raises(ValueError, match="non-finite"):
             estimate_breathing(np.full(500, bad), FS)
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_every_scoring_chunk_checks_its_rows(self, where):
+        # 2R + 1 subwindows: three chunks, the last holding one subwindow
+        # that no other chunk holds a sample of
+        x = harmonic_signal(float(GRID[96]), 500 + 100 * 2 * _SCORE_ROWS,
+                            [1.0, 0.3], [0.0, 0.4])
+        phase = PhaseSignal(x, FS)
+        phase.samples[0 if where == "first" else -1] = np.nan
+        with pytest.raises(ValueError, match="^breathing segment holds "
+                                             "non-finite samples$"):
+            breathing_track(phase)
+
     @pytest.mark.parametrize("bad", BAD)
     def test_track_and_trace_reject_a_sample_set_after_construction(self,
                                                                     bad):
@@ -354,6 +368,42 @@ class TestTrackAndReference:
         for i0, hz in zip(track.starts, track.hz):
             model = estimate_breathing(phase.samples[i0:i0 + 500], fs)
             assert model.fundamental_hz == hz
+
+    def test_fundamentals_match_across_scoring_chunks(self):
+        # records that end one subwindow short of, on, and one past a
+        # chunk edge, one past the second edge, and the whole 280 s record
+        sc = FAMILIES["masking-b"](0)
+        phase = slow_time_phase(scenario_slow_time(sc),
+                                sc.radar.frame_rate_hz)
+        fs = phase.sample_rate
+        starts, subwindows = sliding_windows(phase.samples, fs, 5.0, 1.0)
+        estimates = [estimate_breathing(x, fs).fundamental_hz
+                     for x in subwindows]
+        r = _SCORE_ROWS
+        for count in (r - 1, r, r + 1, 2 * r + 1, len(starts)):
+            head = phase.samples[:starts[count - 1] + 500]
+            track = breathing_track(PhaseSignal(head, fs))
+            assert len(track) == count
+            assert list(track.hz) == estimates[:count]
+
+    def test_scoring_memory_does_not_grow_with_the_record(self):
+        # the scorer holds one chunk's projection: 2,400 s and 600 s tracks
+        # differ only by the track itself (held whole, the 1,446-row
+        # projection grew by 35 MB between them)
+        def peak(seconds):
+            x = harmonic_signal(float(GRID[96]), int(seconds * FS),
+                                [1.0, 0.3], [0.0, 0.4])
+            x += np.random.default_rng(5).normal(0.0, 0.1, x.size)
+            phase = PhaseSignal(x, FS)
+            tracemalloc.start()
+            try:
+                breathing_track(phase)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(60.0)      # the grid factor is built and cached outside both
+        assert peak(2400.0) - peak(600.0) <= 0.5e6
 
     def test_fields_are_frozen(self):
         x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
@@ -499,10 +549,13 @@ class TestResiduals:
         x, track = self.record()
         track = dataclasses.replace(track, hz=(0.0,) * len(track))
         windows = np.stack([x[:1000], x[100:1100]])
-        out, errors = track.residuals(windows, [0, 100])
-        assert all(isinstance(e, ValueError) and "rank-deficient" in str(e)
-                   for e in errors)
-        np.testing.assert_array_equal(out, windows)
+        _refit_basis.cache_clear()
+        for _ in range(2):
+            out, errors = track.residuals(windows, [0, 100])
+            assert all(isinstance(e, ValueError)
+                       and "rank-deficient" in str(e) for e in errors)
+            np.testing.assert_array_equal(out, windows)
+            assert _refit_basis.cache_info().currsize == 0
 
 
 class TestEquality:
@@ -535,6 +588,7 @@ class TestEquality:
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
         cached = [*_design_factorization(0.26, 3, 500, FS),
+                  _refit_basis(0.26, 3, 500, FS),
                   *_factored_bases(500, FS, 3, BREATHING_GRID_HZ)]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -565,6 +619,28 @@ class TestCaches:
             with pytest.raises(ValueError, match="rank-deficient"):
                 fit_amplitudes(x, FS, 0.0)
             assert _design_factorization.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("f_hz, order, n", [(0.26, 3, 500),
+                                                (float(GRID[60]), 3, 2000),
+                                                (0.31, 2, 1500)])
+    def test_the_block_refit_reads_the_per_window_q(self, f_hz, order, n):
+        q = _refit_basis(f_hz, order, n, FS)
+        assert not q.flags.writeable
+        assert q.tobytes() == _design_factorization(f_hz, order, n,
+                                                    FS)[1].tobytes()
+
+    def test_the_trace_drivers_keep_no_design(self):
+        # the block route reads Q alone; designs are the per-window route's
+        phase = slow_time_phase(scenario_slow_time(
+            FAMILIES["masking-b"](0, duration_s=60.0)), FS)
+        for cache in (_design, _design_factorization, _refit_basis):
+            cache.cache_clear()
+        ahet_trace(phase, cpi_s=20.0)
+        monte_carlo("masking-c", [0], cpis=(15.0, 20.0),
+                    methods=("conventional", "eca", "ahet"), duration_s=60.0)
+        assert _design.cache_info().currsize == 0
+        assert _design_factorization.cache_info().currsize == 0
+        assert _refit_basis.cache_info().currsize > 0
 
     def test_predict_at_an_unfitted_length(self):
         # rendering at new lengths is bit-identical to the harmonic matrix

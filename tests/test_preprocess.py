@@ -244,6 +244,46 @@ class TestDemodulate:
         if dead[0] == 0:
             assert out[0] == 0.0
 
+    @staticmethod
+    def long_signal(dtype, dead):
+        # 2^15 samples; with dead, zero and NaN runs at the start, inside
+        # and at the end
+        rng = np.random.default_rng(6)
+        z = rng.uniform(0.5, 2.0, 2 ** 15) \
+            * np.exp(1j * rng.uniform(-4, 4, 2 ** 15))
+        if np.dtype(dtype).kind != "c":
+            z = z.real
+        z = z.astype(dtype)
+        if dead:
+            z[:3] = 0.0
+            z[100:400] = 0.0
+            z[5000:5100] = np.nan
+            z[-7:] = np.nan
+        return z
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128,
+                                       np.float64])
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_any_dtype_demodulates_like_its_complex128_copy(self, dtype,
+                                                             dead):
+        z = self.long_signal(dtype, dead)
+        out, dropouts = demodulate(z)
+        expected, expected_dropouts = demodulate(z.astype(np.complex128))
+        assert dropouts == expected_dropouts == (410 if dead else 0)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_peak_memory_holds_no_complex128_copy(self):
+        # the parts are read as given: a complex128 copy of complex64 bins
+        # adds 16 B a frame (81 B a frame with dropouts)
+        z = self.long_signal(np.complex64, dead=True)
+        tracemalloc.start()
+        try:
+            demodulate(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 66 * z.size
+
     def test_nan_run_in_a_record_stays_local(self):
         # 3 s of NaN from 50 s on: unwrapped as they were, they made the
         # rest of the record NaN
