@@ -9,12 +9,12 @@ costs one projection onto the span and one small product.  Amplitudes come
 from the same least-squares fit.  All solves go through orthogonal QR
 factorizations; no normal-equation inverses.
 
-Two routes refit a window at a fixed fundamental, each through its own
-cache.  The per-window route (fit_amplitudes, BreathingTrack.refit and
-residual, reconstruct_reference) reads the design, Q and R from
-_design_factorization, and HarmonicModel.predict renders from _design.  The
-block route (BreathingTrack.residuals, which the trace drivers run) reads
-only Q, from _refit_basis, so it pins no design.
+One cache factors every refit at a fixed fundamental: _refit_basis holds
+the reduced QR (Q, R) of the intercept-augmented design, and no design.
+The per-window route (fit_amplitudes, BreathingTrack.refit and residual,
+reconstruct_reference) reads Q and R; the block route
+(BreathingTrack.residuals, which the trace drivers run) reads Q alone.
+HarmonicModel.predict renders from _design, a cache of designs only.
 """
 
 import math
@@ -133,7 +133,7 @@ class BreathingTrack:
             try:
                 if math.isnan(f_hat):
                     raise ValueError(_NO_SUBWINDOW)
-                q = _refit_basis(f_hat, self.order, n, self.sample_rate)
+                q = _refit_basis(f_hat, self.order, n, self.sample_rate)[0]
             except (ValueError, np.linalg.LinAlgError) as exc:
                 errors[i:j] = [exc] * (j - i)
             else:
@@ -194,7 +194,8 @@ def _design(fundamental_hz: float, order: int, n: int,
     columns followed by a column of ones.
 
     Cached on its own so HarmonicModel.predict at any length renders from
-    it without factorizing it or evicting the refit factorizations.
+    it without factorizing it or evicting the refit factorizations, which
+    _refit_basis builds from the uncached function.
     """
     design = np.hstack([harmonic_matrix(fundamental_hz, order, n,
                                         sample_rate), np.ones((n, 1))])
@@ -202,19 +203,25 @@ def _design(fundamental_hz: float, order: int, n: int,
     return design
 
 
-def _checked_qr(fundamental_hz: float, order: int, n: int,
-                sample_rate: float, design_of) -> tuple:
-    """(design, Q, R) of an n-sample fit, the design from design_of, after
-    the length and rank checks.  A segment too short for the coefficients,
-    or a rank-deficient design (e.g. fundamental at 0), raises ValueError.
-    The length check runs before the design is built.  The singular values
-    of R equal those of the design, giving the rank check without a second
+@lru_cache(maxsize=64)
+def _refit_basis(fundamental_hz: float, order: int, n: int,
+                 sample_rate: float) -> tuple:
+    """(Q, R), the reduced QR of an n-sample fit's intercept-augmented
+    design, cached read-only; the design is built uncached, so no cache
+    keeps it.
+
+    Sliding analysis refits the same few fundamentals at a fixed window
+    length over and over; the factorization depends only on the design.  A
+    segment too short for the coefficients, or a rank-deficient design
+    (e.g. fundamental at 0), raises ValueError and caches nothing.  The
+    length check runs before the design is built.  The singular values of R
+    equal those of the design, giving the rank check without a second
     factorization.
     """
     if n < 2 * order + 1:
         raise ValueError(f"segment of {n} samples too short for "
                          f"{2 * order} coefficients")
-    design = design_of(fundamental_hz, order, n, sample_rate)
+    design = _design.__wrapped__(fundamental_hz, order, n, sample_rate)
     q, r = np.linalg.qr(design)
     sv = np.linalg.svd(r, compute_uv=False)
     cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
@@ -222,40 +229,9 @@ def _checked_qr(fundamental_hz: float, order: int, n: int,
         cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
         raise ValueError(f"rank-deficient harmonic design at "
                          f"{fundamental_hz} Hz (condition ~ {cond:.3e})")
-    return design, q, r
-
-
-@lru_cache(maxsize=64)
-def _design_factorization(fundamental_hz: float, order: int, n: int,
-                          sample_rate: float) -> tuple:
-    """(design, Q, R) of an n-sample fit for the per-window route
-    (fit_amplitudes): the intercept-augmented design, from _design's cache,
-    and its reduced QR, cached read-only after _checked_qr's checks.  A
-    failed check caches nothing.
-
-    Sliding analysis refits the same few fundamentals at a fixed window
-    length over and over; the factorization depends only on the design.
-    The block route (BreathingTrack.residuals) reads only Q and takes it
-    from _refit_basis instead, so the designs of its refits are not kept.
-    """
-    design, q, r = _checked_qr(fundamental_hz, order, n, sample_rate,
-                               _design)
     for a in (q, r):
         a.flags.writeable = False
-    return design, q, r
-
-
-@lru_cache(maxsize=64)
-def _refit_basis(fundamental_hz: float, order: int, n: int,
-                 sample_rate: float) -> np.ndarray:
-    """Q of _design_factorization, bit for bit, cached read-only on its
-    own: BreathingTrack.residuals reads nothing else, so neither the
-    design (built uncached) nor R is kept.  A failed check caches nothing.
-    """
-    q = _checked_qr(fundamental_hz, order, n, sample_rate,
-                    _design.__wrapped__)[1]
-    q.flags.writeable = False
-    return q
+    return q, r
 
 
 def fit_amplitudes(segment: np.ndarray, sample_rate: float,
@@ -271,10 +247,10 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
-    design, q, r = _design_factorization(fundamental_hz, order, x.size,
-                                         sample_rate)
-    coef = solve_triangular(r, q.T @ x, check_finite=False)
-    resid = x - design @ coef
+    q, r = _refit_basis(fundamental_hz, order, x.size, sample_rate)
+    qtx = q.T @ x
+    coef = solve_triangular(r, qtx, check_finite=False)
+    resid = x - q @ qtx
     return HarmonicModel(
         fundamental_hz=float(fundamental_hz),
         order=order,

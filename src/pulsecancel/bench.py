@@ -96,7 +96,7 @@ def _pair_times(trace: HrTrace, reference: HrTrace):
     paired = np.abs(t_ref[j] - t_est) <= tol + 1e-12
     if not paired.any():
         raise ValueError("traces share no overlapping time support")
-    return v_est[paired], v_ref[j[paired]], t_est
+    return v_est[paired], v_ref[j[paired]], t_est[paired]
 
 
 def rmse(trace: HrTrace, reference: HrTrace) -> float:
@@ -107,22 +107,39 @@ def rmse(trace: HrTrace, reference: HrTrace) -> float:
 def interval_rmse(trace: HrTrace, reference: HrTrace,
                   interval_s: float = 40.0,
                   start_s: float = 10.0) -> list[IntervalRow]:
-    """Per-interval RMSE rows; intervals with no paired samples are omitted."""
-    if interval_s <= 0:
-        raise ValueError("interval must be positive")
+    """Per-interval RMSE rows, in time order, over the intervals
+    [start_s + k interval_s, start_s + (k + 1) interval_s), k >= 0.
+
+    Each paired estimate falls in the interval its time indexes, and only
+    those intervals are visited, so the work is set by the samples, not by
+    the span.  Intervals with no paired samples are omitted, and samples
+    before start_s fall in none.  A non-finite start, an interval that is
+    not finite and positive, or one so fine that a paired time's index k
+    reaches 2^53 (past which float64 no longer holds every integer) raises
+    ValueError.
+    """
+    if not math.isfinite(start_s):
+        raise ValueError(f"interval start must be finite, got {start_s!r}")
+    if not (math.isfinite(interval_s) and interval_s > 0):
+        raise ValueError(f"interval must be finite and positive, got "
+                         f"{interval_s!r}")
     est, ref, times = _pair_times(trace, reference)
-    t_max = float(np.max(times))
+    k = np.floor((times - start_s) / interval_s)
+    if not (k < 2.0 ** 53).all():
+        raise ValueError(f"{interval_s!r} s intervals from {start_s!r} s "
+                         f"cannot number the paired times exactly")
+    # the quotient is rounded, so a time on an edge may floor one interval
+    # off; the edges themselves decide
+    k -= times < start_s + k * interval_s
+    k += times >= start_s + (k + 1) * interval_s
     rows = []
-    lo = start_s
-    while lo < t_max:
-        hi = lo + interval_s
-        sel = (times >= lo) & (times < hi)
-        if np.any(sel):
-            err = est[sel] - ref[sel]
-            rows.append(IntervalRow(lo, hi,
-                                    float(np.sqrt(np.mean(err ** 2))),
-                                    int(np.count_nonzero(sel))))
-        lo = hi
+    for index in np.unique(k[k >= 0]):
+        sel = k == index
+        err = est[sel] - ref[sel]
+        rows.append(IntervalRow(float(start_s + index * interval_s),
+                                float(start_s + (index + 1) * interval_s),
+                                float(np.sqrt(np.mean(err ** 2))),
+                                int(np.count_nonzero(sel))))
     return rows
 
 

@@ -60,8 +60,11 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
     time, in the precision of the cube's own samples.  A FileCube cannot be
     written over the file it streams from: opening that file for writing
     would truncate the words still to be read.  A cube with no frames or
-    no fast-time samples raises ValueError before anything is written:
-    read_raw_cube rejects the sidecar it would get.
+    no fast-time samples, a non-finite sample (found by the peak search,
+    which runs whether or not a scale is given), or a scale that is not
+    finite and positive raises ValueError before anything is written:
+    read_raw_cube rejects the sidecar it would get, or the words would
+    not hold the samples.
     """
     if cube.n_frames == 0 or cube.n_fast == 0:
         raise ValueError(f"cannot write a {cube.n_frames} x {cube.n_fast} "
@@ -71,13 +74,21 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
         raise ValueError(f"cannot write a cube over {path}, the file it "
                          f"reads from")
     chunks = range(0, cube.n_frames, _CHUNK_FRAMES)
+    peak = 0.0
+    for start in chunks:
+        iq = cube.frames(start, start + _CHUNK_FRAMES)
+        # a NaN or inf sample makes its chunk's peak NaN or inf
+        chunk_peak = float(np.maximum(np.max(np.abs(iq.real)),
+                                      np.max(np.abs(iq.imag))))
+        if not math.isfinite(chunk_peak):
+            raise ValueError(f"cannot write frames {start}:"
+                             f"{start + len(iq)}: they hold a non-finite "
+                             f"sample")
+        peak = max(peak, chunk_peak)
     if scale is None:
-        peak = 0.0
-        for start in chunks:
-            iq = cube.frames(start, start + _CHUNK_FRAMES)
-            peak = max(peak, np.max(np.abs(iq.real)), np.max(np.abs(iq.imag)))
-        peak = float(peak)
         scale = INT16_HEADROOM * 32767.0 / peak if peak > 0 else 1.0
+    if not (_finite_real(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     with open(path, "wb") as fh:
         for start in chunks:
             iq = cube.frames(start, start + _CHUNK_FRAMES)

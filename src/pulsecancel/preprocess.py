@@ -4,15 +4,14 @@ The range FFT runs in single precision, a fixed chunk of frames at a time:
 each chunk is cast into one reused complex64 buffer (a file cube's int16
 words are read and decoded straight into it, so no cube is ever held
 whole), windowed and transformed in place with scipy.fft.  range_profiles
-copies a run of each chunk's n_fast/2 one-sided bins into a contiguous
-frames x bins array; cube_phase holds no run at all.  Bin numbers are
-absolute one-sided bin indices wherever a run is held.
+copies each chunk's n_fast/2 one-sided bins into a contiguous frames x bins
+array; cube_phase holds no profile at all.
 The detection map is each range bin's residual power after average
 cancellation (subtracting the bin's across-frame complex mean), summed in
 float64 as real^2 + imag^2 over the range gate's bins only.  It is
 computed a chunk of frames at a time: each chunk's float64 sum and
 residual sum of squares, per real and imaginary part, merged into the
-running ones by the pairwise update of Chan, Golub and LeVeque, so held
+running ones by the pairwise update of Chan, Golub and LeVeque, so full
 profiles and a streamed pass give the same bits.
 cube_phase makes two passes over the cube: the first detects the bin from
 the FFT chunks, the second computes that bin alone, one windowed
@@ -45,23 +44,19 @@ class NoTargetError(RuntimeError):
 
 @dataclass
 class RangeProfiles:
-    """Windowed range FFT per frame: complex64 frames x a run of one-sided
-    bins.
+    """Windowed range FFT per frame: complex64 frames x one-sided bins.
 
-    Column j of `values` is one-sided bin first_bin + j.  range_profiles
-    fills `values` a chunk of frames at a time, so it is a C-contiguous
-    array that owns just frames x held-bins complex64 samples; no
-    two-sided spectra stay alive behind it.  The one-sided bins number
-    config.adc_samples_per_chirp // 2, held or not.  Held profiles grow
-    with the record; cube_phase streams the same chunks instead, and its
-    detection is the same statistic as mean_power's, bit for bit.
+    range_profiles fills `values` a chunk of frames at a time, so it is a
+    C-contiguous array that owns just frames x n_fast/2 complex64 samples;
+    no two-sided spectra stay alive behind it.  Profiles grow with the
+    record; cube_phase streams the same chunks instead, and its detection
+    is the same statistic as mean_power's, bit for bit.
     """
 
     values: np.ndarray            # frames x bins, complex64, uncancelled
     slow_time_rate: float
     bin_width_m: float
     config: RadarConfig
-    first_bin: int = 0
 
     @property
     def n_frames(self) -> int:
@@ -71,19 +66,13 @@ class RangeProfiles:
     def n_bins(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def held(self) -> range:
-        """The absolute one-sided bins `values` holds."""
-        return range(self.first_bin, self.first_bin + self.n_bins)
-
     def bin_ranges(self) -> np.ndarray:
-        return np.arange(self.first_bin,
-                         self.first_bin + self.n_bins) * self.bin_width_m
+        return np.arange(self.n_bins) * self.bin_width_m
 
     def mean_power(self) -> np.ndarray:
-        """Across-frame residual power per held bin, mean |x - mean x|^2.
+        """Across-frame residual power per bin, mean |x - mean x|^2.
 
-        This is the power average cancellation leaves, for every held bin;
+        This is the power average cancellation leaves, for every bin;
         detect_target_bin sums the same quantity over its gate only.
         """
         return _residual_power(self.values)
@@ -94,9 +83,9 @@ def gate_bins(n_bins: int, bin_width_m: float, min_range_m: float,
     """The range gate's one-sided bins: every bin b < n_bins whose range
     b * bin_width_m lies in [min_range_m, max_range_m].
 
-    The one gate rule, for cube_phase's held run and detect_target_bin
-    alike.  Bin ranges increase, so the gate is one run.  An inverted gate,
-    or one that covers no bin, raises ValueError.
+    The one gate rule, for cube_phase and detect_target_bin alike.  Bin
+    ranges increase, so the gate is one run.  An inverted gate, or one that
+    covers no bin, raises ValueError.
     """
     if min_range_m > max_range_m:
         raise ValueError("range gate is inverted")
@@ -194,8 +183,8 @@ def _chunk_spectra(cube: RadarCube):
 
 
 def _gate_power(cube: RadarCube, gate: range) -> np.ndarray:
-    """range_profiles(cube, gate).mean_power(), bit for bit, from the
-    streamed FFT chunks: no gate column is held."""
+    """range_profiles(cube).mean_power() of the gate's bins, bit for bit,
+    from the streamed FFT chunks: no gate column is held."""
     return _chunked_power(spectra[:, gate.start:gate.stop]
                           for _, spectra in _chunk_spectra(cube))
 
@@ -219,35 +208,27 @@ def _bin_values(cube: RadarCube, bin_index: int) -> np.ndarray:
     return values
 
 
-def range_profiles(cube: RadarCube, bins: range | None = None
-                   ) -> RangeProfiles:
-    """Hann-windowed FFT over fast time, keeping the run `bins` (by default
-    all n_fast/2) of one-sided bins.
+def range_profiles(cube: RadarCube) -> RangeProfiles:
+    """Hann-windowed FFT over fast time, keeping the n_fast/2 one-sided
+    bins.
 
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
     complex value in its bin.  _FFT_CHUNK_FRAMES frames at a time,
     cube.frames casts (or, for a file cube, reads and decodes) into one
     reused complex64 buffer, which is windowed and transformed in place;
-    every frame is transformed whatever `bins` holds, and each frame's
-    transform is the same as a one-shot FFT of the whole windowed complex64
-    cube, bit for bit.
+    each frame's transform is the same as a one-shot FFT of the whole
+    windowed complex64 cube, bit for bit.
     """
     n_half = _one_sided_bins(cube)
-    if bins is None:
-        bins = range(n_half)
-    if not (bins.step == 1 and 0 <= bins.start < bins.stop <= n_half):
-        raise ValueError(f"bins {bins} is not a non-empty run of the "
-                         f"one-sided bins 0..{n_half - 1}")
-    values = np.empty((cube.n_frames, len(bins)), dtype=np.complex64)
+    values = np.empty((cube.n_frames, n_half), dtype=np.complex64)
     for start, spectra in _chunk_spectra(cube):
-        values[start:start + len(spectra)] = spectra[:, bins.start:bins.stop]
+        values[start:start + len(spectra)] = spectra[:, :n_half]
     return RangeProfiles(
         values=values,
         slow_time_rate=cube.config.frame_rate_hz,
         bin_width_m=cube.config.range_bin_width_m,
         config=cube.config,
-        first_bin=bins.start,
     )
 
 
@@ -255,21 +236,14 @@ def detect_target_bin(profiles: RangeProfiles, min_range_m: float,
                       max_range_m: float) -> int:
     """Bin with maximal residual power (mean_power) inside the range gate.
 
-    The gate is gate_bins over all config.adc_samples_per_chirp // 2
-    one-sided bins, and profiles that do not hold all of it raise
-    ValueError.  Only the gate's bins are summed.  Ties resolve to the
-    nearer bin.  A gate with zero residual power (all static, or empty
-    scene) raises NoTargetError.
+    The gate is gate_bins over the profiles' bins, and only its bins are
+    summed.  Ties resolve to the nearer bin.  A gate with zero residual
+    power (all static, or empty scene) raises NoTargetError.
     """
-    gate = gate_bins(profiles.config.adc_samples_per_chirp // 2,
-                     profiles.bin_width_m, min_range_m, max_range_m)
-    held = profiles.held
-    if gate.start < held.start or gate.stop > held.stop:
-        raise ValueError(f"profiles hold bins {held.start}.."
-                         f"{held.stop - 1}, not all of the range gate's "
-                         f"{gate.start}..{gate.stop - 1}")
+    gate = gate_bins(profiles.n_bins, profiles.bin_width_m, min_range_m,
+                     max_range_m)
     return _strongest(gate, _residual_power(
-        profiles.values[:, gate.start - held.start:gate.stop - held.start]))
+        profiles.values[:, gate.start:gate.stop]))
 
 
 def _strongest(gate: range, power: np.ndarray) -> int:
@@ -311,12 +285,10 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def extract_phase(profiles: RangeProfiles, bin_index: int) -> PhaseSignal:
-    """Unwrapped phase of the raw slow-time signal at one held range bin."""
-    held = profiles.held
-    if bin_index not in held:
-        raise ValueError(f"bin {bin_index} outside {held.start}.."
-                         f"{held.stop - 1}")
-    theta, dropouts = demodulate(profiles.values[:, bin_index - held.start])
+    """Unwrapped phase of the raw slow-time signal at one range bin."""
+    if not 0 <= bin_index < profiles.n_bins:
+        raise ValueError(f"bin {bin_index} outside 0..{profiles.n_bins - 1}")
+    theta, dropouts = demodulate(profiles.values[:, bin_index])
     return PhaseSignal(theta, profiles.slow_time_rate,
                        source_bin=bin_index, dropouts=dropouts)
 
@@ -333,8 +305,8 @@ def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
 
     The first pass runs range_profiles' chunked FFT and merges each chunk's
     gate moments, holding no bin's values: its target is
-    detect_target_bin(range_profiles(cube, gate), *gate_m), the same power
-    bit for bit.  The second reads the cube again and computes the target
+    detect_target_bin(range_profiles(cube), *gate_m), the same power bit
+    for bit.  The second reads the cube again and computes the target
     bin alone (_bin_values) for demodulate; its phase is the FFT column's
     to single-precision rounding.  Memory is a chunk's buffers plus the
     phase.  The cube and the gate are checked before any frame is read.
@@ -354,8 +326,8 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     Neighbors within +-width bins whose zero-mean phase has Pearson
     correlation >= min_corr with the target's contribute, weighted by that
     correlation.  The target itself always carries weight 1, so its weight
-    is never below any neighbor's.  Neighbors are clipped to the held
-    bins.  width=0 reduces to extract_phase.
+    is never below any neighbor's.  Neighbors are clipped to the
+    profiles' bins.  width=0 reduces to extract_phase.
 
     No pipeline path calls it: cube_phase demodulates the target bin alone,
     since a neighbor whose unwrap slips drags the average far off the
@@ -373,9 +345,8 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
     t_zero = target.samples - t_mean
     t_std = float(np.std(t_zero))
 
-    held = profiles.held
-    lo = max(held.start, target_bin - width)
-    hi = min(held.stop - 1, target_bin + width)
+    lo = max(0, target_bin - width)
+    hi = min(profiles.n_bins - 1, target_bin + width)
     acc = t_zero.copy()
     total = 1.0
     # the contributing bins with fills; a frame is one dropout when any of
@@ -396,8 +367,7 @@ def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,
             total += corr
             if neighbor.dropouts:
                 filled.append(b)
-    dead = _dead(profiles.values[:, [b - held.start for b in filled]]
-                 ).any(axis=1)
+    dead = _dead(profiles.values[:, filled]).any(axis=1)
     return PhaseSignal(t_mean + acc / total, profiles.slow_time_rate,
                        source_bin=target_bin,
                        dropouts=int(np.count_nonzero(dead)))

@@ -9,12 +9,11 @@ import pytest
 from pulsecancel import anls as anls_mod
 from pulsecancel.ahet import ahet_trace
 from pulsecancel.anls import (_SCORE_ROWS, _SPAN_TOL, BREATHING_GRID_HZ,
-                              _best_fundamentals, _design,
-                              _design_factorization, _factored_bases,
-                              _refit_basis, estimate_breathing,
-                              breathing_track, fit_amplitudes,
-                              grid_frequencies, harmonic_matrix,
-                              reconstruct_reference)
+                              BreathingTrack, _best_fundamentals, _design,
+                              _factored_bases, _refit_basis,
+                              estimate_breathing, breathing_track,
+                              fit_amplitudes, grid_frequencies,
+                              harmonic_matrix, reconstruct_reference)
 from pulsecancel.bench import monte_carlo
 from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
@@ -587,16 +586,16 @@ class TestEquality:
 
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
-        cached = [*_design_factorization(0.26, 3, 500, FS),
-                  _refit_basis(0.26, 3, 500, FS),
+        cached = [_design(0.26, 3, 500, FS),
+                  *_refit_basis(0.26, 3, 500, FS),
                   *_factored_bases(500, FS, 3, BREATHING_GRID_HZ)]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
     def test_repeated_calls_return_equal_values(self):
-        first = _design_factorization(0.26, 3, 500, FS)
-        again = _design_factorization(0.26, 3, 500, FS)
+        first = _refit_basis(0.26, 3, 500, FS)
+        again = _refit_basis(0.26, 3, 500, FS)
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
         first = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
@@ -607,39 +606,43 @@ class TestCaches:
             np.testing.assert_array_equal(a, b)
 
     def test_design_starts_with_the_harmonic_matrix(self):
-        design = _design_factorization(0.26, 3, 500, FS)[0]
+        design = _design(0.26, 3, 500, FS)
         np.testing.assert_array_equal(design[:, :6],
                                       harmonic_matrix(0.26, 3, 500, FS))
         np.testing.assert_array_equal(design[:, 6], 1.0)
 
     def test_a_failed_check_caches_nothing(self):
         x = harmonic_signal(0.26, 500, [1.0], [0.0])
-        _design_factorization.cache_clear()
+        _refit_basis.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match="rank-deficient"):
                 fit_amplitudes(x, FS, 0.0)
-            assert _design_factorization.cache_info().currsize == 0
+            assert _refit_basis.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("f_hz, order, n", [(0.26, 3, 500),
-                                                (float(GRID[60]), 3, 2000),
-                                                (0.31, 2, 1500)])
-    def test_the_block_refit_reads_the_per_window_q(self, f_hz, order, n):
-        q = _refit_basis(f_hz, order, n, FS)
-        assert not q.flags.writeable
-        assert q.tobytes() == _design_factorization(f_hz, order, n,
-                                                    FS)[1].tobytes()
+    def test_both_refit_routes_share_one_entry(self):
+        # fit_amplitudes and the block refit factor the same design once
+        x = harmonic_signal(0.26, 500, [1.0, 0.3], [0.0, 0.4], 0.2)
+        track = BreathingTrack(starts=(0,), hz=(0.26,), sample_rate=FS)
+        for cache in (_design, _refit_basis):
+            cache.cache_clear()
+        fit_amplitudes(x, FS, 0.26)
+        out, errors = track.residuals(x[None, :], [0])
+        assert errors == [None]
+        assert np.max(np.abs(out)) < 1e-12
+        info = _refit_basis.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+        assert _design.cache_info().currsize == 0
 
     def test_the_trace_drivers_keep_no_design(self):
-        # the block route reads Q alone; designs are the per-window route's
+        # the block route reads Q alone; designs are predict's
         phase = slow_time_phase(scenario_slow_time(
             FAMILIES["masking-b"](0, duration_s=60.0)), FS)
-        for cache in (_design, _design_factorization, _refit_basis):
+        for cache in (_design, _refit_basis):
             cache.cache_clear()
         ahet_trace(phase, cpi_s=20.0)
         monte_carlo("masking-c", [0], cpis=(15.0, 20.0),
                     methods=("conventional", "eca", "ahet"), duration_s=60.0)
         assert _design.cache_info().currsize == 0
-        assert _design_factorization.cache_info().currsize == 0
         assert _refit_basis.cache_info().currsize > 0
 
     def test_predict_at_an_unfitted_length(self):
@@ -648,7 +651,7 @@ class TestCaches:
         # factorizations
         x = harmonic_signal(0.31, 500, [1.0, 0.4, 0.2], [0.1, 0.7, 1.3], 0.5)
         model = fit_amplitudes(x, FS, 0.31, order=3)
-        before = _design_factorization.cache_info()
+        before = _refit_basis.cache_info()
         for n in range(737, 837):
             expected = harmonic_matrix(0.31, 3, n, FS) \
                 @ model.coefficients.reshape(-1)
@@ -656,4 +659,4 @@ class TestCaches:
             np.testing.assert_array_equal(
                 model.predict(n, FS, include_offset=True),
                 expected + model.offset)
-        assert _design_factorization.cache_info() == before
+        assert _refit_basis.cache_info() == before

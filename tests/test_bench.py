@@ -12,6 +12,7 @@ from pulsecancel.bench import (BenchReport, RunRecord, interval_rmse,
 from pulsecancel.scenario import (FAMILIES, Scenario, reference_trace,
                                   synthesize_radar_cube)
 from pulsecancel.types import HrTrace, TraceEntry
+from test_cli import fresh_python
 
 
 def make_trace(times, bpm, tag="x"):
@@ -64,7 +65,7 @@ def loop_pair_times(trace, reference):
     steps = [np.median(np.diff(t)) for t in (t_est, t_ref) if t.size > 1]
     tol = max(steps) / 2.0 if steps else np.inf
     order = np.searchsorted(t_ref, t_est)
-    pairs_est, pairs_ref = [], []
+    pairs_est, pairs_ref, pairs_t = [], [], []
     for i, t in enumerate(t_est):
         j = min(order[i], t_ref.size - 1)
         if j > 0 and abs(t_ref[j - 1] - t) < abs(t_ref[j] - t):
@@ -72,7 +73,26 @@ def loop_pair_times(trace, reference):
         if abs(t_ref[j] - t) <= tol + 1e-12:
             pairs_est.append(v_est[i])
             pairs_ref.append(v_ref[j])
-    return np.array(pairs_est), np.array(pairs_ref), t_est
+            pairs_t.append(t)
+    return np.array(pairs_est), np.array(pairs_ref), np.array(pairs_t)
+
+
+def loop_interval_rmse(trace, reference, interval_s, start_s):
+    """interval_rmse as a walk over every interval up to the last paired
+    time, kept as its reference."""
+    est, ref, times = loop_pair_times(trace, reference)
+    rows = []
+    k = 0
+    while start_s + k * interval_s <= times.max():
+        lo, hi = start_s + k * interval_s, start_s + (k + 1) * interval_s
+        sel = (times >= lo) & (times < hi)
+        if sel.any():
+            err = est[sel] - ref[sel]
+            rows.append((lo, hi, float(np.sqrt(np.mean(err ** 2))),
+                         int(sel.sum())))
+        k += 1
+    return rows
+
 
 
 class TestIntervalRmse:
@@ -97,6 +117,80 @@ class TestIntervalRmse:
         est = make_trace([1.0], [70.0])
         with pytest.raises(ValueError, match="interval"):
             interval_rmse(est, est, interval_s=0.0)
+
+    @pytest.mark.parametrize("interval_s", [float("nan"), -1.0, float("inf"),
+                                            -float("inf")])
+    def test_rejects_an_interval_that_is_not_finite_and_positive(
+            self, interval_s):
+        # a nan interval returned [] without an error
+        est = make_trace([10.0, 11.0], [70.0, 71.0])
+        with pytest.raises(ValueError, match="interval must be finite and "
+                                             "positive"):
+            interval_rmse(est, est, interval_s=interval_s)
+
+    @pytest.mark.parametrize("start_s", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_start(self, start_s):
+        # a nan start returned [] without an error
+        est = make_trace([10.0, 11.0], [70.0, 71.0])
+        with pytest.raises(ValueError, match="interval start must be "
+                                             "finite"):
+            interval_rmse(est, est, start_s=start_s)
+
+    def test_unbounded_spans_fail_at_once(self):
+        # a -inf start, or intervals too fine to number, stepped through
+        # intervals without end; a fresh interpreter's timeout bounds the
+        # wait
+        code = """
+from pulsecancel.bench import interval_rmse
+from pulsecancel.types import HrTrace, TraceEntry
+trace = HrTrace([TraceEntry(t, 70.0, "x") for t in (10.0, 11.0, 12.0)])
+for kwargs in ({"start_s": -float("inf")}, {"interval_s": 1e-300}):
+    try:
+        interval_rmse(trace, trace, **kwargs)
+    except ValueError as exc:
+        print(exc)
+"""
+        done = fresh_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "interval start must be finite, got -inf",
+            "1e-300 s intervals from 10.0 s cannot number the paired times "
+            "exactly"]
+
+    def test_unpaired_estimates_fall_in_no_interval(self):
+        # the 80 s estimate has no reference near it; it raised IndexError
+        est = make_trace([10.0, 11.0, 12.0, 13.0, 80.0], [71.0] * 5)
+        ref = make_trace([10.0, 11.0, 12.0, 13.0], [70.0] * 4)
+        rows = interval_rmse(est, ref)
+        assert [(r.lo_s, r.hi_s, r.rmse_bpm, r.count) for r in rows] \
+            == [(10.0, 50.0, 1.0, 4)]
+
+    def test_a_last_sample_on_an_edge_counts(self):
+        # the 50 s sample opens the second interval; it was left out
+        est = make_trace([10.0, 30.0, 50.0], [70.0, 70.0, 73.0])
+        ref = make_trace([10.0, 30.0, 50.0], [70.0] * 3)
+        rows = interval_rmse(est, ref)
+        assert [(r.lo_s, r.hi_s, r.rmse_bpm, r.count) for r in rows] \
+            == [(10.0, 50.0, 0.0, 2), (50.0, 90.0, 3.0, 1)]
+
+    @pytest.mark.parametrize("interval_s, start_s", [(40.0, 10.0),
+                                                     (0.1, 0.0),
+                                                     (0.3, 7.7),
+                                                     (2.5, -3.0)])
+    def test_rows_are_the_walk_over_every_interval(self, interval_s,
+                                                   start_s):
+        # times on and next to float edges, some before start_s
+        rng = np.random.default_rng(7)
+        edges = start_s + np.arange(-3, 40) * interval_s
+        times = np.unique(np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            rng.uniform(edges[0], edges[-1], 50)]))
+        est = make_trace(times, rng.uniform(60, 90, times.size))
+        ref = make_trace(times, rng.uniform(60, 90, times.size))
+        rows = interval_rmse(est, ref, interval_s=interval_s,
+                             start_s=start_s)
+        assert [(r.lo_s, r.hi_s, r.rmse_bpm, r.count) for r in rows] \
+            == loop_interval_rmse(est, ref, interval_s, start_s)
 
 
 class TestBenchReport:

@@ -224,6 +224,42 @@ class TestCubeErrors:
             write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scale", [None, 1000.0])
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0),
+                                     complex(0.0, np.nan),
+                                     complex(np.inf, 0.0),
+                                     complex(0.0, -np.inf)])
+    def test_non_finite_sample_is_refused_before_writing(self, tmp_path,
+                                                         bad, scale):
+        # one sample in the second chunk; the first holds the peak, so a
+        # peak search that skipped the NaN would scale from it
+        cube = small_cube(frames=_CHUNK_FRAMES + 3)
+        cube.iq[_CHUNK_FRAMES + 1, 5] = bad
+        with pytest.raises(ValueError, match=f"frames {_CHUNK_FRAMES}:"
+                                             f"{_CHUNK_FRAMES + 3}: they "
+                                             f"hold a non-finite sample"):
+            write_raw_cube(cube, tmp_path / "cube.bin", scale=scale)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scale", [None, 1000.0])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_all_non_finite_cube_is_refused_before_writing(self, tmp_path,
+                                                           value, scale):
+        # an all-inf cube wrote "scale": 0.0
+        cube = RadarCube(np.full((6, 16), value, dtype=complex),
+                         small_cube().config)
+        with pytest.raises(ValueError, match="non-finite sample"):
+            write_raw_cube(cube, tmp_path / "cube.bin", scale=scale)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_scale_is_refused_before_writing(self, tmp_path, scale):
+        # read_raw_cube rejects the sidecar a zero or negative scale gives
+        with pytest.raises(ValueError, match="scale must be finite and "
+                                             "positive"):
+            write_raw_cube(small_cube(), tmp_path / "cube.bin", scale=scale)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CubeFormatError, match="no such cube file"):
             read_raw_cube(tmp_path / "nope.bin")

@@ -25,10 +25,10 @@ from pulsecancel.scenario import (RadarConfig, RadarCube, Scenario,
                                   synthesize_radar_cube)
 
 
-def profiles_of(values, bin_width=0.5, first_bin=0):
+def profiles_of(values, bin_width=0.5):
     return RangeProfiles(values=np.asarray(values, dtype=complex),
                          slow_time_rate=100.0, bin_width_m=bin_width,
-                         config=RadarConfig(), first_bin=first_bin)
+                         config=RadarConfig())
 
 
 def make_profiles(power, bin_width=0.5):
@@ -43,11 +43,14 @@ def make_profiles(power, bin_width=0.5):
     return profiles_of(sign[:, None] * np.sqrt(power), bin_width)
 
 
-def phase_profiles(samples_by_bin, first_bin=0):
+def phase_profiles(samples_by_bin):
     """Unit-modulus slow-time signals, one list entry per range bin."""
     values = np.stack([np.exp(1j * np.asarray(s)) for s in samples_by_bin],
                       axis=1)
-    return profiles_of(values, first_bin=first_bin)
+    return profiles_of(values)
+
+
+BIN_RANGES = np.arange(100) * RadarConfig().range_bin_width_m
 
 
 class TestRangeProfiles:
@@ -98,6 +101,12 @@ class TestRangeProfiles:
         cube = RadarCube(np.ones((5, 2), dtype=complex),
                          RadarConfig(adc_samples_per_chirp=2))
         with pytest.raises(ValueError, match="too few fast-time"):
+            range_profiles(cube)
+
+    def test_cube_and_config_must_agree_on_fast_time(self):
+        cube = RadarCube(np.ones((4, 8), dtype=complex), RadarConfig())
+        with pytest.raises(ValueError, match="8 fast-time samples per "
+                                             "frame, its config 200"):
             range_profiles(cube)
 
 
@@ -174,6 +183,19 @@ class TestDetectTargetBin:
         power[0, 5] = np.nan
         with pytest.raises(NoTargetError, match="non-finite"):
             detect_target_bin(make_profiles(power), 0.3, 4.0)
+
+    def test_gate_edges_are_the_bin_ranges(self):
+        # the gate compares each bin's own range with its edges, so a gate
+        # from a bin's exact range to itself holds that bin alone; a rule
+        # that divides the edges by the bin width would misplace some of
+        # them (3 * width / width is 2.9999999999999996, which floors to 2)
+        width = RadarConfig().range_bin_width_m
+        assert BIN_RANGES[3] / width < 3
+        for b in range(100):
+            edge = BIN_RANGES[b]
+            assert gate_bins(100, width, edge, edge) == range(b, b + 1)
+        assert gate_bins(100, width, 0.3, 3.0) == range(7, 71)
+        assert gate_bins(100, width, 0.0, 1e3) == range(0, 100)
 
 
 class TestDemodulate:
@@ -304,6 +326,12 @@ class TestPhaseExtraction:
         with pytest.raises(ValueError, match="outside"):
             extract_phase(profiles, 10)
 
+    def test_extraction_outside_the_one_sided_bins_raises(self, cubes):
+        profiles = range_profiles(cubes["memory"])
+        for b in (-1, 100):
+            with pytest.raises(ValueError, match=f"bin {b} outside 0..99"):
+                extract_phase(profiles, b)
+
     def test_slow_time_phase_matches_source(self):
         theta = 0.2 + 2.5 * np.sin(2 * np.pi * 0.3 * np.arange(400) / 100.0)
         phase = slow_time_phase(np.exp(1j * theta), 100.0)
@@ -395,7 +423,7 @@ class TestCubePhase:
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_dropouts_count_frames(self, tmp_path, kind, dead):
         # zeroed frames, at the start, across a chunk edge and at the end,
-        # are the held chain's dropouts in the one-bin pass too
+        # are the full profiles' dropouts in the one-bin pass too
         cube = synthesize_radar_cube(Scenario(duration_s=10.0))
         assert cube_phase(cube).dropouts == 0
         cube.iq[dead] = 0.0
@@ -545,20 +573,21 @@ class TestStreamedDetection:
                                         _FFT_CHUNK_FRAMES,
                                         _FFT_CHUNK_FRAMES + 1,
                                         2 * _FFT_CHUNK_FRAMES + 1])
-    def test_gate_power_is_the_held_mean_power(self, tmp_path, kind,
-                                               frames):
+    def test_gate_power_is_the_profiles_residual_power(self, tmp_path,
+                                                       kind, frames):
         # one chunk short, one exactly, one plus a frame and two plus one:
-        # the streamed merge and the held profiles' are one statistic
+        # the streamed merge and the full profiles' are one statistic
         cube = write_noise_cube(tmp_path / "cube.bin", frames)
         if kind == "memory":
             cube = RadarCube(NoiseCube(frames).frames(0, frames),
                              cube.config)
         gate = gate_bins(100, cube.config.range_bin_width_m, 0.3, 3.0)
-        held = range_profiles(cube, gate)
+        full = range_profiles(cube)
         assert (_gate_power(cube, gate).tobytes()
-                == held.mean_power().tobytes())
+                == _residual_power(
+                    full.values[:, gate.start:gate.stop]).tobytes())
         assert (cube_phase(cube).source_bin
-                == detect_target_bin(held, 0.3, 3.0))
+                == detect_target_bin(full, 0.3, 3.0))
 
 
 @pytest.fixture(scope="module")
@@ -569,87 +598,6 @@ def cubes(tmp_path_factory):
     path = tmp_path_factory.mktemp("cube") / "cube.bin"
     write_raw_cube(memory, path)
     return {"memory": memory, "file": read_raw_cube(path)}
-
-
-BIN_RANGES = np.arange(100) * RadarConfig().range_bin_width_m
-
-
-class TestHeldBins:
-    @pytest.mark.parametrize("kind", ["memory", "file"])
-    @pytest.mark.parametrize("bins", [range(0, 1), range(7, 71),
-                                      range(5, 73), range(95, 100),
-                                      range(99, 100), range(0, 100)])
-    def test_held_run_is_the_full_profiles_columns(self, cubes, kind, bins):
-        cube = cubes[kind]
-        full = range_profiles(cube)
-        held = range_profiles(cube, bins)
-        assert held.first_bin == bins.start and held.held == bins
-        assert held.values.flags.c_contiguous and held.values.flags.owndata
-        assert (held.values.tobytes()
-                == full.values[:, bins.start:bins.stop].tobytes())
-        assert (held.bin_ranges().tobytes()
-                == full.bin_ranges()[bins.start:bins.stop].tobytes())
-
-    @pytest.mark.parametrize("bins", [range(5, 5), range(-1, 3),
-                                      range(0, 101), range(0, 10, 2)])
-    def test_rejects_a_run_outside_the_one_sided_bins(self, cubes, bins):
-        with pytest.raises(ValueError, match="not a non-empty run"):
-            range_profiles(cubes["memory"], bins)
-
-    def test_cube_and_config_must_agree_on_fast_time(self):
-        cube = RadarCube(np.ones((4, 8), dtype=complex), RadarConfig())
-        with pytest.raises(ValueError, match="8 fast-time samples per "
-                                             "frame, its config 200"):
-            range_profiles(cube)
-
-    def test_gate_edges_are_the_bin_ranges(self):
-        # the gate compares each bin's own range with its edges, so a gate
-        # from a bin's exact range to itself holds that bin alone; a rule
-        # that divides the edges by the bin width would misplace some of
-        # them (3 * width / width is 2.9999999999999996, which floors to 2)
-        width = RadarConfig().range_bin_width_m
-        assert BIN_RANGES[3] / width < 3
-        for b in range(100):
-            edge = BIN_RANGES[b]
-            assert gate_bins(100, width, edge, edge) == range(b, b + 1)
-        assert gate_bins(100, width, 0.3, 3.0) == range(7, 71)
-        assert gate_bins(100, width, 0.0, 1e3) == range(0, 100)
-
-    @pytest.mark.parametrize("bins", [range(10, 40), range(7, 70),
-                                      range(8, 71), range(40, 100)])
-    def test_detection_needs_the_whole_gate(self, cubes, bins):
-        # the target (bin 23) is held in the first three: a detection in
-        # the held part alone would find it and hide the missing bins
-        profiles = range_profiles(cubes["memory"], bins)
-        with pytest.raises(ValueError, match="not all of the range gate's "
-                                             "7..70"):
-            detect_target_bin(profiles, 0.3, 3.0)
-
-    def test_detection_returns_absolute_bins(self, cubes):
-        full = range_profiles(cubes["memory"])
-        for bins in (range(7, 71), range(0, 100), range(3, 90)):
-            profiles = range_profiles(cubes["memory"], bins)
-            assert detect_target_bin(profiles, 0.3, 3.0) == 23
-            phase = extract_phase(profiles, 23)
-            assert phase.source_bin == 23
-            assert (phase.samples.tobytes()
-                    == extract_phase(full, 23).samples.tobytes())
-
-    def test_extraction_outside_the_held_run_raises(self, cubes):
-        profiles = range_profiles(cubes["memory"], range(20, 30))
-        for b in (19, 30):
-            with pytest.raises(ValueError, match=f"bin {b} outside 20..29"):
-                extract_phase(profiles, b)
-
-    def test_enhancement_clips_neighbors_to_the_held_run(self):
-        rng = np.random.default_rng(5)
-        t = np.arange(600) / 100.0
-        s = np.sin(2 * np.pi * 0.3 * t)
-        bins = [s + 0.1 * rng.normal(size=t.size) for _ in range(3)]
-        at_zero = enhance_phase(phase_profiles(bins), 0, width=2)
-        held = enhance_phase(phase_profiles(bins, first_bin=40), 40, width=2)
-        assert held.source_bin == 40
-        assert held.samples.tobytes() == at_zero.samples.tobytes()
 
 
 GATES = {
@@ -710,27 +658,3 @@ class TestCubePhaseHoldsTheGate:
         cube_phase(cube)
         # 600 frames: two chunks, read by each of two passes
         assert len(calls) == 4
-
-
-class TestEnhancePhaseOnAHeldRun:
-    # enhance_phase is off the pipeline but still a library function: on a
-    # run of the gate and width neighbors each side, clipped to the
-    # one-sided bins, it is byte-equal to the same call on full profiles
-    @pytest.mark.parametrize("kind", ["memory", "file"])
-    @pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
-    @pytest.mark.parametrize("width", [0, 1, 2, 5])
-    def test_is_the_full_profiles_chain(self, cubes, kind, gate, width):
-        cube = cubes[kind]
-        full = range_profiles(cube)
-        n_half = full.values.shape[1]
-        gate_run = gate_bins(n_half, cube.config.range_bin_width_m, *gate)
-        held = range_profiles(cube, range(
-            max(0, gate_run.start - width),
-            min(n_half, gate_run.stop + width)))
-        target = detect_target_bin(held, *gate)
-        assert target == detect_target_bin(full, *gate)
-        expected = enhance_phase(full, target, width)
-        phase = enhance_phase(held, target, width)
-        assert phase.source_bin == target
-        assert phase.dropouts == expected.dropouts
-        assert phase.samples.tobytes() == expected.samples.tobytes()
