@@ -633,6 +633,18 @@ class TestCaches:
         assert (info.currsize, info.hits) == (1, 1)
         assert _design.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("f_hz, order, n", [(0.26, 3, 500),
+                                                (float(GRID[60]), 3, 2000),
+                                                (0.31, 2, 1500)])
+    def test_the_refit_factors_the_render_design(self, f_hz, order, n):
+        # the refit's (Q, R) is the QR of the design predict renders with,
+        # bit for bit, though no cache holds that design for it
+        q, r = _refit_basis(f_hz, order, n, FS)
+        assert not (q.flags.writeable or r.flags.writeable)
+        expected = np.linalg.qr(_design(f_hz, order, n, FS))
+        assert q.tobytes() == expected[0].tobytes()
+        assert r.tobytes() == expected[1].tobytes()
+
     def test_the_trace_drivers_keep_no_design(self):
         # the block route reads Q alone; designs are predict's
         phase = slow_time_phase(scenario_slow_time(

@@ -13,8 +13,9 @@ from pulsecancel.ahet import ahet_trace
 from pulsecancel.bench import rmse
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
 from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
-                                    RangeProfiles, _gate_power,
-                                    _residual_power, cube_phase, demodulate,
+                                    RangeProfiles, _bin_values,
+                                    _gate_power, _residual_power,
+                                    cube_phase, demodulate,
                                     detect_target_bin, enhance_phase,
                                     extract_phase, gate_bins,
                                     range_profiles, slow_time_phase)
@@ -658,3 +659,41 @@ class TestCubePhaseHoldsTheGate:
         cube_phase(cube)
         # 600 frames: two chunks, read by each of two passes
         assert len(calls) == 4
+
+
+class TestOneBinPass:
+    # the one-bin pass at the lowest and highest one-sided bins, the
+    # default gate's edges, the target and the top run: the FFT column
+    # to within single-precision rounding against each frame's scale
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("b", [0, 7, 23, 70, 95, 99])
+    def test_bin_values_are_the_profiles_column(self, cubes, kind, b):
+        cube = cubes[kind]
+        column = range_profiles(cube).values[:, b]
+        values = _bin_values(cube, b)
+        assert values.dtype == np.complex64 and values.shape == column.shape
+        iq = cube.iq.astype(np.complex64).astype(np.complex128)
+        scale = np.abs(iq).sum(axis=1)
+        eps = np.finfo(np.float32).eps
+        assert np.all(np.abs(values - column) <= 4 * eps * scale)
+
+
+class TestEnhancePhaseReadsItsNeighbors:
+    # enhance_phase is off the pipeline but still a library function: it
+    # reads only the bins within width of the target, clipped to the
+    # one-sided bins, so the same call on just those columns is byte-equal
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_is_the_clipped_columns_chain(self, cubes, kind, gate, width):
+        full = range_profiles(cubes[kind])
+        target = detect_target_bin(full, *gate)
+        lo = max(0, target - width)
+        hi = min(full.n_bins, target + width + 1)
+        clipped = dataclasses.replace(
+            full, values=np.ascontiguousarray(full.values[:, lo:hi]))
+        expected = enhance_phase(clipped, target - lo, width)
+        phase = enhance_phase(full, target, width)
+        assert phase.source_bin == target
+        assert phase.dropouts == expected.dropouts
+        assert phase.samples.tobytes() == expected.samples.tobytes()
