@@ -6,8 +6,10 @@ candidate with minimal residual wins.  The grid's orthonormal bases are
 held as one factor: a shared orthonormal span of a few dozen directions and
 each basis's coordinates in it, so scoring a segment against the whole grid
 costs one projection onto the span and one small product.  Amplitudes come
-from the same least-squares fit.  All solves go through orthogonal QR
-factorizations; no normal-equation inverses.
+from the same least-squares fit, through the design's reduced QR (numpy's
+np.linalg.qr): the coefficients solve R c = Q^T x with np.linalg.solve,
+whose LU of the triangular R is R itself, so it is a back substitution.
+No normal equations are formed.
 
 One cache factors every refit at a fixed fundamental: _refit_basis holds
 the reduced QR (Q, R) of the intercept-augmented design, and no design.
@@ -23,7 +25,6 @@ from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .scenario import BREATHING_BAND_HZ, sliding_windows, window_samples
 from .spectral import row_medians
@@ -249,7 +250,7 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
         raise ValueError("segment must be 1-D")
     q, r = _refit_basis(fundamental_hz, order, x.size, sample_rate)
     qtx = q.T @ x
-    coef = solve_triangular(r, qtx, check_finite=False)
+    coef = np.linalg.solve(r, qtx)
     resid = x - q @ qtx
     return HarmonicModel(
         fundamental_hz=float(fundamental_hz),
@@ -293,17 +294,19 @@ def _factored_bases(n: int, sample_rate: float, order: int,
     subsample spread over the whole grid first so that later chunks rarely
     add to it.  Each chunk's basis rows are projected off the span; where a
     row keeps more than _SPAN_TOL, what is left is projected off once more
-    and the span gains the leading columns of its column-pivoted QR, down
-    to the first pivot within _SPAN_TOL (every row then keeps at most that
-    pivot).  A chunk's coordinates are taken against the span after its own
-    directions join; the directions later chunks add hold at most
-    _SPAN_TOL of its rows, and its coordinates on them are left zero.
+    and the span gains the left singular vectors of that leftover whose
+    singular values exceed _SPAN_TOL.  Each row's leftover is then bounded
+    by the next singular value, which is at most _SPAN_TOL.  A chunk's
+    coordinates are taken against the span after its own directions join;
+    the directions later chunks add hold at most _SPAN_TOL of its rows, and
+    its coordinates on them are left zero.
     """
     freqs = grid_frequencies(*grid)
     width = 2 * order
-    coarse = np.unique(np.linspace(0, freqs.size - 1, _SPAN_CHUNK).round()
-                       .astype(int))
-    rest = np.setdiff1d(np.arange(freqs.size), coarse)
+    in_coarse = np.zeros(freqs.size, dtype=bool)
+    in_coarse[np.linspace(0, freqs.size - 1, _SPAN_CHUNK).round()
+              .astype(int)] = True
+    coarse, rest = np.flatnonzero(in_coarse), np.flatnonzero(~in_coarse)
     chunks = [coarse] + [rest[i:i + _SPAN_CHUNK]
                          for i in range(0, rest.size, _SPAN_CHUNK)]
     span = np.empty((n, 0))
@@ -318,9 +321,8 @@ def _factored_bases(n: int, sample_rate: float, order: int,
         if kept.any():
             left = left[kept]
             left -= (left @ span) @ span.T
-            q, r, _ = qr(left.T, mode="economic", pivoting=True,
-                         check_finite=False)
-            new = q[:, :np.count_nonzero(np.abs(np.diag(r)) > _SPAN_TOL)]
+            u, sv, _ = np.linalg.svd(left.T, full_matrices=False)
+            new = u[:, :np.count_nonzero(sv > _SPAN_TOL)]
             if new.shape[1]:
                 # a tiny leftover's directions carry its rounding along span
                 new -= span @ (span.T @ new)

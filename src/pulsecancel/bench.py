@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.ma        # np.median and np.unique load it lazily otherwise
 
 from .ahet import (ahet_trace, conventional_trace, eca_conventional_trace,
                    shared_cancellation)

@@ -9,7 +9,6 @@ heartbeat) intact.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr as _qr_economic, solve_triangular
 
 RIDGE = 1e-8               # relative regularizer, engaged past MAX_CONDITION
 MAX_CONDITION = 1e10
@@ -50,8 +49,11 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
 
     reference is the 1-D breathing signal, as long as theta; its lag matrix
     holds order lagged copies of it.  The weights solve
-    min ||theta - [X 1] w|| through an orthogonal factorization; a small
-    ridge is added only when the design's condition exceeds MAX_CONDITION.
+    min ||theta - [X 1] w|| through the design's reduced QR (np.linalg.qr),
+    as R w = Q^T theta by np.linalg.solve: R is upper triangular, so its
+    LU factorization is R itself and the solve is a back substitution.  A
+    small ridge is added only when the design's condition exceeds
+    MAX_CONDITION.
 
     The intercept column is fitted alongside the lags and removed with
     them.  Unwrapped phase carries a standoff offset of thousands of
@@ -74,7 +76,7 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
     design = np.hstack([x, np.ones((x.shape[0], 1))])
     # one reduced QR serves both the condition check (singular values of R
     # equal those of the design) and the well-conditioned solve
-    q, r = _qr_economic(design, mode="economic", check_finite=False)
+    q, r = np.linalg.qr(design)
     sv = np.linalg.svd(r, compute_uv=False)
     condition = np.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
 
@@ -89,7 +91,7 @@ def eca_cancel(theta: np.ndarray, reference: np.ndarray,
         # underdetermined: R is not square, fall back to the minimum-norm fit
         coef, _, _, _ = np.linalg.lstsq(design, theta, rcond=None)
     else:
-        coef = solve_triangular(r, q.T @ theta, check_finite=False)
+        coef = np.linalg.solve(r, q.T @ theta)
 
     cancelled = theta - design @ coef
     ratio = float(np.dot(cancelled, cancelled) / power) if power else 0.0

@@ -3,9 +3,10 @@
 The range FFT runs in single precision, a fixed chunk of frames at a time:
 each chunk is cast into one reused complex64 buffer (a file cube's int16
 words are read and decoded straight into it, so no cube is ever held
-whole), windowed and transformed in place with scipy.fft.  range_profiles
-copies each chunk's n_fast/2 one-sided bins into a contiguous frames x bins
-array; cube_phase holds no profile at all.
+whole), windowed and transformed in place by numpy.fft's single-precision
+transform (_chunk_spectra).  range_profiles copies each chunk's n_fast/2
+one-sided bins into a contiguous frames x bins array; cube_phase holds no
+profile at all.
 The detection map is each range bin's residual power after average
 cancellation (subtracting the bin's across-frame complex mean), summed in
 float64 as real^2 + imag^2 over the range gate's bins only.  It is
@@ -26,7 +27,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+import numpy.fft       # loaded here, not lazily inside a first transform
 
 from .scenario import RadarCube, RadarConfig
 from .spectral import _hann
@@ -175,11 +176,19 @@ def _chunks(cube: RadarCube):
 
 def _chunk_spectra(cube: RadarCube):
     """(first frame, two-sided spectra) for each chunk of _chunks: the
-    chunk Hann-windowed and transformed in place, valid until the next."""
-    window = _hann(cube.n_fast, False)
+    chunk Hann-windowed and transformed in place, valid until the next.
+
+    The transform is forward-normalized (times 1/n_fast), which keeps
+    numpy in its single-precision loop: its default-normalized complex64
+    transform runs in double precision, several times slower.  The float32
+    window carries a factor n_fast that undoes the 1/n_fast, so the spectra
+    keep the unnormalized scale.
+    """
+    n_fast = cube.n_fast
+    window = (_hann(n_fast, False) * n_fast).astype(np.float32)
     for start, chunk in _chunks(cube):
-        np.multiply(chunk, window, out=chunk, dtype=np.complex64)
-        yield start, scipy.fft.fft(chunk, axis=1, overwrite_x=True)
+        chunk *= window
+        yield start, np.fft.fft(chunk, axis=1, norm="forward", out=chunk)
 
 
 def _gate_power(cube: RadarCube, gate: range) -> np.ndarray:
@@ -217,8 +226,9 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
     complex value in its bin.  _FFT_CHUNK_FRAMES frames at a time,
     cube.frames casts (or, for a file cube, reads and decodes) into one
     reused complex64 buffer, which is windowed and transformed in place;
-    each frame's transform is the same as a one-shot FFT of the whole
-    windowed complex64 cube, bit for bit.
+    each frame's transform is the same as a one-shot transform of the whole
+    cube by the same route (the Hann window times n_fast in float32, then
+    numpy's forward-normalized complex64 FFT), bit for bit.
     """
     n_half = _one_sided_bins(cube)
     values = np.empty((cube.n_frames, n_half), dtype=np.complex64)

@@ -13,6 +13,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random    # loaded here, not lazily inside a first synthesis
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import HrTrace, PhaseSignal, TraceEntry

@@ -9,8 +9,10 @@ of a complex row, and separates the two spectra by the conjugate symmetry
 of a real signal's spectrum (Press et al., Numerical Recipes, "FFT of two
 real functions simultaneously").  A row is then exact to rounding of the
 larger of its pair, and a window that is exactly zero after its mean is
-removed gets exactly zero power.  Peak picking works on stacks of spectra
-(band_peaks); top_peaks is a stack of one.
+removed gets exactly zero power.  Every transform is numpy.fft's:
+band_power's two run in place (out=) on one complex128 buffer, padded to
+the next 11-smooth length (_fast_len).  Peak picking works on stacks of
+spectra (band_peaks); top_peaks is a stack of one.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+import numpy.fft       # loaded here, not lazily inside a first transform
 
 
 @dataclass
@@ -57,9 +59,9 @@ def _hann(n: int, periodic: bool) -> np.ndarray:
     """n-point Hann window, periodic (the spectra's) or symmetric (the
     range FFT's), cached and returned read-only.
 
-    This is the sum SciPy builds its Hann window from, so the samples equal
-    SciPy's bit for bit; np.hanning and 0.5 - 0.5 cos(2 pi k / (n - 1))
-    differ from them at rounding.
+    The samples are 0.5 + 0.5 cos on an even grid over [-pi, pi], the
+    reference Hann window's own sum, bit for bit; np.hanning and
+    0.5 - 0.5 cos(2 pi k / (n - 1)) differ from them at rounding.
     """
     w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + periodic)))[:n]
     w.flags.writeable = False
@@ -107,6 +109,21 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
     )
 
 
+def _fast_len(target: int) -> int:
+    """The smallest 11-smooth number (2^a 3^b 5^c 7^d 11^e) >= target, a
+    positive integer: the lengths numpy's FFT (pocketfft) transforms
+    fastest.  They are dense, so counting up finds one in a few steps."""
+    n = target
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 @lru_cache(maxsize=2)
 def _chirp_z(n: int, sample_rate: float, top_hz: float,
              zero_pad_factor: int) -> tuple:
@@ -120,7 +137,7 @@ def _chirp_z(n: int, sample_rate: float, top_hz: float,
     With w[k] = exp(-i pi k^2 / n_fft), bin k is w[k] times the
     convolution of the pre-chirped samples with conj(w) at k; the kernel
     spans lags -(n+m-2)..(m-1), so the 2m-1 bins take one convolution of
-    next_fast_len(n + 2m - 2) points.  w is even in k, so one post-chirp
+    _fast_len(n + 2m - 2) points.  w is even in k, so one post-chirp
     serves k and -k.  The chirp reduces k^2 modulo 2 n_fft in integers, so
     its phase carries no rounding that grows with k.
     """
@@ -131,9 +148,9 @@ def _chirp_z(n: int, sample_rate: float, top_hz: float,
     freqs = freqs[:m].copy()
     k = np.arange(n + m - 1)
     chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n_fft)) / n_fft)
-    size = scipy.fft.next_fast_len(n + 2 * m - 2)
-    kernel = scipy.fft.fft(np.conj(np.concatenate([chirp[:0:-1],
-                                                   chirp[:m]])), size)
+    size = _fast_len(n + 2 * m - 2)
+    kernel = np.fft.fft(np.conj(np.concatenate([chirp[:0:-1], chirp[:m]])),
+                        size)
     pre = _hann(n, True) * chirp[:n]
     post = chirp[:m].copy()
     for a in (freqs, pre, kernel, post):
@@ -174,9 +191,9 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
     np.subtract(windows[0::2], mean[0::2], out=y.real[:, :n])
     np.subtract(windows[1::2], mean[1::2], out=y.imag[:pairs, :n])
     y[:, :n] *= pre
-    y = scipy.fft.fft(y, axis=1, overwrite_x=True)
+    np.fft.fft(y, axis=1, out=y)
     y *= kernel
-    y = scipy.fft.ifft(y, axis=1, overwrite_x=True)
+    np.fft.ifft(y, axis=1, out=y)
     # Z[k] = A[k] + i B[k] on bins -(m-1)..(m-1), A and B the spectra of
     # the real and imaginary rows: 2A[k] = Z[k] + conj Z[-k] and
     # 2i B[k] = Z[k] - conj Z[-k]

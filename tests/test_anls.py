@@ -1,10 +1,12 @@
 """Breathing-fundamental grid search and harmonic least squares."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pulsecancel import anls as anls_mod
 from pulsecancel.ahet import ahet_trace
@@ -35,6 +37,39 @@ def stacked_bases(n, fs, order, grid):
     designs = designs - designs.mean(axis=1, keepdims=True)
     q, _ = np.linalg.qr(designs)
     return freqs, np.ascontiguousarray(q.transpose(0, 2, 1).reshape(-1, n))
+
+
+@functools.lru_cache(maxsize=4)
+def pivoted_qr_factor(n, fs, order, grid):
+    """_factored_bases as first built: the same chunks, but the span
+    grows by the leading columns of a column-pivoted QR of each chunk's
+    leftover, down to the first pivot within _SPAN_TOL."""
+    freqs = grid_frequencies(*grid)
+    coarse = np.unique(np.linspace(0, freqs.size - 1, 16).round()
+                       .astype(int))
+    rest = np.setdiff1d(np.arange(freqs.size), coarse)
+    chunks = [coarse] + [rest[i:i + 16] for i in range(0, rest.size, 16)]
+    span = np.empty((n, 0))
+    blocks = []
+    for idx in chunks:
+        designs = anls_mod._harmonic_stack(freqs[idx], order, n, fs)
+        designs -= designs.mean(axis=1, keepdims=True)
+        rows = np.linalg.qr(designs)[0].transpose(0, 2, 1).reshape(-1, n)
+        left = rows - (rows @ span) @ span.T
+        left = left[np.einsum("mn,mn->m", left, left) > _SPAN_TOL ** 2]
+        if len(left):
+            left -= (left @ span) @ span.T
+            q, r, _ = scipy.linalg.qr(left.T, mode="economic",
+                                      pivoting=True)
+            new = q[:, :np.count_nonzero(np.abs(np.diag(r)) > _SPAN_TOL)]
+            new -= span @ (span.T @ new)
+            span = np.hstack([span, np.linalg.qr(new)[0]])
+        blocks.append(rows @ span)
+    coords = np.zeros((freqs.size, 2 * order, span.shape[1]))
+    for idx, block in zip(chunks, blocks):
+        coords[idx, :, :block.shape[1]] = block.reshape(idx.size,
+                                                        2 * order, -1)
+    return freqs, span, coords.reshape(-1, span.shape[1])
 
 
 def stacked_fundamentals(segments, fs, grid, order):
@@ -142,7 +177,8 @@ class TestGridFactor:
     bases it replaces are the reference."""
 
     SETTINGS = [(500, 3, BREATHING_GRID_HZ), (500, 2, ALT_GRID),
-                (500, 4, ALT_GRID), (800, 3, BREATHING_GRID_HZ)]
+                (500, 4, ALT_GRID), (800, 3, BREATHING_GRID_HZ),
+                (2000, 3, BREATHING_GRID_HZ)]
 
     @staticmethod
     def panel_phase(family, seed):
@@ -207,7 +243,18 @@ class TestGridFactor:
         _, span, coords = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
         assert span.shape[0] == 500
         assert coords.shape == (GRID.size * 6, span.shape[1])
-        assert span.shape[1] <= 64
+        assert span.shape[1] == 40
+
+    @pytest.mark.parametrize("window_s", [3.0, 5.0, 10.0, 20.0])
+    def test_tracks_equal_the_pivoted_qr_factor_on_the_panel(
+            self, monkeypatch, window_s):
+        phases = [self.panel_phase(family, seed)
+                  for family in ("masking-b", "masking-c")
+                  for seed in range(6)]
+        tracks = [breathing_track(phase, window_s) for phase in phases]
+        monkeypatch.setattr(anls_mod, "_factored_bases", pivoted_qr_factor)
+        for phase, track in zip(phases, tracks):
+            assert track == breathing_track(phase, window_s)
 
     def test_building_the_default_factor_is_small(self):
         _factored_bases.cache_clear()

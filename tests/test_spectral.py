@@ -5,7 +5,8 @@ import pytest
 import scipy.fft
 from scipy.signal import get_window
 
-from pulsecancel.spectral import (Spectrum, _chirp_z, _hann,
+import pulsecancel.spectral as spectral_mod
+from pulsecancel.spectral import (Spectrum, _chirp_z, _fast_len, _hann,
                                   band_peak_power, band_peaks, band_power,
                                   power_spectrum, row_medians, top_peaks)
 
@@ -163,6 +164,11 @@ class TestHann:
             assert _hann(n, periodic).tobytes() == expected.tobytes(), n
 
 
+def test_fast_len_is_scipy_next_fast_len():
+    assert [_fast_len(n) for n in range(1, 2 ** 15 + 1)] \
+        == [scipy.fft.next_fast_len(n) for n in range(1, 2 ** 15 + 1)]
+
+
 class TestParseval:
     def test_power_sums_to_tapered_energy(self):
         rng = np.random.default_rng(11)
@@ -241,12 +247,39 @@ class TestBandPower:
         band_power(windows, FS, 4.2)              # the kernel is cached
         seen = []
         for name in ("fft", "ifft"):
-            def counting(x, *args, _f=getattr(scipy.fft, name), **kwargs):
+            def counting(x, *args, _f=getattr(np.fft, name), **kwargs):
                 seen.append(x.shape)
                 return _f(x, *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counting)
+            monkeypatch.setattr(np.fft, name, counting)
         band_power(windows, FS, 4.2)
         assert [shape[0] for shape in seen] == [(rows + 1) // 2] * 2
+
+    @pytest.mark.parametrize("cpi_s", [15.0, 20.0, 30.0])
+    def test_equals_the_scipy_fft_chirp_z_bit_for_bit(self, monkeypatch,
+                                                      cpi_s):
+        # the reference runs the same chirp-z with scipy.fft's transforms
+        # and padded length; numpy's complex128 transforms give its bits
+        def scipy_route(name):
+            def transform(x, n=None, axis=-1, out=None):
+                y = getattr(scipy.fft, name)(x, n, axis=axis)
+                if out is None:
+                    return y
+                out[...] = y
+                return out
+            return transform
+
+        windows = band_windows(17, int(cpi_s * FS))
+        _, power = band_power(windows, FS, 4.2)
+        monkeypatch.setattr(np.fft, "fft", scipy_route("fft"))
+        monkeypatch.setattr(np.fft, "ifft", scipy_route("ifft"))
+        monkeypatch.setattr(spectral_mod, "_fast_len",
+                            scipy.fft.next_fast_len)
+        _chirp_z.cache_clear()
+        try:
+            _, expected = band_power(windows, FS, 4.2)
+        finally:
+            _chirp_z.cache_clear()      # it holds the scipy-built kernel
+        assert power.tobytes() == expected.tobytes()
 
     def test_band_stops_one_bin_past_the_top(self):
         freqs, power = band_power(tone(1.0)[None, :], FS, 2.0)
