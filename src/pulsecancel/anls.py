@@ -79,6 +79,36 @@ class BreathingTrack:
     window_s: float = 5.0
     sample_rate: float = 100.0
 
+    def __post_init__(self):
+        """Reject a track the refits cannot read: a start per finite
+        fundamental, strictly increasing integer sample indices, at least
+        one harmonic, and a finite, positive window and sample rate.  The
+        refits read the starts, the ends and the rates as arrays kept
+        here."""
+        starts = np.array(self.starts)
+        hz = np.array(self.hz, dtype=float)
+        if starts.ndim != 1 or starts.size == 0 or starts.shape != hz.shape:
+            raise ValueError(f"a track needs one fundamental per subwindow "
+                             f"start, got {starts.size} starts and "
+                             f"{hz.size} fundamentals")
+        increasing = (starts[1:] > starts[:-1]).all()
+        if starts.dtype.kind not in "iu" or not increasing:
+            raise ValueError("subwindow starts must be strictly increasing "
+                             "integer sample indices")
+        if not np.isfinite(hz).all():
+            raise ValueError("subwindow fundamentals must be finite")
+        if not self.order >= 1:
+            raise ValueError(f"order must be at least 1, got {self.order}")
+        for name in ("window_s", "sample_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{value}")
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_ends", starts + window_samples(
+            self.window_s, self.sample_rate))
+        object.__setattr__(self, "_hz", hz)
+
     def __len__(self):
         return len(self.hz)
 
@@ -86,16 +116,23 @@ class BreathingTrack:
         """Median fundamental of the subwindows inside each n-sample
         segment starting at sample starts[i] of the record (robust to a few
         bad ones); nan where none is inside.  A start in seconds, or any
-        other non-integer, is a ValueError."""
+        other non-integer, is a ValueError.
+
+        The track's subwindow starts and ends both increase, so the
+        subwindows inside a segment are one run of them, found by
+        bisection: the work is set by the segments and their length, not
+        by the record's."""
         starts = np.asarray(starts)
         if starts.dtype.kind not in "iu":
             raise ValueError(f"segment starts are sample indices, got "
                              f"{starts.dtype} values")
-        n_sub = window_samples(self.window_s, self.sample_rate)
-        sub = np.array(self.starts)
-        starts = starts[:, None]
-        inside = (sub >= starts) & (sub + n_sub <= starts + n)
-        return row_medians(np.array(self.hz), inside)
+        # run i is lo[i]:hi[i]: the subwindows starting at or after
+        # starts[i] and ending at or before starts[i] + n
+        lo = np.searchsorted(self._starts, starts, "left")
+        hi = np.searchsorted(self._ends, starts + n, "right")
+        index = lo[:, None] + np.arange((hi - lo).max(initial=1))
+        return row_medians(self._hz.take(index, mode="clip"),
+                           index < hi[:, None])
 
     def refit(self, segment: np.ndarray, start: int = 0) -> HarmonicModel:
         """Fit a segment starting at sample start of the record at the

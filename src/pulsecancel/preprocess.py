@@ -4,7 +4,7 @@ The range FFT runs in single precision, a fixed chunk of frames at a time:
 each chunk is cast into one reused complex64 buffer (a file cube's int16
 words are read and decoded straight into it, so no cube is ever held
 whole), windowed and transformed in place by numpy.fft's single-precision
-transform (_chunk_spectra).  range_profiles copies each chunk's n_fast/2
+transform (_range_fft).  range_profiles copies each chunk's n_fast/2
 one-sided bins into a contiguous frames x bins array; cube_phase holds no
 profile at all.
 The detection map is each range bin's residual power after average
@@ -14,13 +14,15 @@ computed a chunk of frames at a time: each chunk's float64 sum and
 residual sum of squares, per real and imaginary part, merged into the
 running ones by the pairwise update of Chan, Golub and LeVeque, so full
 profiles and a streamed pass give the same bits.
-cube_phase makes two passes over the cube: the first detects the bin from
-the FFT chunks, the second computes that bin alone, one windowed
-single-bin DFT per frame, so its memory is set by the chunk, plus the
-phase itself.  Phase is demodulated in float64 from the uncancelled bin
-values: for chest motion spanning a sizable arc of the unit circle,
-removing the bin mean also removes part of the target's own phasor and
-bends the recovered phase.
+cube_phase reads the cube once: while it detects the bin from the FFT
+chunks, it computes the bin that leads the first chunk alone, one windowed
+single-bin DFT per frame of each decoded chunk, and reads the first chunk
+again for that bin's first frames.  Only when the record's bin is another
+does it read the cube a second time, for that bin.  Its memory is set by
+the chunk, plus the phase itself.  Phase is demodulated in float64 from the
+uncancelled bin values: for chest motion spanning a sizable arc of the unit
+circle, removing the bin mean also removes part of the target's own phasor
+and bends the recovered phase.
 """
 
 import functools
@@ -131,20 +133,20 @@ def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
             s_a + s_b + d * d / (n_a * n_b * (n_a + n_b)))
 
 
-def _chunked_power(chunks) -> np.ndarray:
-    """Mean |x - mean x|^2 down each column, over a record given as frames x
-    bins complex chunks in frame order, holding one chunk's moments at a
-    time: the real and imaginary parts' residual sums, added per bin."""
-    n, _, m2 = functools.reduce(_merge, map(_moments, chunks))
+def _power(moments: tuple) -> np.ndarray:
+    """Mean |x - mean x|^2 per bin from merged moments: the real and
+    imaginary parts' residual sums, added per bin, over the frames."""
+    n, _, m2 = moments
     return m2.reshape(-1, 2).sum(axis=1) / n
 
 
 def _residual_power(values: np.ndarray) -> np.ndarray:
     """Mean |x - mean x|^2 down each column of frames x bins `values`,
-    merged over the _FFT_CHUNK_FRAMES chunks cube_phase streams."""
-    return _chunked_power(values[start:start + _FFT_CHUNK_FRAMES]
-                          for start in range(0, len(values),
-                                             _FFT_CHUNK_FRAMES))
+    merged over the _FFT_CHUNK_FRAMES chunks cube_phase streams, in frame
+    order, holding one chunk's moments at a time."""
+    return _power(functools.reduce(_merge, (
+        _moments(values[start:start + _FFT_CHUNK_FRAMES])
+        for start in range(0, len(values), _FFT_CHUNK_FRAMES))))
 
 
 def _one_sided_bins(cube: RadarCube) -> int:
@@ -174,43 +176,42 @@ def _chunks(cube: RadarCube):
         yield start, cube.frames(start, stop, out=buffer[:stop - start])
 
 
-def _chunk_spectra(cube: RadarCube):
-    """(first frame, two-sided spectra) for each chunk of _chunks: the
-    chunk Hann-windowed and transformed in place, valid until the next.
+def _range_window(n_fast: int) -> np.ndarray:
+    """The float32 Hann window times n_fast that _range_fft applies."""
+    return (_hann(n_fast, False) * n_fast).astype(np.float32)
+
+
+def _range_fft(chunk: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """A complex64 chunk's two-sided range spectra, Hann-windowed and
+    transformed in place: the one FFT route of range_profiles and
+    cube_phase.
 
     The transform is forward-normalized (times 1/n_fast), which keeps
     numpy in its single-precision loop: its default-normalized complex64
-    transform runs in double precision, several times slower.  The float32
-    window carries a factor n_fast that undoes the 1/n_fast, so the spectra
-    keep the unnormalized scale.
+    transform runs in double precision, several times slower.  The window
+    (_range_window) carries a factor n_fast that undoes the 1/n_fast, so
+    the spectra keep the unnormalized scale.
     """
-    n_fast = cube.n_fast
-    window = (_hann(n_fast, False) * n_fast).astype(np.float32)
-    for start, chunk in _chunks(cube):
-        chunk *= window
-        yield start, np.fft.fft(chunk, axis=1, norm="forward", out=chunk)
+    chunk *= window
+    return np.fft.fft(chunk, axis=1, norm="forward", out=chunk)
 
 
-def _gate_power(cube: RadarCube, gate: range) -> np.ndarray:
-    """range_profiles(cube).mean_power() of the gate's bins, bit for bit,
-    from the streamed FFT chunks: no gate column is held."""
-    return _chunked_power(spectra[:, gate.start:gate.stop]
-                          for _, spectra in _chunk_spectra(cube))
+def _bin_kernel(n_fast: int, bin_index: int) -> np.ndarray:
+    """One range bin's Hann-weighted e^{-j2 pi b k / n} vector in
+    complex64, built in float64 with its phase reduced mod n exactly: a
+    chunk times it is the bin's DFT, the FFT column to within
+    single-precision rounding, not bit for bit."""
+    k = np.arange(n_fast)
+    return (_hann(n_fast, False)
+            * np.exp(-2j * np.pi * (bin_index * k % n_fast) / n_fast)
+            ).astype(np.complex64)
 
 
 def _bin_values(cube: RadarCube, bin_index: int) -> np.ndarray:
     """One range bin's complex64 value per frame, without the FFT: each
-    chunk of _chunks times that bin's Hann-weighted e^{-j2 pi b k / n}
-    vector, one matrix-vector product into the output per chunk.
-
-    It is the FFT column to within single-precision rounding, not bit for
-    bit.  The vector is built in float64, its phase reduced mod n exactly.
-    """
-    n_fast = cube.n_fast
-    k = np.arange(n_fast)
-    kernel = (_hann(n_fast, False)
-              * np.exp(-2j * np.pi * (bin_index * k % n_fast) / n_fast)
-              ).astype(np.complex64)
+    chunk of _chunks times the bin's _bin_kernel, one matrix-vector
+    product into the output per chunk."""
+    kernel = _bin_kernel(cube.n_fast, bin_index)
     values = np.empty(cube.n_frames, dtype=np.complex64)
     for start, chunk in _chunks(cube):
         np.matmul(chunk, kernel, out=values[start:start + len(chunk)])
@@ -231,8 +232,10 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
     numpy's forward-normalized complex64 FFT), bit for bit.
     """
     n_half = _one_sided_bins(cube)
+    window = _range_window(cube.n_fast)
     values = np.empty((cube.n_frames, n_half), dtype=np.complex64)
-    for start, spectra in _chunk_spectra(cube):
+    for start, chunk in _chunks(cube):
+        spectra = _range_fft(chunk, window)
         values[start:start + len(spectra)] = spectra[:, :n_half]
     return RangeProfiles(
         values=values,
@@ -310,21 +313,49 @@ def slow_time_phase(z: np.ndarray, sample_rate: float) -> PhaseSignal:
 
 
 def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
-    """Full preprocessing chain: range FFT, bin detection, phase, in two
-    passes over the cube.
+    """Full preprocessing chain: range FFT, bin detection, phase, in one
+    pass over the cube when the bin that leads its first chunk is the
+    record's.
 
-    The first pass runs range_profiles' chunked FFT and merges each chunk's
-    gate moments, holding no bin's values: its target is
+    The pass runs range_profiles' chunked FFT and merges each chunk's gate
+    moments, holding no bin's values: its target is
     detect_target_bin(range_profiles(cube), *gate_m), the same power bit
-    for bit.  The second reads the cube again and computes the target
-    bin alone (_bin_values) for demodulate; its phase is the FFT column's
-    to single-precision rounding.  Memory is a chunk's buffers plus the
-    phase.  The cube and the gate are checked before any frame is read.
+    for bit.  After the first chunk it holds the gate bin with the most
+    residual power so far (the nearer on a tie), and computes that bin
+    alone on each later chunk before the chunk is transformed; the first
+    chunk is read again at the end for its frames.  When the target is
+    another bin, the cube is read once more for it.  Either way the values
+    are _bin_values(cube, target), bit for bit, for demodulate: the FFT
+    column's to single-precision rounding.  Memory is a chunk's buffers
+    plus the phase.  The cube and the gate are checked before any frame is
+    read.
     """
     gate = gate_bins(_one_sided_bins(cube), cube.config.range_bin_width_m,
                      gate_m[0], gate_m[1])
-    target = _strongest(gate, _gate_power(cube, gate))
-    theta, dropouts = demodulate(_bin_values(cube, target))
+    window = _range_window(cube.n_fast)
+    values = np.empty(cube.n_frames, dtype=np.complex64)
+    for start, chunk in _chunks(cube):
+        if start:
+            # the held bin from the decoded frames, before the transform
+            # overwrites them
+            np.matmul(chunk, kernel, out=values[start:start + len(chunk)])
+        spectra = _range_fft(chunk, window)
+        chunk_moments = _moments(spectra[:, gate.start:gate.stop])
+        if start:
+            moments = _merge(moments, chunk_moments)
+        else:
+            # the buffer is the first chunk's; it is read into again last
+            first, moments = chunk, chunk_moments
+            held = gate.start + int(np.argmax(_power(moments)))
+            kernel = _bin_kernel(cube.n_fast, held)
+    target = _strongest(gate, _power(moments))
+    if target == held:
+        np.matmul(cube.frames(0, len(first), out=first), kernel,
+                  out=values[:len(first)])
+    else:
+        del values      # before the second pass allocates its own
+        values = _bin_values(cube, target)
+    theta, dropouts = demodulate(values)
     return PhaseSignal(theta, cube.config.frame_rate_hz, source_bin=target,
                        dropouts=dropouts)
 

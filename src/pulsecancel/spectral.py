@@ -73,8 +73,9 @@ def _check_window(n: int, sample_rate: float, zero_pad_factor: int):
         raise ValueError("window too short for spectral analysis")
     if zero_pad_factor < 1:
         raise ValueError("zero_pad_factor must be >= 1")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample_rate must be finite and positive, got "
+                         f"{sample_rate}")
 
 
 def _one_sided(power: np.ndarray, n_fft: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared signal and trace containers used across the pipeline."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ class PhaseSignal:
             raise ValueError("phase samples must be 1-D")
         if not np.isfinite(self.samples).all():
             raise ValueError("phase samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be finite and positive, got "
+                             f"{self.sample_rate}")
 
     @property
     def duration(self) -> float:

@@ -21,6 +21,7 @@ from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
                                   sliding_windows, window_samples,
                                   window_starts)
+from pulsecancel.spectral import row_medians
 from pulsecancel.types import PhaseSignal
 
 FS = 100.0
@@ -286,6 +287,15 @@ class TestNonFinitePhase:
         with pytest.raises(ValueError, match="finite"):
             PhaseSignal(x, FS)
 
+    @pytest.mark.parametrize("rate", BAD + [0.0, -1.0])
+    def test_phase_signal_rejects_a_rate_that_is_not_finite_and_positive(
+            self, rate):
+        # a NaN rate failed later as a NaN-to-integer cast, an infinite
+        # one as an OverflowError
+        with pytest.raises(ValueError, match=f"sample_rate must be finite "
+                                             f"and positive, got {rate}"):
+            PhaseSignal(self.record(), rate)
+
     @pytest.mark.parametrize("bad", BAD)
     def test_estimate_breathing_rejects_it(self, bad):
         x = self.record()[:500]
@@ -471,6 +481,28 @@ class TestTrackAndReference:
                                match="window and step must be positive"):
                 breathing_track(long, **kwargs)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"starts": (0, 100, 200), "hz": (0.25, 0.3)},
+         "one fundamental per subwindow start, got 3 starts and 2"),
+        ({"starts": (), "hz": ()}, "got 0 starts"),
+        ({"starts": (0, 100, 100)}, "strictly increasing integer"),
+        ({"starts": (0, 200, 100)}, "strictly increasing integer"),
+        ({"starts": (0.0, 1.0, 2.0)}, "strictly increasing integer"),
+        ({"hz": (0.25, float("nan"), 0.3)}, "fundamentals must be finite"),
+        ({"order": 0}, "order must be at least 1, got 0"),
+        ({"window_s": float("nan")}, "window_s must be finite and positive"),
+        ({"window_s": 0.0}, "window_s must be finite and positive"),
+        ({"sample_rate": -1.0}, "sample_rate must be finite and positive"),
+        ({"sample_rate": float("inf")},
+         "sample_rate must be finite and positive"),
+    ])
+    def test_track_checks_its_own_fields(self, fields, message):
+        # each failed only inside a later refit, or was never caught
+        good = {"starts": (0, 100, 200), "hz": (0.25, 0.3, 0.3)}
+        BreathingTrack(**good)
+        with pytest.raises(ValueError, match=message):
+            BreathingTrack(**{**good, **fields})
+
     def test_reference_is_median_refit_prediction(self):
         f_true = float(GRID[96])
         x = harmonic_signal(f_true, 2000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9],
@@ -551,6 +583,55 @@ class TestTrackAndReference:
         for start in (1200, np.int64(1200)):
             np.testing.assert_array_equal(track.residual(segment, start),
                                           track.residual(segment, 1200))
+
+
+def masked_refit_hz(track, starts, n):
+    """_refit_hz as first written: a segments x every-subwindow mask of
+    the subwindows inside each segment, medians through row_medians."""
+    n_sub = window_samples(track.window_s, track.sample_rate)
+    sub = np.array(track.starts)
+    starts = np.asarray(starts)[:, None]
+    inside = (sub >= starts) & (sub + n_sub <= starts + n)
+    return row_medians(np.array(track.hz), inside)
+
+
+class TestRefitRuns:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fs, window_s", [(FS, 5.0), (1000.0 / 3.0, 3.7)])
+    def test_runs_are_the_mask_medians(self, seed, fs, window_s):
+        # random gaps between subwindows and repeated grid rates (ties in
+        # the medians); segments before, inside and past the track, ones
+        # shorter than a subwindow, and one ending on the last subwindow
+        rng = np.random.default_rng(seed)
+        starts = np.cumsum(rng.integers(1, 60, size=300)).tolist()
+        track = BreathingTrack(tuple(starts),
+                               tuple(rng.choice(GRID[:40], size=300).tolist()),
+                               window_s=window_s, sample_rate=fs)
+        n_sub = window_samples(window_s, fs)
+        end = starts[-1] + n_sub
+        for n in (n_sub - 1, n_sub, n_sub + 1, 2000, 3 * n_sub + 17):
+            segments = [*rng.integers(-n, end + 10, size=40).tolist(),
+                        starts[0], end - n, starts[-1], end]
+            for block in ([segments[0]], segments):
+                assert (track._refit_hz(block, n).tobytes()
+                        == masked_refit_hz(track, block, n).tobytes())
+
+    def test_refit_memory_does_not_grow_with_the_record(self):
+        # the median runs are a block's segments by the subwindows one
+        # segment holds; the mask held every subwindow of the record per
+        # segment, 0.9 MB more at 3,600 s than at 600 s
+        def peak(seconds):
+            starts = tuple(range(0, int(seconds * FS) - 499, 100))
+            track = BreathingTrack(starts, (float(GRID[96]),) * len(starts))
+            block = list(starts[-16:])
+            tracemalloc.start()
+            try:
+                track._refit_hz(block, 2000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3600.0) - peak(600.0) <= 1e4
 
 
 class TestResiduals:

@@ -11,10 +11,10 @@ from scipy.signal import get_window
 from pulsecancel.ahet import ahet_trace
 from pulsecancel.bench import rmse
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
+from pulsecancel import preprocess
 from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
                                     RangeProfiles, _bin_values,
-                                    _gate_power, _residual_power,
-                                    cube_phase, demodulate,
+                                    _residual_power, cube_phase, demodulate,
                                     detect_target_bin, enhance_phase,
                                     extract_phase, gate_bins,
                                     range_profiles, slow_time_phase)
@@ -51,6 +51,38 @@ def phase_profiles(samples_by_bin):
 
 
 BIN_RANGES = np.arange(100) * RadarConfig().range_bin_width_m
+
+
+def detected_power(cube, monkeypatch):
+    """The gate power cube_phase(cube) detects from, caught on its way to
+    _strongest."""
+    seen = []
+    strongest = preprocess._strongest
+    with monkeypatch.context() as m:
+        m.setattr(preprocess, "_strongest",
+                  lambda gate, power: seen.append(power)
+                  or strongest(gate, power))
+        cube_phase(cube)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def counting_reads(cube, monkeypatch):
+    """The (start, stop) of every cube.frames call from now on."""
+    calls = []
+    read = cube.frames
+    monkeypatch.setattr(cube, "frames",
+                        lambda *a, **k: calls.append(a) or read(*a, **k))
+    return calls
+
+
+def two_pass_phase(cube):
+    """cube_phase as two passes over the cube: detection from the full
+    profiles' gate power, which is the streamed statistic bit for bit, then
+    the detected bin alone, read again from the first frame."""
+    target = detect_target_bin(range_profiles(cube), 0.3, 3.0)
+    theta, dropouts = demodulate(_bin_values(cube, target))
+    return target, theta, dropouts
 
 
 class TestRangeProfiles:
@@ -130,7 +162,8 @@ class TestRangeProfiles:
 
 
 class TestMeanPower:
-    def test_matches_complex128_residual_power_under_strong_clutter(self):
+    def test_matches_complex128_residual_power_under_strong_clutter(
+            self, monkeypatch):
         # static clutter at 1000x the target amplitude; 3000 frames span
         # more than one summing block
         sc = Scenario(duration_s=30.0, clutter=[(2.0, 1000.0)],
@@ -158,7 +191,7 @@ class TestMeanPower:
         gate_power = _residual_power(profiles.values[:, gate[0]:gate[-1] + 1])
         assert gate_power.tobytes() == profiles.mean_power()[gate].tobytes()
         # and so does the streamed merge cube_phase detects from
-        assert (_gate_power(cube, range(gate[0], gate[-1] + 1)).tobytes()
+        assert (detected_power(cube, monkeypatch).tobytes()
                 == gate_power.tobytes())
         detected = detect_target_bin(profiles, 0.3, 3.0)
         assert detected == gate[np.argmax(expected[gate])]
@@ -592,8 +625,8 @@ class TestStreamedDetection:
                                         _FFT_CHUNK_FRAMES,
                                         _FFT_CHUNK_FRAMES + 1,
                                         2 * _FFT_CHUNK_FRAMES + 1])
-    def test_gate_power_is_the_profiles_residual_power(self, tmp_path,
-                                                       kind, frames):
+    def test_gate_power_is_the_profiles_residual_power(
+            self, tmp_path, monkeypatch, kind, frames):
         # one chunk short, one exactly, one plus a frame and two plus one:
         # the streamed merge and the full profiles' are one statistic
         cube = write_noise_cube(tmp_path / "cube.bin", frames)
@@ -602,7 +635,7 @@ class TestStreamedDetection:
                              cube.config)
         gate = gate_bins(100, cube.config.range_bin_width_m, 0.3, 3.0)
         full = range_profiles(cube)
-        assert (_gate_power(cube, gate).tobytes()
+        assert (detected_power(cube, monkeypatch).tobytes()
                 == _residual_power(
                     full.values[:, gate.start:gate.stop]).tobytes())
         assert (cube_phase(cube).source_bin
@@ -667,16 +700,78 @@ class TestCubePhaseHoldsTheGate:
     def test_bad_settings_fail_before_any_frame_is_read(
             self, cubes, monkeypatch, kind, gate, message):
         cube = cubes[kind]
-        calls = []
-        read = cube.frames
-        monkeypatch.setattr(cube, "frames",
-                            lambda *a, **k: calls.append(a) or read(*a, **k))
+        calls = counting_reads(cube, monkeypatch)
         with pytest.raises(ValueError, match=message):
             cube_phase(cube, gate)
         assert calls == []
         cube_phase(cube)
-        # 600 frames: two chunks, read by each of two passes
-        assert len(calls) == 4
+        # 600 frames: two chunks, then the first chunk once more for the
+        # bin that led it, the record's
+        assert calls == [(0, 512), (512, 600), (0, 512)]
+
+
+@pytest.fixture(scope="module")
+def panel_heads():
+    """1,025 frames of a masking-b and a masking-c record."""
+    return {family: synthesize_radar_cube(FAMILIES[family](seed,
+                                                          duration_s=10.25))
+            for family, seed in (("masking-b", 0), ("masking-c", 1))}
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("family", ["masking-b", "masking-c"])
+    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES - 1,
+                                        _FFT_CHUNK_FRAMES,
+                                        _FFT_CHUNK_FRAMES + 1,
+                                        2 * _FFT_CHUNK_FRAMES + 1])
+    @pytest.mark.parametrize("dead", [None, slice(0, 3),
+                                      slice(_FFT_CHUNK_FRAMES - 2,
+                                            _FFT_CHUNK_FRAMES + 2)])
+    def test_is_the_two_pass_chain(self, tmp_path, panel_heads, kind,
+                                   family, frames, dead):
+        # whole chunks, a partial last one and a one-frame last one, with
+        # dead frames in the first chunk's re-read and across its edge
+        cube = RadarCube(panel_heads[family].iq[:frames].copy(),
+                         RadarConfig())
+        if dead is not None:
+            cube.iq[dead] = 0.0
+        if kind == "file":
+            write_raw_cube(cube, tmp_path / "cube.bin")
+            cube = read_raw_cube(tmp_path / "cube.bin")
+        target, theta, dropouts = two_pass_phase(cube)
+        phase = cube_phase(cube)
+        assert phase.source_bin == target
+        assert phase.dropouts == dropouts
+        assert phase.samples.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_falls_back_to_a_second_pass(self, tmp_path, monkeypatch, kind):
+        # the first chunk leads at bin 24, the record at 25
+        sc = dataclasses.replace(FAMILIES["masking"](1, duration_s=60.0),
+                                 complex_noise_std=8.0)
+        cube = synthesize_radar_cube(sc)
+        if kind == "file":
+            write_raw_cube(cube, tmp_path / "cube.bin")
+            cube = read_raw_cube(tmp_path / "cube.bin")
+        full = range_profiles(cube)
+        gate = gate_bins(full.n_bins, full.bin_width_m, 0.3, 3.0)
+        first = _residual_power(
+            full.values[:_FFT_CHUNK_FRAMES, gate.start:gate.stop])
+        assert gate.start + int(np.argmax(first)) == 24
+        detected = detect_target_bin(full, 0.3, 3.0)
+        assert detected == 25
+        theta, dropouts = demodulate(_bin_values(cube, detected))
+        calls = counting_reads(cube, monkeypatch)
+        phase = cube_phase(cube)
+        assert phase.source_bin == detected
+        assert phase.dropouts == dropouts
+        assert phase.samples.tobytes() == theta.tobytes()
+        # the whole cube, twice: detection, then the detected bin
+        n = cube.n_frames
+        chunks = [(start, min(start + _FFT_CHUNK_FRAMES, n))
+                  for start in range(0, n, _FFT_CHUNK_FRAMES)]
+        assert calls == 2 * chunks
 
 
 class TestOneBinPass:

@@ -77,6 +77,15 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError, match="sample_rate"):
             power_spectrum(np.ones(100), 0.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_a_rate_that_is_not_finite_and_positive_is_an_error(self, rate):
+        # unchecked, a NaN rate gave a spectrum whose every frequency is NaN
+        message = f"sample_rate must be finite and positive, got {rate}"
+        with pytest.raises(ValueError, match=message):
+            power_spectrum(np.ones(100), rate)
+        with pytest.raises(ValueError, match=message):
+            band_power(np.ones((2, 100)), rate, 4.0)
+
 
 class TestTopPeaks:
     def test_interpolation_beats_grid_quantization(self):
