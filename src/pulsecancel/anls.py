@@ -11,16 +11,16 @@ np.linalg.qr): the coefficients solve R c = Q^T x with np.linalg.solve,
 whose LU of the triangular R is R itself, so it is a back substitution.
 No normal equations are formed.
 
-One cache factors every refit at a fixed fundamental: _refit_basis holds
-the reduced QR (Q, R) of the intercept-augmented design, and no design.
-The per-window route (fit_amplitudes, BreathingTrack.refit and residual,
-reconstruct_reference) reads Q and R; the block route
+One cache serves every refit and render at a fixed fundamental and
+length: _refit_basis holds the reduced QR (Q, R) of the intercept-augmented
+design, and no cache holds a design.  The per-window route (fit_amplitudes,
+BreathingTrack.refit and residual, reconstruct_reference) reads Q and R, and
+HarmonicModel.predict renders Q (R c) from the same entry; the block route
 (BreathingTrack.residuals, which the trace drivers run) reads Q alone.
-HarmonicModel.predict renders from _design, a cache of designs only.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .scenario import BREATHING_BAND_HZ, sliding_windows, window_samples
 from .spectral import row_medians
-from .types import PhaseSignal
+from .types import PhaseSignal, equal_fields
 
 BREATHING_GRID_HZ = (*BREATHING_BAND_HZ, 1.0 / 600.0)
 # The grid factor (_factored_bases) is built this many grid frequencies at a
@@ -51,42 +51,43 @@ class HarmonicModel:
     residual_power: float         # mean squared residual of the fit
     offset: float = 0.0           # intercept fitted jointly with the harmonics
 
-    def __eq__(self, other):
-        """Field by field, the coefficient arrays element by element."""
-        if not isinstance(other, HarmonicModel):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+    __eq__ = equal_fields
 
     def predict(self, n: int, sample_rate: float,
                 include_offset: bool = False) -> np.ndarray:
-        design = _design(self.fundamental_hz, self.order, n, sample_rate)
-        out = design[:, :2 * self.order] @ self.coefficients.reshape(-1)
-        if include_offset:
-            out = out + self.offset
-        return out
+        """The series over n samples, the intercept too if include_offset:
+        Q (R c) for _refit_basis's (Q, R) at this fundamental and length
+        and c the coefficients and the offset (or 0).  n below
+        2 * order + 1 is a ValueError, as it is for a fit."""
+        q, r = _refit_basis(self.fundamental_hz, self.order, n, sample_rate)
+        coef = np.append(self.coefficients.reshape(-1),
+                         self.offset if include_offset else 0.0)
+        return q @ (r @ coef)
 
 
 @dataclass(frozen=True)
 class BreathingTrack:
     """Breathing fundamentals across a record: subwindow i spans window_s
     seconds from sample starts[i] and fits best at hz[i] with order
-    harmonics.  Tracks compare and hash by value."""
+    harmonics.  starts (int64) and hz (float64) are read-only arrays, the
+    track's one copy.  Tracks compare field by field and hash by value."""
 
-    starts: tuple
-    hz: tuple
+    starts: np.ndarray
+    hz: np.ndarray
     order: int = 3
     window_s: float = 5.0
     sample_rate: float = 100.0
+
+    __eq__ = equal_fields
 
     def __post_init__(self):
         """Reject a track the refits cannot read: a start per finite
         fundamental, strictly increasing integer sample indices, at least
         one harmonic, and a finite, positive window and sample rate.  The
-        refits read the starts, the ends and the rates as arrays kept
-        here."""
+        starts and rates are kept as read-only copies."""
         starts = np.array(self.starts)
-        hz = np.array(self.hz, dtype=float)
+        # a copy, with -0.0 made 0.0 so equal tracks hash alike
+        hz = np.asarray(self.hz, dtype=float) + 0.0
         if starts.ndim != 1 or starts.size == 0 or starts.shape != hz.shape:
             raise ValueError(f"a track needs one fundamental per subwindow "
                              f"start, got {starts.size} starts and "
@@ -104,10 +105,14 @@ class BreathingTrack:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got "
                                  f"{value}")
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_ends", starts + window_samples(
-            self.window_s, self.sample_rate))
-        object.__setattr__(self, "_hz", hz)
+        for name, a in (("starts", starts.astype(np.int64, copy=False)),
+                        ("hz", hz)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __hash__(self):
+        return hash((self.starts.tobytes(), self.hz.tobytes(), self.order,
+                     self.window_s, self.sample_rate))
 
     def __len__(self):
         return len(self.hz)
@@ -118,20 +123,21 @@ class BreathingTrack:
         bad ones); nan where none is inside.  A start in seconds, or any
         other non-integer, is a ValueError.
 
-        The track's subwindow starts and ends both increase, so the
-        subwindows inside a segment are one run of them, found by
-        bisection: the work is set by the segments and their length, not
-        by the record's."""
+        The track's subwindow starts increase, so the subwindows inside a
+        segment are one run of them, found by bisection: the work is set by
+        the segments and their length, not by the record's."""
         starts = np.asarray(starts)
         if starts.dtype.kind not in "iu":
             raise ValueError(f"segment starts are sample indices, got "
                              f"{starts.dtype} values")
         # run i is lo[i]:hi[i]: the subwindows starting at or after
-        # starts[i] and ending at or before starts[i] + n
-        lo = np.searchsorted(self._starts, starts, "left")
-        hi = np.searchsorted(self._ends, starts + n, "right")
+        # starts[i] and ending at or before starts[i] + n, so starting at or
+        # before starts[i] + n - n_sub (exact in integers)
+        n_sub = window_samples(self.window_s, self.sample_rate)
+        lo = np.searchsorted(self.starts, starts, "left")
+        hi = np.searchsorted(self.starts, starts + n - n_sub, "right")
         index = lo[:, None] + np.arange((hi - lo).max(initial=1))
-        return row_medians(self._hz.take(index, mode="clip"),
+        return row_medians(self.hz.take(index, mode="clip"),
                            index < hi[:, None])
 
     def refit(self, segment: np.ndarray, start: int = 0) -> HarmonicModel:
@@ -189,6 +195,8 @@ class ReferenceFit:
     model: HarmonicModel
     subwindow_hz: np.ndarray
 
+    __eq__ = equal_fields
+
 
 def harmonic_matrix(fundamental_hz: float, order: int, n: int,
                     sample_rate: float) -> np.ndarray:
@@ -226,27 +234,11 @@ def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
 
 
 @lru_cache(maxsize=64)
-def _design(fundamental_hz: float, order: int, n: int,
-            sample_rate: float) -> np.ndarray:
-    """Intercept-augmented design, cached read-only: harmonic_matrix
-    columns followed by a column of ones.
-
-    Cached on its own so HarmonicModel.predict at any length renders from
-    it without factorizing it or evicting the refit factorizations, which
-    _refit_basis builds from the uncached function.
-    """
-    design = np.hstack([harmonic_matrix(fundamental_hz, order, n,
-                                        sample_rate), np.ones((n, 1))])
-    design.flags.writeable = False
-    return design
-
-
-@lru_cache(maxsize=64)
 def _refit_basis(fundamental_hz: float, order: int, n: int,
                  sample_rate: float) -> tuple:
     """(Q, R), the reduced QR of an n-sample fit's intercept-augmented
-    design, cached read-only; the design is built uncached, so no cache
-    keeps it.
+    design (harmonic_matrix columns, then a column of ones), cached
+    read-only; no cache keeps the design.
 
     Sliding analysis refits the same few fundamentals at a fixed window
     length over and over; the factorization depends only on the design.  A
@@ -259,7 +251,8 @@ def _refit_basis(fundamental_hz: float, order: int, n: int,
     if n < 2 * order + 1:
         raise ValueError(f"segment of {n} samples too short for "
                          f"{2 * order} coefficients")
-    design = _design.__wrapped__(fundamental_hz, order, n, sample_rate)
+    design = np.hstack([harmonic_matrix(fundamental_hz, order, n,
+                                        sample_rate), np.ones((n, 1))])
     q, r = np.linalg.qr(design)
     sv = np.linalg.svd(r, compute_uv=False)
     cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
@@ -438,8 +431,7 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
     # a view: the scorer's demeaned chunk is the subwindows' only copy
     starts, subwindows = sliding_windows(phase.samples, fs, window_s, step_s)
     hz = _best_fundamentals(subwindows, fs, grid, order)
-    return BreathingTrack(tuple(starts), tuple(hz.tolist()), order, window_s,
-                          fs)
+    return BreathingTrack(starts, hz, order, window_s, fs)
 
 
 def reconstruct_reference(phase: PhaseSignal) -> ReferenceFit:
@@ -450,4 +442,4 @@ def reconstruct_reference(phase: PhaseSignal) -> ReferenceFit:
     model = track.refit(phase.samples)
     s_ref = model.predict(phase.samples.size, phase.sample_rate)
     return ReferenceFit(s_ref=s_ref, model=model,
-                       subwindow_hz=np.array(track.hz))
+                       subwindow_hz=track.hz)

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .types import equal_fields
+
 RIDGE = 1e-8               # relative regularizer, engaged past MAX_CONDITION
 MAX_CONDITION = 1e10
 
@@ -23,6 +25,8 @@ class EcaResult:
     degenerate: bool = False
     ridge_epsilon: float = 0.0
     offset: float = 0.0            # intercept removed alongside the lag fit
+
+    __eq__ = equal_fields
 
 
 def lag_matrix(reference: np.ndarray, order: int) -> np.ndarray:

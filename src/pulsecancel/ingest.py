@@ -21,15 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import RadarConfig, RadarCube, _finite_real
+from .scenario import CHUNK_FRAMES, RadarConfig, RadarCube, _finite_real
 from .types import HrTrace, TraceEntry
 
 INT16_HEADROOM = 0.9
 BPM_VALID = (20.0, 250.0)
-
-# Frames quantized and written at a time by write_raw_cube; bounds its
-# temporaries to a few MB whatever the record length.
-_CHUNK_FRAMES = 512
 
 
 class CubeFormatError(ValueError):
@@ -56,7 +52,7 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
     Without an explicit scale, floats are scaled so the largest I or Q
     component sits at 90% of int16 full scale.  Pass the scale from a
     previously read header to get a byte-identical rewrite.  The peak
-    search, the quantization and the writes run _CHUNK_FRAMES frames at a
+    search, the quantization and the writes run CHUNK_FRAMES frames at a
     time, in the precision of the cube's own samples.  A FileCube cannot be
     written over the file it streams from: opening that file for writing
     would truncate the words still to be read.  A cube with no frames or
@@ -73,10 +69,10 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
     if isinstance(cube, FileCube) and _same_file(cube.path, path):
         raise ValueError(f"cannot write a cube over {path}, the file it "
                          f"reads from")
-    chunks = range(0, cube.n_frames, _CHUNK_FRAMES)
+    chunks = range(0, cube.n_frames, CHUNK_FRAMES)
     peak = 0.0
     for start in chunks:
-        iq = cube.frames(start, start + _CHUNK_FRAMES)
+        iq = cube.frames(start, start + CHUNK_FRAMES)
         # a NaN or inf sample makes its chunk's peak NaN or inf
         chunk_peak = float(np.maximum(np.max(np.abs(iq.real)),
                                       np.max(np.abs(iq.imag))))
@@ -91,7 +87,7 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     with open(path, "wb") as fh:
         for start in chunks:
-            iq = cube.frames(start, start + _CHUNK_FRAMES)
+            iq = cube.frames(start, start + CHUNK_FRAMES)
             words = np.empty(iq.shape + (2,), dtype="<i2")
             words[:, :, 0] = np.clip(np.rint(iq.real * scale), -32768, 32767)
             words[:, :, 1] = np.clip(np.rint(iq.imag * scale), -32768, 32767)
@@ -184,7 +180,8 @@ class FileCube(RadarCube):
     through it a chunk at a time, and `iq` decodes the whole file on each
     access.  The file's size and mtime as read_raw_cube saw them are
     kept, and a read of a file that is gone or has changed since raises
-    CubeFormatError.
+    CubeFormatError.  Its repr names the path and header and reads no
+    frame.
     """
 
     def __init__(self, path: Path, header: RawCubeHeader,
@@ -193,6 +190,9 @@ class FileCube(RadarCube):
         self.header = header
         self.config = header.config
         self.stamp = stamp
+
+    def __repr__(self):
+        return f"FileCube(path={self.path!r}, header={self.header!r})"
 
     @property
     def iq(self) -> np.ndarray:

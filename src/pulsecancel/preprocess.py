@@ -31,23 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft       # loaded here, not lazily inside a first transform
 
-from .scenario import RadarCube, RadarConfig
+from .scenario import CHUNK_FRAMES, RadarCube, RadarConfig
 from .spectral import _hann
 from .types import PhaseSignal
-
-# Frames decoded and transformed at a time, and frames per residual-power
-# chunk; bounds the complex64 scratch buffer (512 x 200 samples: 800 kB)
-# and the float64 moment temporaries whatever the record length.
-_FFT_CHUNK_FRAMES = 512
 
 
 class NoTargetError(RuntimeError):
     """Range gate holds no energy to lock onto."""
 
 
-@dataclass
+@dataclass(eq=False)
 class RangeProfiles:
-    """Windowed range FFT per frame: complex64 frames x one-sided bins.
+    """Windowed range FFT per frame: complex64 frames x one-sided bins;
+    profiles compare by identity.
 
     range_profiles fills `values` a chunk of frames at a time, so it is a
     C-contiguous array that owns just frames x n_fast/2 complex64 samples;
@@ -142,11 +138,11 @@ def _power(moments: tuple) -> np.ndarray:
 
 def _residual_power(values: np.ndarray) -> np.ndarray:
     """Mean |x - mean x|^2 down each column of frames x bins `values`,
-    merged over the _FFT_CHUNK_FRAMES chunks cube_phase streams, in frame
+    merged over the CHUNK_FRAMES chunks cube_phase streams, in frame
     order, holding one chunk's moments at a time."""
     return _power(functools.reduce(_merge, (
-        _moments(values[start:start + _FFT_CHUNK_FRAMES])
-        for start in range(0, len(values), _FFT_CHUNK_FRAMES))))
+        _moments(values[start:start + CHUNK_FRAMES])
+        for start in range(0, len(values), CHUNK_FRAMES))))
 
 
 def _one_sided_bins(cube: RadarCube) -> int:
@@ -165,14 +161,14 @@ def _one_sided_bins(cube: RadarCube) -> int:
 
 
 def _chunks(cube: RadarCube):
-    """(first frame, chunk) for each _FFT_CHUNK_FRAMES frames of cube in
+    """(first frame, chunk) for each CHUNK_FRAMES frames of cube in
     order, each cast (or read and decoded) by cube.frames into one reused
     complex64 buffer, valid until the next chunk is asked for."""
     n_frames = cube.n_frames
-    buffer = np.empty((min(n_frames, _FFT_CHUNK_FRAMES), cube.n_fast),
+    buffer = np.empty((min(n_frames, CHUNK_FRAMES), cube.n_fast),
                       dtype=np.complex64)
-    for start in range(0, n_frames, _FFT_CHUNK_FRAMES):
-        stop = min(start + _FFT_CHUNK_FRAMES, n_frames)
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        stop = min(start + CHUNK_FRAMES, n_frames)
         yield start, cube.frames(start, stop, out=buffer[:stop - start])
 
 
@@ -224,7 +220,7 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
 
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
-    complex value in its bin.  _FFT_CHUNK_FRAMES frames at a time,
+    complex value in its bin.  CHUNK_FRAMES frames at a time,
     cube.frames casts (or, for a file cube, reads and decodes) into one
     reused complex64 buffer, which is windowed and transformed in place;
     each frame's transform is the same as a one-shot transform of the whole

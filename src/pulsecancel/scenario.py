@@ -27,6 +27,12 @@ HEARTBEAT_AMPLITUDE_M = (1e-5, 5e-4)
 
 INTERMOD_RULES = ("HR-RR", "HR+RR", "HR+2RR")
 
+# Frames of a cube read, transformed or written at a time (preprocess's
+# range FFT and moments, ingest's quantization and writes); bounds the
+# complex64 scratch buffer (512 x 200 samples: 800 kB) and the temporaries
+# to a few MB whatever the record length.
+CHUNK_FRAMES = 512
+
 
 def _finite_real(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -239,9 +245,10 @@ class Scenario:
         return max(freqs)
 
 
-@dataclass
+@dataclass(eq=False)
 class RadarCube:
-    """Raw IF samples, frames x fast-time, complex.
+    """Raw IF samples, frames x fast-time, complex; cubes compare by
+    identity.
 
     The simulator renders complex128.  A cube read from file
     (ingest.FileCube) holds no samples, only its path and header: its

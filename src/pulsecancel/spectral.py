@@ -22,6 +22,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft       # loaded here, not lazily inside a first transform
 
+from .types import equal_fields
+
 
 @dataclass
 class Spectrum:
@@ -37,6 +39,8 @@ class Spectrum:
     sample_rate: float
     window_seconds: float
     zero_pad_factor: int
+
+    __eq__ = equal_fields
 
     @property
     def spacing_hz(self) -> float:

@@ -1,9 +1,19 @@
 """Shared signal and trace containers used across the pipeline."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+
+def equal_fields(self, other):
+    """A dataclass __eq__ for records that hold arrays: field by field,
+    each array element by element (np.array_equal), where the generated
+    one raises on a truth value of several elements."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
 
 
 @dataclass(eq=False)

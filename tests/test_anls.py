@@ -11,12 +11,11 @@ import scipy.linalg
 from pulsecancel import anls as anls_mod
 from pulsecancel.ahet import ahet_trace
 from pulsecancel.anls import (_SCORE_ROWS, _SPAN_TOL, BREATHING_GRID_HZ,
-                              BreathingTrack, _best_fundamentals, _design,
+                              BreathingTrack, _best_fundamentals,
                               _factored_bases, _refit_basis,
                               estimate_breathing, breathing_track,
                               fit_amplitudes, grid_frequencies,
                               harmonic_matrix, reconstruct_reference)
-from pulsecancel.bench import monte_carlo
 from pulsecancel.preprocess import slow_time_phase
 from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
                                   sliding_windows, window_samples,
@@ -384,8 +383,8 @@ class TestTrackAndReference:
         x = harmonic_signal(f_true, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])
         track = breathing_track(PhaseSignal(x, FS))
         assert len(track) == 6
-        assert track.starts == (0, 100, 200, 300, 400, 500)
-        assert track.hz == (f_true,) * 6
+        assert track.starts.tolist() == [0, 100, 200, 300, 400, 500]
+        assert track.hz.tolist() == [f_true] * 6
         assert (track.order, track.window_s, track.sample_rate) \
             == (3, 5.0, FS)
 
@@ -398,8 +397,9 @@ class TestTrackAndReference:
         x = harmonic_signal(float(GRID[96]), n, [1.0, 0.3], [0.0, 0.4],
                             fs=fs)
         track = breathing_track(PhaseSignal(x, fs), window_s, step_s)
-        assert track.starts == tuple(window_starts(n, fs, window_s, step_s))
-        assert all(type(i0) is int for i0 in track.starts)
+        assert track.starts.tolist() == window_starts(n, fs, window_s,
+                                                      step_s)
+        assert track.starts.dtype == np.int64
 
     def test_track_makes_no_amplitude_fits(self, monkeypatch):
         calls = []
@@ -468,6 +468,20 @@ class TestTrackAndReference:
             track.hz = (0.2,) * len(track)
         with pytest.raises(dataclasses.FrozenInstanceError):
             track.order = 2
+        for a in (track.starts, track.hz):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_the_arrays_are_the_one_copy(self):
+        # the track copies what it is given, once, and keeps no tuple or
+        # private shadow of its starts and rates
+        starts, hz = np.arange(0, 600, 100), np.full(6, 0.25)
+        track = BreathingTrack(starts, hz)
+        starts[0], hz[0] = 50, 0.3
+        assert (track.starts[0], track.hz[0]) == (0, 0.25)
+        assert [name for name in vars(track) if name.startswith("_")] == []
+        assert {type(a) for a in vars(track).values()} \
+            == {np.ndarray, int, float}
 
     def test_track_validation(self):
         # the subwindow layout is scenario.window_starts', errors included
@@ -524,11 +538,9 @@ class TestTrackAndReference:
         track = breathing_track(PhaseSignal(x, FS))
         segment = x[1200:2000]
         model = track.refit(segment, start=1200)
-        starts = np.array(track.starts)
-        inside = (starts >= 1200) & (starts + 500 <= 2000)
+        inside = (track.starts >= 1200) & (track.starts + 500 <= 2000)
         assert np.flatnonzero(inside).tolist() == [12, 13, 14, 15]
-        assert model.fundamental_hz == float(np.median(
-            np.array(track.hz)[inside]))
+        assert model.fundamental_hz == float(np.median(track.hz[inside]))
         assert model.fundamental_hz == f_b
         assert model.order == 3
         np.testing.assert_array_equal(
@@ -589,10 +601,9 @@ def masked_refit_hz(track, starts, n):
     """_refit_hz as first written: a segments x every-subwindow mask of
     the subwindows inside each segment, medians through row_medians."""
     n_sub = window_samples(track.window_s, track.sample_rate)
-    sub = np.array(track.starts)
     starts = np.asarray(starts)[:, None]
-    inside = (sub >= starts) & (sub + n_sub <= starts + n)
-    return row_medians(np.array(track.hz), inside)
+    inside = (track.starts >= starts) & (track.starts + n_sub <= starts + n)
+    return row_medians(track.hz, inside)
 
 
 class TestRefitRuns:
@@ -697,12 +708,27 @@ class TestEquality:
         assert (track == other) is False
         assert (track == dataclasses.replace(track, order=2)) is False
         assert track != "a track"
+        # the same values from tuples, lists or other dtypes: one key
+        same = BreathingTrack(tuple(track.starts.tolist()),
+                              track.hz.tolist())
+        assert (same == track) is True and hash(same) == hash(track)
+        int32 = BreathingTrack(track.starts.astype(np.int32), track.hz)
+        assert (int32 == track) is True and hash(int32) == hash(track)
+        zero = BreathingTrack((0, 100), (0.0, 0.25))
+        assert hash(zero) == hash(BreathingTrack((0, 100), (-0.0, 0.25)))
 
         model = fit_amplitudes(x[:500], FS, float(GRID[96]))
         assert (model == fit_amplitudes(x[:500], FS, float(GRID[96]))) is True
         scaled = fit_amplitudes(1.5 * x[:500], FS, float(GRID[96]))
         assert (model != scaled) is True
         assert model != "a model"
+
+        fit = reconstruct_reference(PhaseSignal(x, FS))
+        assert (fit == reconstruct_reference(PhaseSignal(x, FS))) is True
+        assert (fit == dataclasses.replace(fit, s_ref=fit.s_ref + 1.0)) \
+            is False
+        assert (fit == dataclasses.replace(fit, model=scaled)) is False
+        assert fit != "a fit"
 
     def test_phases_compare_by_identity(self):
         x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
@@ -714,8 +740,7 @@ class TestEquality:
 
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
-        cached = [_design(0.26, 3, 500, FS),
-                  *_refit_basis(0.26, 3, 500, FS),
+        cached = [*_refit_basis(0.26, 3, 500, FS),
                   *_factored_bases(500, FS, 3, BREATHING_GRID_HZ)]
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -733,12 +758,6 @@ class TestCaches:
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
 
-    def test_design_starts_with_the_harmonic_matrix(self):
-        design = _design(0.26, 3, 500, FS)
-        np.testing.assert_array_equal(design[:, :6],
-                                      harmonic_matrix(0.26, 3, 500, FS))
-        np.testing.assert_array_equal(design[:, 6], 1.0)
-
     def test_a_failed_check_caches_nothing(self):
         x = harmonic_signal(0.26, 500, [1.0], [0.0])
         _refit_basis.cache_clear()
@@ -751,52 +770,59 @@ class TestCaches:
         # fit_amplitudes and the block refit factor the same design once
         x = harmonic_signal(0.26, 500, [1.0, 0.3], [0.0, 0.4], 0.2)
         track = BreathingTrack(starts=(0,), hz=(0.26,), sample_rate=FS)
-        for cache in (_design, _refit_basis):
-            cache.cache_clear()
-        fit_amplitudes(x, FS, 0.26)
+        _refit_basis.cache_clear()
+        model = fit_amplitudes(x, FS, 0.26)
         out, errors = track.residuals(x[None, :], [0])
         assert errors == [None]
         assert np.max(np.abs(out)) < 1e-12
+        model.predict(500, FS)
         info = _refit_basis.cache_info()
-        assert (info.currsize, info.hits) == (1, 1)
-        assert _design.cache_info().currsize == 0
+        assert (info.currsize, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("f_hz, order, n", [(0.26, 3, 500),
                                                 (float(GRID[60]), 3, 2000),
                                                 (0.31, 2, 1500)])
-    def test_the_refit_factors_the_render_design(self, f_hz, order, n):
-        # the refit's (Q, R) is the QR of the design predict renders with,
-        # bit for bit, though no cache holds that design for it
+    def test_the_refit_factors_the_augmented_design(self, f_hz, order, n):
+        # (Q, R) is the QR of the harmonic matrix and a column of ones, bit
+        # for bit, though no cache holds that design
         q, r = _refit_basis(f_hz, order, n, FS)
         assert not (q.flags.writeable or r.flags.writeable)
-        expected = np.linalg.qr(_design(f_hz, order, n, FS))
+        expected = np.linalg.qr(np.hstack([
+            harmonic_matrix(f_hz, order, n, FS), np.ones((n, 1))]))
         assert q.tobytes() == expected[0].tobytes()
         assert r.tobytes() == expected[1].tobytes()
 
-    def test_the_trace_drivers_keep_no_design(self):
-        # the block route reads Q alone; designs are predict's
-        phase = slow_time_phase(scenario_slow_time(
-            FAMILIES["masking-b"](0, duration_s=60.0)), FS)
-        for cache in (_design, _refit_basis):
-            cache.cache_clear()
-        ahet_trace(phase, cpi_s=20.0)
-        monte_carlo("masking-c", [0], cpis=(15.0, 20.0),
-                    methods=("conventional", "eca", "ahet"), duration_s=60.0)
-        assert _design.cache_info().currsize == 0
-        assert _refit_basis.cache_info().currsize > 0
 
-    def test_predict_at_an_unfitted_length(self):
-        # rendering at new lengths is bit-identical to the harmonic matrix
-        # and never computes or caches a QR, so it cannot evict the refit
-        # factorizations
+class TestPredict:
+    def model(self):
         x = harmonic_signal(0.31, 500, [1.0, 0.4, 0.2], [0.1, 0.7, 1.3], 0.5)
-        model = fit_amplitudes(x, FS, 0.31, order=3)
-        before = _refit_basis.cache_info()
-        for n in range(737, 837):
-            expected = harmonic_matrix(0.31, 3, n, FS) \
-                @ model.coefficients.reshape(-1)
-            np.testing.assert_array_equal(model.predict(n, FS), expected)
-            np.testing.assert_array_equal(
-                model.predict(n, FS, include_offset=True),
-                expected + model.offset)
-        assert _refit_basis.cache_info() == before
+        return fit_amplitudes(x, FS, 0.31, order=3)
+
+    @pytest.mark.parametrize("n", [7, 8, 131, 500, 737, 836, 2000])
+    def test_renders_the_harmonic_matrix_product(self, n):
+        # at every length with room for the coefficients, fitted or not
+        model = self.model()
+        expected = harmonic_matrix(0.31, 3, n, FS) \
+            @ model.coefficients.reshape(-1)
+        for include_offset, want in ((False, expected),
+                                     (True, expected + model.offset)):
+            got = model.predict(n, FS, include_offset=include_offset)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-14 * np.max(np.abs(want))
+
+    def test_renders_through_the_refit_cache(self):
+        model = self.model()
+        _refit_basis.cache_clear()
+        model.predict(737, FS)
+        model.predict(737, FS, include_offset=True)
+        info = _refit_basis.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_a_length_too_short_to_fit_is_rejected(self, n):
+        model = self.model()
+        with pytest.raises(ValueError, match=f"segment of {n} samples too "
+                                             f"short for 6 coefficients"):
+            model.predict(n, FS)
+        with pytest.raises(ValueError, match="too short"):
+            fit_amplitudes(np.ones(n), FS, 0.31)

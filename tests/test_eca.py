@@ -155,3 +155,17 @@ class TestEdgeCases:
         assert result.weights.shape == (3,)
         with pytest.raises(ValueError, match="order 0 invalid"):
             eca_cancel(np.ones(500), s, order=0)
+
+
+class TestEquality:
+    def test_results_compare_by_value(self):
+        # field by field, the arrays element by element; the generated
+        # __eq__ raised on the arrays' ambiguous truth value
+        s = breathing_like(2000, seed=7)
+        t = np.arange(2000) / FS
+        theta = 1.2 * s + 0.5 * np.sin(2 * np.pi * 1.28 * t)
+        result = eca_cancel(theta, s)
+        assert (result == eca_cancel(theta, s)) is True
+        assert (result == eca_cancel(2.0 * theta, s)) is False
+        assert (result == eca_cancel(theta, s, order=3)) is False
+        assert result != "a result"

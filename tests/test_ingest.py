@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pulsecancel.ingest import (_CHUNK_FRAMES, CubeFormatError, _stamp,
-                                read_cube_header, read_raw_cube,
-                                read_reference_trace, sidecar_path,
-                                write_raw_cube, write_trace, write_truth)
-from pulsecancel.scenario import RadarConfig, RadarCube
+from pulsecancel.ingest import (CubeFormatError, _stamp, read_cube_header,
+                                read_raw_cube, read_reference_trace,
+                                sidecar_path, write_raw_cube, write_trace,
+                                write_truth)
+from pulsecancel.scenario import CHUNK_FRAMES, RadarConfig, RadarCube
 from pulsecancel.types import HrTrace, TraceEntry
 
 
@@ -58,7 +58,7 @@ class TestCubeRoundTrip:
 
     def test_chunked_write_is_the_one_shot_quantization(self, tmp_path):
         # one chunk and one frame: the last chunk holds a single frame
-        cube = small_cube(frames=_CHUNK_FRAMES + 1)
+        cube = small_cube(frames=CHUNK_FRAMES + 1)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         header = write_raw_cube(cube, p1)
         words = np.stack([np.rint(cube.iq.real * header.scale),
@@ -68,8 +68,8 @@ class TestCubeRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_write_peak_memory_is_one_chunk(self, tmp_path):
-        cube = small_cube(frames=8 * _CHUNK_FRAMES, fast=200)
-        chunk = _CHUNK_FRAMES * 200 * cube.iq.itemsize
+        cube = small_cube(frames=8 * CHUNK_FRAMES, fast=200)
+        chunk = CHUNK_FRAMES * 200 * cube.iq.itemsize
         tracemalloc.start()
         try:
             write_raw_cube(cube, tmp_path / "cube.bin")
@@ -82,9 +82,9 @@ class TestCubeRoundTrip:
         # the read holds no words, so a rewrite holds about one chunk of
         # decoded frames and its words, not the whole file
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        header = write_raw_cube(small_cube(frames=8 * _CHUNK_FRAMES,
+        header = write_raw_cube(small_cube(frames=8 * CHUNK_FRAMES,
                                            fast=200), p1)
-        chunk = _CHUNK_FRAMES * 200 * 8
+        chunk = CHUNK_FRAMES * 200 * 8
         tracemalloc.start()
         try:
             write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
@@ -122,7 +122,7 @@ def decoded_words(path):
 
 
 class TestStreamingRead:
-    FRAMES = 2 * _CHUNK_FRAMES + 5
+    FRAMES = 2 * CHUNK_FRAMES + 5
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -141,8 +141,8 @@ class TestStreamingRead:
         assert cube.n_frames == self.FRAMES and cube.n_fast == 16
 
     @pytest.mark.parametrize("start, stop", [
-        (0, FRAMES), (_CHUNK_FRAMES - 2, _CHUNK_FRAMES + 3),
-        (_CHUNK_FRAMES, 2 * _CHUNK_FRAMES), (7, 7), (0, 0),
+        (0, FRAMES), (CHUNK_FRAMES - 2, CHUNK_FRAMES + 3),
+        (CHUNK_FRAMES, 2 * CHUNK_FRAMES), (7, 7), (0, 0),
         (FRAMES, FRAMES), (FRAMES - 3, FRAMES + 40), (FRAMES + 2, FRAMES + 9),
     ])
     def test_frames_is_the_whole_decode_sliced(self, path, start, stop):
@@ -160,6 +160,19 @@ class TestStreamingRead:
     def test_iq_is_the_whole_decode(self, path):
         assert (read_raw_cube(path).iq.tobytes()
                 == decoded_words(path).tobytes())
+
+    def test_repr_and_equality_read_no_frames(self, path, monkeypatch):
+        # the generated repr and == read iq, which decodes the whole file
+        cube = read_raw_cube(path)
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("read frames")
+
+        monkeypatch.setattr(type(cube), "frames", no_reads)
+        assert repr(cube) == (f"FileCube(path={cube.path!r}, "
+                              f"header={cube.header!r})")
+        assert (cube == read_raw_cube(path)) is False
+        assert (cube == cube) is True
 
     def test_deleted_file_raises(self, path):
         cube = read_raw_cube(path)
@@ -233,10 +246,10 @@ class TestCubeErrors:
                                                          bad, scale):
         # one sample in the second chunk; the first holds the peak, so a
         # peak search that skipped the NaN would scale from it
-        cube = small_cube(frames=_CHUNK_FRAMES + 3)
-        cube.iq[_CHUNK_FRAMES + 1, 5] = bad
-        with pytest.raises(ValueError, match=f"frames {_CHUNK_FRAMES}:"
-                                             f"{_CHUNK_FRAMES + 3}: they "
+        cube = small_cube(frames=CHUNK_FRAMES + 3)
+        cube.iq[CHUNK_FRAMES + 1, 5] = bad
+        with pytest.raises(ValueError, match=f"frames {CHUNK_FRAMES}:"
+                                             f"{CHUNK_FRAMES + 3}: they "
                                              f"hold a non-finite sample"):
             write_raw_cube(cube, tmp_path / "cube.bin", scale=scale)
         assert list(tmp_path.iterdir()) == []

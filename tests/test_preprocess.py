@@ -12,15 +12,14 @@ from pulsecancel.ahet import ahet_trace
 from pulsecancel.bench import rmse
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
 from pulsecancel import preprocess
-from pulsecancel.preprocess import (_FFT_CHUNK_FRAMES, NoTargetError,
-                                    RangeProfiles, _bin_values,
-                                    _residual_power, cube_phase, demodulate,
-                                    detect_target_bin, enhance_phase,
-                                    extract_phase, gate_bins,
+from pulsecancel.preprocess import (NoTargetError, RangeProfiles,
+                                    _bin_values, _residual_power, cube_phase,
+                                    demodulate, detect_target_bin,
+                                    enhance_phase, extract_phase, gate_bins,
                                     range_profiles, slow_time_phase)
-from pulsecancel.scenario import (FAMILIES, RadarConfig, RadarCube, Scenario,
-                                  masking_scenario, reference_trace,
-                                  scenario_slow_time,
+from pulsecancel.scenario import (CHUNK_FRAMES, FAMILIES, RadarConfig,
+                                  RadarCube, Scenario, masking_scenario,
+                                  reference_trace, scenario_slow_time,
                                   synthesize_displacement,
                                   synthesize_radar_cube)
 
@@ -86,6 +85,13 @@ def two_pass_phase(cube):
 
 
 class TestRangeProfiles:
+    def test_profiles_compare_by_identity(self):
+        # as phases do; the generated __eq__ raised on the values' truth
+        profiles = profiles_of(np.ones((4, 3)))
+        assert (profiles == profiles_of(np.ones((4, 3)))) is False
+        assert (profiles == profiles) is True
+        assert len({profiles, profiles}) == 1
+
     def test_keeps_one_sided_bins(self):
         sc = Scenario(duration_s=2.0)
         profiles = range_profiles(synthesize_radar_cube(sc))
@@ -107,9 +113,9 @@ class TestRangeProfiles:
         assert np.std(col) / np.abs(np.mean(col)) < 0.05
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES // 2 + 1,
-                                        2 * _FFT_CHUNK_FRAMES,
-                                        2 * _FFT_CHUNK_FRAMES + 37])
+    @pytest.mark.parametrize("frames", [CHUNK_FRAMES // 2 + 1,
+                                        2 * CHUNK_FRAMES,
+                                        2 * CHUNK_FRAMES + 37])
     def test_chunked_transform_is_the_one_shot_fft(self, dtype, frames):
         # below one chunk, an exact multiple of it, and a multiple plus a
         # remainder
@@ -469,8 +475,8 @@ class TestCubePhase:
         assert np.max(np.abs(err)) < 1e-3
 
     @pytest.mark.parametrize("dead", [slice(100, 110), slice(0, 5),
-                                      slice(_FFT_CHUNK_FRAMES - 3,
-                                            _FFT_CHUNK_FRAMES + 4),
+                                      slice(CHUNK_FRAMES - 3,
+                                            CHUNK_FRAMES + 4),
                                       slice(995, 1000)])
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_dropouts_count_frames(self, tmp_path, kind, dead):
@@ -570,10 +576,10 @@ def write_noise_cube(path, frames, seed=0):
 
 
 class TestFileCubeDecode:
-    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES - 1,
-                                        _FFT_CHUNK_FRAMES,
-                                        _FFT_CHUNK_FRAMES + 1,
-                                        2 * _FFT_CHUNK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [CHUNK_FRAMES - 1,
+                                        CHUNK_FRAMES,
+                                        CHUNK_FRAMES + 1,
+                                        2 * CHUNK_FRAMES + 1])
     def test_chunked_decode_is_the_decoded_cube(self, tmp_path, frames):
         # the last chunk is partial, full, and one frame long
         cube = write_noise_cube(tmp_path / "cube.bin", frames)
@@ -586,7 +592,7 @@ class TestFileCubeDecode:
         # below the gate's columns plus a few MB of chunk buffers; the
         # int16 words or all the one-sided spectra would each add as much
         # again
-        frames = 16 * _FFT_CHUNK_FRAMES
+        frames = 16 * CHUNK_FRAMES
         path = tmp_path / "cube.bin"
         write_noise_cube(path, frames)
         config = RadarConfig()
@@ -605,7 +611,7 @@ class TestFileCubeDecode:
         # four times the frames add the phase and demodulate's float64
         # temporaries, well under 128 B a frame; holding the gate's 64
         # complex64 columns would add 512 B a frame
-        frames = 16 * _FFT_CHUNK_FRAMES
+        frames = 16 * CHUNK_FRAMES
         peaks = []
         for n in (frames, 4 * frames):
             path = tmp_path / f"cube-{n}.bin"
@@ -621,10 +627,10 @@ class TestFileCubeDecode:
 
 class TestStreamedDetection:
     @pytest.mark.parametrize("kind", ["memory", "file"])
-    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES - 1,
-                                        _FFT_CHUNK_FRAMES,
-                                        _FFT_CHUNK_FRAMES + 1,
-                                        2 * _FFT_CHUNK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [CHUNK_FRAMES - 1,
+                                        CHUNK_FRAMES,
+                                        CHUNK_FRAMES + 1,
+                                        2 * CHUNK_FRAMES + 1])
     def test_gate_power_is_the_profiles_residual_power(
             self, tmp_path, monkeypatch, kind, frames):
         # one chunk short, one exactly, one plus a frame and two plus one:
@@ -721,13 +727,13 @@ def panel_heads():
 class TestOnePass:
     @pytest.mark.parametrize("kind", ["memory", "file"])
     @pytest.mark.parametrize("family", ["masking-b", "masking-c"])
-    @pytest.mark.parametrize("frames", [_FFT_CHUNK_FRAMES - 1,
-                                        _FFT_CHUNK_FRAMES,
-                                        _FFT_CHUNK_FRAMES + 1,
-                                        2 * _FFT_CHUNK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [CHUNK_FRAMES - 1,
+                                        CHUNK_FRAMES,
+                                        CHUNK_FRAMES + 1,
+                                        2 * CHUNK_FRAMES + 1])
     @pytest.mark.parametrize("dead", [None, slice(0, 3),
-                                      slice(_FFT_CHUNK_FRAMES - 2,
-                                            _FFT_CHUNK_FRAMES + 2)])
+                                      slice(CHUNK_FRAMES - 2,
+                                            CHUNK_FRAMES + 2)])
     def test_is_the_two_pass_chain(self, tmp_path, panel_heads, kind,
                                    family, frames, dead):
         # whole chunks, a partial last one and a one-frame last one, with
@@ -757,7 +763,7 @@ class TestOnePass:
         full = range_profiles(cube)
         gate = gate_bins(full.n_bins, full.bin_width_m, 0.3, 3.0)
         first = _residual_power(
-            full.values[:_FFT_CHUNK_FRAMES, gate.start:gate.stop])
+            full.values[:CHUNK_FRAMES, gate.start:gate.stop])
         assert gate.start + int(np.argmax(first)) == 24
         detected = detect_target_bin(full, 0.3, 3.0)
         assert detected == 25
@@ -769,8 +775,8 @@ class TestOnePass:
         assert phase.samples.tobytes() == theta.tobytes()
         # the whole cube, twice: detection, then the detected bin
         n = cube.n_frames
-        chunks = [(start, min(start + _FFT_CHUNK_FRAMES, n))
-                  for start in range(0, n, _FFT_CHUNK_FRAMES)]
+        chunks = [(start, min(start + CHUNK_FRAMES, n))
+                  for start in range(0, n, CHUNK_FRAMES)]
         assert calls == 2 * chunks
 
 

@@ -146,6 +146,14 @@ class TestSlowTime:
 
 
 class TestRadarCube:
+    def test_cubes_compare_by_identity(self):
+        # as phases do; the generated __eq__ raised on the samples' truth
+        sc = Scenario(duration_s=1.0)
+        cube = synthesize_radar_cube(sc)
+        assert (cube == synthesize_radar_cube(sc)) is False
+        assert (cube == cube) is True
+        assert len({cube, cube}) == 1
+
     def test_shape_and_dtype(self, fixture_scenario):
         cube = synthesize_radar_cube(fixture_scenario)
         assert cube.iq.shape == (2000, 200)

@@ -145,6 +145,18 @@ class TestTopPeaks:
             assert top_peaks(spec, 0.0, 5.0, 1) == []
 
 
+class TestEquality:
+    def test_spectra_compare_by_value(self):
+        # field by field, the arrays element by element; the generated
+        # __eq__ raised on the arrays' ambiguous truth value
+        spec = power_spectrum(tone(1.0), FS)
+        assert (spec == power_spectrum(tone(1.0), FS)) is True
+        assert (spec != power_spectrum(tone(1.0), FS)) is False
+        assert (spec == power_spectrum(tone(1.1), FS)) is False
+        assert (spec == power_spectrum(tone(1.0), FS, 4)) is False
+        assert spec != "a spectrum"
+
+
 class TestBandPeakPower:
     def test_reads_peak_through_leakage(self):
         spec = power_spectrum(tone(1.0), FS)
