@@ -218,6 +218,12 @@ def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
         raise ValueError("order must be >= 1")
     if n < 1:
         raise ValueError("need at least one sample")
+    # NaN passes both range checks below, an infinite rate the second
+    if not np.isfinite(freqs).all():
+        raise ValueError(f"fundamental must be finite, got "
+                         f"{freqs[~np.isfinite(freqs)][0]} Hz")
+    if not math.isfinite(sample_rate):
+        raise ValueError(f"sample rate must be finite, got {sample_rate} Hz")
     if freqs.min() < 0:
         raise ValueError("fundamental must be >= 0")
     if order * freqs.max() >= sample_rate / 2.0:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data/processing error.
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -61,7 +62,8 @@ def _scenario_from_args(args):
     with open(args.scenario) as fh:
         scenario = load_scenario(json.load(fh))
     if args.seed is not None:
-        scenario.seed = args.seed
+        # replace, not assignment: the new seed is checked like any other
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
 
 

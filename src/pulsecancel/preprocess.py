@@ -15,10 +15,10 @@ residual sum of squares, per real and imaginary part, merged into the
 running ones by the pairwise update of Chan, Golub and LeVeque, so full
 profiles and a streamed pass give the same bits.
 cube_phase reads the cube once: while it detects the bin from the FFT
-chunks, it computes the bin that leads the first chunk alone, one windowed
-single-bin DFT per frame of each decoded chunk, and reads the first chunk
-again for that bin's first frames.  Only when the record's bin is another
-does it read the cube a second time, for that bin.  Its memory is set by
+chunks, it keeps each chunk's column of the bin that leads the first chunk.
+Only when the record's bin is another does it transform the cube a second
+time and keep that bin's column.  Either way the phase is
+extract_phase(range_profiles(cube), bin), bit for bit; its memory is set by
 the chunk, plus the phase itself.  Phase is demodulated in float64 from the
 uncancelled bin values: for chest motion spanning a sizable arc of the unit
 circle, removing the bin mean also removes part of the target's own phasor
@@ -160,58 +160,28 @@ def _one_sided_bins(cube: RadarCube) -> int:
     return cube.n_fast // 2
 
 
-def _chunks(cube: RadarCube):
-    """(first frame, chunk) for each CHUNK_FRAMES frames of cube in
-    order, each cast (or read and decoded) by cube.frames into one reused
-    complex64 buffer, valid until the next chunk is asked for."""
+def _range_fft(cube: RadarCube):
+    """(first frame, two-sided range spectra) for each CHUNK_FRAMES frames
+    of cube in order: the one FFT route of range_profiles and cube_phase.
+
+    Each chunk is cast (or read and decoded) by cube.frames into one reused
+    complex64 buffer, Hann-windowed and transformed in place there, so its
+    spectra are valid until the next chunk is asked for.  The window is the
+    float32 Hann window times n_fast.  The transform is forward-normalized
+    (times 1/n_fast), which keeps numpy in its single-precision loop: its
+    default-normalized complex64 transform runs in double precision,
+    several times slower.  The window's factor n_fast undoes the 1/n_fast,
+    so the spectra keep the unnormalized scale.
+    """
     n_frames = cube.n_frames
     buffer = np.empty((min(n_frames, CHUNK_FRAMES), cube.n_fast),
                       dtype=np.complex64)
+    window = (_hann(cube.n_fast, False) * cube.n_fast).astype(np.float32)
     for start in range(0, n_frames, CHUNK_FRAMES):
         stop = min(start + CHUNK_FRAMES, n_frames)
-        yield start, cube.frames(start, stop, out=buffer[:stop - start])
-
-
-def _range_window(n_fast: int) -> np.ndarray:
-    """The float32 Hann window times n_fast that _range_fft applies."""
-    return (_hann(n_fast, False) * n_fast).astype(np.float32)
-
-
-def _range_fft(chunk: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """A complex64 chunk's two-sided range spectra, Hann-windowed and
-    transformed in place: the one FFT route of range_profiles and
-    cube_phase.
-
-    The transform is forward-normalized (times 1/n_fast), which keeps
-    numpy in its single-precision loop: its default-normalized complex64
-    transform runs in double precision, several times slower.  The window
-    (_range_window) carries a factor n_fast that undoes the 1/n_fast, so
-    the spectra keep the unnormalized scale.
-    """
-    chunk *= window
-    return np.fft.fft(chunk, axis=1, norm="forward", out=chunk)
-
-
-def _bin_kernel(n_fast: int, bin_index: int) -> np.ndarray:
-    """One range bin's Hann-weighted e^{-j2 pi b k / n} vector in
-    complex64, built in float64 with its phase reduced mod n exactly: a
-    chunk times it is the bin's DFT, the FFT column to within
-    single-precision rounding, not bit for bit."""
-    k = np.arange(n_fast)
-    return (_hann(n_fast, False)
-            * np.exp(-2j * np.pi * (bin_index * k % n_fast) / n_fast)
-            ).astype(np.complex64)
-
-
-def _bin_values(cube: RadarCube, bin_index: int) -> np.ndarray:
-    """One range bin's complex64 value per frame, without the FFT: each
-    chunk of _chunks times the bin's _bin_kernel, one matrix-vector
-    product into the output per chunk."""
-    kernel = _bin_kernel(cube.n_fast, bin_index)
-    values = np.empty(cube.n_frames, dtype=np.complex64)
-    for start, chunk in _chunks(cube):
-        np.matmul(chunk, kernel, out=values[start:start + len(chunk)])
-    return values
+        chunk = cube.frames(start, stop, out=buffer[:stop - start])
+        chunk *= window
+        yield start, np.fft.fft(chunk, axis=1, norm="forward", out=chunk)
 
 
 def range_profiles(cube: RadarCube) -> RangeProfiles:
@@ -220,18 +190,14 @@ def range_profiles(cube: RadarCube) -> RangeProfiles:
 
     The window is symmetric to match the chirp-center phase reference used
     by the simulator, so a static scatterer produces a frame-constant
-    complex value in its bin.  CHUNK_FRAMES frames at a time,
-    cube.frames casts (or, for a file cube, reads and decodes) into one
-    reused complex64 buffer, which is windowed and transformed in place;
-    each frame's transform is the same as a one-shot transform of the whole
-    cube by the same route (the Hann window times n_fast in float32, then
-    numpy's forward-normalized complex64 FFT), bit for bit.
+    complex value in its bin.  The chunks are _range_fft's; each frame's
+    transform is the same as a one-shot transform of the whole cube by the
+    same route (the Hann window times n_fast in float32, then numpy's
+    forward-normalized complex64 FFT), bit for bit.
     """
     n_half = _one_sided_bins(cube)
-    window = _range_window(cube.n_fast)
     values = np.empty((cube.n_frames, n_half), dtype=np.complex64)
-    for start, chunk in _chunks(cube):
-        spectra = _range_fft(chunk, window)
+    for start, spectra in _range_fft(cube):
         values[start:start + len(spectra)] = spectra[:, :n_half]
     return RangeProfiles(
         values=values,
@@ -314,43 +280,31 @@ def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
     record's.
 
     The pass runs range_profiles' chunked FFT and merges each chunk's gate
-    moments, holding no bin's values: its target is
-    detect_target_bin(range_profiles(cube), *gate_m), the same power bit
-    for bit.  After the first chunk it holds the gate bin with the most
-    residual power so far (the nearer on a tie), and computes that bin
-    alone on each later chunk before the chunk is transformed; the first
-    chunk is read again at the end for its frames.  When the target is
-    another bin, the cube is read once more for it.  Either way the values
-    are _bin_values(cube, target), bit for bit, for demodulate: the FFT
-    column's to single-precision rounding.  Memory is a chunk's buffers
-    plus the phase.  The cube and the gate are checked before any frame is
-    read.
+    moments: its target is detect_target_bin(range_profiles(cube), *gate_m),
+    the same power bit for bit.  After the first chunk it holds the gate
+    bin with the most residual power so far (the nearer on a tie) and keeps
+    that bin's column of every chunk's spectra.  When the target is another
+    bin, the cube is transformed once more for that bin's column.  Either
+    way the phase, bin and dropouts are
+    extract_phase(range_profiles(cube), target)'s, bit for bit.  Memory is
+    a chunk's buffer plus the phase.  The cube and the gate are checked
+    before any frame is read.
     """
     gate = gate_bins(_one_sided_bins(cube), cube.config.range_bin_width_m,
                      gate_m[0], gate_m[1])
-    window = _range_window(cube.n_fast)
     values = np.empty(cube.n_frames, dtype=np.complex64)
-    for start, chunk in _chunks(cube):
-        if start:
-            # the held bin from the decoded frames, before the transform
-            # overwrites them
-            np.matmul(chunk, kernel, out=values[start:start + len(chunk)])
-        spectra = _range_fft(chunk, window)
+    for start, spectra in _range_fft(cube):
         chunk_moments = _moments(spectra[:, gate.start:gate.stop])
         if start:
             moments = _merge(moments, chunk_moments)
         else:
-            # the buffer is the first chunk's; it is read into again last
-            first, moments = chunk, chunk_moments
+            moments = chunk_moments
             held = gate.start + int(np.argmax(_power(moments)))
-            kernel = _bin_kernel(cube.n_fast, held)
+        values[start:start + len(spectra)] = spectra[:, held]
     target = _strongest(gate, _power(moments))
-    if target == held:
-        np.matmul(cube.frames(0, len(first), out=first), kernel,
-                  out=values[:len(first)])
-    else:
-        del values      # before the second pass allocates its own
-        values = _bin_values(cube, target)
+    if target != held:
+        for start, spectra in _range_fft(cube):
+            values[start:start + len(spectra)] = spectra[:, target]
     theta, dropouts = demodulate(values)
     return PhaseSignal(theta, cube.config.frame_rate_hz, source_bin=target,
                        dropouts=dropouts)

@@ -171,8 +171,9 @@ class Scenario:
     allow_amplitude_override: bool = False
 
     def __post_init__(self):
-        if not _integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not _integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
         for name in ("duration_s", "breathing_hz", "heartbeat_hz",
                      "standoff_m", "transmit_power_scale",
                      "complex_noise_std", "phase_noise_std"):
@@ -238,9 +239,11 @@ class Scenario:
         return int(round(self.duration_s * self.radar.frame_rate_hz))
 
     def max_frequency_hz(self) -> float:
+        """The largest |frequency| the record holds: a tone at -f Hz
+        aliases as +f Hz does."""
         freqs = [len(self.breathing_harmonics) * self.breathing_hz,
                  len(self.heartbeat_harmonics) * self.heartbeat_hz]
-        freqs += [t.frequency_hz(self.breathing_hz, self.heartbeat_hz)
+        freqs += [abs(t.frequency_hz(self.breathing_hz, self.heartbeat_hz))
                   for t in self.intermod_tones]
         return max(freqs)
 

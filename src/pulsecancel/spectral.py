@@ -297,8 +297,9 @@ def top_peaks(spectrum: Spectrum, lo_hz: float, hi_hz: float,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lo_hz >= hi_hz:
-        raise ValueError("band must satisfy lo < hi")
+    if not lo_hz < hi_hz:      # a NaN edge too
+        raise ValueError(f"band must satisfy lo < hi, got {lo_hz}:{hi_hz} "
+                         f"Hz")
     f, p = band_peaks(spectrum.frequencies, spectrum.power[None, :], lo_hz,
                       hi_hz, k)
     return [Peak(fi, pi) for fi, pi in zip(f[0].tolist(), p[0].tolist())

@@ -296,13 +296,17 @@ def test_c10_simulator_round_trip(capsys):
 
 def test_c10_companion_cube_phase_round_trip():
     """C10's phase bar on the same noiseless cube, for the pipeline's front
-    end: cube_phase detects the bin from streamed chunks and computes its
-    phase with a one-bin transform, not the FFT column C10 reads."""
+    end: cube_phase detects the bin from streamed chunks and keeps its FFT
+    column, so its phase, bin and dropouts are C10's chain's, byte for
+    byte."""
     sc = fig_masking_scenario()
     cube = synthesize_radar_cube(sc)
     phase = cube_phase(cube)
-    assert phase.source_bin == detect_target_bin(range_profiles(cube),
-                                                 0.3, 3.0)
+    profiles = range_profiles(cube)
+    chain = extract_phase(profiles, detect_target_bin(profiles, 0.3, 3.0))
+    assert phase.source_bin == chain.source_bin
+    assert phase.dropouts == chain.dropouts
+    assert phase.samples.tobytes() == chain.samples.tobytes()
     truth = displacement_to_phase(synthesize_displacement(sc),
                                   sc.radar).samples
     error = (phase.samples - phase.samples.mean()) - (truth - truth.mean())

@@ -111,6 +111,13 @@ class TestHarmonicMatrix:
         with pytest.raises(ValueError, match="Nyquist"):
             harmonic_matrix(20.0, 3, 50, FS)
 
+    def test_non_finite_fundamental_is_rejected(self):
+        # NaN passed the >= 0 and Nyquist checks and built an all-NaN design
+        for f in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError,
+                               match=f"fundamental must be finite, got {f}"):
+                harmonic_matrix(f, 3, 10, FS)
+
 
 class TestFitAmplitudes:
     def test_exact_recovery_with_offset(self):
@@ -149,6 +156,18 @@ class TestFitAmplitudes:
     def test_too_short_segment(self):
         with pytest.raises(ValueError, match="too short"):
             fit_amplitudes(np.ones(5), FS, 0.3, order=3)
+
+    def test_non_finite_fundamental_or_rate_is_rejected(self):
+        # a NaN fundamental failed in the SVD, an infinite rate read as a
+        # rank-deficient design
+        x = harmonic_signal(0.26, 500, [1.0], [0.1])
+        with pytest.raises(ValueError, match="fundamental must be finite, "
+                                             "got nan"):
+            fit_amplitudes(x, FS, np.nan)
+        for rate in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"sample rate must be "
+                                                 f"finite, got {rate}"):
+                fit_amplitudes(x, rate, 0.26)
 
 
 class TestGrid:

@@ -129,6 +129,16 @@ class TestSynth:
         assert a.read_bytes() != b.read_bytes()
         assert b.read_bytes() == c.read_bytes()
 
+    def test_a_negative_seed_is_a_data_error(self, scenario_file, tmp_path,
+                                             capsys):
+        out = tmp_path / "cube.bin"
+        assert run_cli("synth", "--scenario", scenario_file, "--out",
+                       str(out), "--seed", "-1") == 2
+        assert capsys.readouterr().err.strip() == (
+            "pulsecancel synth: error: seed must be a non-negative integer, "
+            "got -1")
+        assert not out.exists()
+
     def test_outdir_env_names_the_default_output(self, scenario_file,
                                                  tmp_path, monkeypatch):
         outdir = tmp_path / "renders"

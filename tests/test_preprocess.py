@@ -13,10 +13,10 @@ from pulsecancel.bench import rmse
 from pulsecancel.ingest import read_raw_cube, write_raw_cube
 from pulsecancel import preprocess
 from pulsecancel.preprocess import (NoTargetError, RangeProfiles,
-                                    _bin_values, _residual_power, cube_phase,
-                                    demodulate, detect_target_bin,
-                                    enhance_phase, extract_phase, gate_bins,
-                                    range_profiles, slow_time_phase)
+                                    _residual_power, cube_phase, demodulate,
+                                    detect_target_bin, enhance_phase,
+                                    extract_phase, gate_bins, range_profiles,
+                                    slow_time_phase)
 from pulsecancel.scenario import (CHUNK_FRAMES, FAMILIES, RadarConfig,
                                   RadarCube, Scenario, masking_scenario,
                                   reference_trace, scenario_slow_time,
@@ -75,13 +75,17 @@ def counting_reads(cube, monkeypatch):
     return calls
 
 
-def two_pass_phase(cube):
-    """cube_phase as two passes over the cube: detection from the full
-    profiles' gate power, which is the streamed statistic bit for bit, then
-    the detected bin alone, read again from the first frame."""
-    target = detect_target_bin(range_profiles(cube), 0.3, 3.0)
-    theta, dropouts = demodulate(_bin_values(cube, target))
-    return target, theta, dropouts
+def profiles_chain(cube, gate=(0.3, 3.0)):
+    """cube_phase's oracle: full profiles, the detected bin, its phase."""
+    full = range_profiles(cube)
+    return extract_phase(full, detect_target_bin(full, *gate))
+
+
+def assert_same_phase(phase, expected):
+    """Bin, dropouts and phase bits alike."""
+    assert phase.source_bin == expected.source_bin
+    assert phase.dropouts == expected.dropouts
+    assert phase.samples.tobytes() == expected.samples.tobytes()
 
 
 class TestRangeProfiles:
@@ -481,7 +485,7 @@ class TestCubePhase:
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_dropouts_count_frames(self, tmp_path, kind, dead):
         # zeroed frames, at the start, across a chunk edge and at the end,
-        # are the full profiles' dropouts in the one-bin pass too
+        # are the full profiles' dropouts in cube_phase too
         cube = synthesize_radar_cube(Scenario(duration_s=10.0))
         assert cube_phase(cube).dropouts == 0
         cube.iq[dead] = 0.0
@@ -644,8 +648,8 @@ class TestStreamedDetection:
         assert (detected_power(cube, monkeypatch).tobytes()
                 == _residual_power(
                     full.values[:, gate.start:gate.stop]).tobytes())
-        assert (cube_phase(cube).source_bin
-                == detect_target_bin(full, 0.3, 3.0))
+        assert_same_phase(cube_phase(cube), extract_phase(
+            full, detect_target_bin(full, 0.3, 3.0)))
 
 
 @pytest.fixture(scope="module")
@@ -673,29 +677,19 @@ class TestCubePhaseHoldsTheGate:
     @pytest.mark.parametrize("kind", ["memory", "file"])
     @pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
     def test_is_the_full_profiles_chain(self, cubes, kind, gate):
-        cube = cubes[kind]
-        full = range_profiles(cube)
-        target = detect_target_bin(full, *gate)
-        expected = extract_phase(full, target)
-        phase = cube_phase(cube, gate)
-        assert phase.source_bin == target
-        assert phase.dropouts == expected.dropouts
-        # the phase comes from a one-bin transform, not the FFT column;
-        # both round in single precision against the frames' whole scale
+        expected = profiles_chain(cubes[kind], gate)
+        assert_same_phase(cube_phase(cubes[kind], gate), expected)
         if gate[0] <= BIN_RANGES[23] <= gate[1]:
-            assert target == 23
-            assert np.max(np.abs(phase.samples - expected.samples)) < 1e-6
-        n = cube.n_fast
-        kernel = (get_window("hann", n, fftbins=False)
-                  * np.exp(-2j * np.pi * target * np.arange(n) / n))
-        reference = demodulate(
-            cube.iq.astype(np.complex64).astype(np.complex128) @ kernel)[0]
-        fft_error = np.max(np.abs(expected.samples - reference))
-        # on a sidelobe bin 4e4 times weaker than the target's, where the
-        # FFT column is 1e-3 rad off a complex128 transform, it is no
-        # farther off
-        assert np.max(np.abs(phase.samples - reference)) <= max(fft_error,
-                                                                 1e-6)
+            assert expected.source_bin == 23
+
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @pytest.mark.parametrize("b", [0, 7, 23, 70, 95, 99])
+    def test_a_one_bin_gate_keeps_that_column(self, cubes, kind, b):
+        # the lowest and highest one-sided bins, the default gate's edges,
+        # the target and the top run: the kept column is the profiles'
+        gate = (BIN_RANGES[b], BIN_RANGES[b])
+        expected = extract_phase(range_profiles(cubes[kind]), b)
+        assert_same_phase(cube_phase(cubes[kind], gate), expected)
 
     @pytest.mark.parametrize("kind", ["memory", "file"])
     @pytest.mark.parametrize("gate, message", [
@@ -711,9 +705,8 @@ class TestCubePhaseHoldsTheGate:
             cube_phase(cube, gate)
         assert calls == []
         cube_phase(cube)
-        # 600 frames: two chunks, then the first chunk once more for the
-        # bin that led it, the record's
-        assert calls == [(0, 512), (512, 600), (0, 512)]
+        # 600 frames: each chunk once, the first chunk's bin the record's
+        assert calls == [(0, 512), (512, 600)]
 
 
 @pytest.fixture(scope="module")
@@ -734,10 +727,10 @@ class TestOnePass:
     @pytest.mark.parametrize("dead", [None, slice(0, 3),
                                       slice(CHUNK_FRAMES - 2,
                                             CHUNK_FRAMES + 2)])
-    def test_is_the_two_pass_chain(self, tmp_path, panel_heads, kind,
+    def test_is_the_profiles_chain(self, tmp_path, panel_heads, kind,
                                    family, frames, dead):
         # whole chunks, a partial last one and a one-frame last one, with
-        # dead frames in the first chunk's re-read and across its edge
+        # dead frames at the start and across the first chunk's edge
         cube = RadarCube(panel_heads[family].iq[:frames].copy(),
                          RadarConfig())
         if dead is not None:
@@ -745,11 +738,7 @@ class TestOnePass:
         if kind == "file":
             write_raw_cube(cube, tmp_path / "cube.bin")
             cube = read_raw_cube(tmp_path / "cube.bin")
-        target, theta, dropouts = two_pass_phase(cube)
-        phase = cube_phase(cube)
-        assert phase.source_bin == target
-        assert phase.dropouts == dropouts
-        assert phase.samples.tobytes() == theta.tobytes()
+        assert_same_phase(cube_phase(cube), profiles_chain(cube))
 
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_falls_back_to_a_second_pass(self, tmp_path, monkeypatch, kind):
@@ -767,34 +756,14 @@ class TestOnePass:
         assert gate.start + int(np.argmax(first)) == 24
         detected = detect_target_bin(full, 0.3, 3.0)
         assert detected == 25
-        theta, dropouts = demodulate(_bin_values(cube, detected))
+        expected = extract_phase(full, detected)
         calls = counting_reads(cube, monkeypatch)
-        phase = cube_phase(cube)
-        assert phase.source_bin == detected
-        assert phase.dropouts == dropouts
-        assert phase.samples.tobytes() == theta.tobytes()
+        assert_same_phase(cube_phase(cube), expected)
         # the whole cube, twice: detection, then the detected bin
         n = cube.n_frames
         chunks = [(start, min(start + CHUNK_FRAMES, n))
                   for start in range(0, n, CHUNK_FRAMES)]
         assert calls == 2 * chunks
-
-
-class TestOneBinPass:
-    # the one-bin pass at the lowest and highest one-sided bins, the
-    # default gate's edges, the target and the top run: the FFT column
-    # to within single-precision rounding against each frame's scale
-    @pytest.mark.parametrize("kind", ["memory", "file"])
-    @pytest.mark.parametrize("b", [0, 7, 23, 70, 95, 99])
-    def test_bin_values_are_the_profiles_column(self, cubes, kind, b):
-        cube = cubes[kind]
-        column = range_profiles(cube).values[:, b]
-        values = _bin_values(cube, b)
-        assert values.dtype == np.complex64 and values.shape == column.shape
-        iq = cube.iq.astype(np.complex64).astype(np.complex128)
-        scale = np.abs(iq).sum(axis=1)
-        eps = np.finfo(np.float32).eps
-        assert np.all(np.abs(values - column) <= 4 * eps * scale)
 
 
 class TestEnhancePhaseReadsItsNeighbors:

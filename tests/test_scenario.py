@@ -82,6 +82,24 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="Nyquist"):
             Scenario(intermod_tones=[IntermodTone(55.0, 1e-4)])
 
+    def test_a_negative_tone_frequency_aliases_like_a_positive_one(self):
+        # -70 Hz at 100 frames/s was compared signed and passed
+        for f in (70.0, -70.0):
+            with pytest.raises(ValueError, match="70.000 Hz reaches the "
+                                                 "slow-time Nyquist"):
+                Scenario(duration_s=2.0, intermod_tones=[(f, 1e-4)])
+        assert Scenario(duration_s=2.0,
+                        intermod_tones=[(-3.0, 1e-4)]).n_frames == 200
+
+    def test_a_negative_seed_is_rejected_up_front(self):
+        # it passed here and failed in synthesis with numpy's message
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ValueError, match=message):
+            Scenario(seed=-1)
+        with pytest.raises(ValueError, match=message):
+            load_scenario({"seed": -1})
+        assert Scenario(seed=0).seed == 0
+
     def test_clutter_range_must_be_positive(self):
         with pytest.raises(ValueError, match="clutter range"):
             Scenario(clutter=[(-0.5, 1.0)])

@@ -135,6 +135,13 @@ class TestTopPeaks:
         with pytest.raises(ValueError, match="lo < hi"):
             top_peaks(spec, 2.0, 0.7, 1)
 
+    def test_nan_band_edge_is_rejected(self):
+        # a NaN edge made every comparison False: no peaks, no error
+        spec = power_spectrum(tone(1.0), FS)
+        for lo, hi in ((np.nan, 2.0), (0.7, np.nan)):
+            with pytest.raises(ValueError, match=f"lo < hi, got {lo}:{hi}"):
+                top_peaks(spec, lo, hi, 2)
+
     def test_empty_band_outside_grid(self):
         spec = power_spectrum(tone(1.0), FS)
         assert top_peaks(spec, 60.0, 70.0, 1) == []
