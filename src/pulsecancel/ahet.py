@@ -15,7 +15,7 @@ import numpy as np
 
 from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
-                       row_medians, strongest_peaks)
+                       peak_order, row_medians, strongest_peaks)
 from .types import HrTrace, PhaseSignal, TraceEntry
 from .scenario import HEARTBEAT_BAND_HZ, sliding_windows, window_center
 
@@ -97,26 +97,42 @@ def _measure(freqs: np.ndarray, power: np.ndarray,
     rows = power.shape[0]
     edge = freqs.size - 1
     a_band = min(max(int(freqs.searchsorted(band[0], side="left")), 1), edge)
-    b_band = min(int(freqs.searchsorted(band[1], side="right")), edge)
-    b = min(int(freqs.searchsorted(hi, side="right")), edge)
-    # one peak search serves the band and every harmonic region
+    b_band, b = np.minimum(freqs.searchsorted((band[1], hi), side="right"),
+                           edge).tolist()
+    # one peak search and one ranking serve the band and every harmonic
+    # region
     peaks = local_peaks(freqs, power, 1, b)
-    peak_rows, peak_cols = peaks[:2]
-    fund_hz, _ = strongest_peaks(
-        peaks, (peak_cols >= a_band) & (peak_cols < b_band), rows, 2)
+    peak_rows, peak_cols, peak_f, peak_p = peaks
+    order = peak_order(peaks)
+    in_band = (peak_cols >= a_band) & (peak_cols < b_band)
+    fund_hz, _ = strongest_peaks(peaks, order[in_band[order]], rows, 2)
 
-    # candidate i of row r searches as row r + i * rows of its own
+    # candidate i of row r is entry r + i * rows of lo, a and cand (its
+    # row).  Its harmonic is the best-ranked peak of its row from the
+    # first one at or past column a (n exceeds every column, so
+    # row * n + column orders the peaks as local_peaks lists them).  A
+    # row's peaks rank before the next row's, so the best place in the
+    # ranking at or after that first peak is in its row.
     lo = 2.0 * fund_hz.T.ravel() - config.deviation_threshold_hz
     a = freqs.searchsorted(np.where(lo < hi, lo, np.nan), side="left")
-    both = (np.concatenate([peak_rows, peak_rows + rows]),
-            *(np.concatenate([x, x]) for x in peaks[1:]))
-    harm_hz, harm_p = strongest_peaks(
-        both, both[1] >= np.maximum(a[both[0]], 1), 2 * rows, 1)
-    harm_hz = harm_hz[:, 0]
-    in_floor = np.arange(freqs.searchsorted(hi, side="right"))
-    floor = row_medians(np.concatenate([power[:, :in_floor.size]] * 2),
-                        in_floor >= a[:, None])
-    harm_hz[(floor > 0) & (harm_p[:, 0] < HARMONIC_FLOOR * floor)] = np.nan
+    cand = np.arange(2 * rows) % rows
+    first = (peak_rows * n + peak_cols).searchsorted(cand * n + a)
+    found = first < peak_rows.searchsorted(cand, side="right")
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    best_after = np.minimum.accumulate(place[::-1])[::-1]
+    pick = order[best_after[first[found]]]
+    harm_f, harm_p = peak_f[pick], peak_p[pick]
+    # the floor's region runs from a up to the harmonic ceiling; only a
+    # candidate with a peak there needs one, and the sort starts at the
+    # lowest of their regions
+    a, top = a[found], n - 1
+    start = int(a.min(initial=top - 1))
+    floor = row_medians(power[cand[found], start:top],
+                        np.arange(start, top) >= a[:, None])
+    harm_f[(floor > 0) & (harm_p < HARMONIC_FLOOR * floor)] = np.nan
+    harm_hz = np.full(2 * rows, np.nan)
+    harm_hz[found] = harm_f
     return fund_hz, harm_hz.reshape(2, rows).T
 
 

@@ -39,6 +39,7 @@ _SPAN_TOL = 1e-13
 # holds this many columns however long the record is.
 _SCORE_ROWS = 32
 _NO_SUBWINDOW = "no breathing subwindow inside the segment"
+_NON_FINITE = "breathing segment holds non-finite samples"
 
 
 @dataclass
@@ -60,8 +61,9 @@ class HarmonicModel:
         and c the coefficients and the offset (or 0).  n below
         2 * order + 1 is a ValueError, as it is for a fit."""
         q, r = _refit_basis(self.fundamental_hz, self.order, n, sample_rate)
-        coef = np.append(self.coefficients.reshape(-1),
-                         self.offset if include_offset else 0.0)
+        coef = np.empty(r.shape[1])
+        coef[:-1] = self.coefficients.reshape(-1)
+        coef[-1] = self.offset if include_offset else 0.0
         return q @ (r @ coef)
 
 
@@ -134,8 +136,8 @@ class BreathingTrack:
         # starts[i] and ending at or before starts[i] + n, so starting at or
         # before starts[i] + n - n_sub (exact in integers)
         n_sub = window_samples(self.window_s, self.sample_rate)
-        lo = np.searchsorted(self.starts, starts, "left")
-        hi = np.searchsorted(self.starts, starts + n - n_sub, "right")
+        lo = self.starts.searchsorted(starts, "left")
+        hi = self.starts.searchsorted(starts + (n - n_sub), "right")
         index = lo[:, None] + np.arange((hi - lo).max(initial=1))
         return row_medians(self.hz.take(index, mode="clip"),
                            index < hi[:, None])
@@ -279,11 +281,14 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     columns are not mean-free over a fraction of a cycle, so removing the
     segment mean up front would leave a constant the true model cannot
     absorb and bias the fit toward slow candidates.  A rank-deficient
-    design (e.g. fundamental at 0) is rejected.
+    design (e.g. fundamental at 0) is rejected, and so is a segment with a
+    non-finite sample, as breathing_track's scorer rejects it.
     """
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
+    if not np.isfinite(x).all():
+        raise ValueError(_NON_FINITE)
     q, r = _refit_basis(fundamental_hz, order, x.size, sample_rate)
     qtx = q.T @ x
     coef = np.linalg.solve(r, qtx)
@@ -395,7 +400,7 @@ def _best_fundamentals(segments: np.ndarray, sample_rate: float,
     for i in range(0, len(segments), _SCORE_ROWS):
         rows = segments[i:i + _SCORE_ROWS]
         if not np.isfinite(rows).all():
-            raise ValueError("breathing segment holds non-finite samples")
+            raise ValueError(_NON_FINITE)
         segs = rows - rows.mean(axis=1, keepdims=True)
         proj = (coords @ (span.T @ segs.T)).reshape(freqs.size, -1,
                                                     len(segs))

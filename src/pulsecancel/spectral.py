@@ -12,10 +12,13 @@ larger of its pair, and a window that is exactly zero after its mean is
 removed gets exactly zero power.  Every transform is numpy.fft's:
 band_power's two run in place (out=) on one complex128 buffer, padded to
 the next 11-smooth length (_fast_len).  Peak picking works on stacks of
-spectra (band_peaks); top_peaks is a stack of one.
+spectra (band_peaks); top_peaks is a stack of one.  One ranking of a
+stack's peaks (peak_order: by row, strongest first) serves every
+selection made from it.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,6 +78,11 @@ def _hann(n: int, periodic: bool) -> np.ndarray:
 def _check_window(n: int, sample_rate: float, zero_pad_factor: int):
     if n < 16:
         raise ValueError("window too short for spectral analysis")
+    try:
+        operator.index(zero_pad_factor)
+    except TypeError:
+        raise ValueError(f"zero_pad_factor must be an integer, got "
+                         f"{zero_pad_factor!r}") from None
     if zero_pad_factor < 1:
         raise ValueError("zero_pad_factor must be >= 1")
     if not (math.isfinite(sample_rate) and sample_rate > 0):
@@ -96,20 +104,44 @@ def _one_sided(power: np.ndarray, n_fft: int) -> np.ndarray:
     return power
 
 
+@lru_cache(maxsize=4)
+def _grid(n_fft: int, sample_rate: float) -> np.ndarray:
+    """power_spectrum's frequencies: the one-sided grid of an n_fft-point
+    DFT at sample_rate (rfftfreq), cached read-only."""
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def power_spectrum(x: np.ndarray, sample_rate: float,
                    zero_pad_factor: int = 8) -> Spectrum:
-    """Magnitude-squared one-sided FFT of one analysis window."""
+    """Magnitude-squared one-sided FFT of one analysis window.
+
+    The mean is removed into one fresh buffer and the Hann window applied
+    to it in place; np.fft.rfft pads it to x.size * zero_pad_factor
+    points.  The power is re^2 + im^2 of its output (np.abs would go
+    through hypot), Parseval-normalized as band_power's.  frequencies is
+    the cached, read-only grid of that length and rate.  Raises ValueError
+    on a non-finite sample, as band_power does.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("window must be 1-D")
-    _check_window(x.size, sample_rate, zero_pad_factor)
-    xw = (x - np.mean(x)) * _hann(x.size, True)
-    n_fft = x.size * zero_pad_factor
+    n = x.size
+    _check_window(n, sample_rate, zero_pad_factor)
+    if not np.isfinite(x).all():
+        raise ValueError("window holds non-finite samples")
+    xw = x - x.sum() / n        # the mean, as np.mean computes it
+    xw *= _hann(n, True)
+    n_fft = n * zero_pad_factor
+    spectrum = np.fft.rfft(xw, n_fft)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
     return Spectrum(
-        frequencies=np.fft.rfftfreq(n_fft, 1.0 / sample_rate),
-        power=_one_sided(np.abs(np.fft.rfft(xw, n_fft)) ** 2, n_fft),
+        frequencies=_grid(n_fft, sample_rate),
+        power=_one_sided(power, n_fft),
         sample_rate=sample_rate,
-        window_seconds=x.size / sample_rate,
+        window_seconds=n / sample_rate,
         zero_pad_factor=zero_pad_factor,
     )
 
@@ -214,6 +246,10 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
     return freqs, _one_sided(power, n_fft)
 
 
+# a peak's column and its two neighbors, as column offsets
+_NEIGHBORHOOD = np.array([-1, 0, 1])
+
+
 def _refine(freqs: np.ndarray, power: np.ndarray, rows: np.ndarray,
             cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Three-point quadratic interpolation around power[rows, cols], in
@@ -221,18 +257,19 @@ def _refine(freqs: np.ndarray, power: np.ndarray, rows: np.ndarray,
 
     Bins whose neighborhood cannot support the fit (a non-positive
     neighbor, or curvature that is not a maximum) keep their sampled
-    frequency and power unchanged.
+    frequency and power unchanged.  The neighborhoods are gathered, and
+    their logs taken, as one peaks x 3 array.
     """
-    y0, y1, y2 = (power[rows, cols - 1], power[rows, cols],
-                  power[rows, cols + 1])
-    ok = np.minimum(y0, y2) > 0.0
-    l0, l1, l2 = (np.log(np.where(ok, y, 1.0)) for y in (y0, y1, y2))
+    y = power[rows[:, None], cols[:, None] + _NEIGHBORHOOD]
+    ok = np.minimum(y[:, 0], y[:, 2]) > 0.0
+    l0, l1, l2 = np.log(np.where(ok[:, None], y, 1.0)).T
+    slope = l0 - l2
     denom = l0 - 2.0 * l1 + l2
     good = ok & (denom < 0.0)
-    delta = np.where(good, 0.5 * (l0 - l2) / np.where(good, denom, -1.0), 0.0)
+    delta = np.where(good, 0.5 * slope / np.where(good, denom, -1.0), 0.0)
     spacing = float(freqs[1] - freqs[0]) if cols.size else 0.0
     f_out = freqs[cols] + delta * spacing
-    p_out = np.where(good, np.exp(l1 - 0.25 * (l0 - l2) * delta), y1)
+    p_out = np.where(good, np.exp(l1 - 0.25 * slope * delta), y[:, 1])
     return f_out, p_out
 
 
@@ -240,7 +277,8 @@ def local_peaks(freqs: np.ndarray, power: np.ndarray, a: int,
                 b: int) -> tuple:
     """Interpolated strict local maxima of each row of power (on grid
     freqs) in columns [a, b), 1 <= a <= b <= len(freqs) - 1.  Returns
-    (rows, cols, frequencies, powers), one entry per peak."""
+    (rows, cols, frequencies, powers), one entry per peak, by row and then
+    by column."""
     block = power[:, a - 1:b + 1]
     mid = block[:, 1:-1]
     rows, cols = np.nonzero((mid > block[:, :-2]) & (mid > block[:, 2:]))
@@ -248,22 +286,30 @@ def local_peaks(freqs: np.ndarray, power: np.ndarray, a: int,
     return (rows, cols, *_refine(freqs, power, rows, cols))
 
 
-def strongest_peaks(peaks: tuple, keep, n_rows: int,
+def peak_order(peaks: tuple) -> np.ndarray:
+    """Indices of local_peaks' peaks by row, strongest first within a row,
+    ties to the lower frequency (local_peaks' order by column, kept by the
+    stable sort).  Every row's peaks rank before the next row's."""
+    rows, _, _, p = peaks
+    return np.lexsort((-p, rows))
+
+
+def strongest_peaks(peaks: tuple, order: np.ndarray, n_rows: int,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k strongest of the peaks that keep selects, per row:
-    (frequencies, powers), each n_rows x k, strongest first, nan where a
-    row has fewer than k.  Ties go to the lower frequency: peaks come in
-    local_peaks' order (by row, then column) and the sort is stable."""
-    rows, _, f, p = (x[keep] for x in peaks)
-    order = np.lexsort((-p, rows))
-    rows, f, p = rows[order], f[order], p[order]
-    rank = np.arange(rows.size) - rows.searchsorted(rows)   # place in row
+    """The k strongest, per row, of the peaks that order lists in
+    peak_order's order (peak_order itself, or a subset of it, which keeps
+    its order): (frequencies, powers), each n_rows x k, strongest first,
+    nan where a row has fewer than k.  Ties go to the lower frequency."""
+    rows, _, f, p = peaks
+    ranked = rows[order]
+    rank = np.arange(order.size) - ranked.searchsorted(ranked)  # in row
     top = rank < k
-    out_f = np.full((n_rows, k), np.nan)
-    out_p = np.full((n_rows, k), np.nan)
-    out_f[rows[top], rank[top]] = f[top]
-    out_p[rows[top], rank[top]] = p[top]
-    return out_f, out_p
+    chosen = order[top]
+    out = np.empty((2, n_rows, k))
+    out.fill(np.nan)
+    out[0, ranked[top], rank[top]] = f[chosen]
+    out[1, ranked[top], rank[top]] = p[chosen]
+    return out[0], out[1]
 
 
 def band_peaks(freqs: np.ndarray, power: np.ndarray, lo_hz: float,
@@ -273,18 +319,21 @@ def band_peaks(freqs: np.ndarray, power: np.ndarray, lo_hz: float,
     a = max(int(freqs.searchsorted(lo_hz, side="left")), 1)
     b = min(int(freqs.searchsorted(hi_hz, side="right")), freqs.size - 1)
     peaks = local_peaks(freqs, power, min(a, b), b)
-    return strongest_peaks(peaks, slice(None), power.shape[0], k)
+    return strongest_peaks(peaks, peak_order(peaks), power.shape[0], k)
 
 
 def row_medians(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """np.median(values[i][mask[i]]) for each row i of the mask (values
     broadcast against it), nan where a row's mask selects nothing."""
-    count = np.count_nonzero(mask, axis=1)
-    ordered = np.sort(np.where(mask, values, np.inf), axis=1)
+    count = mask.sum(axis=1)
+    ordered = np.where(mask, values, np.inf)
+    ordered.sort(axis=1)
     rows = np.arange(ordered.shape[0])
-    lo = ordered[rows, np.maximum(count - 1, 0) // 2]
-    hi = ordered[rows, count // 2]
-    return np.where(count > 0, (lo + hi) / 2.0, np.nan)
+    # the middle pair; a row that selects nothing reads its last and first
+    # columns, and nan replaces them
+    below = count - 1
+    mid = (ordered[rows, below // 2] + ordered[rows, (below + 1) // 2]) / 2.0
+    return np.where(count > 0, mid, np.nan)
 
 
 def top_peaks(spectrum: Spectrum, lo_hz: float, hi_hz: float,

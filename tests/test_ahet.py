@@ -14,9 +14,11 @@ from pulsecancel.ahet import (AhetConfig, TrackerState, ahet_step,
                               shared_cancellation)
 from pulsecancel.anls import BreathingTrack, breathing_track
 from pulsecancel.preprocess import slow_time_phase
-from pulsecancel.scenario import (FAMILIES, masking_scenario,
-                                  scenario_slow_time, sliding_windows)
-from pulsecancel.spectral import Spectrum, band_peak_power, power_spectrum
+from pulsecancel.scenario import (FAMILIES, HEARTBEAT_BAND_HZ,
+                                  masking_scenario, scenario_slow_time,
+                                  sliding_windows)
+from pulsecancel.spectral import (Spectrum, band_peak_power, band_power,
+                                  local_peaks, power_spectrum)
 from pulsecancel.types import HrTrace, PhaseSignal, TraceEntry
 
 
@@ -615,3 +617,113 @@ class TestSharedCancellation:
         counts.update({"_measure": 0, "band_peaks": 0})
         eca_conventional_trace(masking_b_phase, track=track)
         assert counts == {"_measure": 0, "band_peaks": 3}
+
+
+def measure_by_loops(freqs, power, config):
+    """_measure's selections one row and one candidate at a time: the band
+    peaks and each harmonic region's peaks sorted by (power descending,
+    column), each floor by np.median of its region."""
+    band, hi = HEARTBEAT_BAND_HZ, ahet_mod.HARMONIC_CEILING_HZ
+    top = int(np.searchsorted(freqs, hi, side="right"))
+    freqs, power = freqs[:top + 1], power[:, :top + 1]
+    edge = freqs.size - 1
+    a_band = min(max(int(np.searchsorted(freqs, band[0], side="left")), 1),
+                 edge)
+    b_band = min(int(np.searchsorted(freqs, band[1], side="right")), edge)
+    b = min(top, edge)
+    rows, cols, f, p = local_peaks(freqs, power, 1, b)
+    fund = np.full((len(power), 2), np.nan)
+    harm = np.full((len(power), 2), np.nan)
+    for r in range(len(power)):
+        mine = [(-p[j], cols[j], f[j]) for j in np.flatnonzero(rows == r)]
+        in_band = sorted(x for x in mine if a_band <= x[1] < b_band)
+        for i, (_, _, f_fund) in enumerate(in_band[:2]):
+            fund[r, i] = f_fund
+            lo = 2.0 * f_fund - config.deviation_threshold_hz
+            if not lo < hi:
+                continue
+            a = int(np.searchsorted(freqs, lo, side="left"))
+            region = sorted(x for x in mine if x[1] >= a)
+            if not region:
+                continue
+            floor = np.median(power[r, a:top]) if a < top else np.nan
+            if floor > 0 and -region[0][0] < ahet_mod.HARMONIC_FLOOR * floor:
+                continue
+            harm[r, i] = region[0][2]
+    return fund, harm
+
+
+def measure_cases():
+    """(freqs, power) stacks: cancelled and raw record windows, noise with
+    and without tones, ties, zero rows and a grid that stops below the
+    harmonic ceiling."""
+    rng = np.random.default_rng(21)
+    sc = FAMILIES["masking-b"](0, duration_s=60.0)
+    phase = slow_time_phase(scenario_slow_time(sc), sc.radar.frame_rate_hz)
+    starts, stack = sliding_windows(phase.samples, phase.sample_rate, 20.0,
+                                    1.0)
+    cancelled, _ = breathing_track(phase).residuals(stack, starts)
+    top = ahet_mod._top_hz(AhetConfig())
+    cases = [band_power(cancelled, phase.sample_rate, top),
+             band_power(stack[::3], phase.sample_rate, top),
+             band_power(stack[:5], phase.sample_rate, 3.0)]
+    t = np.arange(1500) / 100.0
+    noise = rng.normal(size=(12, 1500))
+    noise[::2] += 3.0 * np.sin(2 * np.pi * 1.1 * t) \
+        + 2.0 * np.sin(2 * np.pi * 2.2 * t + 1.0)
+    noise[5] = 0.0
+    freqs, power = band_power(noise, 100.0, 4.5, 4)
+    cases += [(freqs, power), (freqs, np.round(power, 1))]
+    grid = np.linspace(0.0, 5.0, 160)
+    cases.append((grid, rng.integers(0, 4, (20, 160)).astype(float)))
+    return cases
+
+
+CONFIGS = [AhetConfig(), AhetConfig(0.3, 0.2), AhetConfig(5.0, 0.1),
+           AhetConfig(0.01, 0.5)]
+
+
+class TestMeasure:
+    """The block measure against per-row loops, and ahet_step against the
+    block's row, bit for bit."""
+
+    @pytest.mark.parametrize("config", CONFIGS,
+                             ids=lambda c: f"{c.deviation_threshold_hz:g}")
+    def test_equals_the_per_row_loops(self, config):
+        for freqs, power in measure_cases():
+            got = ahet_mod._measure(freqs, power, config)
+            want = measure_by_loops(freqs, power, config)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_ahet_step_is_the_block_row(self):
+        # the step measures a stack of one; the drivers measure a block and
+        # decide its rows in order: same estimates, tags, gaps, errors and
+        # states.  Cancelled then raw windows of a record, then noise rows
+        # around a tone, the first of them a zero row that fails both
+        cases = measure_cases()
+        record = (cases[0][0], np.vstack([cases[0][1], cases[1][1]]))
+        noise = (cases[3][0], np.roll(cases[3][1], -5, axis=0))
+        config = AhetConfig()
+        tags = set()
+        for freqs, power in (record, noise):
+            fund, harm = ahet_mod._measure(freqs, power, config)
+            alone, block = TrackerState(), TrackerState()
+            for j, row in enumerate(power):
+                spectrum = Spectrum(freqs, row, 100.0, 20.0, 8)
+                try:
+                    got = ahet_step(spectrum, alone, config)[:3]
+                except ValueError as exc:
+                    got = repr(exc)
+                try:
+                    want = ahet_mod._decide(fund[j], harm[j], freqs, row,
+                                            block, config)
+                except ValueError as exc:
+                    want = repr(exc)
+                assert got == want
+                assert alone == block
+                tags.add(got[1] if isinstance(got, tuple) else "error")
+            assert alone.h_bar_hz is not None
+        assert tags == {ahet_mod.TAG_RELIABLE_1, ahet_mod.TAG_RELIABLE_2,
+                        ahet_mod.TAG_REFINED, "error"}

@@ -169,6 +169,18 @@ class TestFitAmplitudes:
                                                  f"finite, got {rate}"):
                 fit_amplitudes(x, rate, 0.26)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_rejected(self, bad):
+        # a NaN came back as a model whose residual_power was NaN; the
+        # breathing scorer rejects the same segment with the same message
+        x = harmonic_signal(0.26, 500, [1.0], [0.1])
+        x[123] = bad
+        message = "breathing segment holds non-finite samples"
+        with pytest.raises(ValueError, match=message):
+            fit_amplitudes(x, FS, 0.26)
+        with pytest.raises(ValueError, match=message):
+            estimate_breathing(x, FS)
+
 
 class TestGrid:
     def test_default_grid_geometry(self):

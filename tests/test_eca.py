@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pulsecancel.eca import eca_cancel, lag_matrix
+from pulsecancel.eca import (MAX_CONDITION, RIDGE, EcaResult, eca_cancel,
+                             lag_matrix)
 
 FS = 100.0
 
@@ -169,3 +170,130 @@ class TestEquality:
         assert (result == eca_cancel(2.0 * theta, s)) is False
         assert (result == eca_cancel(theta, s, order=3)) is False
         assert result != "a result"
+
+
+def explicit_q_cancel(theta, reference, order=5):
+    """The explicit-Q formulation eca_cancel replaced: the design [X 1]
+    built row-major, its full reduced QR, and R w = Q^T theta."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.ascontiguousarray(lag_matrix(reference, order))
+    centered = theta - np.mean(theta)
+    power = float(np.dot(centered, centered))
+    if not np.any(x):
+        return EcaResult(theta.copy(), np.zeros(x.shape[1]), np.inf,
+                         1.0 if power else 0.0, degenerate=True)
+    design = np.hstack([x, np.ones((x.shape[0], 1))])
+    q, r = np.linalg.qr(design)
+    sv = np.linalg.svd(r, compute_uv=False)
+    condition = np.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
+    epsilon = 0.0
+    if condition > MAX_CONDITION:
+        epsilon = RIDGE * float(np.mean(np.sum(design * design, axis=0)))
+        x_solve = np.vstack([design,
+                             np.sqrt(epsilon) * np.eye(design.shape[1])])
+        rhs = np.concatenate([theta, np.zeros(design.shape[1])])
+        coef = np.linalg.lstsq(x_solve, rhs, rcond=None)[0]
+    elif design.shape[0] < design.shape[1]:
+        coef = np.linalg.lstsq(design, theta, rcond=None)[0]
+    else:
+        coef = np.linalg.solve(r, q.T @ theta)
+    cancelled = theta - design @ coef
+    ratio = float(np.dot(cancelled, cancelled) / power) if power else 0.0
+    return EcaResult(cancelled, coef[:-1], condition, ratio,
+                     ridge_epsilon=epsilon, offset=float(coef[-1]))
+
+
+def oracle_cases():
+    """(theta, reference, order) for each branch of the solve."""
+    s = breathing_like(2000, seed=8)
+    t = np.arange(2000) / FS
+    theta = 2900.0 + 1.2 * s + 0.5 * np.sin(2 * np.pi * 1.28 * t) \
+        + 0.05 * np.random.default_rng(9).normal(size=2000)
+    # a reference that is zero but for its last sample: every delayed
+    # copy is exactly zero, so the design is singular
+    impulse = np.zeros(2000)
+    impulse[-1] = 0.7
+    rng = np.random.default_rng(10)
+    return {
+        "well-conditioned": (theta, s, 5),
+        "ridge": (theta, impulse, 5),
+        "underdetermined": (rng.normal(size=5), rng.normal(size=5), 5),
+        "degenerate": (theta, np.zeros(2000), 5),
+    }
+
+
+class TestSingleFactorization:
+    """eca_cancel's one augmented QR against the explicit-Q oracle."""
+
+    @pytest.mark.parametrize("case", sorted(oracle_cases()))
+    def test_matches_the_explicit_q_oracle(self, case):
+        theta, s, order = oracle_cases()[case]
+        got = eca_cancel(theta, s, order)
+        want = explicit_q_cancel(theta, s, order)
+        scale = np.linalg.norm(theta)
+        for name in ("cancelled", "weights", "offset"):
+            error = np.max(np.abs(np.subtract(getattr(got, name),
+                                              getattr(want, name))))
+            assert error <= 1e-12 * scale, (name, error / scale)
+        if np.isinf(want.condition):
+            assert got.condition == want.condition
+        else:
+            assert got.condition == pytest.approx(want.condition, rel=1e-12,
+                                                  abs=0)
+        assert got.ridge_epsilon == want.ridge_epsilon
+        assert got.degenerate == want.degenerate
+        assert got.residual_ratio == pytest.approx(want.residual_ratio,
+                                                   rel=1e-9, abs=1e-15)
+        # each case takes the branch it is named for
+        assert (got.ridge_epsilon > 0) == (case == "ridge")
+        assert got.degenerate == (case == "degenerate")
+        assert (theta.size < order + 1) == (case == "underdetermined")
+
+    def test_factors_once_without_q(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting(a, mode="reduced"):
+            calls.append((a.shape, mode, a.flags.f_contiguous))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        s = breathing_like(2000, seed=11)
+        eca_cancel(np.random.default_rng(12).normal(size=2000), s, order=4)
+        # [lags, ones, theta], column-major, R alone
+        assert calls == [((2000, 6), "r", True)]
+
+
+class TestBadInput:
+    """Each is a ValueError naming the problem, raised before anything is
+    factored."""
+
+    @pytest.fixture(autouse=True)
+    def no_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored bad input")
+
+        for name in ("qr", "svd", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_theta(self, bad):
+        # a NaN in theta came back as an all-NaN cancelled array
+        theta = np.random.default_rng(13).normal(size=200)
+        theta[17] = bad
+        with pytest.raises(ValueError, match="theta holds non-finite"):
+            eca_cancel(theta, breathing_like(200))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_reference(self, bad):
+        # it raised LinAlgError "SVD did not converge"
+        s = breathing_like(200)
+        s[150] = bad
+        with pytest.raises(ValueError, match="reference holds non-finite"):
+            eca_cancel(np.ones(200), s)
+
+    def test_a_theta_that_is_not_1d(self):
+        # it failed in np.dot: shapes (20,10) and (20,10) not aligned
+        with pytest.raises(ValueError, match=r"theta must be 1-D, got shape "
+                                             r"\(20, 10\)"):
+            eca_cancel(np.ones((20, 10)), breathing_like(200))

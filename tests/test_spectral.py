@@ -77,6 +77,50 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError, match="sample_rate"):
             power_spectrum(np.ones(100), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_an_error(self, bad):
+        # it came back as NaN power; band_power rejects the same window
+        x = tone(1.0)
+        x[321] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            power_spectrum(x, FS)
+        with pytest.raises(ValueError, match="non-finite"):
+            band_power(x[None, :], FS, 4.0)
+
+    @pytest.mark.parametrize("pad", [2.5, 2.0, "8"])
+    def test_a_zero_pad_factor_that_is_not_an_integer_is_an_error(self, pad):
+        # numpy's "n should be an integer" leaked out of the transform
+        message = f"zero_pad_factor must be an integer, got {pad!r}"
+        with pytest.raises(ValueError, match=message):
+            power_spectrum(tone(1.0), FS, zero_pad_factor=pad)
+        with pytest.raises(ValueError, match=message):
+            band_power(tone(1.0)[None, :], FS, 4.0, zero_pad_factor=pad)
+
+    def test_an_integer_zero_pad_factor_of_numpy_type_is_accepted(self):
+        want = power_spectrum(tone(1.0), FS, zero_pad_factor=4)
+        assert power_spectrum(tone(1.0), FS, np.int64(4)) == want
+
+    def test_frequencies_are_one_read_only_grid(self):
+        spec = power_spectrum(tone(1.0), FS)
+        assert power_spectrum(tone(1.3), FS).frequencies is spec.frequencies
+        with pytest.raises(ValueError, match="read-only"):
+            spec.frequencies[0] = 1.0
+        np.testing.assert_array_equal(spec.frequencies,
+                                      np.fft.rfftfreq(16000, 1.0 / FS))
+
+    def test_equals_the_hypot_route(self):
+        # the taper applied in place to the mean-removed copy and |X|^2 as
+        # re^2 + im^2: within rounding of (x - mean) * w through np.abs
+        # (hypot)
+        x = np.random.default_rng(14).normal(size=2000) + 2900.0
+        for pad in (1, 8):
+            xw = (x - np.mean(x)) * get_window("hann", 2000, fftbins=True)
+            want = np.abs(np.fft.rfft(xw, 2000 * pad)) ** 2 / (2000 * pad)
+            want[1:] *= 2.0
+            want[-1] /= 2.0
+            got = power_spectrum(x, FS, pad).power
+            assert np.max(np.abs(got - want)) <= 1e-15 * want.max()
+
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_a_rate_that_is_not_finite_and_positive_is_an_error(self, rate):
         # unchecked, a NaN rate gave a spectrum whose every frequency is NaN
