@@ -154,8 +154,10 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
     large sweeps affordable.  The cancelling methods share one breathing
     track per record and, when both run, one cancel-and-spectrum pass per
     record and CPI (ahet.shared_cancellation); each method is still called
-    once per run, in order.  A failed run (or track fit) is recorded, not
-    fatal.
+    once per run, in order.  Each record's reference traces are built, and
+    so every CPI checked against the record, before any method runs on it:
+    a CPI longer than the record raises ValueError.  A failed run (or
+    track fit) is recorded, not fatal.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -170,12 +172,13 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
     share = CANCELLING <= set(methods)
     for seed in seeds:
         scenario = make(seed, duration_s=duration_s)
+        references = [(cpi_s, reference_trace(scenario, cpi_s))
+                      for cpi_s in cpis]
         z = scenario_slow_time(scenario)
         phase = slow_time_phase(z, scenario.radar.frame_rate_hz)
         track = None
         with shared_cancellation() if share else contextlib.nullcontext():
-            for cpi_s in cpis:
-                reference = reference_trace(scenario, cpi_s)
+            for cpi_s, reference in references:
                 for method in methods:
                     try:
                         if method in CANCELLING and track is None:

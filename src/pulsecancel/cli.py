@@ -60,7 +60,12 @@ def _parse_range(text: str, flag: str, fields: str = "lo:hi") -> tuple:
 def _scenario_from_args(args):
     """The --scenario file, with --seed applied when given."""
     with open(args.scenario) as fh:
-        scenario = load_scenario(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:    # not JSON, or not text
+            raise ValueError(f"scenario {args.scenario} is not JSON: "
+                             f"{exc}") from exc
+    scenario = load_scenario(doc)
     if args.seed is not None:
         # replace, not assignment: the new seed is checked like any other
         scenario = dataclasses.replace(scenario, seed=args.seed)

@@ -110,7 +110,12 @@ def read_cube_header(path) -> RawCubeHeader:
     side = sidecar_path(path)
     if not side.exists():
         raise CubeFormatError(f"missing sidecar {side}")
-    doc = json.loads(side.read_text())
+    try:
+        doc = json.loads(side.read_text())
+    except ValueError as exc:    # not JSON, or not text
+        raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CubeFormatError(f"malformed sidecar {side}: not a JSON object")
     try:
         if doc.get("sample_format", "int16") != "int16":
             raise CubeFormatError(f"unsupported sample format "
@@ -135,7 +140,10 @@ def read_cube_header(path) -> RawCubeHeader:
             scale=float(scale),
             config=RadarConfig(**doc["config"]),
         )
-    except (KeyError, TypeError) as exc:
+    except CubeFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing key, a config that is no object, a bad config value
         raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
 
 

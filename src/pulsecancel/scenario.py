@@ -10,7 +10,8 @@ recovers (4*pi/lambda)*d(t) without beat-phase coupling.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import numpy.random    # loaded here, not lazily inside a first synthesis
@@ -43,6 +44,41 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# The test and the wording for a field annotated float, int or bool: a
+# float field takes an int but not a NaN, and a bool is not a number.
+_KINDS = {float: (_finite_real, "a finite number"),
+          int: (_integer, "an integer"),
+          bool: (lambda value: isinstance(value, bool), "true or false")}
+
+
+def _kind(cls) -> tuple:
+    """(test, wording) for a field annotated cls: from _KINDS, or, for any
+    other class, an instance of it."""
+    return _KINDS.get(cls, (lambda value: isinstance(value, cls),
+                            f"a {cls.__name__}"))
+
+
+def _check_types(obj) -> None:
+    """Hold each field of a dataclass to its annotation; a union takes what
+    any one of its members takes."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = [_kind(cls) for cls in typing.get_args(f.type) or (f.type,)]
+        if not any(holds(value) for holds, _ in kinds):
+            wording = " or ".join(what for _, what in kinds)
+            raise ValueError(f"{f.name} must be {wording}, got {value!r}")
+
+
+def _pairs(entries: list, name: str, shape: str) -> list:
+    """entries as a list of tuples, each a pair of finite numbers."""
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(map(_finite_real, entry))):
+            raise ValueError(f"{name} entry {entry!r} must be a {shape} "
+                             f"pair of finite numbers")
+    return [tuple(entry) for entry in entries]
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """FMCW front-end parameters (77 GHz short-range profile by default)."""
@@ -55,16 +91,11 @@ class RadarConfig:
     frame_period_s: float = 10e-3
 
     def __post_init__(self):
-        for name in ("carrier_frequency_hz", "chirp_slope_hz_per_s",
-                     "adc_sample_rate_hz", "chirp_duration_s",
-                     "frame_period_s"):
-            value = getattr(self, name)
-            if not _finite_real(value) or value <= 0:
-                raise ValueError(f"{name} must be a finite positive number, "
-                                 f"got {value!r}")
-        if not _integer(self.adc_samples_per_chirp):
-            raise ValueError(f"adc_samples_per_chirp must be an integer, "
-                             f"got {self.adc_samples_per_chirp!r}")
+        _check_types(self)
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive, got "
+                                 f"{getattr(self, f.name)!r}")
         if self.adc_samples_per_chirp < 2:
             raise ValueError("need at least 2 ADC samples per chirp")
         sampled = self.adc_samples_per_chirp / self.adc_sample_rate_hz
@@ -112,16 +143,9 @@ class IntermodTone:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.rule, str):
-            if self.rule not in INTERMOD_RULES:
-                raise ValueError(f"unknown intermod rule {self.rule!r}")
-        elif not _finite_real(self.rule):
-            raise ValueError(f"intermod rule must be a rule name or a "
-                             f"finite frequency, got {self.rule!r}")
-        for name in ("amplitude_m", "phase_rad"):
-            if not _finite_real(getattr(self, name)):
-                raise ValueError(f"tone {name} must be a finite number, got "
-                                 f"{getattr(self, name)!r}")
+        _check_types(self)
+        if isinstance(self.rule, str) and self.rule not in INTERMOD_RULES:
+            raise ValueError(f"unknown intermod rule {self.rule!r}")
         if self.amplitude_m < 0:
             raise ValueError("tone amplitude must be >= 0")
 
@@ -171,29 +195,24 @@ class Scenario:
     allow_amplitude_override: bool = False
 
     def __post_init__(self):
-        if not _integer(self.seed) or self.seed < 0:
+        _check_types(self)
+        self.breathing_harmonics = _pairs(self.breathing_harmonics,
+                                          "breathing_harmonics",
+                                          "(amplitude_m, phase_rad)")
+        self.heartbeat_harmonics = _pairs(self.heartbeat_harmonics,
+                                          "heartbeat_harmonics",
+                                          "(amplitude_m, phase_rad)")
+        self.clutter = _pairs(self.clutter, "clutter", "(range_m, amplitude)")
+        self.intermod_tones = [t if isinstance(t, IntermodTone)
+                               else IntermodTone(*t)
+                               for t in self.intermod_tones]
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got "
                              f"{self.seed!r}")
-        for name in ("duration_s", "breathing_hz", "heartbeat_hz",
-                     "standoff_m", "transmit_power_scale",
-                     "complex_noise_std", "phase_noise_std"):
-            if not _finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got "
-                                 f"{getattr(self, name)!r}")
         if self.complex_noise_std < 0 or self.phase_noise_std < 0:
             raise ValueError("noise stds must be >= 0")
-        for name in ("breathing_harmonics", "heartbeat_harmonics"):
-            for pair in getattr(self, name):
-                if len(pair) != 2 or not all(map(_finite_real, pair)):
-                    raise ValueError(f"{name} entry {pair!r} must be an "
-                                     f"(amplitude_m, phase_rad) pair of "
-                                     f"finite numbers")
-        for rng_m, amp in self.clutter:
-            if not (_finite_real(rng_m) and _finite_real(amp)):
-                raise ValueError(f"clutter pair ({rng_m!r}, {amp!r}) must "
-                                 f"hold finite numbers")
-            if rng_m <= 0:
-                raise ValueError("clutter range must be positive")
+        if any(rng_m <= 0 for rng_m, _ in self.clutter):
+            raise ValueError("clutter range must be positive")
         lo, hi = BREATHING_BAND_HZ
         if not lo <= self.breathing_hz <= hi:
             raise ValueError(f"breathing rate {self.breathing_hz} Hz outside "
@@ -206,9 +225,6 @@ class Scenario:
             raise ValueError("duration must be positive")
         if not self.breathing_harmonics or not self.heartbeat_harmonics:
             raise ValueError("need at least the fundamental of each source")
-        self.intermod_tones = [t if isinstance(t, IntermodTone)
-                               else IntermodTone(*t)
-                               for t in self.intermod_tones]
         if not self.allow_amplitude_override:
             self._check_amplitudes()
         n = self.duration_s * self.radar.frame_rate_hz
@@ -520,49 +536,32 @@ FAMILIES = {
 def load_scenario(source) -> Scenario:
     """Build a Scenario from a dict (parsed JSON).
 
-    Rates accept either *_hz or *_bpm keys.  Harmonics are lists of
-    [amplitude_m, phase_rad]; intermod tones are [rule, amplitude_m,
-    phase_rad].  A "radar" sub-object overrides front-end defaults.  A
-    value of the wrong type or shape is a ValueError, like any other bad
-    value.
+    Each key is a Scenario field and its value goes to Scenario as it is,
+    null included, but for two spellings: "radar" holds an object of
+    RadarConfig fields, and a rate may be given as *_bpm in place of
+    *_hz.  Harmonics and clutter are lists of [amplitude_m, phase_rad] and
+    [range_m, amplitude] pairs; intermod tones are [rule, amplitude_m,
+    phase_rad].  A value of the wrong type or shape is a ValueError, like
+    any other bad value.
     """
     if not isinstance(source, dict):
         raise ValueError("scenario source must be a JSON object")
-    doc = dict(source)
-    try:
-        kwargs = {}
-
-        radar_doc = doc.pop("radar", None)
-        if radar_doc is not None:
-            kwargs["radar"] = RadarConfig(**radar_doc)
-
-        for name in ("breathing", "heartbeat"):
-            hz = doc.pop(f"{name}_hz", None)
-            bpm = doc.pop(f"{name}_bpm", None)
-            if hz is not None and bpm is not None:
+    kwargs = dict(source)
+    for name in ("breathing", "heartbeat"):
+        if f"{name}_bpm" in kwargs:
+            if f"{name}_hz" in kwargs:
                 raise ValueError(f"give {name} rate in Hz or BPM, not both")
-            if bpm is not None:
-                hz = bpm / 60.0
-            if hz is not None:
-                kwargs[f"{name}_hz"] = hz
-
-        for name in ("breathing_harmonics", "heartbeat_harmonics"):
-            if name in doc:
-                kwargs[name] = [tuple(pair) for pair in doc.pop(name)]
-        if "intermod_tones" in doc:
-            kwargs["intermod_tones"] = [IntermodTone(*tone)
-                                        for tone in doc.pop("intermod_tones")]
-
-        passthrough = ("duration_s", "standoff_m", "clutter",
-                       "transmit_power_scale", "complex_noise_std",
-                       "phase_noise_std", "seed", "allow_amplitude_override")
-        for name in passthrough:
-            if name in doc:
-                kwargs[name] = doc.pop(name)
-        if "clutter" in kwargs:
-            kwargs["clutter"] = [tuple(pair) for pair in kwargs["clutter"]]
-        if doc:
-            raise ValueError(f"unknown scenario keys: {sorted(doc)}")
+            bpm = kwargs.pop(f"{name}_bpm")
+            if not _finite_real(bpm):
+                raise ValueError(f"{name}_bpm must be a finite number, got "
+                                 f"{bpm!r}")
+            kwargs[f"{name}_hz"] = bpm / 60.0
+    unknown = kwargs.keys() - {f.name for f in fields(Scenario)}
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+    try:
+        if isinstance(kwargs.get("radar"), dict):
+            kwargs["radar"] = RadarConfig(**kwargs["radar"])
         return Scenario(**kwargs)
     except TypeError as exc:
         raise ValueError(f"malformed scenario: {exc}") from exc

@@ -223,6 +223,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="unknown method"):
             monte_carlo("masking-b", [0], methods=("bogus",))
 
+    def test_a_cpi_longer_than_the_record_fails_before_any_method(
+            self, monkeypatch):
+        # CPI 15 ran for seed 0 before CPI 30 aborted the survey
+        calls = []
+        for name in bench_mod.METHODS:
+            monkeypatch.setitem(bench_mod.METHODS, name,
+                                lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="window of 3000 samples longer "
+                                             "than record of 2000"):
+            monte_carlo("masking-b", [0, 1], cpis=(15.0, 30.0),
+                        methods=("conventional", "eca", "ahet"),
+                        duration_s=20.0)
+        assert calls == []
+
     def test_single_run_produces_scored_record(self):
         report = monte_carlo("masking-b", [0], cpis=(15.0,),
                              methods=("conventional",), duration_s=60.0)

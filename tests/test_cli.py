@@ -475,10 +475,27 @@ class TestExitCodes:
         assert err.startswith("pulsecancel run: error: cube file ")
         assert err.endswith("cube.bin is gone\n")
 
-    def test_invalid_scenario_json_is_a_data_error(self, tmp_path):
+    def test_invalid_scenario_json_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("run", "--scenario", str(bad)) == 2
+        assert capsys.readouterr().err == (
+            f"pulsecancel run: error: scenario {bad} is not JSON: Expecting "
+            f"property name enclosed in double quotes: line 1 column 2 "
+            f"(char 1)\n")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
+    def test_malformed_sidecar_is_a_data_error(self, synth_outputs, tmp_path,
+                                               capsys, text):
+        cube_path, _ = synth_outputs
+        path = tmp_path / "cube.bin"
+        shutil.copy(cube_path, path)
+        path.with_suffix(".json").write_text(text)
+        assert run_cli("run", "--in", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pulsecancel run: error: malformed sidecar "
+                              f"{path.with_suffix('.json')}: ")
+        assert err.count("\n") == 1, err
 
     def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -495,7 +512,15 @@ class TestExitCodes:
                     {"allow_amplitude_override": True,
                      "heartbeat_harmonics": [["3e-4", 0.0]]},
                     {"radar": {"adc_samples_per_chirp": 2.5}},
-                    {"duration_s": float("inf")}):
+                    {"duration_s": float("inf")},
+                    # a string is no bool: this turned the amplitude
+                    # checks off and loaded a 1 m breathing amplitude
+                    {"allow_amplitude_override": "false",
+                     "breathing_harmonics": [[1.0, 0.0]]},
+                    {"clutter": [[1.0, 2.0, 3.0]]},
+                    # null read as the default
+                    {"breathing_hz": None}, {"breathing_bpm": None},
+                    {"radar": None}):
             bad.write_text(json.dumps(doc))
             assert run_cli("synth", "--scenario", str(bad)) == 2, doc
             err = capsys.readouterr().err

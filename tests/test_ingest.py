@@ -1,5 +1,6 @@
 """Raw cube file round trips and trace CSV parsing."""
 
+import dataclasses
 import io
 import json
 import os
@@ -308,11 +309,16 @@ class TestCubeErrors:
         with pytest.raises(CubeFormatError, match="unsupported endianness"):
             read_cube_header(path)
 
-    def test_malformed_sidecar(self, tmp_path):
+    @pytest.mark.parametrize("text", [json.dumps({"frames": 6}), "[1, 2]",
+                                      "{not json", ""])
+    def test_malformed_sidecar(self, tmp_path, text):
+        # a JSON array raised AttributeError, and text that is not JSON a
+        # JSONDecodeError naming no file
         path = tmp_path / "cube.bin"
         write_raw_cube(small_cube(), path)
-        sidecar_path(path).write_text(json.dumps({"frames": 6}))
-        with pytest.raises(CubeFormatError, match="malformed sidecar"):
+        sidecar_path(path).write_text(text)
+        with pytest.raises(CubeFormatError,
+                           match=r"malformed sidecar .*cube\.json: "):
             read_cube_header(path)
 
 
@@ -405,6 +411,21 @@ class TestSidecarValues:
             read_raw_cube(path)
         assert read_raw_cube(self.write_with(tmp_path, frames=6.0)
                              ).n_frames == 6
+
+    @pytest.mark.parametrize("config, message", [
+        ({"frame_period_s": -1}, "frame_period_s must be positive, got -1"),
+        ({"adc_samples_per_chirp": "16"},
+         "adc_samples_per_chirp must be an integer, got '16'"),
+        ([1, 2], "argument after \\*\\* must be a mapping")])
+    def test_a_bad_config_names_the_sidecar(self, tmp_path, config,
+                                            message):
+        if isinstance(config, dict):
+            config = dict(dataclasses.asdict(small_cube().config), **config)
+        path = self.write_with(tmp_path, config=config)
+        with pytest.raises(CubeFormatError,
+                           match=r"malformed sidecar .*cube\.json: .*"
+                                 + message):
+            read_raw_cube(path)
 
     @pytest.mark.parametrize("scale", [0.0, -2.0, float("nan"),
                                        float("inf")])

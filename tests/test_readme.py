@@ -1,12 +1,14 @@
 """README examples stay runnable and print what the README says."""
 
 import contextlib
+import dataclasses
 import io
 import re
 import shlex
 from pathlib import Path
 
 from pulsecancel.cli import main
+from pulsecancel.scenario import RadarConfig, Scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,6 +51,14 @@ def _transcript(heading: str) -> list[tuple[list[str], list[str]]]:
             if lines and lines[0].startswith("$ "):
                 steps.append((shlex.split(lines[0][2:]), lines[1:]))
     return steps
+
+
+def test_the_scenario_paragraph_names_every_key():
+    intro = _section("Command line").split("```json", 1)[0]
+    named = set(re.findall(r"`(\w+)`", intro))
+    assert {f.name for cls in (Scenario, RadarConfig)
+            for f in dataclasses.fields(cls)} <= named
+    assert {"radar", "breathing_bpm", "heartbeat_bpm"} <= named
 
 
 def test_command_line_transcript_is_what_a_run_prints(tmp_path, monkeypatch,

@@ -1,5 +1,8 @@
 """Simulator geometry, validation, and reproducibility checks."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from scipy.signal import get_window
@@ -107,6 +110,55 @@ class TestScenarioValidation:
     def test_needs_both_fundamentals(self):
         with pytest.raises(ValueError, match="fundamental"):
             Scenario(heartbeat_harmonics=[])
+
+
+# a valid instance of each class; each case below changes one field
+BASES = (RadarConfig(), IntermodTone("HR-RR", 1e-4), Scenario(duration_s=2.0))
+
+
+def typed_fields(kind):
+    """(instance, field name) of every field annotated kind."""
+    return [pytest.param(base, f.name, id=f"{type(base).__name__}.{f.name}")
+            for base in BASES for f in dataclasses.fields(base)
+            if f.type is kind]
+
+
+class TestFieldTypes:
+    """The annotations are the type checks: each case is driven by them."""
+
+    def test_every_annotation_is_one_the_type_rule_reads(self):
+        # a string annotation would match none of the cases below
+        assert {f.type for base in BASES for f in dataclasses.fields(base)} \
+            == {float, int, bool, list, RadarConfig, str | float}
+
+    @pytest.mark.parametrize("base, name", typed_fields(float))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), True, "1"])
+    def test_a_float_field_holds_a_finite_number(self, base, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite "
+                                             f"number, got "):
+            dataclasses.replace(base, **{name: value})
+
+    @pytest.mark.parametrize("base, name", typed_fields(int))
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_an_int_field_holds_an_integer(self, base, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, "
+                                             f"got {value!r}"):
+            dataclasses.replace(base, **{name: value})
+
+    @pytest.mark.parametrize("base, name", typed_fields(bool))
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_a_bool_field_holds_a_bool(self, base, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be true or "
+                                             f"false, got {value!r}"):
+            dataclasses.replace(base, **{name: value})
+
+    def test_the_tone_rule_is_a_name_or_a_finite_number(self):
+        for rule in (float("nan"), True, None):
+            with pytest.raises(ValueError, match=r"^rule must be a str or a "
+                                                 r"finite number"):
+                IntermodTone(rule, 1e-4)
+        assert IntermodTone(3, 1e-4).frequency_hz(0.26, 1.2) == 3.0
 
 
 class TestDisplacement:
@@ -357,3 +409,69 @@ class TestLoadScenario:
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             load_scenario([1, 2, 3])
+
+    @pytest.mark.parametrize("name", [f.name for f in
+                                      dataclasses.fields(Scenario)])
+    def test_accepts_every_field_by_name(self, name):
+        value = as_json(EVERY_FIELD)[name]
+        assert value != as_json(Scenario())[name]
+        assert getattr(load_scenario({name: value}), name) \
+            == getattr(EVERY_FIELD, name)
+
+    @pytest.mark.parametrize("scenario", [fig_masking_scenario()] + [
+        FAMILIES[family](seed) for family in sorted(FAMILIES)
+        for seed in range(4)])
+    def test_a_document_of_the_fields_loads_back_equal(self, scenario):
+        assert load_scenario(as_json(scenario)) == scenario
+
+    def test_entries_are_tuples_and_tones_however_built(self):
+        # only the loader made tuples, so these compared unequal
+        doc = {"breathing_harmonics": [[1.5e-3, 0.0]],
+               "heartbeat_harmonics": [[3e-4, 0.2]], "clutter": [[1.5, 0.3]],
+               "intermod_tones": [["HR-RR", 2e-4, 0.0]]}
+        built = Scenario(**doc)
+        assert built == load_scenario(doc)
+        assert built.clutter == [(1.5, 0.3)]
+        assert built.intermod_tones == [IntermodTone("HR-RR", 2e-4, 0.0)]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"clutter": [[1.0, 2.0, 3.0]]},
+         r"clutter entry \[1.0, 2.0, 3.0\] must be a \(range_m, amplitude\) "
+         r"pair of finite numbers"),
+        ({"heartbeat_harmonics": [3e-4]},
+         r"heartbeat_harmonics entry 0.0003 must be a \(amplitude_m, "
+         r"phase_rad\) pair"),
+        ({"allow_amplitude_override": "false",
+          "breathing_harmonics": [[1.0, 0.0]]},
+         "allow_amplitude_override must be true or false, got 'false'"),
+        ({"breathing_hz": None}, "breathing_hz must be a finite number, "
+                                 "got None"),
+        ({"heartbeat_bpm": None}, "heartbeat_bpm must be a finite number, "
+                                  "got None"),
+        ({"radar": None}, "radar must be a RadarConfig, got None"),
+        ({"clutter": None}, "clutter must be a list, got None"),
+        ({"seed": None}, "seed must be an integer, got None"),
+    ])
+    def test_names_the_bad_value(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            load_scenario(doc)
+
+
+def as_json(scenario: Scenario) -> dict:
+    """Every field of scenario, as a JSON document load_scenario reads."""
+    doc = {f.name: getattr(scenario, f.name)
+           for f in dataclasses.fields(scenario)}
+    doc["radar"] = dataclasses.asdict(scenario.radar)
+    doc["intermod_tones"] = [dataclasses.astuple(tone)
+                             for tone in scenario.intermod_tones]
+    return json.loads(json.dumps(doc))
+
+
+# no field at its default
+EVERY_FIELD = Scenario(
+    radar=RadarConfig(adc_samples_per_chirp=128), duration_s=20.0,
+    breathing_hz=0.3, breathing_harmonics=[(1e-3, 0.1)], heartbeat_hz=1.1,
+    heartbeat_harmonics=[(2e-4, 0.2)],
+    intermod_tones=[IntermodTone("HR+RR", 1e-4, 0.3)], standoff_m=0.8,
+    clutter=[(2.0, 0.4)], transmit_power_scale=2.0, complex_noise_std=0.05,
+    phase_noise_std=0.01, seed=5, allow_amplitude_override=True)
