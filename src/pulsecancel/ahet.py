@@ -16,7 +16,7 @@ import numpy as np
 from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
                        peak_order, row_medians, strongest_peaks)
-from .types import HrTrace, PhaseSignal, TraceEntry
+from .types import HrTrace, PhaseSignal, TraceEntry, check_fields
 from .scenario import HEARTBEAT_BAND_HZ, sliding_windows, window_center
 
 TAG_RELIABLE_1 = "reliable-1st-peak"
@@ -34,11 +34,9 @@ class AhetConfig:
     jump_threshold_hz: float = 0.1          # window-to-window fluctuation bound
 
     def __post_init__(self):
-        bounds = (self.deviation_threshold_hz, self.jump_threshold_hz)
-        if min(bounds) <= 0:
+        check_fields(self)
+        if min(self.deviation_threshold_hz, self.jump_threshold_hz) <= 0:
             raise ValueError("thresholds must be positive")
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError(f"thresholds must be finite, got {bounds}")
 
 
 @dataclass

@@ -149,15 +149,17 @@ def _trace_from_args(args, phase: PhaseSignal, method: str,
 def _cmd_synth(args) -> int:
     scenario = _scenario_from_args(args)
     out = Path(args.out) if args.out else _default_out("cube.bin")
+    # the truth trace checks --cpi and --step before anything is written
+    truth = (reference_trace(scenario, args.cpi, args.step) if args.truth
+             else None)
     _log(f"synthesizing {scenario.duration_s:g} s at "
          f"{scenario.radar.frame_rate_hz:g} frames/s (seed {scenario.seed})")
     cube = synthesize_radar_cube(scenario)
     header = write_raw_cube(cube, out)
     _log(f"wrote {out} ({header.frames} frames x {header.fast_time} "
          f"samples) and {out.with_suffix('.json').name}")
-    if args.truth:
-        write_truth(reference_trace(scenario, args.cpi, args.step),
-                    args.truth)
+    if truth is not None:
+        write_truth(truth, args.truth)
         _log(f"wrote {args.truth}")
     return 0
 

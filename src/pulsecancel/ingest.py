@@ -21,25 +21,35 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import CHUNK_FRAMES, RadarConfig, RadarCube, _finite_real
-from .types import HrTrace, TraceEntry
+from .scenario import CHUNK_FRAMES, RadarConfig, RadarCube
+from .types import HrTrace, TraceEntry, check_fields
 
 INT16_HEADROOM = 0.9
 BPM_VALID = (20.0, 250.0)
+# the one payload layout: a sidecar that names another is refused
+FORMAT = {"sample_format": "int16", "endianness": "little"}
 
 
 class CubeFormatError(ValueError):
     """Raw cube file does not match its declared layout."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawCubeHeader:
+    """The sidecar's schema: each field is one key of its JSON object,
+    held to its annotation, and each number must be positive."""
+
     frames: int
     fast_time: int
-    scale: float
     config: RadarConfig
-    sample_format: str = "int16"
-    endianness: str = "little"
+    scale: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, float) and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
 
 
 def sidecar_path(path) -> Path:
@@ -57,10 +67,10 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
     written over the file it streams from: opening that file for writing
     would truncate the words still to be read.  A cube with no frames or
     no fast-time samples, a non-finite sample (found by the peak search,
-    which runs whether or not a scale is given), or a scale that is not
-    finite and positive raises ValueError before anything is written:
-    read_raw_cube rejects the sidecar it would get, or the words would
-    not hold the samples.
+    which runs whether or not a scale is given), or a header that
+    RawCubeHeader refuses (a scale that is not finite and positive) raises
+    ValueError before anything is written: read_raw_cube would reject the
+    sidecar it would get, or the words would not hold the samples.
     """
     if cube.n_frames == 0 or cube.n_fast == 0:
         raise ValueError(f"cannot write a {cube.n_frames} x {cube.n_fast} "
@@ -83,8 +93,7 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
         peak = max(peak, chunk_peak)
     if scale is None:
         scale = INT16_HEADROOM * 32767.0 / peak if peak > 0 else 1.0
-    if not (_finite_real(scale) and scale > 0):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    header = RawCubeHeader(cube.n_frames, cube.n_fast, cube.config, scale)
     with open(path, "wb") as fh:
         for start in chunks:
             iq = cube.frames(start, start + CHUNK_FRAMES)
@@ -93,57 +102,38 @@ def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCube
             words[:, :, 1] = np.clip(np.rint(iq.imag * scale), -32768, 32767)
             words.tofile(fh)
 
-    header = RawCubeHeader(cube.n_frames, cube.n_fast, scale, cube.config)
-    doc = {
-        "frames": header.frames,
-        "fast_time": header.fast_time,
-        "sample_format": header.sample_format,
-        "endianness": header.endianness,
-        "scale": header.scale,
-        "config": dataclasses.asdict(cube.config),
-    }
+    doc = {"frames": header.frames, "fast_time": header.fast_time, **FORMAT,
+           "scale": header.scale, "config": dataclasses.asdict(header.config)}
     sidecar_path(path).write_text(json.dumps(doc, indent=2) + "\n")
     return header
 
 
 def read_cube_header(path) -> RawCubeHeader:
+    """The header a cube's sidecar declares: each RawCubeHeader field read
+    by its name (an absent scale is 1.0) and `config` by
+    RadarConfig.from_json, so a sidecar names every config field.  A
+    missing or malformed sidecar, or one that declares another layout than
+    FORMAT, is a CubeFormatError that names it."""
     side = sidecar_path(path)
     if not side.exists():
         raise CubeFormatError(f"missing sidecar {side}")
     try:
-        doc = json.loads(side.read_text())
-    except ValueError as exc:    # not JSON, or not text
-        raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CubeFormatError(f"malformed sidecar {side}: not a JSON object")
-    try:
-        if doc.get("sample_format", "int16") != "int16":
-            raise CubeFormatError(f"unsupported sample format "
-                                  f"{doc['sample_format']!r}")
-        if doc.get("endianness", "little") != "little":
-            raise CubeFormatError(f"unsupported endianness "
-                                  f"{doc['endianness']!r}")
-        dims = {key: doc[key] for key in ("frames", "fast_time")}
-        for key, value in dims.items():
-            if not (_finite_real(value) and float(value).is_integer()
-                    and value > 0):
-                raise CubeFormatError(f"malformed sidecar {side}: {key} "
-                                      f"must be a positive integer, got "
-                                      f"{value!r}")
-        scale = doc.get("scale", 1.0)
-        if not (_finite_real(scale) and scale > 0):
-            raise CubeFormatError(f"malformed sidecar {side}: scale must be "
-                                  f"finite and positive, got {scale!r}")
-        return RawCubeHeader(
-            frames=int(dims["frames"]),
-            fast_time=int(dims["fast_time"]),
-            scale=float(scale),
-            config=RadarConfig(**doc["config"]),
-        )
-    except CubeFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        # a missing key, a config that is no object, a bad config value
+        doc = json.loads(side.read_text())   # not JSON, or not text
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        for key, layout in FORMAT.items():
+            if doc.get(key, layout) != layout:
+                raise ValueError(f"unsupported {key.replace('_', ' ')} "
+                                 f"{doc[key]!r}")
+        values = {f.name: doc[f.name]
+                  for f in dataclasses.fields(RawCubeHeader)
+                  if f.name in doc or f.default is dataclasses.MISSING}
+        values["config"] = RadarConfig.from_json(values["config"])
+        return RawCubeHeader(**values)
+    except KeyError as exc:
+        raise CubeFormatError(f"malformed sidecar {side}: missing key "
+                              f"{exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise CubeFormatError(f"malformed sidecar {side}: {exc}") from exc
 
 

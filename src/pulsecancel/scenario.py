@@ -9,15 +9,14 @@ recovers (4*pi/lambda)*d(t) without beat-phase coupling.
 
 import functools
 import math
-import numbers
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import numpy.random    # loaded here, not lazily inside a first synthesis
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import HrTrace, PhaseSignal, TraceEntry
+from .types import (HrTrace, PhaseSignal, TraceEntry, check_fields,
+                    finite_real)
 
 SPEED_OF_LIGHT = 3.0e8
 
@@ -35,45 +34,11 @@ INTERMOD_RULES = ("HR-RR", "HR+RR", "HR+2RR")
 CHUNK_FRAMES = 512
 
 
-def _finite_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-# The test and the wording for a field annotated float, int or bool: a
-# float field takes an int but not a NaN, and a bool is not a number.
-_KINDS = {float: (_finite_real, "a finite number"),
-          int: (_integer, "an integer"),
-          bool: (lambda value: isinstance(value, bool), "true or false")}
-
-
-def _kind(cls) -> tuple:
-    """(test, wording) for a field annotated cls: from _KINDS, or, for any
-    other class, an instance of it."""
-    return _KINDS.get(cls, (lambda value: isinstance(value, cls),
-                            f"a {cls.__name__}"))
-
-
-def _check_types(obj) -> None:
-    """Hold each field of a dataclass to its annotation; a union takes what
-    any one of its members takes."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        kinds = [_kind(cls) for cls in typing.get_args(f.type) or (f.type,)]
-        if not any(holds(value) for holds, _ in kinds):
-            wording = " or ".join(what for _, what in kinds)
-            raise ValueError(f"{f.name} must be {wording}, got {value!r}")
-
-
 def _pairs(entries: list, name: str, shape: str) -> list:
     """entries as a list of tuples, each a pair of finite numbers."""
     for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and all(map(_finite_real, entry))):
+                and all(map(finite_real, entry))):
             raise ValueError(f"{name} entry {entry!r} must be a {shape} "
                              f"pair of finite numbers")
     return [tuple(entry) for entry in entries]
@@ -91,7 +56,7 @@ class RadarConfig:
     frame_period_s: float = 10e-3
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive, got "
@@ -101,6 +66,20 @@ class RadarConfig:
         sampled = self.adc_samples_per_chirp / self.adc_sample_rate_hz
         if sampled > self.chirp_duration_s * (1 + 1e-9):
             raise ValueError("ADC window longer than the chirp")
+
+    @classmethod
+    def from_json(cls, doc) -> "RadarConfig":
+        """A config from a JSON object that names every field, once: an
+        unknown or a missing key is a ValueError that names it."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"radar config must be a JSON object, got "
+                             f"{doc!r}")
+        names = {f.name for f in fields(cls)}
+        for what, keys in (("unknown", doc.keys() - names),
+                           ("missing", names - doc.keys())):
+            if keys:
+                raise ValueError(f"{what} radar keys: {sorted(keys)}")
+        return cls(**doc)
 
     @property
     def wavelength_m(self) -> float:
@@ -143,7 +122,7 @@ class IntermodTone:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
         if isinstance(self.rule, str) and self.rule not in INTERMOD_RULES:
             raise ValueError(f"unknown intermod rule {self.rule!r}")
         if self.amplitude_m < 0:
@@ -157,6 +136,20 @@ class IntermodTone:
                 "HR+2RR": heartbeat_hz + 2.0 * breathing_hz,
             }[self.rule]
         return float(self.rule)
+
+
+def _tone(entry) -> IntermodTone:
+    """entry as an IntermodTone: one already, or a (rule, amplitude_m)
+    or (rule, amplitude_m, phase_rad) sequence."""
+    if isinstance(entry, IntermodTone):
+        return entry
+    if not (isinstance(entry, (list, tuple)) and 2 <= len(entry) <= 3):
+        raise ValueError(f"intermod_tones entry {entry!r} must be a (rule, "
+                         f"amplitude_m[, phase_rad]) sequence")
+    try:
+        return IntermodTone(*entry)
+    except ValueError as exc:
+        raise ValueError(f"intermod_tones entry {entry!r}: {exc}") from exc
 
 
 @dataclass
@@ -195,7 +188,7 @@ class Scenario:
     allow_amplitude_override: bool = False
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
         self.breathing_harmonics = _pairs(self.breathing_harmonics,
                                           "breathing_harmonics",
                                           "(amplitude_m, phase_rad)")
@@ -203,9 +196,7 @@ class Scenario:
                                           "heartbeat_harmonics",
                                           "(amplitude_m, phase_rad)")
         self.clutter = _pairs(self.clutter, "clutter", "(range_m, amplitude)")
-        self.intermod_tones = [t if isinstance(t, IntermodTone)
-                               else IntermodTone(*t)
-                               for t in self.intermod_tones]
+        self.intermod_tones = list(map(_tone, self.intermod_tones))
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got "
                              f"{self.seed!r}")
@@ -552,16 +543,15 @@ def load_scenario(source) -> Scenario:
             if f"{name}_hz" in kwargs:
                 raise ValueError(f"give {name} rate in Hz or BPM, not both")
             bpm = kwargs.pop(f"{name}_bpm")
-            if not _finite_real(bpm):
+            if not finite_real(bpm):
                 raise ValueError(f"{name}_bpm must be a finite number, got "
                                  f"{bpm!r}")
             kwargs[f"{name}_hz"] = bpm / 60.0
     unknown = kwargs.keys() - {f.name for f in fields(Scenario)}
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    try:
-        if isinstance(kwargs.get("radar"), dict):
-            kwargs["radar"] = RadarConfig(**kwargs["radar"])
-        return Scenario(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"malformed scenario: {exc}") from exc
+    if isinstance(kwargs.get("radar"), dict):
+        # an absent key keeps its default
+        kwargs["radar"] = RadarConfig.from_json(
+            {**asdict(RadarConfig()), **kwargs["radar"]})
+    return Scenario(**kwargs)

@@ -1,9 +1,54 @@
-"""Shared signal and trace containers used across the pipeline."""
+"""Shared signal and trace containers used across the pipeline, and the
+one type rule for settings records."""
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+
+def finite_real(value) -> bool:
+    """A number that is finite as a float; a bool is no number."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int past the largest float
+        return False
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# The test and the wording for a field annotated float, int or bool: a
+# float field takes an int but not a NaN, and a bool is not a number.
+_KINDS = {float: (finite_real, "a finite number"),
+          int: (_integer, "an integer"),
+          bool: (lambda value: isinstance(value, bool), "true or false")}
+
+
+def _kind(cls) -> tuple:
+    """(test, wording) for a field annotated cls: from _KINDS, or, for any
+    other class, an instance of it."""
+    return _KINDS.get(cls, (lambda value: isinstance(value, cls),
+                            f"a {cls.__name__}"))
+
+
+def check_fields(record) -> None:
+    """Hold each field of a dataclass to its annotation, or raise
+    ValueError naming the field and the value: a float field holds a
+    finite real, an int field an integer, a bool field a bool, a field
+    annotated with any other class an instance of it, and a union what
+    any one of its members takes."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        kinds = [_kind(cls) for cls in typing.get_args(f.type) or (f.type,)]
+        if not any(holds(value) for holds, _ in kinds):
+            wording = " or ".join(what for _, what in kinds)
+            raise ValueError(f"{f.name} must be {wording}, got {value!r}")
 
 
 def equal_fields(self, other):

@@ -497,11 +497,41 @@ class TestExitCodes:
                               f"{path.with_suffix('.json')}: ")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(frames=float(doc["frames"])),
+         "frames must be an integer, got 4000.0"),
+        (lambda doc: doc["config"].pop("frame_period_s"),
+         "missing radar keys: ['frame_period_s']")],
+        ids=["float-frames", "config-without-frame_period_s"])
+    def test_a_sidecar_value_of_the_wrong_kind_is_a_data_error(
+            self, synth_outputs, tmp_path, capsys, edit, message):
+        cube_path, _ = synth_outputs
+        path = tmp_path / "cube.bin"
+        shutil.copy(cube_path, path)
+        doc = json.loads(cube_path.with_suffix(".json").read_text())
+        edit(doc)
+        path.with_suffix(".json").write_text(json.dumps(doc))
+        assert run_cli("run", "--in", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"pulsecancel run: error: malformed sidecar "
+            f"{path.with_suffix('.json')}: {message}\n")
+
+    def test_synth_checks_the_truth_window_before_writing(
+            self, scenario_file, tmp_path, capsys):
+        # a CPI past the 40 s record wrote the cube and sidecar, then
+        # failed on the truth trace
+        assert run_cli("synth", "--scenario", scenario_file, "--out",
+                       str(tmp_path / "c.bin"), "--truth",
+                       str(tmp_path / "t.csv"), "--cpi", "50") == 2
+        assert capsys.readouterr().err == (
+            "pulsecancel synth: error: window of 5000 samples longer than "
+            "record of 4000\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_scenario_key_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         # an unknown key, then values of the wrong type, shape or sign
         for doc in ({"breathing_rate": 0.26}, {"duration_s": "20"},
-                    {"radar": {"bogus": 1}}, {"intermod_tones": [["HR-RR"]]},
                     {"seed": "a"}, {"seed": 1.5}, {"seed": True},
                     {"standoff_m": "1"}, {"standoff_m": float("nan")},
                     {"transmit_power_scale": "2"},
@@ -526,6 +556,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("pulsecancel synth: error: ")
             assert err.count("\n") == 1, err
+        # a bad tone entry or radar key is named: these surfaced a
+        # constructor's TypeError ("argument after * must be an iterable")
+        for doc, named in (
+                ({"intermod_tones": [5]}, "intermod_tones entry 5 must be "),
+                ({"intermod_tones": [["HR-RR"]]},
+                 "intermod_tones entry ['HR-RR'] must be "),
+                ({"intermod_tones": [["HR-RR", "x"]]},
+                 "intermod_tones entry ['HR-RR', 'x']: amplitude_m must be "),
+                ({"radar": {"bogus": 1}}, "unknown radar keys: ['bogus']")):
+            bad.write_text(json.dumps(doc))
+            assert run_cli("synth", "--scenario", str(bad)) == 2, doc
+            err = capsys.readouterr().err
+            assert err.startswith("pulsecancel synth: error: ")
+            assert err.count("\n") == 1 and named in err, err
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_bench_without_seeds_is_a_usage_error(self, seeds, tmp_path):
@@ -575,9 +619,12 @@ class TestExitCodes:
         ("run", "--anls-step", "inf", "window and step must be finite"),
         ("compare", "--step", "inf", "window and step must be finite"),
         ("synth", "--cpi", "inf", "window and step must be finite"),
-        ("run", "--ve", "nan", "thresholds must be finite"),
-        ("run", "--ve", "inf", "thresholds must be finite"),
-        ("run", "--va", "inf", "thresholds must be finite"),
+        ("run", "--ve", "nan",
+         "deviation_threshold_hz must be a finite number, got nan"),
+        ("run", "--ve", "inf",
+         "deviation_threshold_hz must be a finite number, got inf"),
+        ("run", "--va", "inf",
+         "jump_threshold_hz must be a finite number, got inf"),
         ("run", "--rr-grid", "0.1:0.5:inf", "grid must be finite"),
         ("run", "--rr-grid", "0.1:inf:0.01", "grid must be finite"),
     ])

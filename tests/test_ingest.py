@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,17 @@ class TestCubeRoundTrip:
         path = tmp_path / "cube.bin"
         write_raw_cube(small_cube(), path)
         assert read_raw_cube(path).iq.dtype == np.complex64
+
+    @pytest.mark.parametrize("frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES,
+                                        CHUNK_FRAMES + 1])
+    def test_the_written_header_reads_back(self, tmp_path, frames):
+        path = tmp_path / "cube.bin"
+        header = write_raw_cube(small_cube(frames=frames), path)
+        assert read_cube_header(path) == header
+        # the sidecar's keys, in the order every earlier sidecar has them
+        assert list(json.loads(sidecar_path(path).read_text())) == [
+            "frames", "fast_time", "sample_format", "endianness", "scale",
+            "config"]
 
     def test_sidecar_is_self_describing(self, tmp_path):
         cube = small_cube()
@@ -269,8 +281,8 @@ class TestCubeErrors:
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_bad_scale_is_refused_before_writing(self, tmp_path, scale):
         # read_raw_cube rejects the sidecar a zero or negative scale gives
-        with pytest.raises(ValueError, match="scale must be finite and "
-                                             "positive"):
+        with pytest.raises(ValueError, match="^scale must be (a finite "
+                                             "number|positive), got "):
             write_raw_cube(small_cube(), tmp_path / "cube.bin", scale=scale)
         assert list(tmp_path.iterdir()) == []
 
@@ -400,23 +412,26 @@ class TestSidecarValues:
         # -6 x -16 samples is the file's true size, so only the sign is wrong
         path = self.write_with(tmp_path, frames=-6, fast_time=-16)
         with pytest.raises(CubeFormatError,
-                           match=r"cube\.json: frames must be a positive"):
+                           match=r"cube\.json: frames must be positive, "
+                                 r"got -6$"):
             read_raw_cube(path)
 
-    def test_rejects_fractional_frames(self, tmp_path):
-        path = self.write_with(tmp_path, frames=6.7)
+    @pytest.mark.parametrize("frames", [6.7, 6.0, 1e300])
+    def test_rejects_fractional_frames(self, tmp_path, frames):
+        # a whole float is no integer either: 6.0 read as 6, and 1e300 as
+        # a 301-digit int
+        path = self.write_with(tmp_path, frames=frames)
         with pytest.raises(CubeFormatError,
-                           match=r"cube\.json: frames must be a positive "
-                                 r"integer, got 6\.7"):
+                           match=r"cube\.json: frames must be an integer, "
+                                 r"got " + re.escape(repr(frames)) + "$"):
             read_raw_cube(path)
-        assert read_raw_cube(self.write_with(tmp_path, frames=6.0)
-                             ).n_frames == 6
 
     @pytest.mark.parametrize("config, message", [
         ({"frame_period_s": -1}, "frame_period_s must be positive, got -1"),
         ({"adc_samples_per_chirp": "16"},
          "adc_samples_per_chirp must be an integer, got '16'"),
-        ([1, 2], "argument after \\*\\* must be a mapping")])
+        ({"bogus": 1}, "unknown radar keys: \\['bogus'\\]"),
+        ([1, 2], "radar config must be a JSON object, got \\[1, 2\\]")])
     def test_a_bad_config_names_the_sidecar(self, tmp_path, config,
                                             message):
         if isinstance(config, dict):
@@ -427,11 +442,46 @@ class TestSidecarValues:
                                  + message):
             read_raw_cube(path)
 
+    @pytest.mark.parametrize("drop", [["frame_period_s"],
+                                      ["carrier_frequency_hz",
+                                       "frame_period_s"]])
+    def test_config_names_every_field(self, tmp_path, drop):
+        # the sidecar is the only record of the radar: {} read as the
+        # default 77 GHz, 100 Hz config
+        config = dataclasses.asdict(small_cube().config)
+        for name in drop:
+            del config[name]
+        path = self.write_with(tmp_path, config=config)
+        with pytest.raises(CubeFormatError,
+                           match=r"^malformed sidecar .*cube\.json: missing "
+                                 r"radar keys: " + re.escape(str(drop)) + "$"):
+            read_raw_cube(path)
+        self.write_with(tmp_path, config={})
+        with pytest.raises(CubeFormatError, match="missing radar keys"):
+            read_raw_cube(path)
+
+    @pytest.mark.parametrize("key", ["frames", "fast_time", "config"])
+    def test_a_missing_key_is_named(self, tmp_path, key):
+        path = self.write_with(tmp_path)
+        doc = json.loads(sidecar_path(path).read_text())
+        del doc[key]
+        sidecar_path(path).write_text(json.dumps(doc))
+        with pytest.raises(CubeFormatError,
+                           match=rf"cube\.json: missing key '{key}'$"):
+            read_raw_cube(path)
+
+    def test_an_absent_scale_reads_as_one(self, tmp_path):
+        path = self.write_with(tmp_path)
+        doc = json.loads(sidecar_path(path).read_text())
+        del doc["scale"]
+        sidecar_path(path).write_text(json.dumps(doc))
+        assert read_cube_header(path).scale == 1.0
+
     @pytest.mark.parametrize("scale", [0.0, -2.0, float("nan"),
                                        float("inf")])
     def test_rejects_bad_scale(self, tmp_path, scale):
         path = self.write_with(tmp_path, scale=scale)
         with pytest.raises(CubeFormatError,
-                           match=r"cube\.json: scale must be finite and "
-                                 r"positive"):
+                           match=r"cube\.json: scale must be (a finite "
+                                 r"number|positive), got "):
             read_raw_cube(path)

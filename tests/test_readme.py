@@ -8,6 +8,7 @@ import shlex
 from pathlib import Path
 
 from pulsecancel.cli import main
+from pulsecancel.ingest import FORMAT, RawCubeHeader
 from pulsecancel.scenario import RadarConfig, Scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -59,6 +60,14 @@ def test_the_scenario_paragraph_names_every_key():
     assert {f.name for cls in (Scenario, RadarConfig)
             for f in dataclasses.fields(cls)} <= named
     assert {"radar", "breathing_bpm", "heartbeat_bpm"} <= named
+
+
+def test_the_sidecar_paragraph_names_every_key():
+    paragraph = next(text for text in _section("Command line").split("\n\n")
+                     if "RawCubeHeader" in text)
+    named = set(re.findall(r'`"?(\w+)', paragraph))
+    assert {f.name for f in dataclasses.fields(RawCubeHeader)} | set(FORMAT) \
+        <= named
 
 
 def test_command_line_transcript_is_what_a_run_prints(tmp_path, monkeypatch,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.signal import get_window
 
-from pulsecancel.ahet import conventional_trace
+from pulsecancel.ahet import AhetConfig, conventional_trace
+from pulsecancel.ingest import RawCubeHeader
 from pulsecancel.preprocess import cube_phase, range_profiles
 from pulsecancel.scenario import (BREATHING_AMPLITUDE_M, FAMILIES,
                                   IntermodTone, RadarConfig, Scenario,
@@ -113,7 +114,8 @@ class TestScenarioValidation:
 
 
 # a valid instance of each class; each case below changes one field
-BASES = (RadarConfig(), IntermodTone("HR-RR", 1e-4), Scenario(duration_s=2.0))
+BASES = (RadarConfig(), IntermodTone("HR-RR", 1e-4), Scenario(duration_s=2.0),
+         RawCubeHeader(6, 200, RadarConfig()), AhetConfig())
 
 
 def typed_fields(kind):
@@ -133,7 +135,7 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("base, name", typed_fields(float))
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       -float("inf"), True, "1"])
+                                       -float("inf"), True, "1", 10**400])
     def test_a_float_field_holds_a_finite_number(self, base, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a finite "
                                              f"number, got "):
