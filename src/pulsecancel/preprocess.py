@@ -241,7 +241,12 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
 
     Zero-magnitude and non-finite samples carry the previous sample's
     wrapped phase forward; the count of such fills is returned.  (Unwrapped,
-    a single NaN would turn every later sample into NaN.)
+    a single NaN would turn every later sample into NaN.)  The phase is
+    np.unwrap of the filled wrapped phase, bit for bit.
+
+    Memory: the output (8 B a frame) plus one stage's work at a time,
+    about 27 B a frame at the peak: the fill's int64 index and float64
+    copy, then _unwrap's two float64 step arrays and its byte masks.
     """
     # arctan2 widens the parts as given to float64, exactly as a complex128
     # copy would, without holding one
@@ -250,13 +255,38 @@ def demodulate(z: np.ndarray) -> tuple[np.ndarray, int]:
     dead = _dead(z)
     dropouts = int(np.count_nonzero(dead))
     if dropouts:
-        # a dead first sample (and the dead run after it) reads 0: arctan2
-        # of complex(-0.0, 0.0) would say pi
-        wrapped[0] = 0.0 if dead[0] else wrapped[0]
-        # forward fill: each sample reads its last live sample at or before it
-        last_live = np.where(dead, 0, np.arange(z.size))
-        wrapped = wrapped[np.maximum.accumulate(last_live)]
-    return np.unwrap(wrapped), dropouts
+        wrapped = _fill(wrapped, dead)
+    del dead
+    return _unwrap(wrapped), dropouts
+
+
+def _fill(wrapped: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """The wrapped phase with each dead sample reading the last live
+    sample at or before it; a dead first sample (and the dead run after
+    it) reads 0, where arctan2 of complex(-0.0, 0.0) would say pi."""
+    wrapped[0] = 0.0 if dead[0] else wrapped[0]
+    last_live = np.arange(wrapped.size)
+    last_live[dead] = 0
+    return wrapped[np.maximum.accumulate(last_live, out=last_live)]
+
+
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p) at its default period 2 pi, written over p, bit for
+    bit: np.unwrap's own operations in its order, each into a buffer it
+    already holds.  Each step is wrapped into [-pi, pi), a step of exactly
+    +pi keeps +pi, steps already inside (-pi, pi) are not corrected, and
+    the corrections are summed onto p."""
+    dd = np.diff(p)
+    correction = dd + np.pi
+    np.mod(correction, 2.0 * np.pi, out=correction)
+    correction -= np.pi
+    np.copyto(correction, np.pi, where=(correction == -np.pi) & (dd > 0))
+    correction -= dd
+    np.abs(dd, out=dd)
+    np.copyto(correction, 0.0, where=dd < np.pi)
+    del dd
+    p[1:] += np.cumsum(correction, out=correction)
+    return p
 
 
 def extract_phase(profiles: RangeProfiles, bin_index: int) -> PhaseSignal:

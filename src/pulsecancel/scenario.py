@@ -63,8 +63,11 @@ class RadarConfig:
                                  f"{getattr(self, f.name)!r}")
         if self.adc_samples_per_chirp < 2:
             raise ValueError("need at least 2 ADC samples per chirp")
-        sampled = self.adc_samples_per_chirp / self.adc_sample_rate_hz
-        if sampled > self.chirp_duration_s * (1 + 1e-9):
+        # compared without dividing: an integer past the largest float
+        # compares exactly, where dividing it raises OverflowError
+        if self.adc_samples_per_chirp > (self.chirp_duration_s
+                                         * self.adc_sample_rate_hz
+                                         * (1 + 1e-9)):
             raise ValueError("ADC window longer than the chirp")
 
     @classmethod

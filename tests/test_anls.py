@@ -287,17 +287,34 @@ class TestGridFactor:
         for phase, track in zip(phases, tracks):
             assert track == breathing_track(phase, window_s)
 
-    def test_building_the_default_factor_is_small(self):
+    @staticmethod
+    def build_memory(n):
+        """(bytes kept, peak bytes) of building the default grid's factor
+        for n-sample subwindows from a cold cache."""
         _factored_bases.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
+            _factored_bases(n, FS, 3, BREATHING_GRID_HZ)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before < 5e6      # the stacked bases peaked at 17.5 MB
-        assert kept - before < 1e6
+        return kept - before, peak - before
+
+    def test_building_the_default_factor_is_small(self):
+        # the 0.63 MB table plus one chunk's designs, QR and leftover
+        # (1.7 MB); the stacked bases peaked at 17.5 MB, and keeping every
+        # chunk's working arrays alive into the next chunk at 2.8 MB
+        kept, peak = self.build_memory(500)
+        assert peak < 2e6
+        assert kept < 1e6
+
+    def test_building_the_long_window_factor_holds_one_chunk(self):
+        # n = 2000 (--anls-window 20): a 3.4 MB table (r = 124), a 7.3 MB
+        # peak; 10.7 MB with each chunk's working arrays kept alive
+        kept, peak = self.build_memory(2000)
+        assert peak < 8.5e6
+        assert kept < 3.5e6
 
 
 class TestNonFinitePhase:

@@ -501,8 +501,12 @@ class TestExitCodes:
         (lambda doc: doc.update(frames=float(doc["frames"])),
          "frames must be an integer, got 4000.0"),
         (lambda doc: doc["config"].pop("frame_period_s"),
-         "missing radar keys: ['frame_period_s']")],
-        ids=["float-frames", "config-without-frame_period_s"])
+         "missing radar keys: ['frame_period_s']"),
+        # dividing it by the sample rate raised OverflowError, a traceback
+        (lambda doc: doc["config"].update(adc_samples_per_chirp=10**400),
+         "ADC window longer than the chirp")],
+        ids=["float-frames", "config-without-frame_period_s",
+             "huge-samples-per-chirp"])
     def test_a_sidecar_value_of_the_wrong_kind_is_a_data_error(
             self, synth_outputs, tmp_path, capsys, edit, message):
         cube_path, _ = synth_outputs
@@ -542,6 +546,7 @@ class TestExitCodes:
                     {"allow_amplitude_override": True,
                      "heartbeat_harmonics": [["3e-4", 0.0]]},
                     {"radar": {"adc_samples_per_chirp": 2.5}},
+                    {"radar": {"adc_samples_per_chirp": 10**400}},
                     {"duration_s": float("inf")},
                     # a string is no bool: this turned the amplitude
                     # checks off and loaded a 1 m breathing amplitude

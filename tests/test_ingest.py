@@ -430,6 +430,8 @@ class TestSidecarValues:
         ({"frame_period_s": -1}, "frame_period_s must be positive, got -1"),
         ({"adc_samples_per_chirp": "16"},
          "adc_samples_per_chirp must be an integer, got '16'"),
+        ({"adc_samples_per_chirp": 10**400},
+         "ADC window longer than the chirp"),
         ({"bogus": 1}, "unknown radar keys: \\['bogus'\\]"),
         ([1, 2], "radar config must be a JSON object, got \\[1, 2\\]")])
     def test_a_bad_config_names_the_sidecar(self, tmp_path, config,

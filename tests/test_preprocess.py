@@ -356,17 +356,37 @@ class TestDemodulate:
         assert dropouts == expected_dropouts == (410 if dead else 0)
         assert out.tobytes() == expected.tobytes()
 
-    def test_peak_memory_holds_no_complex128_copy(self):
-        # the parts are read as given: a complex128 copy of complex64 bins
-        # adds 16 B a frame (81 B a frame with dropouts)
-        z = self.long_signal(np.complex64, dead=True)
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_peak_memory_holds_no_complex128_copy(self, dead):
+        # the parts are read as given, and the unwrap runs in place on the
+        # output: about 27 B a frame.  A complex128 copy of complex64 bins
+        # adds 16 B a frame, and np.unwrap's own temporaries 30 B
+        z = self.long_signal(np.complex64, dead)
         tracemalloc.start()
         try:
             demodulate(z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 66 * z.size
+        assert peak <= 40 * z.size
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_equals_numpy_unwrap_on_steps_of_exactly_pi(self, dtype):
+        # wrapped phases 0, pi and -pi (1, -1 and -1 - 0j) step by exactly
+        # +-pi and 2 pi, the boundary np.unwrap resolves by the step's sign;
+        # random phases around them step by every other amount
+        rng = np.random.default_rng(8)
+        z = np.exp(1j * rng.uniform(-np.pi, np.pi, 4000))
+        z[rng.integers(0, z.size, 1500)] = rng.choice(
+            [1.0, -1.0, complex(-1.0, -0.0)], 1500)
+        z = z.astype(dtype)
+        wrapped = np.arctan2(z.imag, z.real, dtype=np.float64)
+        steps = np.diff(wrapped)
+        for step in (np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi):
+            assert np.count_nonzero(steps == step) > 10, step
+        out, dropouts = demodulate(z)
+        assert dropouts == 0
+        assert out.tobytes() == np.unwrap(wrapped).tobytes()
 
     def test_nan_run_in_a_record_stays_local(self):
         # 3 s of NaN from 50 s on: unwrapped as they were, they made the

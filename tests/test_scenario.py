@@ -44,6 +44,23 @@ class TestRadarConfig:
         with pytest.raises(ValueError, match="longer than the chirp"):
             RadarConfig(adc_samples_per_chirp=400, chirp_duration_s=50e-6)
 
+    @pytest.mark.parametrize("count", [10**400, 2**1024],
+                             ids=["10**400", "2**1024"])
+    def test_a_count_past_the_largest_float_is_a_value_error(self, count):
+        # dividing it by the sample rate raised OverflowError
+        with pytest.raises(ValueError,
+                           match="^ADC window longer than the chirp$"):
+            RadarConfig(adc_samples_per_chirp=count)
+
+    def test_the_adc_window_may_fill_the_chirp(self):
+        # 200 samples at 4 MHz are exactly the 50 us chirp
+        assert RadarConfig(adc_samples_per_chirp=200, adc_sample_rate_hz=4e6,
+                           chirp_duration_s=50e-6).adc_samples_per_chirp \
+            == 200
+        with pytest.raises(ValueError, match="longer than the chirp"):
+            RadarConfig(adc_samples_per_chirp=201, adc_sample_rate_hz=4e6,
+                        chirp_duration_s=50e-6)
+
 
 class TestIntermodTone:
     def test_rule_frequencies(self):
