@@ -16,7 +16,8 @@ import numpy as np
 from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
                        peak_order, row_medians, strongest_peaks)
-from .types import HrTrace, PhaseSignal, TraceEntry, check_fields
+from .types import (HrTrace, PhaseSignal, TraceEntry, check_fields,
+                    stage_sink)
 from .scenario import HEARTBEAT_BAND_HZ, sliding_windows, window_center
 
 TAG_RELIABLE_1 = "reliable-1st-peak"
@@ -251,8 +252,10 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     ValueError or LinAlgError holds that method's previous estimate,
     tagged hold = (tag, delta_hz); a block-wide stage that raises fails
     every window of its block.  A failure on a method's very first window
-    propagates.
+    propagates.  Within types.record_stages it reports residuals,
+    band_power and measure per block, and decide per window and method.
     """
+    stage = stage_sink()
     fs = phase.sample_rate
     starts, stack = sliding_windows(phase.samples, fs, cpi_s, step_s)
     traces = [HrTrace() for _ in methods]
@@ -263,9 +266,11 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
         errors = [None] * len(windows)
         try:
             if track is not None:
-                windows, errors = track.residuals(windows, block)
-            freqs, power = band_power(windows, fs, top_hz, zero_pad_factor)
-            measured = measure(freqs, power)
+                windows, errors = stage("residuals", track.residuals,
+                                        windows, block)
+            freqs, power = stage("band_power", band_power, windows, fs,
+                                 top_hz, zero_pad_factor)
+            measured = stage("measure", measure, freqs, power)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(windows)
         for r, (decide, hold) in enumerate(methods):
@@ -273,8 +278,9 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
                 try:
                     if errors[j] is not None:
                         raise errors[j]
-                    f_hz, tag, delta = decide(*(m[j] for m in measured),
-                                              freqs, power[j])
+                    f_hz, tag, delta = stage("decide", decide,
+                                             *(m[j] for m in measured),
+                                             freqs, power[j])
                 except (ValueError, np.linalg.LinAlgError):
                     if last_hz[r] is None:
                         raise
@@ -337,7 +343,7 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
     grid for config: alone, or within shared_cancellation from one pass
     that keeps the other method's trace."""
     if track is None:
-        track = breathing_track(phase)
+        track = stage_sink()("breathing_track", breathing_track, phase)
     shared = _SHARED.get()
     key = (phase, track, cpi_s, step_s, zero_pad_factor, config)
     if shared is not None and (method, key) in shared:
@@ -365,10 +371,11 @@ def ahet_trace(phase: PhaseSignal, cpi_s: float = 20.0, step_s: float = 1.0,
     cancellation, spectrum, credibility tracking.
 
     track is the record's anls.breathing_track (None fits one with its
-    defaults).  A window that fails any stage holds the previous estimate
-    (tagged refined with an infinite gap); a failure on the very first
-    window propagates.  Within shared_cancellation it shares its pass with
-    eca_conventional_trace.
+    defaults; within types.record_stages that fit is reported as
+    breathing_track).  A window that fails any stage holds the previous
+    estimate (tagged refined with an infinite gap); a failure on the very
+    first window propagates.  Within shared_cancellation it shares its
+    pass with eca_conventional_trace.
     """
     return _cancelling("ahet", phase, cpi_s, step_s, track, config,
                        zero_pad_factor)

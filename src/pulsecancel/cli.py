@@ -67,7 +67,7 @@ def _scenario_from_args(args):
                              f"{exc}") from exc
     scenario = load_scenario(doc)
     if args.seed is not None:
-        # replace, not assignment: the new seed is checked like any other
+        # a scenario is frozen; its copy checks the new seed like any other
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
 

@@ -33,7 +33,7 @@ import numpy.fft       # loaded here, not lazily inside a first transform
 
 from .scenario import CHUNK_FRAMES, RadarCube, RadarConfig
 from .spectral import _hann
-from .types import PhaseSignal
+from .types import PhaseSignal, stage_sink
 
 
 class NoTargetError(RuntimeError):
@@ -318,10 +318,23 @@ def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
     way the phase, bin and dropouts are
     extract_phase(range_profiles(cube), target)'s, bit for bit.  Memory is
     a chunk's buffer plus the phase.  The cube and the gate are checked
-    before any frame is read.
+    before any frame is read.  Within types.record_stages it reports
+    front_end, second_pass (when taken) and demodulate.
     """
     gate = gate_bins(_one_sided_bins(cube), cube.config.range_bin_width_m,
                      gate_m[0], gate_m[1])
+    stage = stage_sink()
+    values, target, held = stage("front_end", _front_end, cube, gate)
+    if target != held:
+        stage("second_pass", _second_pass, cube, values, target)
+    theta, dropouts = stage("demodulate", demodulate, values)
+    return PhaseSignal(theta, cube.config.frame_rate_hz, source_bin=target,
+                       dropouts=dropouts)
+
+
+def _front_end(cube: RadarCube, gate: range) -> tuple:
+    """cube_phase's pass: (the column of the first chunk's leading gate
+    bin, the record's bin, that leading bin)."""
     values = np.empty(cube.n_frames, dtype=np.complex64)
     for start, spectra in _range_fft(cube):
         chunk_moments = _moments(spectra[:, gate.start:gate.stop])
@@ -331,13 +344,14 @@ def cube_phase(cube: RadarCube, gate_m: tuple = (0.3, 3.0)) -> PhaseSignal:
             moments = chunk_moments
             held = gate.start + int(np.argmax(_power(moments)))
         values[start:start + len(spectra)] = spectra[:, held]
-    target = _strongest(gate, _power(moments))
-    if target != held:
-        for start, spectra in _range_fft(cube):
-            values[start:start + len(spectra)] = spectra[:, target]
-    theta, dropouts = demodulate(values)
-    return PhaseSignal(theta, cube.config.frame_rate_hz, source_bin=target,
-                       dropouts=dropouts)
+    return values, _strongest(gate, _power(moments)), held
+
+
+def _second_pass(cube: RadarCube, values: np.ndarray, target: int) -> None:
+    """Overwrite values with bin target's column, transforming the cube
+    once more."""
+    for start, spectra in _range_fft(cube):
+        values[start:start + len(spectra)] = spectra[:, target]
 
 
 def enhance_phase(profiles: RangeProfiles, target_bin: int, width: int = 2,

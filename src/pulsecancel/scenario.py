@@ -34,14 +34,14 @@ INTERMOD_RULES = ("HR-RR", "HR+RR", "HR+2RR")
 CHUNK_FRAMES = 512
 
 
-def _pairs(entries: list, name: str, shape: str) -> list:
-    """entries as a list of tuples, each a pair of finite numbers."""
+def _pairs(entries, name: str, shape: str) -> tuple:
+    """entries as a tuple of tuples, each a pair of finite numbers."""
     for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and all(map(finite_real, entry))):
             raise ValueError(f"{name} entry {entry!r} must be a {shape} "
                              f"pair of finite numbers")
-    return [tuple(entry) for entry in entries]
+    return tuple(tuple(entry) for entry in entries)
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,11 @@ class RadarConfig:
                                          * self.adc_sample_rate_hz
                                          * (1 + 1e-9)):
             raise ValueError("ADC window longer than the chirp")
+        # past the largest float the window may still fit a chirp whose
+        # product overflows to inf, but bandwidth_hz could not divide it
+        if not finite_real(self.adc_samples_per_chirp):
+            raise ValueError("adc_samples_per_chirp must be at most the "
+                             "largest float")
 
     @classmethod
     def from_json(cls, doc) -> "RadarConfig":
@@ -155,11 +160,15 @@ def _tone(entry) -> IntermodTone:
         raise ValueError(f"intermod_tones entry {entry!r}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Complete generative description of one subject + radar session.
 
-    Harmonic lists hold (amplitude_m, phase_rad) pairs for orders 1..K.
+    A scenario is checked once, when it is made, and cannot be changed
+    after: dataclasses.replace makes a changed copy and checks it.  The
+    harmonics, clutter and intermod tones may be given as lists; they are
+    kept as tuples.  Harmonics hold (amplitude_m, phase_rad) pairs for
+    orders 1..K.
     standoff_m is the static chest range; it is kept as metadata and never
     baked into the motion samples, so phase-extraction tests are offset-free.
 
@@ -178,12 +187,12 @@ class Scenario:
     radar: RadarConfig = field(default_factory=RadarConfig)
     duration_s: float = 280.0
     breathing_hz: float = 0.26
-    breathing_harmonics: list = field(default_factory=lambda: [(1.5e-3, 0.0)])
+    breathing_harmonics: list | tuple = ((1.5e-3, 0.0),)
     heartbeat_hz: float = 76.6 / 60.0
-    heartbeat_harmonics: list = field(default_factory=lambda: [(3e-4, 0.0)])
-    intermod_tones: list = field(default_factory=list)
+    heartbeat_harmonics: list | tuple = ((3e-4, 0.0),)
+    intermod_tones: list | tuple = ()
     standoff_m: float = 1.0
-    clutter: list = field(default_factory=list)
+    clutter: list | tuple = ()
     transmit_power_scale: float = 1.0
     complex_noise_std: float = 0.0
     phase_noise_std: float = 0.0
@@ -192,14 +201,13 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)
-        self.breathing_harmonics = _pairs(self.breathing_harmonics,
-                                          "breathing_harmonics",
-                                          "(amplitude_m, phase_rad)")
-        self.heartbeat_harmonics = _pairs(self.heartbeat_harmonics,
-                                          "heartbeat_harmonics",
-                                          "(amplitude_m, phase_rad)")
-        self.clutter = _pairs(self.clutter, "clutter", "(range_m, amplitude)")
-        self.intermod_tones = list(map(_tone, self.intermod_tones))
+        for name in ("breathing_harmonics", "heartbeat_harmonics"):
+            object.__setattr__(self, name, _pairs(
+                getattr(self, name), name, "(amplitude_m, phase_rad)"))
+        object.__setattr__(self, "clutter", _pairs(
+            self.clutter, "clutter", "(range_m, amplitude)"))
+        object.__setattr__(self, "intermod_tones",
+                           tuple(map(_tone, self.intermod_tones)))
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got "
                              f"{self.seed!r}")

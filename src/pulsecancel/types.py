@@ -1,6 +1,9 @@
-"""Shared signal and trace containers used across the pipeline, and the
-one type rule for settings records."""
+"""Shared signal and trace containers used across the pipeline, the one
+type rule for settings records, and the stage scope that observes the
+pipeline's stages."""
 
+import contextlib
+import contextvars
 import math
 import numbers
 import typing
@@ -59,6 +62,40 @@ def equal_fields(self, other):
         return NotImplemented
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                for f in fields(self))
+
+
+def _unobserved(name, fn, *args):
+    return fn(*args)
+
+
+# the sink of the open record_stages scope, a plain call outside one
+_STAGES = contextvars.ContextVar("pulsecancel_stages", default=_unobserved)
+
+
+@contextlib.contextmanager
+def record_stages(sink):
+    """Within the scope, the pipeline reports each stage it runs as
+    sink(name, fn, *args), which must return fn(*args).
+
+    cube_phase reports front_end (its FFT-and-detection pass), second_pass
+    (when the record's bin is not the first chunk's leader) and
+    demodulate; a cancelling trace function that fits its own track
+    reports breathing_track; and per block of windows the trace driver
+    reports residuals (cancelling methods only), band_power and measure,
+    then decide per method for each window those did not fail.  The
+    stages of one call are disjoint intervals of it.  A nested scope's sink replaces the outer
+    one until it closes.  Outside a scope each stage is a plain call.
+    """
+    token = _STAGES.set(sink)
+    try:
+        yield
+    finally:
+        _STAGES.reset(token)
+
+
+def stage_sink():
+    """The open record_stages scope's sink, or a plain call outside one."""
+    return _STAGES.get()
 
 
 @dataclass(eq=False)

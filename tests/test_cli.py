@@ -504,9 +504,14 @@ class TestExitCodes:
          "missing radar keys: ['frame_period_s']"),
         # dividing it by the sample rate raised OverflowError, a traceback
         (lambda doc: doc["config"].update(adc_samples_per_chirp=10**400),
-         "ADC window longer than the chirp")],
+         "ADC window longer than the chirp"),
+        # a chirp long enough to hold it: bandwidth_hz raised OverflowError
+        (lambda doc: doc["config"].update(chirp_duration_s=1e200,
+                                          adc_sample_rate_hz=1e200,
+                                          adc_samples_per_chirp=10**400),
+         "adc_samples_per_chirp must be at most the largest float")],
         ids=["float-frames", "config-without-frame_period_s",
-             "huge-samples-per-chirp"])
+             "huge-samples-per-chirp", "huge-samples-in-a-huge-chirp"])
     def test_a_sidecar_value_of_the_wrong_kind_is_a_data_error(
             self, synth_outputs, tmp_path, capsys, edit, message):
         cube_path, _ = synth_outputs
@@ -547,6 +552,9 @@ class TestExitCodes:
                      "heartbeat_harmonics": [["3e-4", 0.0]]},
                     {"radar": {"adc_samples_per_chirp": 2.5}},
                     {"radar": {"adc_samples_per_chirp": 10**400}},
+                    {"radar": {"chirp_duration_s": 1e200,
+                               "adc_sample_rate_hz": 1e200,
+                               "adc_samples_per_chirp": 10**400}},
                     {"duration_s": float("inf")},
                     # a string is no bool: this turned the amplitude
                     # checks off and loaded a 1 m breathing amplitude

@@ -432,6 +432,9 @@ class TestSidecarValues:
          "adc_samples_per_chirp must be an integer, got '16'"),
         ({"adc_samples_per_chirp": 10**400},
          "ADC window longer than the chirp"),
+        ({"chirp_duration_s": 1e200, "adc_sample_rate_hz": 1e200,
+          "adc_samples_per_chirp": 10**400},
+         "adc_samples_per_chirp must be at most the largest float"),
         ({"bogus": 1}, "unknown radar keys: \\['bogus'\\]"),
         ([1, 2], "radar config must be a JSON object, got \\[1, 2\\]")])
     def test_a_bad_config_names_the_sidecar(self, tmp_path, config,

@@ -52,6 +52,16 @@ class TestRadarConfig:
                            match="^ADC window longer than the chirp$"):
             RadarConfig(adc_samples_per_chirp=count)
 
+    def test_a_count_past_the_largest_float_in_a_huge_chirp_is_rejected(
+            self):
+        # the window fits the chirp (its product is inf), but bandwidth_hz
+        # and range_bin_width_m raised OverflowError
+        with pytest.raises(ValueError, match="^adc_samples_per_chirp must "
+                                             "be at most the largest "
+                                             "float$"):
+            RadarConfig(chirp_duration_s=1e200, adc_sample_rate_hz=1e200,
+                        adc_samples_per_chirp=10**400)
+
     def test_the_adc_window_may_fill_the_chirp(self):
         # 200 samples at 4 MHz are exactly the 50 us chirp
         assert RadarConfig(adc_samples_per_chirp=200, adc_sample_rate_hz=4e6,
@@ -80,6 +90,32 @@ class TestIntermodTone:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("breathing_hz", float("nan")), ("clutter", [[1.0, 2.0, 3.0]]),
+        ("seed", 1)])
+    def test_a_checked_scenario_cannot_be_changed(self, name, value):
+        # assigned after the checks, a NaN rate synthesized NaN samples
+        sc = fig_masking_scenario()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sc, name, value)
+        assert sc == fig_masking_scenario()
+
+    def test_replace_checks_the_copy(self):
+        sc = fig_masking_scenario()
+        with pytest.raises(ValueError, match="^breathing_hz must be a "
+                                             "finite number"):
+            dataclasses.replace(sc, breathing_hz=float("nan"))
+        with pytest.raises(ValueError, match="clutter entry"):
+            dataclasses.replace(sc, clutter=[[1.0, 2.0, 3.0]])
+        # the tuples it keeps pass the checks of a copy, and lists become
+        # tuples again
+        copy = dataclasses.replace(sc, seed=5,
+                                   heartbeat_harmonics=[[3e-4, 0.2]])
+        assert copy.breathing_harmonics == sc.breathing_harmonics
+        assert copy.intermod_tones == sc.intermod_tones
+        assert copy.heartbeat_harmonics == ((3e-4, 0.2),)
+        assert copy.seed == 5
+
     def test_rates_must_sit_in_their_bands(self):
         with pytest.raises(ValueError, match="breathing rate"):
             Scenario(breathing_hz=0.05)
@@ -148,7 +184,7 @@ class TestFieldTypes:
     def test_every_annotation_is_one_the_type_rule_reads(self):
         # a string annotation would match none of the cases below
         assert {f.type for base in BASES for f in dataclasses.fields(base)} \
-            == {float, int, bool, list, RadarConfig, str | float}
+            == {float, int, bool, list | tuple, RadarConfig, str | float}
 
     @pytest.mark.parametrize("base, name", typed_fields(float))
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -422,7 +458,7 @@ class TestLoadScenario:
         assert sc.radar.adc_samples_per_chirp == 128
         assert sc.breathing_harmonics[1] == (4e-4, 0.1)
         assert sc.intermod_tones[0].rule == "HR-RR"
-        assert sc.clutter == [(1.5, 0.3)]
+        assert sc.clutter == ((1.5, 0.3),)
         assert sc.seed == 7
 
     def test_rejects_non_object(self):
@@ -450,8 +486,8 @@ class TestLoadScenario:
                "intermod_tones": [["HR-RR", 2e-4, 0.0]]}
         built = Scenario(**doc)
         assert built == load_scenario(doc)
-        assert built.clutter == [(1.5, 0.3)]
-        assert built.intermod_tones == [IntermodTone("HR-RR", 2e-4, 0.0)]
+        assert built.clutter == ((1.5, 0.3),)
+        assert built.intermod_tones == (IntermodTone("HR-RR", 2e-4, 0.0),)
 
     @pytest.mark.parametrize("doc, message", [
         ({"clutter": [[1.0, 2.0, 3.0]]},
@@ -468,7 +504,7 @@ class TestLoadScenario:
         ({"heartbeat_bpm": None}, "heartbeat_bpm must be a finite number, "
                                   "got None"),
         ({"radar": None}, "radar must be a RadarConfig, got None"),
-        ({"clutter": None}, "clutter must be a list, got None"),
+        ({"clutter": None}, "clutter must be a list or a tuple, got None"),
         ({"seed": None}, "seed must be an integer, got None"),
     ])
     def test_names_the_bad_value(self, doc, message):

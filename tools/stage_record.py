@@ -5,36 +5,32 @@
 The package is imported from src/ of the checkout that holds this script,
 so a copy of the script run in another checkout records that checkout's
 code.  The record is the 280 s masking-b seed-0 scenario, rendered and
-written to a cube file in a temporary directory (untimed).  The chain
-calls the pipeline's stages one by one, in its order:
+written to a cube file in a temporary directory (untimed).  Each method's
+run is trace_fn(cube_phase(read_raw_cube(path))) through the public entry
+points (conventional_trace, eca_conventional_trace, ahet_trace), timed
+whole, within types.record_stages: its sink times each stage the
+pipeline reports and names it <method>.<stage>:
 
-- read: ingest.read_raw_cube;
-- front_end: cube_phase's pass over the cube (preprocess._range_fft, each
-  chunk's gate moments merged, the first chunk's leading bin's column
-  kept) and the bin choice; second_pass when the record's bin is another;
-- demodulate: preprocess.demodulate of the kept column;
-- factor_build: the breathing grid's factor (anls._factored_bases) from a
-  cold cache, timed apart from breathing_track, which scores the record
-  on the cached factor;
-- per method, per block of ahet._BLOCK windows: residuals (the cancelling
-  methods only), band_power, measure and decide (once per window).
+- read: ingest.read_raw_cube, reported by this script;
+- front_end, second_pass (when the record's bin is not the first chunk's
+  leader) and demodulate: cube_phase's;
+- breathing_track: the cancelling methods' fit of the record's track,
+  scored on the cached factor;
+- per block of windows: residuals (the cancelling methods only),
+  band_power and measure, then decide once per window.
 
-The chain's phase must equal cube_phase's and each method's trace the
-public trace function's (conventional_trace, eca_conventional_trace,
-ahet_trace) field for field, or no record is written.  The whole run per
-method (read_raw_cube, cube_phase and the trace function) is timed
-through those public entry points.
+factor_build is the breathing grid's factor (anls._factored_bases) built
+from a cold cache, timed apart from the runs.
 
 Per stage the record holds the median and quartiles of its wall clock
 per run over the repeats, its tracemalloc peak above what was held when it
 was called (the largest over its calls, from one traced run) and its calls
-per run; per method, the run's wall clock, its peak, and the stages'
-medians summed, so unattributed time shows.  BLAS is pinned to one thread
-when the script is run as a program.
+per run.  Per method it holds the run's wall clock and tracemalloc peak,
+and for each run the share of its wall clock that none of its stages
+covers.  BLAS is pinned to one thread when the script is run as a program.
 """
 
 import argparse
-import functools
 import importlib.metadata
 import json
 import os
@@ -52,34 +48,32 @@ if __name__ == "__main__":
                  "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import pulsecancel as pc  # noqa: E402  (this checkout's, from src/)
-from pulsecancel import (ahet, anls, preprocess, scenario,  # noqa: E402
-                         spectral)
+from pulsecancel import ahet, anls, scenario  # noqa: E402
+from pulsecancel.types import record_stages  # noqa: E402
 
 DURATION_S = 280.0
 FAMILY, SEED = "masking-b", 0
 CPI_S, STEP_S = 20.0, 1.0
 REPEATS = 15
-METHODS = ("conventional", "eca", "ahet")
-GATE_M = (0.3, 3.0)        # cube_phase's default range gate
-FRONT_END = ("read", "front_end", "second_pass", "demodulate")
+TRACES = {"conventional": pc.conventional_trace,
+          "eca": pc.eca_conventional_trace, "ahet": pc.ahet_trace}
 
 
 class Stages:
-    """Each named stage's total seconds and calls over one run, and, when
-    traced, its largest tracemalloc peak above what was held at the
-    call."""
+    """A record_stages sink for one method's run: each stage's total
+    seconds and calls, named <method>.<stage>, and, when traced, its
+    largest tracemalloc peak above what was held at the call."""
 
-    def __init__(self, traced: bool = False):
-        self.traced = traced
+    def __init__(self, method: str, traced: bool = False):
+        self.method, self.traced = method, traced
         self.seconds, self.calls, self.peak = {}, {}, {}
 
     def __call__(self, name, fn, *args):
+        name = f"{self.method}.{name}"
         if self.traced:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -94,96 +88,14 @@ class Stages:
         return out
 
 
-def _front_end(cube):
-    """cube_phase's pass: (the kept column, the record's bin, the first
-    chunk's leading bin)."""
-    pre = preprocess
-    gate = pre.gate_bins(pre._one_sided_bins(cube),
-                         cube.config.range_bin_width_m, *GATE_M)
-    values = np.empty(cube.n_frames, dtype=np.complex64)
-    for start, spectra in pre._range_fft(cube):
-        chunk = pre._moments(spectra[:, gate.start:gate.stop])
-        if start:
-            moments = pre._merge(moments, chunk)
-        else:
-            moments = chunk
-            held = gate.start + int(pre._power(moments).argmax())
-        values[start:start + len(spectra)] = spectra[:, held]
-    return values, pre._strongest(gate, pre._power(moments)), held
-
-
-def _second_pass(cube, values, target):
-    for start, spectra in preprocess._range_fft(cube):
-        values[start:start + len(spectra)] = spectra[:, target]
-
-
-def _method(name):
-    """(cancels, top_hz, measure, decide) of a method, as the trace
-    functions build them for _track."""
-    config = ahet.AhetConfig()
-    if name == "conventional":
-        return (False, scenario.HEARTBEAT_BAND_HZ[1], ahet._heart_peaks,
-                ahet._strongest_peak(name)[0])
-    if name == "eca":
-        return (True, ahet._top_hz(config), ahet._heart_peaks,
-                ahet._strongest_peak(name)[0])
-    return (True, ahet._top_hz(config),
-            functools.partial(ahet._measure, config=config),
-            ahet._tracker(config)[0])
-
-
-def _blocks(phase, track, name, stage):
-    """One method's trace, a block of windows at a time."""
-    cancels, top_hz, measure, decide = _method(name)
-    fs = phase.sample_rate
-    starts, stack = scenario.sliding_windows(phase.samples, fs, CPI_S,
-                                             STEP_S)
-    trace = pc.HrTrace()
-    for b0 in range(0, len(starts), ahet._BLOCK):
-        block = starts[b0:b0 + ahet._BLOCK]
-        windows = stack[b0:b0 + ahet._BLOCK]
-        if cancels:
-            windows, errors = stage(f"{name}.residuals", track.residuals,
-                                    windows, block)
-            for error in errors:
-                if error is not None:
-                    raise error
-        freqs, power = stage(f"{name}.band_power", spectral.band_power,
-                             windows, fs, top_hz, 8)
-        measured = stage(f"{name}.measure", measure, freqs, power)
-        for j, i0 in enumerate(block):
-            f_hz, tag, delta = stage(f"{name}.decide", decide,
-                                     *(m[j] for m in measured), freqs,
-                                     power[j])
-            trace.append(pc.TraceEntry(
-                scenario.window_center(i0, fs, CPI_S), f_hz * 60.0, tag,
-                delta))
-    return trace
-
-
-def chain(path, stage):
-    """(phase, {method: trace}) of the record at path, stage by stage."""
-    cube = stage("read", pc.read_raw_cube, path)
-    values, target, held = stage("front_end", _front_end, cube)
-    if target != held:
-        stage("second_pass", _second_pass, cube, values, target)
-    theta, dropouts = stage("demodulate", preprocess.demodulate, values)
-    phase = pc.PhaseSignal(theta, cube.config.frame_rate_hz,
-                           source_bin=target, dropouts=dropouts)
-    track = stage("breathing_track", anls.breathing_track, phase)
-    return phase, {name: _blocks(phase, track, name, stage)
-                   for name in METHODS}
-
-
-def _public(name):
-    return {"conventional": pc.conventional_trace,
-            "eca": pc.eca_conventional_trace, "ahet": pc.ahet_trace}[name]
-
-
-def whole_run(path, name):
-    """A method's trace of the record at path, through the public entry
-    points."""
-    return _public(name)(pc.cube_phase(pc.read_raw_cube(path)))
+def run(path, stages: Stages) -> float:
+    """The wall clock of stages.method's run on the record at path, its
+    stages reported to stages."""
+    with record_stages(stages):
+        t0 = time.perf_counter()
+        TRACES[stages.method](pc.cube_phase(
+            stages("read", pc.read_raw_cube, path)), CPI_S, STEP_S)
+        return time.perf_counter() - t0
 
 
 def _factor_build(fs):
@@ -198,6 +110,15 @@ def _seconds(fn, *args) -> float:
     t0 = time.perf_counter()
     fn(*args)
     return time.perf_counter() - t0
+
+
+def _peak(fn, *args) -> int:
+    """fn(*args)'s tracemalloc peak above what was held when it was
+    called."""
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    fn(*args)
+    return tracemalloc.get_traced_memory()[1] - held
 
 
 def _spread(values) -> dict:
@@ -232,70 +153,56 @@ def record(duration_s: float = DURATION_S, repeats: int = REPEATS) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cube.bin"
         header = pc.write_raw_cube(pc.synthesize_radar_cube(scene), path)
+        # one untimed run per method fills the library's caches
+        for method in TRACES:
+            run(path, Stages(method))
 
-        # the chain must be the pipeline, or its stages time something else
-        phase, traces = chain(path, Stages())
-        expected = pc.cube_phase(pc.read_raw_cube(path))
-        if (phase.samples.tobytes() != expected.samples.tobytes()
-                or (phase.source_bin, phase.dropouts)
-                != (expected.source_bin, expected.dropouts)):
-            raise RuntimeError("the chain's phase differs from cube_phase's")
-        for name in METHODS:
-            if traces[name] != _public(name)(expected):
-                raise RuntimeError(f"the chain's {name} trace differs from "
-                                   f"the pipeline's")
-
-        # each repeat times every stage once, so a slow spell of the host
-        # is shared out rather than landing on one stage
-        builds, runs = [], []
-        totals = {name: [] for name in METHODS}
+        # each repeat runs every method once, so a slow spell of the host
+        # is shared out rather than landing on one method
+        builds, runs = [], {method: [] for method in TRACES}
         for _ in range(repeats):
             builds.append(_seconds(_factor_build, fs))
-            runs.append(Stages())
-            chain(path, runs[-1])
-            for name in METHODS:
-                totals[name].append(_seconds(whole_run, path, name))
+            for method, timed in runs.items():
+                stages = Stages(method)
+                timed.append((run(path, stages), stages))
 
-        traced = Stages(traced=True)
+        traced, run_peaks = {}, {}
         tracemalloc.start()
         try:
-            traced("factor_build", _factor_build, fs)
-            chain(path, traced)
-            for name in METHODS:
-                traced(f"run.{name}", whole_run, path, name)
+            build_peak = _peak(_factor_build, fs)
+            for method in TRACES:
+                traced[method] = Stages(method, traced=True)
+                run(path, traced[method])
+                run_peaks[method] = _peak(run, path, Stages(method))
         finally:
             tracemalloc.stop()
 
     stages = {"factor_build": {"wall_s": _spread(builds),
-                               "peak_bytes": traced.peak["factor_build"],
-                               "calls": 1}}
-    for name in runs[0].seconds:
-        stages[name] = {
-            "wall_s": _spread([run.seconds[name] for run in runs]),
-            "peak_bytes": traced.peak[name],
-            "calls": runs[0].calls[name]}
+                               "peak_bytes": build_peak, "calls": 1}}
     methods = {}
-    for name in METHODS:
-        parts = [s for s in stages if s in FRONT_END
-                 or s.startswith(f"{name}.")
-                 or (s == "breathing_track" and name != "conventional")]
-        stage_sum = sum(stages[s]["wall_s"]["median"] for s in parts)
-        wall = _spread(totals[name])
-        methods[name] = {"wall_s": wall,
-                         "peak_bytes": traced.peak[f"run.{name}"],
-                         "stages": parts, "stage_sum_s": stage_sum,
-                         "unattributed_share": 1.0 - stage_sum
-                         / wall["median"]}
+    for method, timed in runs.items():
+        first = timed[0][1]
+        for name in first.seconds:
+            stages[name] = {
+                "wall_s": _spread([s.seconds[name] for _, s in timed]),
+                "peak_bytes": traced[method].peak[name],
+                "calls": first.calls[name]}
+        methods[method] = {
+            "wall_s": _spread([wall for wall, _ in timed]),
+            "peak_bytes": run_peaks[method],
+            "stages": list(first.seconds),
+            "unattributed_share": [1.0 - sum(s.seconds.values()) / wall
+                                   for wall, s in timed]}
     return {
-        "schema": "pulsecancel stage record 1",
+        "schema": "pulsecancel stage record 2",
         "workload": {"family": FAMILY, "seed": SEED,
                      "duration_s": duration_s, "frames": header.frames,
                      "fast_time": header.fast_time, "cpi_s": CPI_S,
                      "step_s": STEP_S,
-                     "windows": len(traces["ahet"]),
+                     "windows": len(scenario.window_starts(
+                         header.frames, fs, CPI_S, STEP_S)),
                      "block_windows": ahet._BLOCK, "repeats": repeats},
         "machine": machine(),
-        "traces_equal_the_pipeline": True,
         "stages": stages,
         "runs": methods,
     }
@@ -313,8 +220,8 @@ def main(argv=None) -> int:
               f"{entry['peak_bytes'] / 1e6:8.3f} MB  x{entry['calls']}")
     for name, entry in doc["runs"].items():
         print(f"run.{name:20s} {entry['wall_s']['median'] * 1e3:9.3f} ms "
-              f"{entry['peak_bytes'] / 1e6:8.3f} MB  stages "
-              f"{entry['stage_sum_s'] * 1e3:.3f} ms")
+              f"{entry['peak_bytes'] / 1e6:8.3f} MB  unattributed "
+              f"{statistics.median(entry['unattributed_share']):.1%}")
     return 0
 
 
