@@ -5,24 +5,38 @@ the phase segment is projected onto a sin/cos harmonic basis and the
 candidate with minimal residual wins.  The grid's orthonormal bases are
 held as one factor: a shared orthonormal span of a few dozen directions and
 each basis's coordinates in it, so scoring a segment against the whole grid
-costs one projection onto the span and one small product.  Amplitudes come
-from the same least-squares fit, through the design's reduced QR (numpy's
-np.linalg.qr): the coefficients solve R c = Q^T x with np.linalg.solve,
-whose LU of the triangular R is R itself, so it is a back substitution.
-No normal equations are formed.
+costs one projection onto the span and one small product.
 
 One cache serves every refit and render at a fixed fundamental and
-length: _refit_basis holds the reduced QR (Q, R) of the intercept-augmented
-design, and no cache holds a design.  The per-window route (fit_amplitudes,
-BreathingTrack.refit and residual, reconstruct_reference) reads Q and R, and
-HarmonicModel.predict renders Q (R c) from the same entry; the block route
-(BreathingTrack.residuals, which the trace drivers run) reads Q alone.
+length: _refit_basis fits the harmonic-plus-intercept design on the
+window's centred time axis t' = (k - (n - 1) / 2) / fs.  There cos(k w t')
+and the intercept are even about the window's centre and sin(k w t') is
+odd, so the two sets are orthogonal and the fit splits into two
+half-length problems (the centrosymmetric reduction of Cantoni and
+Butler, Linear Algebra Appl. 13, 1976).  Each entry holds the head rows of
+the two orthonormal bases, from a Householder QR (numpy's np.linalg.qr)
+of each sqrt(2)-weighted half design: ceil(n/2) (order + 1) +
+floor(n/2) order float64s, half of a full n x (2 order + 1) Q, plus two
+(2 order + 1)-square maps built from the two triangles R_e, R_o and
+their inverses.  No cache holds a design, no normal equations are
+formed and nothing is solved per fit.
+
+A window is folded into its even part, x_head + reversed x_tail (with an
+odd n's middle sample), and its odd part, x_head - reversed x_tail; each
+is projected onto its half.  The block route (BreathingTrack.residuals,
+which the trace drivers run) folds each block once, projects each run of
+windows at one fundamental, and writes every residual head, mirrored tail
+and middle.  The per-window route (fit_amplitudes, BreathingTrack.refit
+and residual, reconstruct_reference) takes coefficients through the
+inverse triangles, and HarmonicModel.predict renders them through the
+triangles, from the same entry.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,15 +70,26 @@ class HarmonicModel:
 
     def predict(self, n: int, sample_rate: float,
                 include_offset: bool = False) -> np.ndarray:
-        """The series over n samples, the intercept too if include_offset:
-        Q (R c) for _refit_basis's (Q, R) at this fundamental and length
-        and c the coefficients and the offset (or 0).  n below
-        2 * order + 1 is a ValueError, as it is for a fit."""
-        q, r = _refit_basis(self.fundamental_hz, self.order, n, sample_rate)
-        coef = np.empty(r.shape[1])
+        """The series over n samples, the intercept too if include_offset.
+        The coordinates map of _refit_basis's entry at this fundamental
+        and length takes the coefficients and the offset (or 0) to
+        coordinates on the entry's two halves; each half times its
+        coordinates is that part's head rows, written out as head,
+        mirrored tail and middle.  n below 2 * order + 1 is a ValueError,
+        as it is for a fit."""
+        basis = _refit_basis(self.fundamental_hz, self.order, n, sample_rate)
+        coef = np.empty(2 * self.order + 1)
         coef[:-1] = self.coefficients.reshape(-1)
         coef[-1] = self.offset if include_offset else 0.0
-        return q @ (r @ coef)
+        c = basis.coordinates @ coef
+        p_even = basis.even @ c[:self.order + 1]
+        p_odd = basis.odd @ c[self.order + 1:]
+        m = n // 2
+        out = np.empty(n)
+        np.add(p_even[:m], p_odd, out=out[:m])
+        np.subtract(p_even[:m], p_odd, out=out[::-1][:m])
+        out[m:n - m] = p_even[m:]
+        return out
 
 
 @dataclass(frozen=True)
@@ -165,13 +190,18 @@ class BreathingTrack:
 
         Returns (residuals, errors): errors[i] is the ValueError or
         LinAlgError that window i's refit raised (its row is then left as
-        it was), or None.  Each run of windows refit at the same
-        fundamental shares one factorization, and their residuals are
-        X - (X Q) Q^T for its orthonormal Q.
+        it was, bit for bit), or None.  The stack is folded once into its
+        even and odd parts (_fold).  Each run of windows refit at the same
+        fundamental shares one _refit_basis entry, and each part S of the
+        run is replaced by its projection (S H) H^T onto the entry's half
+        H.  The projections are then taken off every row's head, mirrored
+        tail and middle at once (_take_off), and the rows whose refit
+        failed are copied as they were.
         """
-        out = np.array(windows, dtype=float)
-        n = out.shape[1]
-        errors = [None] * len(out)
+        x = np.asarray(windows, dtype=float)
+        n = x.shape[1]
+        errors = [None] * len(x)
+        head, tail, s_even, s_odd = _fold(x)
         i = 0
         # nan (no subwindow inside) equals nothing: each is its own run
         for f_hat, run in groupby(self._refit_hz(starts, n).tolist()):
@@ -179,13 +209,18 @@ class BreathingTrack:
             try:
                 if math.isnan(f_hat):
                     raise ValueError(_NO_SUBWINDOW)
-                q = _refit_basis(f_hat, self.order, n, self.sample_rate)[0]
+                basis = _refit_basis(f_hat, self.order, n, self.sample_rate)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 errors[i:j] = [exc] * (j - i)
             else:
-                x = out[i:j]
-                x -= (x @ q) @ q.T
+                for part, half in ((s_even[i:j], basis.even),
+                                   (s_odd[i:j], basis.odd)):
+                    np.matmul(part @ half, half.T, out=part)
             i = j
+        out = _take_off(x, head, tail, s_even, s_odd)
+        failed = [k for k, e in enumerate(errors) if e is not None]
+        if failed:
+            out[failed] = x[failed]
         return out, errors
 
 
@@ -213,9 +248,10 @@ def harmonic_matrix(fundamental_hz: float, order: int, n: int,
 
 
 def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
-                    sample_rate: float) -> np.ndarray:
+                    sample_rate: float, origin: float = 0.0) -> np.ndarray:
     """harmonic_matrix of each of freqs, stacked (freqs.size, n, 2 * order),
-    with its checks on every fundamental."""
+    with its checks on every fundamental.  Sample k is at time
+    (k - origin) / sample_rate."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if n < 1:
@@ -231,7 +267,9 @@ def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
     if order * freqs.max() >= sample_rate / 2.0:
         raise ValueError(f"harmonic {order} of {freqs.max()} Hz reaches "
                          f"Nyquist at fs={sample_rate} Hz")
-    t = np.arange(n) / sample_rate
+    # 0.0 - origin: +0.0 at the default origin, whose first sample the
+    # t-from-0 designs have always had at +0.0 s; every k - origin is exact
+    t = np.arange(0.0 - origin, n - origin) / sample_rate
     arg = (2.0 * np.pi * np.arange(1, order + 1) * freqs[:, None])[..., None] \
         * t
     # columns contiguous in time, so each design is Fortran-ordered
@@ -241,36 +279,129 @@ def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
     return h.reshape(freqs.size, 2 * order, n).transpose(0, 2, 1)
 
 
+class _RefitBasis(NamedTuple):
+    """A _refit_basis entry, read-only.  even and odd are the head rows of
+    the orthonormal bases of the centred design's even columns [cos k w
+    t', 1] (ceil(n/2) rows, an odd n's middle row last) and odd columns
+    [sin k w t'] (floor(n/2) rows).  A fit's coordinates c on them, even
+    first, give its coefficients, coefficients @ c: the sin/cos weights
+    about the window's first sample in harmonic_matrix's column order,
+    then the offset.  coordinates @ those gives c back."""
+
+    even: np.ndarray
+    odd: np.ndarray
+    coefficients: np.ndarray
+    coordinates: np.ndarray
+
+
+def _fold(x: np.ndarray) -> tuple:
+    """(head, tail, even, odd) of each row (last axis) of x, n samples:
+    contiguous copies of its floor(n/2) head samples and of its tail
+    reversed, its even part head + tail followed by an odd n's middle
+    sample, and its odd part head - tail.  A row's coordinates on a
+    _RefitBasis half are its part times that half.  (numpy runs an
+    elementwise op on contiguous rows several times faster than on the
+    rows' strided or reversed halves, so each half is copied once.)"""
+    n = x.shape[-1]
+    m = n // 2
+    head, tail = x[..., :m].copy(), x[..., ::-1][..., :m].copy()
+    even = np.empty(x.shape[:-1] + (n - m,))
+    np.add(head, tail, out=even[..., :m])
+    even[..., m:] = x[..., m:n - m]
+    return head, tail, even, head - tail
+
+
+def _take_off(x: np.ndarray, head: np.ndarray, tail: np.ndarray,
+              p_even: np.ndarray, p_odd: np.ndarray) -> np.ndarray:
+    """Each row of x (last axis, n samples) minus the series whose even
+    and odd parts have the head rows p_even (ceil(n/2) samples, an odd
+    n's middle last) and p_odd (floor(n/2)): both off the head, the even
+    one off the reversed tail with the odd one added back (in place in
+    _fold's head and tail), the even one off the middle, written out in
+    a new array."""
+    n = x.shape[-1]
+    m = n // 2
+    head -= p_even[..., :m]
+    head -= p_odd
+    tail -= p_even[..., :m]
+    tail += p_odd
+    out = np.empty(x.shape)
+    out[..., :m] = head
+    out[..., ::-1][..., :m] = tail
+    np.subtract(x[..., m:n - m], p_even[..., m:], out=out[..., m:n - m])
+    return out
+
+
 @lru_cache(maxsize=64)
 def _refit_basis(fundamental_hz: float, order: int, n: int,
-                 sample_rate: float) -> tuple:
-    """(Q, R), the reduced QR of an n-sample fit's intercept-augmented
-    design (harmonic_matrix columns, then a column of ones), cached
-    read-only; no cache keeps the design.
+                 sample_rate: float) -> _RefitBasis:
+    """An n-sample refit's harmonic-plus-intercept design on the window's
+    centred axis t' = (k - (n - 1) / 2) / fs, factored in two halves and
+    cached read-only (_RefitBasis); no cache keeps the design.
+
+    On t' the columns cos(k w t') and the intercept are even about the
+    window's centre and sin(k w t') odd, so the two sets are orthogonal.
+    Each set's head rows, weighted by sqrt(2) (the middle row by 1) so
+    that their Gram matrix is the whole window's, get their own
+    Householder QR (np.linalg.qr), Q_e R_e and Q_o R_o; the entry keeps the
+    Q rows unweighted, the head rows of the window's orthonormal bases.
+    That is ceil(n/2) (order + 1) + floor(n/2) order float64s, 56 kB at
+    n = 2000 and order 3 where a full Q held 112 kB.  coefficients is
+    blockdiag(R_e^-1, R_o^-1) turned from the centred axis to the first
+    sample, each harmonic's (sin, cos) pair by phi_k = 2 pi k f (n - 1) /
+    (2 fs), the phase of harmonic k at the window's centre; coordinates
+    is blockdiag(R_e, R_o) after the turn back.  Both are
+    (2 order + 1)-square.
 
     Sliding analysis refits the same few fundamentals at a fixed window
     length over and over; the factorization depends only on the design.  A
     segment too short for the coefficients, or a rank-deficient design
     (e.g. fundamental at 0), raises ValueError and caches nothing.  The
-    length check runs before the design is built.  The singular values of R
-    equal those of the design, giving the rank check without a second
-    factorization.
+    length check runs before the design is built.  The singular values of
+    R_e and R_o together are those of the whole design, giving the rank
+    check without a second factorization.
     """
     if n < 2 * order + 1:
         raise ValueError(f"segment of {n} samples too short for "
                          f"{2 * order} coefficients")
-    design = np.hstack([harmonic_matrix(fundamental_hz, order, n,
-                                        sample_rate), np.ones((n, 1))])
-    q, r = np.linalg.qr(design)
-    sv = np.linalg.svd(r, compute_uv=False)
-    cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
+    m = n // 2
+    design = _harmonic_stack(np.array([fundamental_hz], dtype=float), order,
+                             n - m, sample_rate, origin=(n - 1) / 2.0)[0]
+    weight = np.full((n - m, 1), math.sqrt(2.0))
+    weight[m:] = 1.0
+    even = np.ones((n - m, order + 1))
+    even[:, :-1] = design[:, 1::2]
+    (q_e, r_e), (q_o, r_o) = (np.linalg.qr(even * weight),
+                              np.linalg.qr(design[:m, ::2] * weight[:m]))
+    sv = np.concatenate([np.linalg.svd(r, compute_uv=False)
+                         for r in (r_e, r_o)])
+    cutoff = np.finfo(float).eps * n * sv.max()
     if int(np.count_nonzero(sv > cutoff)) < 2 * order + 1:
-        cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
+        cond = np.inf if sv.min() == 0 else sv.max() / sv.min()
         raise ValueError(f"rank-deficient harmonic design at "
                          f"{fundamental_hz} Hz (condition ~ {cond:.3e})")
-    for a in (q, r):
+    q_e /= weight
+    q_o /= weight[:m]
+    # turn takes the centred fit's cos weights, offset and sin weights (the
+    # halves' column order) to sin/cos weights about the first sample and
+    # the offset (harmonic_matrix's order); its transpose takes them back
+    phi = np.arange(1, order + 1) * (np.pi * fundamental_hz * (n - 1)
+                                     / sample_rate)
+    cos, sin = np.cos(phi), np.sin(phi)
+    k = np.arange(order)
+    turn = np.zeros((2 * order + 1, 2 * order + 1))
+    turn[2 * k, k], turn[2 * k, order + 1 + k] = sin, cos
+    turn[2 * k + 1, k], turn[2 * k + 1, order + 1 + k] = cos, -sin
+    turn[-1, order] = 1.0
+    triangles = np.zeros_like(turn)
+    triangles[:order + 1, :order + 1] = r_e
+    triangles[order + 1:, order + 1:] = r_o
+    # the inverse of blockdiag(R_e, R_o) is blockdiag(R_e^-1, R_o^-1)
+    entry = _RefitBasis(q_e, q_o, turn @ np.linalg.inv(triangles),
+                        triangles @ turn.T)
+    for a in entry:
         a.flags.writeable = False
-    return q, r
+    return entry
 
 
 def fit_amplitudes(segment: np.ndarray, sample_rate: float,
@@ -283,20 +414,27 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     absorb and bias the fit toward slow candidates.  A rank-deficient
     design (e.g. fundamental at 0) is rejected, and so is a segment with a
     non-finite sample, as breathing_track's scorer rejects it.
+
+    The segment is folded (_fold) and projected onto the two halves of its
+    _refit_basis entry; the coefficients are the entry's coefficients map
+    (the inverse triangles, turned) times those coordinates, so nothing
+    is solved.  The residual is the segment with both projections taken
+    off.
     """
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
     if not np.isfinite(x).all():
         raise ValueError(_NON_FINITE)
-    q, r = _refit_basis(fundamental_hz, order, x.size, sample_rate)
-    qtx = q.T @ x
-    coef = np.linalg.solve(r, qtx)
-    resid = x - q @ qtx
+    basis = _refit_basis(fundamental_hz, order, x.size, sample_rate)
+    head, tail, s_even, s_odd = _fold(x)
+    c_even, c_odd = s_even @ basis.even, s_odd @ basis.odd
+    resid = _take_off(x, head, tail, basis.even @ c_even, basis.odd @ c_odd)
+    coef = basis.coefficients @ np.concatenate([c_even, c_odd])
     return HarmonicModel(
         fundamental_hz=float(fundamental_hz),
         order=order,
-        coefficients=coef[:2 * order].reshape(order, 2),
+        coefficients=coef[:-1].reshape(order, 2),
         residual_power=float(np.dot(resid, resid) / x.size),
         offset=float(coef[-1]),
     )

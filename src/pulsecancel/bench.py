@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import numpy.ma        # np.median and np.unique load it lazily otherwise
 
 from .ahet import (ahet_trace, conventional_trace, eca_conventional_trace,
                    shared_cancellation)
@@ -68,7 +67,7 @@ class BenchReport:
                   and r.error is None]
         if not values:
             return float("nan")
-        return float(np.median(values))
+        return _median(np.array(values, dtype=float))
 
     def paired(self, method_a: str, method_b: str, cpi_s: float):
         """(rmse_a, rmse_b) per seed where both methods completed."""
@@ -80,13 +79,32 @@ class BenchReport:
                 if method_a in v and method_b in v]
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D float array, bit for bit (the middle value, or
+    the mean of the middle two, and nan when any value is nan), from a
+    sort: np.median loads numpy.ma, which costs every process about 15 ms
+    of import."""
+    v = np.sort(values)
+    if np.isnan(v[-1]):
+        return float("nan")
+    mid = v.size // 2
+    return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2.0)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array with no nan, from a sort (np.unique loads
+    numpy.ma too)."""
+    v = np.sort(values)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
+
+
 def _pair_times(trace: HrTrace, reference: HrTrace):
     """Nearest-time pairing within half the coarser trace step."""
     t_est, v_est = trace.times(), trace.bpm()
     t_ref, v_ref = reference.times(), reference.bpm()
     if t_est.size == 0 or t_ref.size == 0:
         raise ValueError("empty trace")
-    steps = [np.median(np.diff(t)) for t in (t_est, t_ref) if t.size > 1]
+    steps = [_median(np.diff(t)) for t in (t_est, t_ref) if t.size > 1]
     tol = max(steps) / 2.0 if steps else np.inf
 
     # each estimate's nearest reference time, the earlier one on a tie
@@ -134,7 +152,7 @@ def interval_rmse(trace: HrTrace, reference: HrTrace,
     k -= times < start_s + k * interval_s
     k += times >= start_s + (k + 1) * interval_s
     rows = []
-    for index in np.unique(k[k >= 0]):
+    for index in _unique(k[k >= 0]):
         sel = k == index
         err = est[sel] - ref[sel]
         rows.append(IntervalRow(float(start_s + index * interval_s),
@@ -174,8 +192,9 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
         scenario = make(seed, duration_s=duration_s)
         references = [(cpi_s, reference_trace(scenario, cpi_s))
                       for cpi_s in cpis]
-        z = scenario_slow_time(scenario)
-        phase = slow_time_phase(z, scenario.radar.frame_rate_hz)
+        # the complex signal dies once its phase exists
+        phase = slow_time_phase(scenario_slow_time(scenario),
+                                scenario.radar.frame_rate_hz)
         track = None
         with shared_cancellation() if share else contextlib.nullcontext():
             for cpi_s, reference in references:

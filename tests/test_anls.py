@@ -24,6 +24,7 @@ from pulsecancel.spectral import row_medians
 from pulsecancel.types import PhaseSignal
 
 FS = 100.0
+EPS = np.finfo(float).eps
 GRID = grid_frequencies(*BREATHING_GRID_HZ)
 # order and grid of a non-default breathing search
 ALT_GRID = (0.12, 0.45, 0.002)
@@ -829,16 +830,160 @@ class TestCaches:
 
     @pytest.mark.parametrize("f_hz, order, n", [(0.26, 3, 500),
                                                 (float(GRID[60]), 3, 2000),
-                                                (0.31, 2, 1500)])
-    def test_the_refit_factors_the_augmented_design(self, f_hz, order, n):
-        # (Q, R) is the QR of the harmonic matrix and a column of ones, bit
-        # for bit, though no cache holds that design
-        q, r = _refit_basis(f_hz, order, n, FS)
-        assert not (q.flags.writeable or r.flags.writeable)
-        expected = np.linalg.qr(np.hstack([
-            harmonic_matrix(f_hz, order, n, FS), np.ones((n, 1))]))
-        assert q.tobytes() == expected[0].tobytes()
-        assert r.tobytes() == expected[1].tobytes()
+                                                (0.31, 2, 1500), (0.31, 3, 7),
+                                                (16.6, 3, 3001)])
+    def test_the_halves_unfold_to_an_orthonormal_basis_of_the_design(
+            self, f_hz, order, n):
+        # even and odd are head rows of one orthonormal basis of the
+        # harmonic matrix and a column of ones, and the two maps turn its
+        # coordinates into the design's coefficients and back, though no
+        # cache holds that design
+        entry = _refit_basis(f_hz, order, n, FS)
+        assert isinstance(entry, anls_mod._RefitBasis)
+        assert entry.even.shape == ((n + 1) // 2, order + 1)
+        assert entry.odd.shape == (n // 2, order)
+        q = unfold(entry, n)
+        design = np.hstack([harmonic_matrix(f_hz, order, n, FS),
+                            np.ones((n, 1))])
+        np.testing.assert_allclose(q.T @ q, np.eye(2 * order + 1),
+                                   atol=1e-14)
+        assert np.max(np.abs(q @ entry.coordinates - design)) \
+            <= 4 * EPS * (1 + max_argument(f_hz, order, n))
+        np.testing.assert_allclose(entry.coefficients @ entry.coordinates,
+                                   np.eye(2 * order + 1), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [2000, 3001])
+    def test_an_entry_holds_half_a_basis(self, n):
+        # a full n x 7 Q was 112 kB at n = 2000; the halves hold
+        # ceil(n/2) x 4 + floor(n/2) x 3 float64s, plus two 7 x 7 maps
+        _refit_basis.cache_clear()
+        small = 2 * 7 * 7 * 8
+        entry = _refit_basis(float(GRID[96]), 3, n, FS)
+        assert sum(a.nbytes for a in entry) \
+            <= ((n + 1) // 2 + 1) * 7 * 8 + small
+        tracemalloc.start()
+        try:
+            again = _refit_basis(float(GRID[97]), 3, n, FS)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= ((n + 1) // 2 + 1) * 7 * 8 + small + 4096
+        assert sum(a.nbytes for a in again) < kept
+
+    @pytest.mark.parametrize("n", [7, 8, 2000, 3001])
+    def test_fundamental_zero_is_rank_deficient(self, n):
+        _refit_basis.cache_clear()
+        with pytest.raises(ValueError, match="rank-deficient harmonic "
+                                             r"design at 0.0 Hz \(condition"):
+            _refit_basis(0.0, 3, n, FS)
+        model = fit_amplitudes(harmonic_signal(0.26, n, [1.0], [0.0]), FS,
+                               0.26)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            dataclasses.replace(model, fundamental_hz=0.0).predict(n, FS)
+        assert _refit_basis.cache_info().currsize == 1
+
+
+def unfold(entry, n):
+    """The n x (2 order + 1) orthonormal basis whose head rows a
+    _refit_basis entry holds: each even column mirrored onto the tail
+    around an odd n's middle row, each odd column mirrored and negated."""
+    m = n // 2
+    even = np.concatenate([entry.even[:m], entry.even[m:],
+                           entry.even[:m][::-1]])
+    odd = np.concatenate([entry.odd, np.zeros((n - 2 * m, entry.odd.shape[1])),
+                          -entry.odd[::-1]])
+    return np.hstack([even, odd])
+
+
+def max_argument(f_hz, order, n, fs=FS):
+    """The largest sine argument (rad) of an n-sample design: a design on
+    another time origin differs from it by rounding of about eps times
+    this."""
+    return 2 * np.pi * order * f_hz * n / fs
+
+
+def agreement(design, f_hz, n):
+    """What a fit on the centred axis may differ from one on the design's
+    t-from-0 axis by, relative to the scale: the designs differ by the
+    rounding of their sine arguments, and the fit amplifies that by the
+    design's condition."""
+    return 4 * EPS * np.linalg.cond(design) * (1 + max_argument(f_hz, 3, n))
+
+
+# window lengths from the shortest a fit takes to a 30 s window, odd and
+# even; breathing fundamentals, and ones whose third harmonic is near
+# Nyquist at 100 Hz
+CENTRED_CASES = [(n, f_hz) for n in (7, 500, 1999, 2000, 3001)
+                 for f_hz in (float(GRID[0]), 0.26, float(GRID[-1]), 16.6,
+                              16.66)]
+
+
+class TestCentredRefit:
+    """The refit on the centred axis against the same least squares on
+    the t-from-0 axis: the design [harmonic_matrix, 1] and LAPACK's
+    Householder QR (np.linalg.qr) or np.linalg.lstsq."""
+
+    def signals(self, f_hz, n, rows=3, seed=0):
+        design = np.hstack([harmonic_matrix(f_hz, 3, n, FS),
+                            np.ones((n, 1))])
+        rng = np.random.default_rng(seed)
+        x = (design @ rng.normal(size=(7, rows))).T \
+            + rng.normal(scale=0.3, size=(rows, n))
+        return design, x
+
+    @pytest.mark.parametrize("n, f_hz", CENTRED_CASES)
+    def test_residuals_are_the_householder_projection(self, n, f_hz):
+        design, x = self.signals(f_hz, n)
+        q = np.linalg.qr(design)[0]
+        want = x - (x @ q) @ q.T
+        track = BreathingTrack(starts=(0,), hz=(f_hz,), window_s=n / FS,
+                               sample_rate=FS)
+        # 1e-12, or the rounding of the reference's own sine arguments
+        # where that is larger: eps x 9,400 rad = 2.1e-12 at n = 3001 and
+        # 16.66 Hz (the refit reads 9.2e-13 there)
+        tol = max(1e-12, EPS * max_argument(f_hz, 3, n)) * np.max(np.abs(x))
+        # each row its own run, then all three in one run
+        for starts in ([0], [0, 0, 0]):
+            got, errors = track.residuals(x[:len(starts)], starts)
+            assert errors == [None] * len(starts)
+            assert np.max(np.abs(got - want[:len(starts)])) <= tol
+        if n >= 500:
+            # the per-window route renders the fit through the inverse
+            # triangles, whose rounding grows with the design's condition
+            # (4.5e11 at n = 7 and 0.26 Hz, below 2 here); the block route
+            # only projects
+            single = track.residual(x[0], 0)
+            assert np.max(np.abs(single - want[0])) <= tol
+
+    @pytest.mark.parametrize("n, f_hz", [(n, f) for n, f in CENTRED_CASES
+                                         if n >= 500])
+    def test_fit_is_lstsq_on_the_design(self, n, f_hz):
+        # the coefficients keep their meaning: sin/cos weights about the
+        # window's first sample, then the offset
+        design, x = self.signals(f_hz, n, rows=1, seed=1)
+        want, *_ = np.linalg.lstsq(design, x[0], rcond=None)
+        model = fit_amplitudes(x[0], FS, f_hz)
+        got = np.r_[model.coefficients.reshape(-1), model.offset]
+        tol = agreement(design, f_hz, n)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        resid = x[0] - design @ want
+        assert model.residual_power == pytest.approx(resid @ resid / n,
+                                                     rel=1e-12)
+        rendered = model.predict(n, FS, include_offset=True)
+        assert np.max(np.abs(rendered - design @ want)) \
+            <= tol * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [500, 501])
+    def test_a_window_whose_refit_fails_is_left_bit_for_bit(self, n):
+        # the window from 100 holds only the subwindow fitted at 0 Hz; its
+        # negative zeros would come back as +0.0 from x - 0 + 0
+        track = BreathingTrack(starts=(0, 100), hz=(0.26, 0.0))
+        windows = np.random.default_rng(n).normal(size=(2, n))
+        windows[1, [0, n // 2, n - 1]] = -0.0
+        out, errors = track.residuals(windows, [0, 100])
+        assert errors[0] is None and "rank-deficient" in str(errors[1])
+        assert out[1].tobytes() == windows[1].tobytes()
+        assert not np.array_equal(out[0], windows[0])
 
 
 class TestPredict:

@@ -1,6 +1,7 @@
 """Trace scoring, Monte Carlo survey persistence, and timing."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +248,49 @@ class TestMonteCarlo:
         assert record.intervals
         assert report.family == "masking-b"
 
+    def test_the_complex_signal_dies_before_the_methods_run(
+            self, monkeypatch):
+        # each record's 28,000-sample complex128 signal was held through
+        # every CPI and method of the record (448 kB at 280 s)
+        signals, alive = [], []
+        original = bench_mod.scenario_slow_time
+
+        def rendering(scenario):
+            z = original(scenario)
+            signals.append(weakref.ref(z))
+            return z
+
+        def method(phase, cpi_s, **kwargs):
+            alive.append(signals[-1]() is not None)
+            return reference_trace(FAMILIES["masking-b"](0, duration_s=20.0),
+                                   cpi_s)
+
+        monkeypatch.setattr(bench_mod, "scenario_slow_time", rendering)
+        monkeypatch.setitem(bench_mod.METHODS, "conventional", method)
+        monte_carlo("masking-b", [0, 1], cpis=(15.0,),
+                    methods=("conventional",), duration_s=20.0)
+        assert alive == [False, False]
+
+
+class TestSortMedians:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101])
+    def test_median_is_np_median_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.normal(size=size), rng.integers(0, 3, size) * 0.1,
+                       np.full(size, 1e300), np.r_[rng.normal(size=size),
+                                                   -np.inf, np.inf]):
+            got, want = bench_mod._median(values), float(np.median(values))
+            assert np.array_equal(got, want, equal_nan=True), values
+        with_nan = np.r_[rng.normal(size=size), np.nan]
+        assert np.isnan(bench_mod._median(with_nan))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 9, 200])
+    def test_unique_is_np_unique(self, size):
+        values = np.floor(np.random.default_rng(size).normal(size=size) * 3)
+        got = bench_mod._unique(values)
+        assert got.tobytes() == np.unique(values).tobytes()
+        assert got.dtype == np.unique(values).dtype
+
 
 def count_track_fits(monkeypatch, fail=False):
     """Count breathing_track calls made through bench or ahet; with fail,
@@ -412,3 +456,27 @@ class TestTimeProfile:
         cube = synthesize_radar_cube(Scenario(duration_s=30.0))
         with pytest.raises(ValueError, match="unknown method"):
             time_profile(cube, methods=("bogus",))
+
+
+NO_MASKED_ARRAYS = """
+import sys
+import pulsecancel as pc
+from pulsecancel.cli import main
+from pulsecancel.scenario import FAMILIES
+
+pc.monte_carlo("masking-b", [0], cpis=(15.0, 20.0),
+               methods=("conventional", "eca", "ahet"), duration_s=30.0)
+pc.write_raw_cube(pc.synthesize_radar_cube(
+    FAMILIES["masking-c"](1, duration_s=30.0)), sys.argv[1])
+assert main(["run", "--in", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_survey_and_a_trace_never_load_numpy_ma(tmp_path):
+    # np.median and np.unique load numpy.ma (about 15 ms of a process's
+    # import); bench imported it eagerly so no operation would load it
+    done = fresh_python("-c", NO_MASKED_ARRAYS, str(tmp_path / "cube.bin"),
+                        str(tmp_path / "trace.csv"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,5 @@
 """tools/stage_record.py on a tiny record: the schema of what it writes,
-and no unattributed time."""
+no unattributed time, and what a cold run leaves held."""
 
 import importlib.util
 import json
@@ -39,7 +39,7 @@ def test_the_record_names_every_stage_once(tool, doc):
     # the record's bin leads its first chunk, so there is no second pass
     assert list(doc["stages"]) == ["factor_build"] + [
         f"{m}.{s}" for m in methods for s in per_method[m]]
-    assert doc["schema"] == "pulsecancel stage record 2"
+    assert doc["schema"] == "pulsecancel stage record 3"
     assert doc["workload"] == {
         "family": "masking-b", "seed": 0, "duration_s": SECONDS,
         "frames": 3000, "fast_time": 200, "cpi_s": 20.0, "step_s": 1.0,
@@ -58,6 +58,7 @@ def test_the_record_names_every_stage_once(tool, doc):
         assert run["peak_bytes"] \
             > doc["stages"][f"{name}.front_end"]["peak_bytes"]
         assert len(run["unattributed_share"]) == REPEATS
+        assert isinstance(run["kept_bytes"], int), name
     json.dumps(doc)
 
 
@@ -66,6 +67,34 @@ def test_the_stages_add_up_to_each_run(doc):
     for name, run in doc["runs"].items():
         for share in run["unattributed_share"]:
             assert 0.0 <= share <= UNATTRIBUTED, (name, run)
+
+
+def test_a_cold_run_keeps_the_caches_it_fills(tool, doc):
+    # the cancelling methods keep the breathing grid's factor and the refit
+    # entries on top of the spectra's tables; a second cold run keeps the
+    # same, so nothing else accumulates across runs
+    kept = {name: run["kept_bytes"] for name, run in doc["runs"].items()}
+    assert 0 < kept["conventional"] < kept["eca"]
+    factor = sum(a.nbytes for a in tool.anls._factored_bases(
+        500, 100.0, 3, tuple(tool.anls.BREATHING_GRID_HZ)))
+    with tool.tempfile.TemporaryDirectory() as tmp:
+        path = tool.Path(tmp) / "cube.bin"
+        tool.pc.write_raw_cube(tool.pc.synthesize_radar_cube(
+            tool.scenario.FAMILIES["masking-b"](0, duration_s=SECONDS)), path)
+        tool.tracemalloc.start()
+        try:
+            again = tool._kept(path, "ahet")
+        finally:
+            tool.tracemalloc.stop()
+    entries = tool.anls._refit_basis.cache_info().currsize
+    assert abs(again - kept["ahet"]) <= 0.02 * kept["ahet"]
+    # each refit entry at n = 2000 holds half an n x 7 basis and two 7 x 7
+    # maps (a full basis was 112 kB); 1 kB an entry and 48 kB in all for
+    # the arrays' and the caches' own records
+    per_entry = (2000 // 2 + 1) * 7 * 8 + 2 * 7 * 7 * 8 + 1024
+    assert entries > 0
+    assert factor < kept["ahet"] - kept["conventional"] \
+        <= factor + entries * per_entry + 48 * 1024
 
 
 def test_main_writes_the_record(tool, doc, monkeypatch, tmp_path, capsys):

@@ -26,8 +26,11 @@ Per stage the record holds the median and quartiles of its wall clock
 per run over the repeats, its tracemalloc peak above what was held when it
 was called (the largest over its calls, from one traced run) and its calls
 per run.  Per method it holds the run's wall clock and tracemalloc peak,
-and for each run the share of its wall clock that none of its stages
-covers.  BLAS is pinned to one thread when the script is run as a program.
+for each run the share of its wall clock that none of its stages covers,
+and kept_bytes: what the method's first run leaves held, from cold
+caches (every lru_cache of the package emptied first).  That is the
+caches the run fills, which the warm runs' peaks cannot see.  BLAS is
+pinned to one thread when the script is run as a program.
 """
 
 import argparse
@@ -106,6 +109,25 @@ def _factor_build(fs):
                                 tuple(anls.BREATHING_GRID_HZ))
 
 
+def _clear_caches():
+    """Empty every lru_cache of the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "pulsecancel" or name.startswith("pulsecancel."):
+            for fn in vars(module).values():
+                if (getattr(fn, "__module__", None) == name
+                        and hasattr(fn, "cache_clear")):
+                    fn.cache_clear()
+
+
+def _kept(path, method: str) -> int:
+    """The bytes method's run on the record at path leaves held when it
+    starts from cold caches (tracemalloc running)."""
+    _clear_caches()
+    held = tracemalloc.get_traced_memory()[0]
+    run(path, Stages(method))
+    return tracemalloc.get_traced_memory()[0] - held
+
+
 def _seconds(fn, *args) -> float:
     t0 = time.perf_counter()
     fn(*args)
@@ -153,6 +175,11 @@ def record(duration_s: float = DURATION_S, repeats: int = REPEATS) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cube.bin"
         header = pc.write_raw_cube(pc.synthesize_radar_cube(scene), path)
+        tracemalloc.start()
+        try:
+            kept = {method: _kept(path, method) for method in TRACES}
+        finally:
+            tracemalloc.stop()
         # one untimed run per method fills the library's caches
         for method in TRACES:
             run(path, Stages(method))
@@ -190,11 +217,12 @@ def record(duration_s: float = DURATION_S, repeats: int = REPEATS) -> dict:
         methods[method] = {
             "wall_s": _spread([wall for wall, _ in timed]),
             "peak_bytes": run_peaks[method],
+            "kept_bytes": kept[method],
             "stages": list(first.seconds),
             "unattributed_share": [1.0 - sum(s.seconds.values()) / wall
                                    for wall, s in timed]}
     return {
-        "schema": "pulsecancel stage record 2",
+        "schema": "pulsecancel stage record 3",
         "workload": {"family": FAMILY, "seed": SEED,
                      "duration_s": duration_s, "frames": header.frames,
                      "fast_time": header.fast_time, "cpi_s": CPI_S,
@@ -220,7 +248,8 @@ def main(argv=None) -> int:
               f"{entry['peak_bytes'] / 1e6:8.3f} MB  x{entry['calls']}")
     for name, entry in doc["runs"].items():
         print(f"run.{name:20s} {entry['wall_s']['median'] * 1e3:9.3f} ms "
-              f"{entry['peak_bytes'] / 1e6:8.3f} MB  unattributed "
+              f"{entry['peak_bytes'] / 1e6:8.3f} MB  kept "
+              f"{entry['kept_bytes'] / 1e6:.3f} MB  unattributed "
               f"{statistics.median(entry['unattributed_share']):.1%}")
     return 0
 
