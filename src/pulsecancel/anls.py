@@ -26,8 +26,10 @@ odd n's middle sample), and its odd part, x_head - reversed x_tail; each
 is projected onto its half.  The block route (BreathingTrack.residuals,
 which the trace drivers run) folds each block once, projects each run of
 windows at one fundamental, and writes every residual head, mirrored tail
-and middle.  The per-window route (fit_amplitudes, BreathingTrack.refit
-and residual, reconstruct_reference) takes coefficients through the
+and middle over the spent parts.  The per-window route (fit_amplitudes,
+BreathingTrack.refit and residual, reconstruct_reference) folds and
+projects one window the same way, so BreathingTrack.residual is the
+projection's residual too; fit_amplitudes takes coefficients through the
 inverse triangles, and HarmonicModel.predict renders them through the
 triangles, from the same entry.
 """
@@ -170,19 +172,25 @@ class BreathingTrack:
     def refit(self, segment: np.ndarray, start: int = 0) -> HarmonicModel:
         """Fit a segment starting at sample start of the record at the
         median fundamental of the subwindows inside it."""
-        f_hat = float(self._refit_hz([start], len(segment))[0])
-        if math.isnan(f_hat):
-            raise ValueError(_NO_SUBWINDOW)
-        return fit_amplitudes(segment, self.sample_rate, f_hat, self.order)
+        return self._fit(segment, start)[0]
 
     def residual(self, segment: np.ndarray, start: int = 0) -> np.ndarray:
         """The segment minus its refit, harmonics and intercept: the
         pipeline's cancel step.  Lagged copies of the reference are harmonic
         series at the same fundamental, so (but for their zero-filled heads)
-        projecting them off too would remove nothing more."""
-        model = self.refit(segment, start)
-        return segment - model.predict(len(segment), self.sample_rate,
-                                       include_offset=True)
+        projecting them off too would remove nothing more.  It is the
+        fit's own residual, the projections taken off as residuals() takes
+        them, not the segment minus the series rendered from the
+        coefficients, whose rounding grows with the design's condition."""
+        return self._fit(segment, start)[1]
+
+    def _fit(self, segment: np.ndarray, start: int) -> tuple:
+        """_fit_with_residual of the segment at refit()'s fundamental."""
+        f_hat = float(self._refit_hz([start], len(segment))[0])
+        if math.isnan(f_hat):
+            raise ValueError(_NO_SUBWINDOW)
+        return _fit_with_residual(segment, self.sample_rate, f_hat,
+                                  self.order)
 
     def residuals(self, windows: np.ndarray, starts) -> tuple:
         """residual() of every row of a stack of equal-length windows, in
@@ -197,11 +205,17 @@ class BreathingTrack:
         H.  The projections are then taken off every row's head, mirrored
         tail and middle at once (_take_off), and the rows whose refit
         failed are copied as they were.
+
+        Memory: two arrays of the stack's size, _fold's head and tail
+        copies and its parts' buffer, which _take_off overwrites with the
+        residuals: 0.52 MB at the peak for 16 windows of 2000 samples,
+        0.77 MB when the residuals were a third array.
         """
         x = np.asarray(windows, dtype=float)
         n = x.shape[1]
         errors = [None] * len(x)
-        head, tail, s_even, s_odd = _fold(x)
+        parts = np.empty(x.size)
+        head, tail, s_even, s_odd = _fold(x, parts)
         i = 0
         # nan (no subwindow inside) equals nothing: each is its own run
         for f_hat, run in groupby(self._refit_hz(starts, n).tolist()):
@@ -217,7 +231,7 @@ class BreathingTrack:
                                    (s_odd[i:j], basis.odd)):
                     np.matmul(part @ half, half.T, out=part)
             i = j
-        out = _take_off(x, head, tail, s_even, s_odd)
+        out = _take_off(x, head, tail, s_even, s_odd, parts.reshape(x.shape))
         failed = [k for k, e in enumerate(errors) if e is not None]
         if failed:
             out[failed] = x[failed]
@@ -294,41 +308,58 @@ class _RefitBasis(NamedTuple):
     coordinates: np.ndarray
 
 
-def _fold(x: np.ndarray) -> tuple:
+def _fold(x: np.ndarray, parts: np.ndarray | None = None) -> tuple:
     """(head, tail, even, odd) of each row (last axis) of x, n samples:
     contiguous copies of its floor(n/2) head samples and of its tail
     reversed, its even part head + tail followed by an odd n's middle
     sample, and its odd part head - tail.  A row's coordinates on a
     _RefitBasis half are its part times that half.  (numpy runs an
     elementwise op on contiguous rows several times faster than on the
-    rows' strided or reversed halves, so each half is copied once.)"""
+    rows' strided or reversed halves, so each half is copied once.)
+
+    even and odd are laid end to end in parts, a flat float64 buffer of
+    x's size (new when None), so that _take_off can write the residual
+    over them once they are spent.  Memory: the head and tail copies and
+    that buffer, two arrays of x's size (0.51 MB for a 16 x 2000 block)."""
     n = x.shape[-1]
     m = n // 2
+    lead = x.shape[:-1]
     head, tail = x[..., :m].copy(), x[..., ::-1][..., :m].copy()
-    even = np.empty(x.shape[:-1] + (n - m,))
+    if parts is None:
+        parts = np.empty(x.size)
+    split = x.size // n * (n - m)
+    even = parts[:split].reshape(lead + (n - m,))
+    odd = parts[split:].reshape(lead + (m,))
     np.add(head, tail, out=even[..., :m])
     even[..., m:] = x[..., m:n - m]
-    return head, tail, even, head - tail
+    np.subtract(head, tail, out=odd)
+    return head, tail, even, odd
 
 
 def _take_off(x: np.ndarray, head: np.ndarray, tail: np.ndarray,
-              p_even: np.ndarray, p_odd: np.ndarray) -> np.ndarray:
+              p_even: np.ndarray, p_odd: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Each row of x (last axis, n samples) minus the series whose even
     and odd parts have the head rows p_even (ceil(n/2) samples, an odd
     n's middle last) and p_odd (floor(n/2)): both off the head, the even
     one off the reversed tail with the odd one added back (in place in
     _fold's head and tail), the even one off the middle, written out in
-    a new array."""
+    out (x's shape; new when None).  out may hold p_even and p_odd, as
+    _fold's buffer does: they are spent before it is written.  Memory:
+    an odd n's middle column, and out when it is new (256 kB for 16
+    windows of 2000 samples, none when it is _fold's buffer)."""
     n = x.shape[-1]
     m = n // 2
     head -= p_even[..., :m]
     head -= p_odd
     tail -= p_even[..., :m]
     tail += p_odd
-    out = np.empty(x.shape)
+    middle = x[..., m:n - m] - p_even[..., m:]
+    if out is None:
+        out = np.empty(x.shape)
     out[..., :m] = head
     out[..., ::-1][..., :m] = tail
-    np.subtract(x[..., m:n - m], p_even[..., m:], out=out[..., m:n - m])
+    out[..., m:n - m] = middle
     return out
 
 
@@ -421,6 +452,12 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     is solved.  The residual is the segment with both projections taken
     off.
     """
+    return _fit_with_residual(segment, sample_rate, fundamental_hz, order)[0]
+
+
+def _fit_with_residual(segment: np.ndarray, sample_rate: float,
+                       fundamental_hz: float, order: int) -> tuple:
+    """(fit_amplitudes' model, the residual it measures)."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
         raise ValueError("segment must be 1-D")
@@ -431,13 +468,14 @@ def fit_amplitudes(segment: np.ndarray, sample_rate: float,
     c_even, c_odd = s_even @ basis.even, s_odd @ basis.odd
     resid = _take_off(x, head, tail, basis.even @ c_even, basis.odd @ c_odd)
     coef = basis.coefficients @ np.concatenate([c_even, c_odd])
-    return HarmonicModel(
+    model = HarmonicModel(
         fundamental_hz=float(fundamental_hz),
         order=order,
         coefficients=coef[:-1].reshape(order, 2),
         residual_power=float(np.dot(resid, resid) / x.size),
         offset=float(coef[-1]),
     )
+    return model, resid
 
 
 def grid_frequencies(lo_hz: float, hi_hz: float, step_hz: float) -> np.ndarray:

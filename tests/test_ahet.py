@@ -3,6 +3,7 @@ spectra."""
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,44 @@ class TestCancelStage:
 def masking_b_phase():
     sc = FAMILIES["masking-b"](0, duration_s=60.0)
     return slow_time_phase(scenario_slow_time(sc), sc.radar.frame_rate_hz)
+
+
+def traced(fn, *args):
+    """(fn(*args), bytes it leaves held, its tracemalloc peak), both above
+    what was held before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - before, peak - before
+
+
+class TestBlockWorkingSet:
+    def test_a_finished_block_is_not_held(self, masking_b_phase):
+        # 41 windows of 20 s, three blocks.  Above what the trace keeps,
+        # the driver's peak is one block's working set: its residual rows
+        # while band_power runs on them, or the refit's own peak.  Keeping
+        # the previous block's power (86 kB) or residual rows (256 kB) into
+        # the next block's stages would exceed it; 16 kB covers a block's
+        # trace entries and decisions (the peak read 80 B above the rows
+        # plus band_power's peak)
+        phase = masking_b_phase
+        fs = phase.sample_rate
+        track = breathing_track(phase)
+        ahet_trace(phase, track=track)            # every cache is filled
+        starts, stack = sliding_windows(phase.samples, fs, 20.0, 1.0)
+        assert len(starts) == 41
+        (rows, _), _, refit_peak = traced(track.residuals, stack[:16],
+                                          starts[:16])
+        _, _, band_peak = traced(band_power, rows, fs,
+                                 ahet_mod._top_hz(AhetConfig()), 8)
+        _, kept, peak = traced(ahet_trace, phase, 20.0, 1.0, AhetConfig(),
+                               track)
+        block = max(rows.nbytes + band_peak, refit_peak)
+        assert peak - kept <= block + 16e3
 
 
 class TestSharedTrack:

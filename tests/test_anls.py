@@ -592,11 +592,14 @@ class TestTrackAndReference:
         assert model.fundamental_hz == float(np.median(track.hz[inside]))
         assert model.fundamental_hz == f_b
         assert model.order == 3
-        np.testing.assert_array_equal(
-            track.residual(segment, 1200),
-            segment - model.predict(800, FS, include_offset=True))
-        assert np.linalg.norm(track.residual(segment, 1200)) \
-            <= 1e-9 * np.linalg.norm(segment)
+        # the fit's own residual: the one its residual power measures
+        resid = track.residual(segment, 1200)
+        assert float(np.dot(resid, resid) / resid.size) \
+            == model.residual_power
+        rendered = segment - model.predict(800, FS, include_offset=True)
+        assert np.max(np.abs(resid - rendered)) \
+            <= 1e-12 * np.max(np.abs(segment))
+        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(segment)
 
     def test_refit_needs_a_subwindow_inside_the_segment(self):
         x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
@@ -743,6 +746,24 @@ class TestResiduals:
                        and "rank-deficient" in str(e) for e in errors)
             np.testing.assert_array_equal(out, windows)
             assert _refit_basis.cache_info().currsize == 0
+
+    def test_a_block_works_in_two_block_sized_arrays(self):
+        # a 16 x 2000 block (256 kB) of the record's 20 s windows: the head
+        # and tail copies and the fold parts' buffer, which takes the
+        # residual.  It read 524,696 B; with a third, separate output array
+        # it read 769,576 B
+        x, track = self.record()
+        starts = np.arange(0, 1501, 100)
+        windows = np.stack([x[i0:i0 + 2000] for i0 in starts])
+        track.residuals(windows, starts)          # the refit entry is cached
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            track.residuals(windows, starts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 2 * windows.nbytes
 
 
 class TestEquality:
@@ -947,13 +968,10 @@ class TestCentredRefit:
             got, errors = track.residuals(x[:len(starts)], starts)
             assert errors == [None] * len(starts)
             assert np.max(np.abs(got - want[:len(starts)])) <= tol
-        if n >= 500:
-            # the per-window route renders the fit through the inverse
-            # triangles, whose rounding grows with the design's condition
-            # (4.5e11 at n = 7 and 0.26 Hz, below 2 here); the block route
-            # only projects
-            single = track.residual(x[0], 0)
-            assert np.max(np.abs(single - want[0])) <= tol
+        # the per-window route takes the same projections off, also where
+        # the design is ill-conditioned (4.5e11 at n = 7 and 0.26 Hz)
+        single = track.residual(x[0], 0)
+        assert np.max(np.abs(single - want[0])) <= tol
 
     @pytest.mark.parametrize("n, f_hz", [(n, f) for n, f in CENTRED_CASES
                                          if n >= 500])

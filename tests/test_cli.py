@@ -15,7 +15,7 @@ import pulsecancel.cli as cli_mod
 from pulsecancel.ahet import (AhetConfig, conventional_trace,
                               eca_conventional_trace)
 from pulsecancel.anls import (BREATHING_GRID_HZ, BreathingTrack,
-                             breathing_track, reconstruct_reference)
+                             breathing_track)
 from pulsecancel.bench import rmse
 from pulsecancel.cli import main
 from pulsecancel.ingest import (read_raw_cube, read_reference_trace,
@@ -370,9 +370,10 @@ class TestSpectra:
         assert len(list(outdir.iterdir())) == len(starts) == 21
         for w, i0 in enumerate(starts):
             segment = phase.samples[i0:i0 + n_cpi]
-            fit = reconstruct_reference(PhaseSignal(segment, fs))
-            cancelled = segment - fit.model.predict(n_cpi, fs,
-                                                    include_offset=True)
+            # the window's own breathing track, as reconstruct_reference
+            # fits it, and its refit's residual
+            own = breathing_track(PhaseSignal(segment, fs))
+            cancelled = own.residual(segment)
             expected = _spectrum_csv(power_spectrum(cancelled, fs))
             path = outdir / f"spectrum_{w:05d}.csv"
             assert _same_text(path, expected), path.name

@@ -326,7 +326,16 @@ class TestBandPower:
                 return _f(x, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counting)
         band_power(windows, FS, 4.2)
-        assert [shape[0] for shape in seen] == [(rows + 1) // 2] * 2
+        # each group of pairs is transformed forward, then back
+        ffts, iffts = seen[0::2], seen[1::2]
+        assert ffts == iffts
+        assert sum(shape[0] for shape in ffts) == (rows + 1) // 2
+        # in a complex buffer no larger than the stack, or one pair's:
+        # 4 of the 8 pairs of 16 windows of 2000 (4 x 3360 x 16 B)
+        assert all(count == 1 or 16 * count * size <= windows.nbytes
+                   for count, size in ffts)
+        if rows == 16:
+            assert ffts == [(4, 3360)] * 2
 
     @pytest.mark.parametrize("cpi_s", [15.0, 20.0, 30.0])
     def test_equals_the_scipy_fft_chirp_z_bit_for_bit(self, monkeypatch,
@@ -393,10 +402,11 @@ class TestBandPower:
             freqs[0] = 1.0
 
     def test_peak_memory_is_the_buffer_plus_the_band(self):
-        # a 20 s block of 16 windows: the 8 x 3360 complex transform buffer
-        # (430 kB) is dropped once the band is sliced from it, and each
-        # half's power is formed in turn; kept under every later temporary
-        # it peaked at 994 kB
+        # a 20 s block of 16 windows, 674 bins: one group's 4 x 3360
+        # complex transform buffer (215 kB), its two 4 x 674 complex band
+        # slices and two float power temporaries (129 kB), and the 16 x 674
+        # output (86 kB): 434 kB.  With the 8 pairs in one buffer and
+        # numpy's copies on 2-D in-place ops it peaked at 816 kB
         windows = band_windows(16, 2000)
         band_power(windows, FS, 4.2)              # the kernel is cached
         tracemalloc.start()
@@ -405,7 +415,7 @@ class TestBandPower:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9e5
+        assert peak < 4.6e5
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
