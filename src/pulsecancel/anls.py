@@ -1,25 +1,29 @@
 """Nonlinear least-squares reconstruction of the breathing component.
 
+Both the grid search and the refits work on the window's centred time
+axis t' = (k - (n - 1) / 2) / fs.  There cos(k w t') and the intercept are
+even about the window's centre and sin(k w t') is odd, so the two sets are
+orthogonal and every fit splits into two half-length problems (the
+centrosymmetric reduction of Cantoni and Butler, Linear Algebra Appl. 13,
+1976), each over the window's head rows weighted sqrt(2) (an odd n's
+middle row 1) so that a half's Gram matrix is the whole window's.
+
 The breathing rate is found by grid search: for each candidate fundamental
-the phase segment is projected onto a sin/cos harmonic basis and the
-candidate with minimal residual wins.  The grid's orthonormal bases are
-held as one factor: a shared orthonormal span of a few dozen directions and
-each basis's coordinates in it, so scoring a segment against the whole grid
-costs one projection onto the span and one small product.
+the demeaned phase segment is projected onto its sin/cos harmonic basis
+and the candidate with minimal residual wins.  The grid's orthonormal bases
+are held as one factor per half: a shared orthonormal span of a few dozen
+directions and each basis's coordinates in it, so scoring a segment
+against the whole grid costs one projection of each folded part onto its
+half's span and one small product per half.
 
 One cache serves every refit and render at a fixed fundamental and
-length: _refit_basis fits the harmonic-plus-intercept design on the
-window's centred time axis t' = (k - (n - 1) / 2) / fs.  There cos(k w t')
-and the intercept are even about the window's centre and sin(k w t') is
-odd, so the two sets are orthogonal and the fit splits into two
-half-length problems (the centrosymmetric reduction of Cantoni and
-Butler, Linear Algebra Appl. 13, 1976).  Each entry holds the head rows of
-the two orthonormal bases, from a Householder QR (numpy's np.linalg.qr)
-of each sqrt(2)-weighted half design: ceil(n/2) (order + 1) +
-floor(n/2) order float64s, half of a full n x (2 order + 1) Q, plus two
-(2 order + 1)-square maps built from the two triangles R_e, R_o and
-their inverses.  No cache holds a design, no normal equations are
-formed and nothing is solved per fit.
+length: _refit_basis fits the harmonic-plus-intercept design in the same
+two halves.  Each entry holds the head rows of the two orthonormal bases,
+from a Householder QR (numpy's np.linalg.qr) of each weighted half
+design: ceil(n/2) (order + 1) + floor(n/2) order float64s, half of a full
+n x (2 order + 1) Q, plus two (2 order + 1)-square maps built from the
+two triangles R_e, R_o and their inverses.  No cache holds a design, no
+normal equations are formed and nothing is solved per fit.
 
 A window is folded into its even part, x_head + reversed x_tail (with an
 odd n's middle sample), and its odd part, x_head - reversed x_tail; each
@@ -48,7 +52,8 @@ from .types import PhaseSignal, equal_fields
 
 BREATHING_GRID_HZ = (*BREATHING_BAND_HZ, 1.0 / 600.0)
 # The grid factor (_factored_bases) is built this many grid frequencies at a
-# time, and resolves every basis onto its span to this absolute tolerance.
+# time, and resolves every half basis onto its span to this absolute
+# tolerance.
 _SPAN_CHUNK = 16
 _SPAN_TOL = 1e-13
 # _best_fundamentals scores this many segments at a time, so its projection
@@ -256,16 +261,20 @@ def harmonic_matrix(fundamental_hz: float, order: int, n: int,
     Columns 2k-2 and 2k-1 (0-based) hold sin and cos of harmonic k, which
     linearizes the unknown per-harmonic phases.
     """
+    arg = _harmonic_phases(np.array([fundamental_hz], dtype=float), order,
+                           n, sample_rate)[0]
     # row-major: a column-major design rounds the refit products otherwise
-    return np.ascontiguousarray(_harmonic_stack(
-        np.array([fundamental_hz], dtype=float), order, n, sample_rate)[0])
+    h = np.empty((n, order, 2))
+    h[..., 0] = np.sin(arg).T
+    h[..., 1] = np.cos(arg).T
+    return h.reshape(n, 2 * order)
 
 
-def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
-                    sample_rate: float, origin: float = 0.0) -> np.ndarray:
-    """harmonic_matrix of each of freqs, stacked (freqs.size, n, 2 * order),
-    with its checks on every fundamental.  Sample k is at time
-    (k - origin) / sample_rate."""
+def _harmonic_phases(freqs: np.ndarray, order: int, n: int,
+                     sample_rate: float, origin: float = 0.0) -> np.ndarray:
+    """The phase of harmonic k = 1..order of each of freqs at samples
+    0..n-1, (freqs.size, order, n), with harmonic_matrix's checks on every
+    fundamental.  Sample k is at time (k - origin) / sample_rate."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if n < 1:
@@ -284,13 +293,33 @@ def _harmonic_stack(freqs: np.ndarray, order: int, n: int,
     # 0.0 - origin: +0.0 at the default origin, whose first sample the
     # t-from-0 designs have always had at +0.0 s; every k - origin is exact
     t = np.arange(0.0 - origin, n - origin) / sample_rate
-    arg = (2.0 * np.pi * np.arange(1, order + 1) * freqs[:, None])[..., None] \
-        * t
-    # columns contiguous in time, so each design is Fortran-ordered
-    h = np.empty((freqs.size, order, 2, n))
-    h[:, :, 0] = np.sin(arg)
-    h[:, :, 1] = np.cos(arg)
-    return h.reshape(freqs.size, 2 * order, n).transpose(0, 2, 1)
+    return (2.0 * np.pi * np.arange(1, order + 1)
+            * freqs[:, None])[..., None] * t
+
+
+def _head_weights(n: int) -> np.ndarray:
+    """The (ceil(n/2), 1) weights of an n-sample window's head rows and an
+    odd n's middle row: sqrt(2), the middle 1, so that the weighted head
+    rows of an even or an odd column have the whole column's norm."""
+    weight = np.full((n - n // 2, 1), math.sqrt(2.0))
+    weight[n // 2:] = 1.0
+    return weight
+
+
+def _centred_half(freqs: np.ndarray, order: int, n: int,
+                  sample_rate: float, odd: bool) -> np.ndarray:
+    """One half of each of freqs' harmonic design on an n-sample window's
+    centred axis t' = (k - (n - 1) / 2) / fs, weighted by _head_weights:
+    the even columns cos k w t' over the head rows and an odd n's middle
+    row (freqs.size, ceil(n/2), order), or the odd columns sin k w t' over
+    the head rows (freqs.size, floor(n/2), order).  Each design is
+    Fortran-ordered (columns contiguous); _harmonic_phases' checks apply."""
+    rows = n // 2 if odd else n - n // 2
+    arg = _harmonic_phases(freqs, order, rows, sample_rate,
+                           origin=(n - 1) / 2.0)
+    (np.sin if odd else np.cos)(arg, out=arg)
+    arg *= _head_weights(n)[:rows].T
+    return arg.transpose(0, 2, 1)
 
 
 class _RefitBasis(NamedTuple):
@@ -396,14 +425,12 @@ def _refit_basis(fundamental_hz: float, order: int, n: int,
         raise ValueError(f"segment of {n} samples too short for "
                          f"{2 * order} coefficients")
     m = n // 2
-    design = _harmonic_stack(np.array([fundamental_hz], dtype=float), order,
-                             n - m, sample_rate, origin=(n - 1) / 2.0)[0]
-    weight = np.full((n - m, 1), math.sqrt(2.0))
-    weight[m:] = 1.0
-    even = np.ones((n - m, order + 1))
-    even[:, :-1] = design[:, 1::2]
-    (q_e, r_e), (q_o, r_o) = (np.linalg.qr(even * weight),
-                              np.linalg.qr(design[:m, ::2] * weight[:m]))
+    f = np.array([fundamental_hz], dtype=float)
+    weight = _head_weights(n)
+    even = np.hstack([_centred_half(f, order, n, sample_rate, False)[0],
+                      weight])
+    odd = _centred_half(f, order, n, sample_rate, True)[0]
+    (q_e, r_e), (q_o, r_o) = np.linalg.qr(even), np.linalg.qr(odd)
     sv = np.concatenate([np.linalg.svd(r, compute_uv=False)
                          for r in (r_e, r_o)])
     cutoff = np.finfo(float).eps * n * sv.max()
@@ -489,75 +516,111 @@ def grid_frequencies(lo_hz: float, hi_hz: float, step_hz: float) -> np.ndarray:
     return freqs[freqs <= hi_hz + 1e-12]
 
 
+class _GridFactor(NamedTuple):
+    """A _factored_bases entry, read-only: the grid frequencies and, per
+    half, its span's head rows (ceil(n/2) rows, an odd n's middle last,
+    for the even half; floor(n/2) for the odd) and every grid frequency's
+    (order) coordinate rows on it, stacked in grid order."""
+
+    freqs: np.ndarray
+    even: np.ndarray
+    even_coords: np.ndarray
+    odd: np.ndarray
+    odd_coords: np.ndarray
+
+
 @lru_cache(maxsize=4)
 def _factored_bases(n: int, sample_rate: float, order: int,
-                    grid: tuple) -> tuple:
-    """(freqs, span, coords): the orthonormal bases Q(f) of every grid
-    frequency, factored through one shared span.  Cached per (n, fs, order,
-    grid) and returned read-only: the bases depend only on geometry, so
+                    grid: tuple) -> _GridFactor:
+    """The orthonormal bases Q(f) of every grid frequency, each half
+    factored through one shared span.  Cached per (n, fs, order, grid) and
+    returned read-only (_GridFactor): the bases depend only on geometry, so
     sliding windows of equal length reuse one build.
 
-    Q(f) is the reduced QR basis of the centered harmonic design: projecting
-    the demeaned segment onto span of the centered columns equals the joint
-    fit with an intercept, keeping the grid search consistent with
-    fit_amplitudes.  span is an n x r orthonormal basis that holds every
-    Q(f) and coords the (F * 2 * order) x r stack of the Q(f)^T span blocks
-    in grid order, so Q(f)^T x = coords_f span^T x and every entry of
-    Q(f) - span coords_f^T is at most _SPAN_TOL.  The bases are sinusoids of
-    a narrow band over a short window, so r stays a few dozen (40 at the
-    defaults) where the stack has F * 2 * order rows.
+    Q(f) spans the harmonic design's columns demeaned over the window:
+    projecting the demeaned segment onto it equals the joint fit with an
+    intercept, keeping the grid search consistent with fit_amplitudes.  On
+    the centred axis (_centred_half) it splits in two orthogonal halves:
+    the even one, the cos k w t' columns demeaned over the whole window
+    (the intercept is even), and the odd one, the sin k w t' columns, whose
+    mean is zero.  Each half's basis is the QR basis of its weighted head
+    rows (_head_weights), whose inner products are the whole window's.
 
-    The span grows _SPAN_CHUNK grid frequencies at a time, a coarse
+    Per half, span is an orthonormal basis of the weighted head rows that
+    holds every grid frequency's half basis, kept unweighted as head rows
+    (as _refit_basis keeps its halves), and coords the (F * order) x r
+    stack of those bases' coordinates in it: a folded part s (_fold) has
+    coordinates coords_f (span^T s) on f's half, and every entry of a
+    weighted half basis less span coords_f^T is at most _SPAN_TOL.  The
+    bases are sinusoids of a narrow band over a short window, so each r
+    stays a few dozen (20 and 20 at the defaults) where its stack has
+    F * order rows.
+
+    The spans grow _SPAN_CHUNK grid frequencies at a time, a coarse
     subsample spread over the whole grid first so that later chunks rarely
-    add to it.  Each chunk's basis rows are projected off the span; where a
-    row keeps more than _SPAN_TOL, what is left is projected off once more
-    and the span gains the left singular vectors of that leftover whose
-    singular values exceed _SPAN_TOL.  Each row's leftover is then bounded
-    by the next singular value, which is at most _SPAN_TOL.  A chunk's
-    coordinates are taken against the span after its own directions join;
-    the directions later chunks add hold at most _SPAN_TOL of its rows, and
-    its coordinates on them are left zero.
+    add to them; each chunk's half bases grow their half's span
+    (_grow_span).  A chunk's coordinates are taken against the span after
+    its own directions join; the directions later chunks add hold at most
+    _SPAN_TOL of its rows, and its coordinates on them are left zero.
 
-    Memory: the output plus one chunk.  Each chunk's designs, QR basis,
-    leftover and SVD factors live in _grow_span and die before the next
-    chunk's are made, so the peak is the span and the coordinate blocks so
-    far plus one chunk's work: 1.7 MB for the 0.63 MB table at the
-    defaults, 7.3 MB for the 3.4 MB table at n = 2000.
+    Memory: the output plus one half of one chunk.  Each half's design,
+    QR basis, leftover and SVD factors die before the next half's are
+    made, so the peak is the spans and the coordinate blocks so far plus
+    one half-chunk's work: 0.59 MB for the 0.32 MB table at the defaults,
+    2.7 MB for the 1.7 MB table at n = 2000.
     """
     freqs = grid_frequencies(*grid)
-    width = 2 * order
     in_coarse = np.zeros(freqs.size, dtype=bool)
     in_coarse[np.linspace(0, freqs.size - 1, _SPAN_CHUNK).round()
               .astype(int)] = True
     coarse, rest = np.flatnonzero(in_coarse), np.flatnonzero(~in_coarse)
     chunks = [coarse] + [rest[i:i + _SPAN_CHUNK]
                          for i in range(0, rest.size, _SPAN_CHUNK)]
-    span = np.empty((n, 0))
-    blocks = []
+    m = n // 2
+    spans = [np.empty((n - m, 0)), np.empty((m, 0))]
+    blocks = [[], []]
     for idx in chunks:
-        span, block = _grow_span(span, freqs[idx], order, sample_rate)
-        blocks.append(block)
-    coords = np.zeros((freqs.size, width, span.shape[1]))
-    for idx, block in zip(chunks, blocks):
-        coords[idx, :, :block.shape[1]] = block.reshape(idx.size, width, -1)
-    coords = coords.reshape(-1, span.shape[1])
-    for a in (freqs, span, coords):
+        for h, odd in enumerate((False, True)):
+            spans[h], block = _grow_span(spans[h], _half_bases(
+                freqs[idx], order, n, sample_rate, odd))
+            blocks[h].append(block)
+    weight = _head_weights(n)
+    halves = []
+    for span, w in zip(spans, (weight, weight[:m])):
+        coords = np.zeros((freqs.size, order, span.shape[1]))
+        for idx, block in zip(chunks, blocks.pop(0)):
+            coords[idx, :, :block.shape[1]] = block.reshape(idx.size, order,
+                                                            -1)
+        halves += [span / w, coords.reshape(-1, span.shape[1])]
+    entry = _GridFactor(freqs, *halves)
+    for a in entry:
         a.flags.writeable = False
-    return freqs, span, coords
+    return entry
 
 
-def _grow_span(span: np.ndarray, freqs: np.ndarray, order: int,
-               sample_rate: float) -> tuple:
-    """One chunk of _factored_bases: (the span grown by the chunk's
-    directions, the chunk's coordinates on it).  Every working array of
-    the chunk dies on return, before the next chunk allocates its own."""
-    n = span.shape[0]
-    designs = _harmonic_stack(freqs, order, n, sample_rate)
-    designs -= designs.mean(axis=1, keepdims=True)
-    q = np.linalg.qr(designs)[0]
-    del designs
-    rows = q.transpose(0, 2, 1).reshape(-1, n)
-    del q
+def _half_bases(freqs: np.ndarray, order: int, n: int, sample_rate: float,
+                odd: bool) -> np.ndarray:
+    """The weighted head rows of freqs' orthonormal even or odd half bases
+    (_factored_bases), each basis's order columns as rows: (freqs.size *
+    order, ceil(n/2)) or (freqs.size * order, floor(n/2)).  The cos columns
+    are demeaned over the whole window, where the mean of weighted rows is
+    their sum weighted once more, over n."""
+    half = _centred_half(freqs, order, n, sample_rate, odd)
+    if not odd:
+        weight = _head_weights(n)
+        half -= weight * (weight.T @ half / n)
+    return np.linalg.qr(half)[0].transpose(0, 2, 1).reshape(-1, half.shape[1])
+
+
+def _grow_span(span: np.ndarray, rows: np.ndarray) -> tuple:
+    """One chunk of one half of _factored_bases: (the span grown by the
+    directions of the chunk's orthonormal basis rows, the rows' coordinates
+    on it).  The rows are projected off the span; where a row keeps more
+    than _SPAN_TOL, what is left is projected off once more and the span
+    gains the left singular vectors of that leftover whose singular values
+    exceed _SPAN_TOL.  Each row's leftover is then bounded by the next
+    singular value, which is at most _SPAN_TOL.  Every working array dies
+    on return, before the next chunk allocates its own."""
     block = rows @ span
     left = block @ span.T
     np.subtract(rows, left, out=left)
@@ -582,30 +645,49 @@ def _best_fundamentals(segments: np.ndarray, sample_rate: float,
     """Grid frequency with minimal residual for each row of a stack of
     equal-length segments.
 
-    Residuals are evaluated as ||x||^2 - ||Q(f)^T x||^2 for each demeaned
-    row x, with Q(f)^T x read from the grid factor as coords_f (span^T x):
-    one projection onto the shared span, then one small product for the
-    whole grid.  The stack is scored _SCORE_ROWS rows at a time, so the
-    (F * 2 * order) x rows projection and the demeaned copy stay the size
-    of one chunk however many rows there are.  Ties go to the lower
-    frequency.  A segment with a non-finite sample is a ValueError.
+    The stack is scored _SCORE_ROWS rows at a time (_grid_residuals), so
+    the scorer's copies and projections stay the size of one chunk however
+    many rows there are, and each chunk's die before the next chunk's are
+    made.  Ties go to the lower frequency.  A segment with a non-finite
+    sample is a ValueError.
     """
     if segments.shape[1] < 2 * order + 1:
         raise ValueError("segment too short for the requested order")
-    freqs, span, coords = _factored_bases(segments.shape[1], sample_rate,
-                                          order, tuple(grid))
+    factor = _factored_bases(segments.shape[1], sample_rate, order,
+                             tuple(grid))
     best = np.empty(len(segments), dtype=np.intp)
     for i in range(0, len(segments), _SCORE_ROWS):
-        rows = segments[i:i + _SCORE_ROWS]
-        if not np.isfinite(rows).all():
-            raise ValueError(_NON_FINITE)
-        segs = rows - rows.mean(axis=1, keepdims=True)
-        proj = (coords @ (span.T @ segs.T)).reshape(freqs.size, -1,
-                                                    len(segs))
-        resid = np.einsum("wn,wn->w", segs, segs) \
-            - np.einsum("fkw,fkw->fw", proj, proj)
-        best[i:i + len(segs)] = np.argmin(resid, axis=0)
-    return freqs[best]
+        best[i:i + _SCORE_ROWS] = np.argmin(
+            _grid_residuals(segments[i:i + _SCORE_ROWS], factor), axis=0)
+    return factor.freqs[best]
+
+
+def _grid_residuals(rows: np.ndarray, factor: _GridFactor) -> np.ndarray:
+    """The residual of each row (column) at each grid frequency (row) of
+    the factor, ||x||^2 - ||c_e||^2 - ||c_o||^2 for the demeaned row x,
+    where c_e and c_o are x's coordinates on f's two half bases.  x is
+    folded into _fold's parts, and each part's coordinates on f's half are
+    coords_f (span^T part): one projection onto the half's span, then one
+    small product for the whole grid.  The demeaned copy holds the even
+    part, written over its head and middle, and the odd part is half its
+    size.  A non-finite sample is a ValueError."""
+    if not np.isfinite(rows).all():
+        raise ValueError(_NON_FINITE)
+    n = rows.shape[1]
+    m = n // 2
+    x = rows - rows.mean(axis=1, keepdims=True)
+    resid = np.einsum("wn,wn->w", x, x)
+    tail = x[:, ::-1][:, :m]
+    odd = x[:, :m] - tail
+    x[:, :m] += tail
+    for part, span, coords in ((x[:, :n - m], factor.even,
+                                factor.even_coords),
+                               (odd, factor.odd, factor.odd_coords)):
+        proj = (coords @ (span.T @ part.T)).reshape(factor.freqs.size, -1,
+                                                    len(rows))
+        resid = resid - np.einsum("fkw,fkw->fw", proj, proj)
+        del proj
+    return resid
 
 
 def estimate_breathing(segment: np.ndarray,
@@ -613,7 +695,7 @@ def estimate_breathing(segment: np.ndarray,
     """Grid search over BREATHING_GRID_HZ for the 3-harmonic breathing
     fundamental with minimal residual, then the amplitude fit at the winner.
     The segment is scored as a stack of one by breathing_track's scorer,
-    through the grid factor's span and coordinates; a non-finite sample is a
+    through the grid factor's two halves; a non-finite sample is a
     ValueError."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1:
@@ -631,13 +713,13 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
     The subwindows are scenario.sliding_windows' layout of window_s every
     step_s, which rejects a bad window or step.  The subwindows are scored
     through the grid factor a chunk of rows at a time (_best_fundamentals):
-    one projection onto its shared span, then one product with every grid
-    frequency's coordinates.  The fundamentals match per-subwindow
-    estimate_breathing, and a non-finite sample in any subwindow is a
-    ValueError.
+    each chunk is folded once, and each part is projected onto its half's
+    shared span, then multiplied by every grid frequency's coordinates on
+    it.  The fundamentals match per-subwindow estimate_breathing, and a
+    non-finite sample in any subwindow is a ValueError.
     """
     fs = phase.sample_rate
-    # a view: the scorer's demeaned chunk is the subwindows' only copy
+    # a view: the scorer's demeaned and folded chunk is the only copy
     starts, subwindows = sliding_windows(phase.samples, fs, window_s, step_s)
     hz = _best_fundamentals(subwindows, fs, grid, order)
     return BreathingTrack(starts, hz, order, window_s, fs)

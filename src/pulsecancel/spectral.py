@@ -95,10 +95,13 @@ def _one_sided(power: np.ndarray, n_fft: int) -> np.ndarray:
     n_fft-point DFT.
 
     Interior bins carry both halves of the two-sided spectrum; the Nyquist
-    bin of an even transform, when present, carries one.
+    bin of an even transform, when present, carries one.  A stack's rows
+    are doubled one at a time, since numpy buffers a 2-D view whose rows
+    are not adjacent (130 kB for a 16 x 674 stack) and nothing for a row.
     """
     power /= n_fft
-    power[..., 1:] *= 2.0
+    for row in np.atleast_2d(power):
+        row[1:] *= 2.0
     if n_fft % 2 == 0 and power.shape[-1] == n_fft // 2 + 1:
         power[..., -1] /= 2.0
     return power
@@ -231,7 +234,9 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
         raise ValueError("windows hold non-finite samples")
     chirp_z = _chirp_z(n, sample_rate, top_hz, zero_pad_factor)
     freqs = chirp_z[0]
-    flat = (windows == mean).all(axis=1)
+    # a flat row's first sample is its mean, so only those rows are tested
+    flat = np.flatnonzero(windows[:, 0] == mean[:, 0])
+    flat = flat[(windows[flat] == mean[flat]).all(axis=1)]
     power = np.empty((rows, freqs.size))
     _pair_power(windows, mean[:, 0], chirp_z, power)
     power *= 0.25

@@ -42,35 +42,37 @@ def stacked_bases(n, fs, order, grid):
 
 @functools.lru_cache(maxsize=4)
 def pivoted_qr_factor(n, fs, order, grid):
-    """_factored_bases as first built: the same chunks, but the span
-    grows by the leading columns of a column-pivoted QR of each chunk's
-    leftover, down to the first pivot within _SPAN_TOL."""
+    """_factored_bases as first built: the same chunks and half bases, but
+    each half's span grows by the leading columns of a column-pivoted QR
+    of the chunk's leftover, down to the first pivot within _SPAN_TOL."""
     freqs = grid_frequencies(*grid)
     coarse = np.unique(np.linspace(0, freqs.size - 1, 16).round()
                        .astype(int))
     rest = np.setdiff1d(np.arange(freqs.size), coarse)
     chunks = [coarse] + [rest[i:i + 16] for i in range(0, rest.size, 16)]
-    span = np.empty((n, 0))
-    blocks = []
-    for idx in chunks:
-        designs = anls_mod._harmonic_stack(freqs[idx], order, n, fs)
-        designs -= designs.mean(axis=1, keepdims=True)
-        rows = np.linalg.qr(designs)[0].transpose(0, 2, 1).reshape(-1, n)
-        left = rows - (rows @ span) @ span.T
-        left = left[np.einsum("mn,mn->m", left, left) > _SPAN_TOL ** 2]
-        if len(left):
-            left -= (left @ span) @ span.T
-            q, r, _ = scipy.linalg.qr(left.T, mode="economic",
-                                      pivoting=True)
-            new = q[:, :np.count_nonzero(np.abs(np.diag(r)) > _SPAN_TOL)]
-            new -= span @ (span.T @ new)
-            span = np.hstack([span, np.linalg.qr(new)[0]])
-        blocks.append(rows @ span)
-    coords = np.zeros((freqs.size, 2 * order, span.shape[1]))
-    for idx, block in zip(chunks, blocks):
-        coords[idx, :, :block.shape[1]] = block.reshape(idx.size,
-                                                        2 * order, -1)
-    return freqs, span, coords.reshape(-1, span.shape[1])
+    weight = anls_mod._head_weights(n)
+    halves = []
+    for half, w in enumerate((weight, weight[:n // 2])):
+        span = np.empty((w.size, 0))
+        blocks = []
+        for idx in chunks:
+            rows = anls_mod._half_bases(freqs[idx], order, n, fs, half == 1)
+            left = rows - (rows @ span) @ span.T
+            left = left[np.einsum("mn,mn->m", left, left) > _SPAN_TOL ** 2]
+            if len(left):
+                left -= (left @ span) @ span.T
+                q, r, _ = scipy.linalg.qr(left.T, mode="economic",
+                                          pivoting=True)
+                new = q[:, :np.count_nonzero(np.abs(np.diag(r)) > _SPAN_TOL)]
+                new -= span @ (span.T @ new)
+                span = np.hstack([span, np.linalg.qr(new)[0]])
+            blocks.append(rows @ span)
+        coords = np.zeros((freqs.size, order, span.shape[1]))
+        for idx, block in zip(chunks, blocks):
+            coords[idx, :, :block.shape[1]] = block.reshape(idx.size, order,
+                                                            -1)
+        halves += [span / w, coords.reshape(-1, span.shape[1])]
+    return anls_mod._GridFactor(freqs, *halves)
 
 
 def stacked_fundamentals(segments, fs, grid, order):
@@ -210,7 +212,7 @@ class TestGridFactor:
 
     SETTINGS = [(500, 3, BREATHING_GRID_HZ), (500, 2, ALT_GRID),
                 (500, 4, ALT_GRID), (800, 3, BREATHING_GRID_HZ),
-                (2000, 3, BREATHING_GRID_HZ)]
+                (2000, 3, BREATHING_GRID_HZ), (501, 3, BREATHING_GRID_HZ)]
 
     @staticmethod
     def panel_phase(family, seed):
@@ -259,23 +261,36 @@ class TestGridFactor:
 
     @pytest.mark.parametrize("n, order, grid", SETTINGS)
     def test_factor_reproduces_every_basis(self, n, order, grid):
-        freqs, span, coords = _factored_bases(n, FS, order, grid)
+        factor = _factored_bases(n, FS, order, grid)
         ref_freqs, bases = stacked_bases(n, FS, order, grid)
-        np.testing.assert_array_equal(freqs, ref_freqs)
-        factored = coords @ span.T
-        # QR fixes each basis column up to its sign, and a pivot that is
-        # rounding-small can round either way
-        signs = np.sign(np.einsum("mn,mn->m", bases, factored))
-        assert np.all(signs != 0)
-        assert np.max(np.abs(bases - signs[:, None] * factored)) <= _SPAN_TOL
-        np.testing.assert_allclose(span.T @ span, np.eye(span.shape[1]),
+        np.testing.assert_array_equal(factor.freqs, ref_freqs)
+        # unfolded like a refit entry's halves, the two spans are together
+        # orthonormal over the whole window
+        full = unfold(factor, n)
+        np.testing.assert_allclose(full.T @ full, np.eye(full.shape[1]),
                                    rtol=0, atol=1e-14)
+        spans = np.hsplit(full, [factor.even.shape[1]])
+        # the centred-axis QR picks other basis vectors for Q(f)'s span, so
+        # compare projectors: the factored basis [even half, odd half] and
+        # Q(f) each lie in the other's span, to _SPAN_TOL in every entry
+        halves = [coords.reshape(ref_freqs.size, order, -1) @ span.T
+                  for coords, span in zip((factor.even_coords,
+                                           factor.odd_coords), spans)]
+        worst = 0.0
+        for q, e, o in zip(bases.reshape(ref_freqs.size, 2 * order, n),
+                           *halves):
+            b = np.vstack([e, o])
+            for x, y in ((b, q), (q, b)):
+                worst = max(worst, np.abs(x - (x @ y.T) @ y).max())
+        assert worst <= _SPAN_TOL
 
-    def test_span_is_a_few_dozen_directions_at_the_defaults(self):
-        _, span, coords = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
-        assert span.shape[0] == 500
-        assert coords.shape == (GRID.size * 6, span.shape[1])
-        assert span.shape[1] == 40
+    def test_spans_are_a_few_dozen_directions_at_the_defaults(self):
+        # one span of the whole window held 40 directions
+        factor = _factored_bases(500, FS, 3, BREATHING_GRID_HZ)
+        assert factor.even.shape == (250, 20)
+        assert factor.odd.shape == (250, 20)
+        assert factor.even_coords.shape == (GRID.size * 3, 20)
+        assert factor.odd_coords.shape == (GRID.size * 3, 20)
 
     @pytest.mark.parametrize("window_s", [3.0, 5.0, 10.0, 20.0])
     def test_tracks_equal_the_pivoted_qr_factor_on_the_panel(
@@ -303,19 +318,20 @@ class TestGridFactor:
         return kept - before, peak - before
 
     def test_building_the_default_factor_is_small(self):
-        # the 0.63 MB table plus one chunk's designs, QR and leftover
-        # (1.7 MB); the stacked bases peaked at 17.5 MB, and keeping every
-        # chunk's working arrays alive into the next chunk at 2.8 MB
+        # the 0.32 MB table plus one half-chunk's design, QR and leftover
+        # (0.59 MB); one span of the whole window held 0.63 MB and peaked
+        # at 1.7 MB, the stacked bases at 17.5 MB
         kept, peak = self.build_memory(500)
-        assert peak < 2e6
-        assert kept < 1e6
+        assert peak < 0.65e6
+        assert kept < 0.33e6
 
     def test_building_the_long_window_factor_holds_one_chunk(self):
-        # n = 2000 (--anls-window 20): a 3.4 MB table (r = 124), a 7.3 MB
-        # peak; 10.7 MB with each chunk's working arrays kept alive
+        # n = 2000 (--anls-window 20): a 1.66 MB table (r = 60 + 60), a
+        # 2.7 MB peak; one span of the whole window (r = 124) held 3.4 MB
+        # and peaked at 7.3 MB
         kept, peak = self.build_memory(2000)
-        assert peak < 8.5e6
-        assert kept < 3.5e6
+        assert peak < 3e6
+        assert kept < 1.75e6
 
 
 class TestNonFinitePhase:
@@ -509,6 +525,25 @@ class TestTrackAndReference:
 
         peak(60.0)      # the grid factor is built and cached outside both
         assert peak(2400.0) - peak(600.0) <= 0.5e6
+
+    @pytest.mark.parametrize("window_s, bound", [(5.0, 0.65e6),
+                                                 (20.0, 1.3e6)])
+    def test_scoring_a_chunk_holds_its_copy_and_half_a_copy(self, window_s,
+                                                             bound):
+        # a 280 s record: a chunk's demeaned copy holds its even part and
+        # the odd part is half its size (0.57 and 1.14 MB at the peak);
+        # folding through _fold's own copies peaked at 0.70 and 2.24 MB,
+        # and one span of the whole window at 0.94 and 1.59 MB
+        x = np.random.default_rng(0).normal(size=28000)
+        _, subwindows = sliding_windows(x, FS, window_s, 1.0)
+        _best_fundamentals(subwindows[:1], FS, BREATHING_GRID_HZ, 3)
+        tracemalloc.start()
+        try:
+            _best_fundamentals(subwindows, FS, BREATHING_GRID_HZ, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_fields_are_frozen(self):
         x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
@@ -906,7 +941,8 @@ class TestCaches:
 
 def unfold(entry, n):
     """The n x (2 order + 1) orthonormal basis whose head rows a
-    _refit_basis entry holds: each even column mirrored onto the tail
+    _refit_basis entry holds (or the n-row spans of a _factored_bases
+    entry's halves, side by side): each even column mirrored onto the tail
     around an odd n's middle row, each odd column mirrored and negated."""
     m = n // 2
     even = np.concatenate([entry.even[:m], entry.even[m:],

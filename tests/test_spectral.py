@@ -9,8 +9,9 @@ from scipy.signal import get_window
 
 import pulsecancel.spectral as spectral_mod
 from pulsecancel.spectral import (Spectrum, _chirp_z, _fast_len, _hann,
-                                  band_peak_power, band_peaks, band_power,
-                                  power_spectrum, row_medians, top_peaks)
+                                  _one_sided, band_peak_power, band_peaks,
+                                  band_power, power_spectrum, row_medians,
+                                  top_peaks)
 
 FS = 100.0
 
@@ -306,6 +307,17 @@ class TestBandPower:
         for row in (1, 2, 4):
             assert not np.any(power[row]), row
 
+    def test_a_row_that_starts_at_its_mean_is_not_taken_for_flat(self):
+        # only rows whose first sample is their mean are tested for flat;
+        # this one (0, then 999 ones, 999 minus ones and a 0, mean exactly
+        # 0) is such a row and keeps its power
+        steps = np.concatenate([[0.0], np.ones(999), -np.ones(999), [0.0]])
+        windows = np.stack([band_windows(1, 2000)[0], steps,
+                            np.full(2000, -2.5)])
+        power = assert_rows_match(windows, 8, 4.2)
+        assert np.all(power[1] > 0)
+        assert not np.any(power[2])
+
     def test_a_quiet_row_beside_a_loud_one_keeps_the_pair_bound(self):
         # 1e3 in amplitude, 1e6 in power: the quiet row's error is bounded
         # by its partner's peak, not its own
@@ -416,6 +428,22 @@ class TestBandPower:
         finally:
             tracemalloc.stop()
         assert peak < 4.6e5
+
+    def test_normalizing_a_stack_doubles_each_row_in_place(self):
+        # numpy buffered 130 kB to double a 16 x 674 stack's interior bins
+        # as one 2-D view; a row at a time it buffers nothing
+        power = np.random.default_rng(0).random((16, 674))
+        want = power / 16000
+        want[:, 1:] *= 2.0
+        tracemalloc.start()
+        try:
+            got = _one_sided(power, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is power
+        np.testing.assert_array_equal(got, want)
+        assert peak < 2e3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):

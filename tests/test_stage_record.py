@@ -77,6 +77,11 @@ def test_a_cold_run_keeps_the_caches_it_fills(tool, doc):
     assert 0 < kept["conventional"] < kept["eca"]
     factor = sum(a.nbytes for a in tool.anls._factored_bases(
         500, 100.0, 3, tuple(tool.anls.BREATHING_GRID_HZ)))
+    # the grid factor: per half, 250 head rows of a 20-direction span and
+    # 241 x 3 coordinate rows on it, and the 241 grid frequencies: 313,288
+    # B, where one span of the whole window (500 + 1,446 rows of 40) and
+    # the frequencies held 624,648 B
+    assert factor == 2 * (250 + 241 * 3) * 20 * 8 + 241 * 8
     with tool.tempfile.TemporaryDirectory() as tmp:
         path = tool.Path(tmp) / "cube.bin"
         tool.pc.write_raw_cube(tool.pc.synthesize_radar_cube(
