@@ -40,6 +40,9 @@ class AhetConfig:
             raise ValueError("thresholds must be positive")
 
 
+_DEFAULT = AhetConfig()
+
+
 @dataclass
 class TrackerState:
     stable_history: list = field(default_factory=list)  # rates in Hz
@@ -216,9 +219,9 @@ def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
     return f_hz, tag, delta
 
 
-def ahet_step(spectrum: Spectrum, state: TrackerState,
-              config: AhetConfig = AhetConfig()):
-    """One tracking update.  Returns (f_hz, tag, delta_hz, state).
+def ahet_step(spectrum: Spectrum, state: TrackerState):
+    """One tracking update at the default AhetConfig.  Returns (f_hz, tag,
+    delta_hz, state).
 
     The two strongest fundamental-band peaks are tried in order; the first
     whose harmonic corroborates it wins.  Otherwise the refined regions
@@ -228,9 +231,9 @@ def ahet_step(spectrum: Spectrum, state: TrackerState,
     ahet_trace runs the same two stages, _measure over a block of windows.
     """
     fund_hz, harm_hz = _measure(spectrum.frequencies,
-                                spectrum.power[None, :], config)
+                                spectrum.power[None, :], _DEFAULT)
     return (*_decide(fund_hz[0], harm_hz[0], spectrum.frequencies,
-                     spectrum.power, state, config), state)
+                     spectrum.power, state, _DEFAULT), state)
 
 
 # --- full-record drivers ---------------------------------------------------

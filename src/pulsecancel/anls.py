@@ -75,19 +75,17 @@ class HarmonicModel:
 
     __eq__ = equal_fields
 
-    def predict(self, n: int, sample_rate: float,
-                include_offset: bool = False) -> np.ndarray:
-        """The series over n samples, the intercept too if include_offset.
-        The coordinates map of _refit_basis's entry at this fundamental
-        and length takes the coefficients and the offset (or 0) to
-        coordinates on the entry's two halves; each half times its
-        coordinates is that part's head rows, written out as head,
-        mirrored tail and middle.  n below 2 * order + 1 is a ValueError,
-        as it is for a fit."""
+    def predict(self, n: int, sample_rate: float) -> np.ndarray:
+        """The harmonics over n samples, without the intercept (a caller
+        that wants it adds self.offset).  The coordinates map of
+        _refit_basis's entry at this fundamental and length takes the
+        coefficients and a zero intercept to coordinates on the entry's
+        two halves; each half times its coordinates is that part's head
+        rows, written out as head, mirrored tail and middle.  n below
+        2 * order + 1 is a ValueError, as it is for a fit."""
         basis = _refit_basis(self.fundamental_hz, self.order, n, sample_rate)
-        coef = np.empty(2 * self.order + 1)
+        coef = np.zeros(2 * self.order + 1)
         coef[:-1] = self.coefficients.reshape(-1)
-        coef[-1] = self.offset if include_offset else 0.0
         c = basis.coordinates @ coef
         p_even = basis.even @ c[:self.order + 1]
         p_odd = basis.odd @ c[self.order + 1:]

@@ -24,6 +24,9 @@ METHODS = {
 }
 # methods that cancel breathing first; they take the record's track
 CANCELLING = frozenset({"eca", "ahet"})
+# intervals.csv's rows: INTERVAL_S-long intervals from INTERVAL_START_S
+INTERVAL_S = 40.0
+INTERVAL_START_S = 10.0
 
 
 @dataclass
@@ -123,26 +126,20 @@ def rmse(trace: HrTrace, reference: HrTrace) -> float:
     return float(np.sqrt(np.mean((est - ref) ** 2)))
 
 
-def interval_rmse(trace: HrTrace, reference: HrTrace,
-                  interval_s: float = 40.0,
-                  start_s: float = 10.0) -> list[IntervalRow]:
-    """Per-interval RMSE rows, in time order, over the intervals
-    [start_s + k interval_s, start_s + (k + 1) interval_s), k >= 0.
+def interval_rmse(trace: HrTrace, reference: HrTrace) -> list[IntervalRow]:
+    """Per-interval RMSE rows, in time order, over intervals.csv's layout:
+    [INTERVAL_START_S + k INTERVAL_S, INTERVAL_START_S + (k + 1)
+    INTERVAL_S), k >= 0.
 
     Each paired estimate falls in the interval its time indexes, and only
     those intervals are visited, so the work is set by the samples, not by
     the span.  Intervals with no paired samples are omitted, and samples
-    before start_s fall in none.  A non-finite start, an interval that is
-    not finite and positive, or one so fine that a paired time's index k
-    reaches 2^53 (past which float64 no longer holds every integer) raises
-    ValueError.
+    before INTERVAL_START_S fall in none.  A paired time so late that its
+    index k reaches 2^53 (past which float64 no longer holds every
+    integer) raises ValueError.
     """
-    if not math.isfinite(start_s):
-        raise ValueError(f"interval start must be finite, got {start_s!r}")
-    if not (math.isfinite(interval_s) and interval_s > 0):
-        raise ValueError(f"interval must be finite and positive, got "
-                         f"{interval_s!r}")
     est, ref, times = _pair_times(trace, reference)
+    start_s, interval_s = INTERVAL_START_S, INTERVAL_S
     k = np.floor((times - start_s) / interval_s)
     if not (k < 2.0 ** 53).all():
         raise ValueError(f"{interval_s!r} s intervals from {start_s!r} s "

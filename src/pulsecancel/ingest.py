@@ -56,42 +56,45 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
-def write_raw_cube(cube: RadarCube, path, scale: float | None = None) -> RawCubeHeader:
+def write_raw_cube(cube: RadarCube, path) -> RawCubeHeader:
     """Quantize to int16 and write payload + sidecar.
 
-    Without an explicit scale, floats are scaled so the largest I or Q
-    component sits at 90% of int16 full scale.  Pass the scale from a
-    previously read header to get a byte-identical rewrite.  The peak
+    A FileCube keeps its own header's scale, so its rewrite is
+    byte-identical, and is read once: its int16 words decode to finite
+    samples, so no peak pass is needed.  Any other cube is scaled so the
+    largest I or Q component sits at 90% of int16 full scale.  The peak
     search, the quantization and the writes run CHUNK_FRAMES frames at a
     time, in the precision of the cube's own samples.  A FileCube cannot be
     written over the file it streams from: opening that file for writing
     would truncate the words still to be read.  A cube with no frames or
-    no fast-time samples, a non-finite sample (found by the peak search,
-    which runs whether or not a scale is given), or a header that
-    RawCubeHeader refuses (a scale that is not finite and positive) raises
-    ValueError before anything is written: read_raw_cube would reject the
-    sidecar it would get, or the words would not hold the samples.
+    no fast-time samples, a non-finite sample (found by the peak search),
+    or a peak so small that its scale is not finite (RawCubeHeader refuses
+    it) raises ValueError before anything is written: read_raw_cube would
+    reject the sidecar it would get, or the words would not hold the
+    samples.
     """
     if cube.n_frames == 0 or cube.n_fast == 0:
         raise ValueError(f"cannot write a {cube.n_frames} x {cube.n_fast} "
                          f"cube: it holds no samples")
     path = Path(path)
-    if isinstance(cube, FileCube) and _same_file(cube.path, path):
-        raise ValueError(f"cannot write a cube over {path}, the file it "
-                         f"reads from")
     chunks = range(0, cube.n_frames, CHUNK_FRAMES)
-    peak = 0.0
-    for start in chunks:
-        iq = cube.frames(start, start + CHUNK_FRAMES)
-        # a NaN or inf sample makes its chunk's peak NaN or inf
-        chunk_peak = float(np.maximum(np.max(np.abs(iq.real)),
-                                      np.max(np.abs(iq.imag))))
-        if not math.isfinite(chunk_peak):
-            raise ValueError(f"cannot write frames {start}:"
-                             f"{start + len(iq)}: they hold a non-finite "
-                             f"sample")
-        peak = max(peak, chunk_peak)
-    if scale is None:
+    if isinstance(cube, FileCube):
+        if _same_file(cube.path, path):
+            raise ValueError(f"cannot write a cube over {path}, the file "
+                             f"it reads from")
+        scale = cube.header.scale
+    else:
+        peak = 0.0
+        for start in chunks:
+            iq = cube.frames(start, start + CHUNK_FRAMES)
+            # a NaN or inf sample makes its chunk's peak NaN or inf
+            chunk_peak = float(np.maximum(np.max(np.abs(iq.real)),
+                                          np.max(np.abs(iq.imag))))
+            if not math.isfinite(chunk_peak):
+                raise ValueError(f"cannot write frames {start}:"
+                                 f"{start + len(iq)}: they hold a "
+                                 f"non-finite sample")
+            peak = max(peak, chunk_peak)
         scale = INT16_HEADROOM * 32767.0 / peak if peak > 0 else 1.0
     header = RawCubeHeader(cube.n_frames, cube.n_fast, cube.config, scale)
     with open(path, "wb") as fh:

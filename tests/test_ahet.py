@@ -752,7 +752,7 @@ class TestMeasure:
             for j, row in enumerate(power):
                 spectrum = Spectrum(freqs, row, 100.0, 20.0, 8)
                 try:
-                    got = ahet_step(spectrum, alone, config)[:3]
+                    got = ahet_step(spectrum, alone)[:3]
                 except ValueError as exc:
                     got = repr(exc)
                 try:

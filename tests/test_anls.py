@@ -146,7 +146,7 @@ class TestFitAmplitudes:
     def test_predict_reproduces_fit(self):
         x = harmonic_signal(0.26, 500, [1.0, 0.4], [0.1, 0.7], offset=1.5)
         model = fit_amplitudes(x, FS, 0.26, order=2)
-        np.testing.assert_allclose(model.predict(500, FS, include_offset=True),
+        np.testing.assert_allclose(model.predict(500, FS) + model.offset,
                                    x, atol=1e-9)
         np.testing.assert_allclose(model.predict(500, FS), x - 1.5,
                                    atol=1e-9)
@@ -631,7 +631,7 @@ class TestTrackAndReference:
         resid = track.residual(segment, 1200)
         assert float(np.dot(resid, resid) / resid.size) \
             == model.residual_power
-        rendered = segment - model.predict(800, FS, include_offset=True)
+        rendered = segment - (model.predict(800, FS) + model.offset)
         assert np.max(np.abs(resid - rendered)) \
             <= 1e-12 * np.max(np.abs(segment))
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(segment)
@@ -1023,7 +1023,7 @@ class TestCentredRefit:
         resid = x[0] - design @ want
         assert model.residual_power == pytest.approx(resid @ resid / n,
                                                      rel=1e-12)
-        rendered = model.predict(n, FS, include_offset=True)
+        rendered = model.predict(n, FS) + model.offset
         assert np.max(np.abs(rendered - design @ want)) \
             <= tol * np.max(np.abs(x))
 
@@ -1051,9 +1051,9 @@ class TestPredict:
         model = self.model()
         expected = harmonic_matrix(0.31, 3, n, FS) \
             @ model.coefficients.reshape(-1)
-        for include_offset, want in ((False, expected),
-                                     (True, expected + model.offset)):
-            got = model.predict(n, FS, include_offset=include_offset)
+        rendered = model.predict(n, FS)
+        for got, want in ((rendered, expected),
+                          (rendered + model.offset, expected + model.offset)):
             assert np.max(np.abs(got - want)) \
                 <= 1e-14 * np.max(np.abs(want))
 
@@ -1061,7 +1061,7 @@ class TestPredict:
         model = self.model()
         _refit_basis.cache_clear()
         model.predict(737, FS)
-        model.predict(737, FS, include_offset=True)
+        model.predict(737, FS)
         info = _refit_basis.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 

@@ -10,11 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pulsecancel.ingest import (CubeFormatError, _stamp, read_cube_header,
-                                read_raw_cube, read_reference_trace,
-                                sidecar_path, write_raw_cube, write_trace,
-                                write_truth)
-from pulsecancel.scenario import CHUNK_FRAMES, RadarConfig, RadarCube
+from pulsecancel.ingest import (CubeFormatError, FileCube, _stamp,
+                                read_cube_header, read_raw_cube,
+                                read_reference_trace, sidecar_path,
+                                write_raw_cube, write_trace, write_truth)
+from pulsecancel.scenario import (CHUNK_FRAMES, RadarConfig, RadarCube,
+                                  Scenario, synthesize_radar_cube)
 from pulsecancel.types import HrTrace, TraceEntry
 
 
@@ -45,18 +46,38 @@ class TestCubeRoundTrip:
         assert back.config == cube.config
         assert back.iq.shape == cube.iq.shape
 
-    def test_auto_scale_uses_headroom(self, tmp_path):
-        cube = small_cube()
-        header = write_raw_cube(cube, tmp_path / "cube.bin")
+    @pytest.mark.parametrize("make", [
+        small_cube, lambda: synthesize_radar_cube(Scenario(duration_s=0.5))],
+        ids=["noise", "synthesized"])
+    def test_auto_scale_uses_headroom(self, tmp_path, make):
+        # the largest I or Q word sits at 90% of int16 full scale
+        cube = make()
+        path = tmp_path / "cube.bin"
+        header = write_raw_cube(cube, path)
         peak = max(np.max(np.abs(cube.iq.real)), np.max(np.abs(cube.iq.imag)))
-        assert header.scale == pytest.approx(0.9 * 32767.0 / peak)
+        assert header.scale == 0.9 * 32767.0 / float(peak)
+        words = np.fromfile(path, dtype="<i2")
+        assert np.max(np.abs(words)) == round(0.9 * 32767.0)
 
-    def test_explicit_scale_rewrite_is_byte_identical(self, tmp_path):
-        cube = small_cube()
+    def test_file_cube_rewrite_is_byte_identical_from_one_read(
+            self, tmp_path, monkeypatch):
+        # a file cube keeps its header's scale and skips the peak pass:
+        # three chunks, each read once, and the same payload and sidecar
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        header = write_raw_cube(cube, p1)
-        write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
+        write_raw_cube(small_cube(frames=2 * CHUNK_FRAMES + 1), p1)
+        reads = []
+        frames = FileCube.frames
+
+        def counted(cube, start, stop):
+            reads.append(start)
+            return frames(cube, start, stop)
+
+        monkeypatch.setattr(FileCube, "frames", counted)
+        cube = read_raw_cube(p1)
+        assert write_raw_cube(cube, p2) == cube.header
+        assert reads == [0, CHUNK_FRAMES, 2 * CHUNK_FRAMES]
         assert p1.read_bytes() == p2.read_bytes()
+        assert sidecar_path(p1).read_text() == sidecar_path(p2).read_text()
 
     def test_chunked_write_is_the_one_shot_quantization(self, tmp_path):
         # one chunk and one frame: the last chunk holds a single frame
@@ -66,7 +87,7 @@ class TestCubeRoundTrip:
         words = np.stack([np.rint(cube.iq.real * header.scale),
                           np.rint(cube.iq.imag * header.scale)], axis=-1)
         assert p1.read_bytes() == words.astype("<i2").tobytes()
-        write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
+        write_raw_cube(read_raw_cube(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_write_peak_memory_is_one_chunk(self, tmp_path):
@@ -84,12 +105,11 @@ class TestCubeRoundTrip:
         # the read holds no words, so a rewrite holds about one chunk of
         # decoded frames and its words, not the whole file
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        header = write_raw_cube(small_cube(frames=8 * CHUNK_FRAMES,
-                                           fast=200), p1)
+        write_raw_cube(small_cube(frames=8 * CHUNK_FRAMES, fast=200), p1)
         chunk = CHUNK_FRAMES * 200 * 8
         tracemalloc.start()
         try:
-            write_raw_cube(read_raw_cube(p1), p2, scale=header.scale)
+            write_raw_cube(read_raw_cube(p1), p2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,7 +254,7 @@ class TestStreamingRead:
             dest = path.with_name("alias.bin")
             os.link(path, dest)
         with pytest.raises(ValueError, match="the file it reads from"):
-            write_raw_cube(cube, dest, scale=cube.header.scale)
+            write_raw_cube(cube, dest)
         assert path.read_bytes() == payload
         assert sidecar_path(path).read_text() == sidecar
         assert cube.frames(0, 4).shape == (4, 16)
@@ -250,13 +270,12 @@ class TestCubeErrors:
             write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("scale", [None, 1000.0])
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0),
                                      complex(0.0, np.nan),
                                      complex(np.inf, 0.0),
                                      complex(0.0, -np.inf)])
     def test_non_finite_sample_is_refused_before_writing(self, tmp_path,
-                                                         bad, scale):
+                                                         bad):
         # one sample in the second chunk; the first holds the peak, so a
         # peak search that skipped the NaN would scale from it
         cube = small_cube(frames=CHUNK_FRAMES + 3)
@@ -264,26 +283,25 @@ class TestCubeErrors:
         with pytest.raises(ValueError, match=f"frames {CHUNK_FRAMES}:"
                                              f"{CHUNK_FRAMES + 3}: they "
                                              f"hold a non-finite sample"):
-            write_raw_cube(cube, tmp_path / "cube.bin", scale=scale)
+            write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("scale", [None, 1000.0])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_all_non_finite_cube_is_refused_before_writing(self, tmp_path,
-                                                           value, scale):
+                                                           value):
         # an all-inf cube wrote "scale": 0.0
         cube = RadarCube(np.full((6, 16), value, dtype=complex),
                          small_cube().config)
         with pytest.raises(ValueError, match="non-finite sample"):
-            write_raw_cube(cube, tmp_path / "cube.bin", scale=scale)
+            write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_scale_is_refused_before_writing(self, tmp_path, scale):
-        # read_raw_cube rejects the sidecar a zero or negative scale gives
-        with pytest.raises(ValueError, match="^scale must be (a finite "
-                                             "number|positive), got "):
-            write_raw_cube(small_cube(), tmp_path / "cube.bin", scale=scale)
+    def test_an_infinite_scale_is_refused_before_writing(self, tmp_path):
+        # a subnormal peak scales to inf, which read_raw_cube would refuse
+        cube = RadarCube(np.full((6, 16), 5e-324 + 0j), small_cube().config)
+        with pytest.raises(ValueError, match="^scale must be a finite "
+                                             "number, got inf"):
+            write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_file(self, tmp_path):
