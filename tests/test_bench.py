@@ -116,14 +116,27 @@ class TestIntervalRmse:
         assert [(r.lo_s, r.hi_s, r.count) for r in rows] \
             == [(10.0, 50.0, 2), (90.0, 130.0, 1)]
 
-    def test_times_too_late_to_number_raise(self):
-        # near 1e300 s the interval index passes 2^53, where float64 no
-        # longer holds every integer
-        trace = make_trace([1e300, 2e300, 3e300], [70.0] * 3)
+    @pytest.mark.parametrize("times", [
+        [1e300, 2e300, 3e300], [10.0, 11.0, 12.0, 1e300],
+        [bench_mod.INTERVAL_S * 2.0 ** 53]],
+        ids=["near-1e300", "one-late-sample", "first-index-of-2^53"])
+    def test_times_too_late_to_number_raise(self, times):
+        # from 40 * 2^53 s on the interval index reaches 2^53, where
+        # float64 no longer holds every integer; one such time refuses the
+        # whole trace
+        trace = make_trace(times, [70.0] * len(times))
         with pytest.raises(ValueError, match=r"^40\.0 s intervals from "
                                              r"10\.0 s cannot number the "
                                              r"paired times exactly$"):
             interval_rmse(trace, trace)
+
+    def test_the_last_numbered_time_gets_its_row(self):
+        # the float below 40 * 2^53 s still has an index under 2^53
+        t = np.nextafter(bench_mod.INTERVAL_S * 2.0 ** 53, 0.0)
+        trace = make_trace([t], [70.0])
+        [row] = interval_rmse(trace, trace)
+        assert row.lo_s <= t < row.hi_s
+        assert (row.rmse_bpm, row.count) == (0.0, 1)
 
     def test_unpaired_estimates_fall_in_no_interval(self):
         # the 80 s estimate has no reference near it; it raised IndexError
@@ -141,11 +154,17 @@ class TestIntervalRmse:
         assert [(r.lo_s, r.hi_s, r.rmse_bpm, r.count) for r in rows] \
             == [(10.0, 50.0, 0.0, 2), (50.0, 90.0, 3.0, 1)]
 
-    def test_rows_are_the_walk_over_every_interval(self):
-        # times on and next to the 40 s edges, some before the first one
-        # and some a thousand intervals on
+    @pytest.mark.parametrize("index", [
+        np.r_[np.arange(-3, 40), np.arange(997, 1001)],
+        np.arange(-40, 0),
+        np.arange(997, 1001),
+        np.r_[np.arange(-3, 3), np.arange(9997, 10001)]],
+        ids=["around-the-start", "all-before-the-start", "a-thousand-on",
+             "ten-thousand-on"])
+    def test_rows_are_the_walk_over_every_interval(self, index):
+        # times on and next to the 40 s edges of the intervals `index`
+        # names, and between them; some may fall before the first interval
         rng = np.random.default_rng(7)
-        index = np.r_[np.arange(-3, 40), np.arange(997, 1001)]
         edges = bench_mod.INTERVAL_START_S + index * bench_mod.INTERVAL_S
         times = np.unique(np.concatenate([
             edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),

@@ -47,8 +47,11 @@ class TestCubeRoundTrip:
         assert back.iq.shape == cube.iq.shape
 
     @pytest.mark.parametrize("make", [
-        small_cube, lambda: synthesize_radar_cube(Scenario(duration_s=0.5))],
-        ids=["noise", "synthesized"])
+        small_cube,
+        lambda: RadarCube(small_cube().iq.astype(np.complex64),
+                          small_cube().config),
+        lambda: synthesize_radar_cube(Scenario(duration_s=0.5))],
+        ids=["noise", "noise-complex64", "synthesized"])
     def test_auto_scale_uses_headroom(self, tmp_path, make):
         # the largest I or Q word sits at 90% of int16 full scale
         cube = make()
@@ -59,12 +62,14 @@ class TestCubeRoundTrip:
         words = np.fromfile(path, dtype="<i2")
         assert np.max(np.abs(words)) == round(0.9 * 32767.0)
 
+    @pytest.mark.parametrize("n_frames", [1, CHUNK_FRAMES,
+                                          2 * CHUNK_FRAMES + 1])
     def test_file_cube_rewrite_is_byte_identical_from_one_read(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, n_frames):
         # a file cube keeps its header's scale and skips the peak pass:
-        # three chunks, each read once, and the same payload and sidecar
+        # each chunk read once, and the same payload and sidecar
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_raw_cube(small_cube(frames=2 * CHUNK_FRAMES + 1), p1)
+        write_raw_cube(small_cube(frames=n_frames), p1)
         reads = []
         frames = FileCube.frames
 
@@ -75,7 +80,7 @@ class TestCubeRoundTrip:
         monkeypatch.setattr(FileCube, "frames", counted)
         cube = read_raw_cube(p1)
         assert write_raw_cube(cube, p2) == cube.header
-        assert reads == [0, CHUNK_FRAMES, 2 * CHUNK_FRAMES]
+        assert reads == list(range(0, n_frames, CHUNK_FRAMES))
         assert p1.read_bytes() == p2.read_bytes()
         assert sidecar_path(p1).read_text() == sidecar_path(p2).read_text()
 
@@ -270,15 +275,18 @@ class TestCubeErrors:
             write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0),
                                      complex(0.0, np.nan),
                                      complex(np.inf, 0.0),
                                      complex(0.0, -np.inf)])
     def test_non_finite_sample_is_refused_before_writing(self, tmp_path,
-                                                         bad):
+                                                         bad, dtype):
         # one sample in the second chunk; the first holds the peak, so a
-        # peak search that skipped the NaN would scale from it
-        cube = small_cube(frames=CHUNK_FRAMES + 3)
+        # peak search that skipped the NaN would scale from it.  The search
+        # runs in the cube's own precision.
+        base = small_cube(frames=CHUNK_FRAMES + 3)
+        cube = RadarCube(base.iq.astype(dtype), base.config)
         cube.iq[CHUNK_FRAMES + 1, 5] = bad
         with pytest.raises(ValueError, match=f"frames {CHUNK_FRAMES}:"
                                              f"{CHUNK_FRAMES + 3}: they "
@@ -286,19 +294,24 @@ class TestCubeErrors:
             write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_all_non_finite_cube_is_refused_before_writing(self, tmp_path,
-                                                           value):
+                                                           value, dtype):
         # an all-inf cube wrote "scale": 0.0
-        cube = RadarCube(np.full((6, 16), value, dtype=complex),
+        cube = RadarCube(np.full((6, 16), value, dtype=dtype),
                          small_cube().config)
         with pytest.raises(ValueError, match="non-finite sample"):
             write_raw_cube(cube, tmp_path / "cube.bin")
         assert list(tmp_path.iterdir()) == []
 
-    def test_an_infinite_scale_is_refused_before_writing(self, tmp_path):
-        # a subnormal peak scales to inf, which read_raw_cube would refuse
-        cube = RadarCube(np.full((6, 16), 5e-324 + 0j), small_cube().config)
+    @pytest.mark.parametrize("peak", [5e-324, 1e-310, 1e-305])
+    def test_an_infinite_scale_is_refused_before_writing(self, tmp_path,
+                                                         peak):
+        # a peak under 0.9 * 32767 / float64's largest value (about
+        # 1.6e-304), subnormal or not, scales to inf, which read_raw_cube
+        # would refuse
+        cube = RadarCube(np.full((6, 16), peak + 0j), small_cube().config)
         with pytest.raises(ValueError, match="^scale must be a finite "
                                              "number, got inf"):
             write_raw_cube(cube, tmp_path / "cube.bin")
