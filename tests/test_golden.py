@@ -1,19 +1,21 @@
 """The golden outputs in tests/golden/ regenerate from the code as it is.
 
 tools/golden.py writes them; this test runs it into a temporary directory.
-Under the numpy version that wrote the committed files every file must
-come back byte for byte.  Under another numpy the text must match and
+Under the numpy build that wrote the committed files (numpy.json: its
+version, SIMD baseline and the dispatch targets found on the CPU) every
+file must come back byte for byte.  Under another the text must match and
 each number must lie within RTOL of the largest magnitude in its column
-of the committed file: another numpy may round the last bits of a sum
-differently, and nobody has checked which versions give the same bits.
+of the committed file: another numpy, or the same one dispatching its
+ufuncs to other SIMD loops on another CPU, may round the last bits of a
+sum differently, and nobody has checked which builds give the same bits.
 """
 
 import importlib.util
+import json
 import math
 import re
 from pathlib import Path
 
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "golden.py"
@@ -81,18 +83,26 @@ def test_tolerance_is_on_each_column_scale():
     assert _mismatches("a,1.0,100.0\n", want) == ["1 lines, want 2"]
 
 
+def _build(doc: dict) -> str:
+    return (f"numpy {doc['numpy']} (SIMD baseline "
+            f"{' '.join(doc['simd_baseline']) or 'none'}, found "
+            f"{' '.join(doc['simd_found']) or 'none'})")
+
+
 def test_outputs_regenerate(tmp_path, capsys):
-    recorded = (GOLDEN / "numpy-version.txt").read_text().strip()
-    exact = np.__version__ == recorded
+    tool = _tool()
+    recorded = json.loads((GOLDEN / "numpy.json").read_text())
+    running = tool.numpy_build()
+    exact = running == recorded
     with capsys.disabled():
-        print(f"\ngolden outputs written by numpy {recorded}, compared "
+        print(f"\ngolden outputs written by {_build(recorded)}, compared "
               + ("exactly" if exact else
-                 f"to a relative tolerance of {RTOL:g} under numpy "
-                 f"{np.__version__}"))
-    _tool().generate(tmp_path)
+                 f"to a relative tolerance of {RTOL:g} under "
+                 f"{_build(running)}"))
+    tool.generate(tmp_path)
     got, want = _files(tmp_path), _files(GOLDEN)
     assert sorted(got) == sorted(want)
-    del got["numpy-version.txt"], want["numpy-version.txt"]
+    del got["numpy.json"], want["numpy.json"]
     if exact:
         moved = [name for name in want
                  if got[name].read_bytes() != want[name].read_bytes()]

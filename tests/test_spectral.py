@@ -124,6 +124,60 @@ class TestPowerSpectrum:
             got = power_spectrum(x, FS, pad).power
             assert np.max(np.abs(got - want)) <= 1e-15 * want.max()
 
+    @pytest.mark.parametrize("pad", [1, 8])
+    @pytest.mark.parametrize("n", [17, 1500, 2000, 2001])
+    def test_equals_the_plain_route_bit_for_bit(self, n, pad):
+        # im^2 squared into the transform in place: each bin still gets the
+        # same two squares and one add
+        x = np.random.default_rng(n).normal(size=n) + 2900.0
+        xw = (x - np.mean(x)) * get_window("hann", n, fftbins=True)
+        spectrum = np.fft.rfft(xw, n * pad)
+        want = spectrum.real ** 2 + spectrum.imag ** 2
+        want /= n * pad
+        want[1:] *= 2.0
+        if n * pad % 2 == 0:
+            want[-1] /= 2.0
+        got = power_spectrum(x, FS, pad).power
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [17, 2000, 2001])
+    @pytest.mark.parametrize("level", [0.0, 7.0, -1e5, 2900.123])
+    def test_a_window_that_is_its_mean_gives_exact_zeros(self, level, n):
+        # a constant whose mean comes back exactly; a level whose mean
+        # rounds (3.7 over 2000 samples) leaves rounding-sized power
+        x = np.full(n, level)
+        assert (x - x.sum() / n == 0.0).all()
+        power = power_spectrum(x, FS).power
+        assert power.size == n * 4 + 1 and not power.any()
+
+    def test_peak_memory_is_the_transform_and_the_power(self):
+        # 2,000 samples at pad 8: the 8001-bin complex transform (128 kB)
+        # and the power (64 kB).  A third temporary for im^2 and the
+        # windowed copy held beside them made it 272,576 B
+        x = tone(1.0)
+        power_spectrum(x, FS)                      # the grid is cached
+        tracemalloc.start()
+        try:
+            power_spectrum(x, FS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8001 * (16 + 8) + 4096
+
+    def test_a_cold_grid_is_built_before_the_transform_is_held(self):
+        # rfftfreq's build peaks at three grids' worth (192 kB); built
+        # beside the transform and the power it set the peak at 384 kB
+        x = tone(1.0)
+        power_spectrum(x, FS)                      # numpy's plan is cached
+        spectral_mod._grid.cache_clear()
+        tracemalloc.start()
+        try:
+            power_spectrum(x, FS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8001 * (16 + 8 + 8) + 4096
+
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_a_rate_that_is_not_finite_and_positive_is_an_error(self, rate):
         # unchecked, a NaN rate gave a spectrum whose every frequency is NaN

@@ -108,3 +108,30 @@ def test_main_writes_the_record(tool, doc, monkeypatch, tmp_path, capsys):
     assert tool.main(["--out", str(out)]) == 0
     assert json.loads(out.read_text()) == doc
     assert "factor_build" in capsys.readouterr().out
+
+
+def test_tier1_records_the_suite_wall_clock_and_count(tool, monkeypatch,
+                                                      tmp_path):
+    (tmp_path / "test_three.py").write_text(
+        "import pytest\n\n\ndef test_a():\n    pass\n\n\n"
+        "def test_b():\n    assert False\n\n\n"
+        "@pytest.mark.skip\ndef test_c():\n    pass\n")
+    command = ("-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path))
+    monkeypatch.setattr(tool, "TIER1", command)
+    suite = tool.tier1()
+    assert suite["command"] == ["python", *command]
+    assert suite["outcomes"] == {"failed": 1, "passed": 1, "skipped": 1}
+    assert suite["tests"] == 3 and suite["exit_status"] == 1
+    assert suite["wall_s"] > 0
+
+
+def test_main_adds_the_tier1_run_only_when_asked(tool, doc, monkeypatch,
+                                                 tmp_path, capsys):
+    suite = {"command": ["python"], "wall_s": 1.5, "outcomes": {"passed": 2},
+             "tests": 2, "exit_status": 0}
+    monkeypatch.setattr(tool, "record", lambda: dict(doc))
+    monkeypatch.setattr(tool, "tier1", lambda: suite)
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--out", str(out), "--tier1"]) == 0
+    assert json.loads(out.read_text()) == dict(doc, tier1=suite)
+    assert "tier1 1.5 s, 2 tests" in capsys.readouterr().out

@@ -18,7 +18,8 @@ committed files.  They are:
   `compare` against the truth (compare.txt, what it prints) and
   `spectra --cancel --max-windows 2 --cpi 6 --pad 1` (spectra/, 301 rows
   a window);
-- numpy-version.txt: the numpy version that wrote them.
+- numpy.json: the numpy that wrote them, its version and its SIMD
+  baseline and dispatch targets found on the CPU (numpy_build).
 
 The cube itself (4.8 MB) is written to a temporary directory and dropped.
 """
@@ -26,6 +27,7 @@ The cube itself (4.8 MB) is written to a temporary directory and dropped.
 import argparse
 import contextlib
 import io
+import json
 import re
 import shutil
 import sys
@@ -54,6 +56,17 @@ def _run(*argv) -> str:
         raise RuntimeError(f"pulsecancel {argv[0]} exited {status}: "
                            f"{err.getvalue()}")
     return out.getvalue()
+
+
+def numpy_build() -> dict:
+    """The numpy version and the SIMD code paths it runs on this CPU: the
+    baseline it was built for and the dispatch targets it found.  Under
+    one version, a CPU without a found target (AVX-512, say) may run
+    another ufunc loop and round its last bits differently."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return {"numpy": np.__version__,
+            "simd_baseline": list(simd.get("baseline", [])),
+            "simd_found": list(simd.get("found", []))}
 
 
 def demo_scenario() -> str:
@@ -88,7 +101,8 @@ def generate(outdir) -> None:
                  "--methods", ",".join(METHODS)))
         _run("spectra", "--in", cube, "--cancel", "--max-windows", 2,
              "--cpi", 6, "--pad", 1, "--out", demo / "spectra")
-    (outdir / "numpy-version.txt").write_text(np.__version__ + "\n")
+    (outdir / "numpy.json").write_text(
+        json.dumps(numpy_build(), indent=1) + "\n")
 
 
 def main(argv=None) -> int:

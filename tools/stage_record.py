@@ -1,6 +1,6 @@
 """Per-stage wall clock and peak memory of the pipeline on one record.
 
-    python3 tools/stage_record.py --out BENCH_<n>.json
+    python3 tools/stage_record.py --out BENCH_<n>.json [--tier1]
 
 The package is imported from src/ of the checkout that holds this script,
 so a copy of the script run in another checkout records that checkout's
@@ -31,6 +31,12 @@ and kept_bytes: what the method's first run leaves held, from cold
 caches (every lru_cache of the package emptied first).  That is the
 caches the run fills, which the warm runs' peaks cannot see.  BLAS is
 pinned to one thread when the script is run as a program.
+
+With --tier1 it also runs the tier-1 suite once (TIER1, from the root of
+the checkout, after the record, with BLAS threads as the caller left
+them) and records its wall clock, the outcome counts pytest printed, the
+tests they add up to and its exit status.  That needs pytest, which the
+package alone does not install.
 """
 
 import argparse
@@ -38,18 +44,23 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
+# the BLAS settings this script set, which the tier-1 run does not inherit
+PINNED = ()
 if __name__ == "__main__":
     # BLAS on one thread, as the benchmark runs it, set before numpy loads
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
+    PINNED = tuple(var for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")
+                   if var not in os.environ)
+    os.environ.update(dict.fromkeys(PINNED, "1"))
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -64,6 +75,11 @@ CPI_S, STEP_S = 20.0, 1.0
 REPEATS = 15
 TRACES = {"conventional": pc.conventional_trace,
           "eca": pc.eca_conventional_trace, "ahet": pc.ahet_trace}
+# the tier-1 suite as ROADMAP.md states it, PYTHONPATH=src set by tier1()
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# outcomes that are tests, in pytest's summary line ("3 passed, 1 failed")
+TEST_OUTCOMES = ("passed", "failed", "skipped", "xfailed", "xpassed",
+                 "error", "errors")
 
 
 class Stages:
@@ -236,12 +252,37 @@ def record(duration_s: float = DURATION_S, repeats: int = REPEATS) -> dict:
     }
 
 
+def tier1() -> dict:
+    """One run of the tier-1 suite from the checkout's root: its wall
+    clock, the counts of pytest's summary line and their tests, and its
+    exit status."""
+    env = {k: v for k, v in os.environ.items() if k not in PINNED}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get(
+        "PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT,
+                          capture_output=True, text=True, env=env)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    outcomes = {word: int(count) for count, word in re.findall(
+        r"(\d+) (\w+)", lines[-1] if lines else "")}
+    return {"command": ["python", *TIER1], "wall_s": wall,
+            "outcomes": outcomes,
+            "tests": sum(outcomes.get(k, 0) for k in TEST_OUTCOMES),
+            "exit_status": proc.returncode}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, type=Path,
                    help="JSON file to write, BENCH_<n>.json for change n")
+    p.add_argument("--tier1", action="store_true",
+                   help="also run the tier-1 suite once and record its "
+                        "wall clock and test count (needs pytest)")
     args = p.parse_args(argv)
     doc = record()
+    if args.tier1:
+        doc["tier1"] = tier1()
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, entry in doc["stages"].items():
         print(f"{name:24s} {entry['wall_s']['median'] * 1e3:9.3f} ms "
@@ -251,6 +292,10 @@ def main(argv=None) -> int:
               f"{entry['peak_bytes'] / 1e6:8.3f} MB  kept "
               f"{entry['kept_bytes'] / 1e6:.3f} MB  unattributed "
               f"{statistics.median(entry['unattributed_share']):.1%}")
+    if args.tier1:
+        suite = doc["tier1"]
+        print(f"tier1 {suite['wall_s']:.1f} s, {suite['tests']} tests "
+              f"{suite['outcomes']}, exit {suite['exit_status']}")
     return 0
 
 
