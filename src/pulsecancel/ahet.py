@@ -15,7 +15,7 @@ import numpy as np
 
 from .anls import BreathingTrack, breathing_track
 from .spectral import (Spectrum, band_peaks, band_power, local_peaks,
-                       peak_order, row_medians, strongest_peaks)
+                       row_medians, strongest_peaks)
 from .types import (HrTrace, PhaseSignal, TraceEntry, check_fields,
                     stage_sink)
 from .scenario import HEARTBEAT_BAND_HZ, sliding_windows, window_center
@@ -66,7 +66,7 @@ def _strongest_hz(f_hz: float) -> float:
 
 def _heart_peaks(freqs: np.ndarray, power: np.ndarray) -> tuple:
     """The strongest-peak methods' measure: each row's strongest
-    heart-band peak, as band_peaks' (frequencies, powers), rows x 1."""
+    heart-band peak: band_peaks' frequencies and powers, 2 x rows x 1."""
     return band_peaks(freqs, power, *HEARTBEAT_BAND_HZ, 1)
 
 
@@ -96,50 +96,39 @@ def _measure(freqs: np.ndarray, power: np.ndarray,
     # bins past the harmonic ceiling's upper neighbor are never read
     n = int(freqs.searchsorted(hi, side="right")) + 1
     freqs, power = freqs[:n], power[:, :n]
-    rows = power.shape[0]
+    rows, top = power.shape[0], n - 1
     edge = freqs.size - 1
     a_band = min(max(int(freqs.searchsorted(band[0], side="left")), 1), edge)
-    b_band, b = np.minimum(freqs.searchsorted((band[1], hi), side="right"),
-                           edge).tolist()
-    # one peak search and one ranking serve the band and every harmonic
-    # region, from the band's low edge or the lowest harmonic region's
-    # start if that is lower: a band peak lies above its bin less half a
-    # bin, so its region starts above 2 (f[a_band] - 1 bin) - deviation
-    # (at the defaults, 1.29 Hz against the band's 0.7 Hz)
+    b_band = min(int(freqs.searchsorted(band[1], side="right")), edge)
+    b = min(top, edge)
+    # one peak search serves the band and every harmonic region, from the
+    # band's low edge or the lowest harmonic region's start if that is
+    # lower: a band peak lies above its bin less half a bin, so its region
+    # starts above 2 (f[a_band] - 1 bin) - deviation (at the defaults,
+    # 1.29 Hz against the band's 0.7 Hz)
     low = freqs.searchsorted(2.0 * (freqs[a_band] - (freqs[1] - freqs[0]))
                              - config.deviation_threshold_hz)
     peaks = local_peaks(freqs, power, min(max(int(low), 1), a_band, b), b)
-    peak_rows, peak_cols, peak_f, peak_p = peaks
-    order = peak_order(peaks)
+    peak_rows, peak_cols, _, _ = peaks
+    # every selection is strongest_peaks' masked argmax: row r's two
+    # fundamentals from its band peaks, and the harmonic of candidate i of
+    # row r (entry r + i * rows of lo, a and cand) from its row's peaks at
+    # or past column a
     in_band = (peak_cols >= a_band) & (peak_cols < b_band)
-    fund_hz, _ = strongest_peaks(peaks, order[in_band[order]], rows, 2)
-
-    # candidate i of row r is entry r + i * rows of lo, a and cand (its
-    # row).  Its harmonic is the best-ranked peak of its row from the
-    # first one at or past column a (n exceeds every column, so
-    # row * n + column orders the peaks as local_peaks lists them).  A
-    # row's peaks rank before the next row's, so the best place in the
-    # ranking at or after that first peak is in its row.
+    fund_hz, _ = strongest_peaks(
+        peaks, (peak_rows == np.arange(rows)[:, None]) & in_band, 2)
     lo = 2.0 * fund_hz.T.ravel() - config.deviation_threshold_hz
     a = freqs.searchsorted(np.where(lo < hi, lo, np.nan), side="left")
     cand = np.arange(2 * rows) % rows
-    first = (peak_rows * n + peak_cols).searchsorted(cand * n + a)
-    found = first < peak_rows.searchsorted(cand, side="right")
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    best_after = np.minimum.accumulate(place[::-1])[::-1]
-    pick = order[best_after[first[found]]]
-    harm_f, harm_p = peak_f[pick], peak_p[pick]
-    # the floor's region runs from a up to the harmonic ceiling; only a
-    # candidate with a peak there needs one, and the sort starts at the
-    # lowest of their regions
-    a, top = a[found], n - 1
+    mine = (peak_rows == cand[:, None]) & (peak_cols >= a[:, None])
+    harm_hz, harm_p = strongest_peaks(peaks, mine, 1)[..., 0]
+    # the floor's region runs from a up to the harmonic ceiling, and the
+    # sort starts at the lowest of the regions; a candidate without a
+    # harmonic reads nan power, which no floor changes
     start = int(a.min(initial=top - 1))
-    floor = row_medians(power[cand[found], start:top],
+    floor = row_medians(power[cand, start:top],
                         np.arange(start, top) >= a[:, None])
-    harm_f[(floor > 0) & (harm_p < HARMONIC_FLOOR * floor)] = np.nan
-    harm_hz = np.full(2 * rows, np.nan)
-    harm_hz[found] = harm_f
+    harm_hz[(floor > 0) & (harm_p < HARMONIC_FLOOR * floor)] = np.nan
     return fund_hz, harm_hz.reshape(2, rows).T
 
 

@@ -8,13 +8,14 @@ transforms them in pairs, one as the real and one as the imaginary part
 of a complex row, and separates the two spectra by the conjugate symmetry
 of a real signal's spectrum (Press et al., Numerical Recipes, "FFT of two
 real functions simultaneously").  A row is then exact to rounding of the
-larger of its pair, and a window that is exactly zero after its mean is
-removed gets exactly zero power.  Every transform is numpy.fft's:
-band_power's two run in place (out=) on a complex128 buffer that holds a
-group of pairs, padded to the next 11-smooth length (_fast_len).  Peak
-picking works on stacks of spectra (band_peaks); top_peaks is a stack of
-one.  One ranking of a stack's peaks (peak_order: by row, strongest
-first) serves every selection made from it.
+larger of its pair, and a constant window gets exactly zero power in both
+(its first sample, not its rounded mean, is removed).  Every transform is
+numpy.fft's: band_power's two run in place (out=) on a complex128 buffer
+that holds a group of pairs, padded to the next 11-smooth length
+(_fast_len).  Peak picking works on stacks of spectra (band_peaks);
+top_peaks is a stack of one.  Every selection from a stack's peaks has one
+pick rule (strongest_peaks): a masked argmax over the powers of the peaks
+it may take, so the strongest wins and ties go to the lower frequency.
 """
 
 import math
@@ -125,7 +126,8 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
     points.  The power is re^2 + im^2 of its output (np.abs would go
     through hypot), Parseval-normalized as band_power's.  frequencies is
     the cached, read-only grid of that length and rate.  Raises ValueError
-    on a non-finite sample, as band_power does.
+    on a non-finite sample, as band_power does.  A constant window has its
+    first sample removed, as in band_power, so its power is exactly zero.
 
     Memory: the windowed copy dies once the transform exists, and im^2 is
     squared into the transform's own imaginary part, so the call holds the
@@ -144,7 +146,9 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
         raise ValueError("window holds non-finite samples")
     n_fft = n * zero_pad_factor
     frequencies = _grid(n_fft, sample_rate)
-    xw = x - x.sum() / n        # the mean, as np.mean computes it
+    # the mean as np.mean computes it, or a flat window's exact level
+    flat = x[0] == x[-1] and (x == x[0]).all()
+    xw = x - (x[0] if flat else x.sum() / n)
     xw *= _hann(n, True)
     spectrum = np.fft.rfft(xw, n_fft)
     del xw
@@ -218,9 +222,10 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
     separated by the symmetry of a real signal's spectrum.  So each row of
     power equals power_spectrum of that window over those bins to within
     1e-12 of the larger of its pair's peak powers, not of its own.  A
-    window whose mean-removed samples are all exactly zero gets exactly
-    zero power.  Raises ValueError on a non-finite sample, which would
-    spread into its partner, and on a top_hz that is NaN or not positive.
+    constant window has its first sample removed, so it gets exactly zero
+    power and adds nothing to its partner's.  Raises ValueError on a
+    non-finite sample, which would spread into its partner, and on a
+    top_hz that is NaN or not positive.
     A non-finite sample makes its row's mean non-finite, so the stack
     itself is scanned only when a mean is (a finite row's sum can
     overflow).
@@ -239,16 +244,18 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
     _check_window(n, sample_rate, zero_pad_factor)
     if not top_hz > 0:
         raise ValueError("top_hz must be positive")
-    mean = np.mean(windows, axis=1, keepdims=True)
+    mean = np.mean(windows, axis=1)
     if not np.isfinite(mean).all() and not np.isfinite(windows).all():
         raise ValueError("windows hold non-finite samples")
     chirp_z = _chirp_z(n, sample_rate, top_hz, zero_pad_factor)
     freqs = chirp_z[0]
-    # a flat row's first sample is its mean, so only those rows are tested
-    flat = np.flatnonzero(windows[:, 0] == mean[:, 0])
-    flat = flat[(windows[flat] == mean[flat]).all(axis=1)]
+    # a flat row ends at its first sample, so only those rows are tested;
+    # its first sample is its exact mean, where sum / n can round off it
+    flat = np.flatnonzero(windows[:, 0] == windows[:, -1])
+    flat = flat[(windows[flat] == windows[flat, :1]).all(axis=1)]
+    mean[flat] = windows[flat, 0]
     power = np.empty((rows, freqs.size))
-    _pair_power(windows, mean[:, 0], chirp_z, power)
+    _pair_power(windows, mean, chirp_z, power)
     power *= 0.25
     power[flat] = 0.0
     return freqs, _one_sided(power, n * zero_pad_factor)
@@ -333,7 +340,8 @@ def _refine(freqs: np.ndarray, power: np.ndarray, rows: np.ndarray,
     slope = l0 - l2
     denom = l0 - 2.0 * l1 + l2
     good = ok & (denom < 0.0)
-    delta = np.where(good, 0.5 * slope / np.where(good, denom, -1.0), 0.0)
+    # a fit that fails divides its finite slope by -inf: a zero step
+    delta = 0.5 * slope / np.where(good, denom, -np.inf)
     spacing = float(freqs[1] - freqs[0]) if cols.size else 0.0
     f_out = freqs[cols] + delta * spacing
     p_out = np.where(good, np.exp(l1 - 0.25 * slope * delta), y[:, 1])
@@ -353,40 +361,40 @@ def local_peaks(freqs: np.ndarray, power: np.ndarray, a: int,
     return (rows, cols, *_refine(freqs, power, rows, cols))
 
 
-def peak_order(peaks: tuple) -> np.ndarray:
-    """Indices of local_peaks' peaks by row, strongest first within a row,
-    ties to the lower frequency (local_peaks' order by column, kept by the
-    stable sort).  Every row's peaks rank before the next row's."""
-    rows, _, _, p = peaks
-    return np.lexsort((-p, rows))
+def strongest_peaks(peaks: tuple, mine: np.ndarray, k: int) -> np.ndarray:
+    """The k strongest of local_peaks' peaks that each selection may take:
+    frequencies and powers, 2 x selections x k, strongest first, nan where
+    a selection has fewer than k.
 
-
-def strongest_peaks(peaks: tuple, order: np.ndarray, n_rows: int,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k strongest, per row, of the peaks that order lists in
-    peak_order's order (peak_order itself, or a subset of it, which keeps
-    its order): (frequencies, powers), each n_rows x k, strongest first,
-    nan where a row has fewer than k.  Ties go to the lower frequency."""
-    rows, _, f, p = peaks
-    ranked = rows[order]
-    rank = np.arange(order.size) - ranked.searchsorted(ranked)  # in row
-    top = rank < k
-    chosen = order[top]
-    out = np.empty((2, n_rows, k))
-    out.fill(np.nan)
-    out[0, ranked[top], rank[top]] = f[chosen]
-    out[1, ranked[top], rank[top]] = p[chosen]
-    return out[0], out[1]
+    mine is a selections x peaks mask.  Each pick is a row argmax over the
+    kept powers, -inf elsewhere and in a first column that reads nan, and
+    drops the peak it takes.  local_peaks lists a row's peaks by column,
+    so ties go to the lower frequency.
+    """
+    _, _, f, p = peaks
+    kept = np.full((len(mine), p.size + 1), -np.inf)
+    np.copyto(kept[:, 1:], p, where=mine)
+    picks = np.empty((k, len(mine)), dtype=np.intp)
+    for i in range(k):
+        kept.argmax(axis=1, out=picks[i])
+        if i + 1 < k:
+            kept[np.arange(len(mine)), picks[i]] = -np.inf
+    table = np.empty((2, p.size + 1))
+    table[:, 0] = np.nan
+    table[0, 1:], table[1, 1:] = f, p
+    return table[:, picks.T]
 
 
 def band_peaks(freqs: np.ndarray, power: np.ndarray, lo_hz: float,
-               hi_hz: float, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Stack form of top_peaks over rows of power on one grid.  Returns
-    strongest_peaks' (frequencies, powers), each rows x k."""
+               hi_hz: float, k: int = 1) -> np.ndarray:
+    """Stack form of top_peaks over rows of power on one grid: each row
+    takes its own peaks.  Returns strongest_peaks' frequencies and powers,
+    2 x rows x k."""
     a = max(int(freqs.searchsorted(lo_hz, side="left")), 1)
     b = min(int(freqs.searchsorted(hi_hz, side="right")), freqs.size - 1)
     peaks = local_peaks(freqs, power, min(a, b), b)
-    return strongest_peaks(peaks, peak_order(peaks), power.shape[0], k)
+    return strongest_peaks(peaks,
+                           peaks[0] == np.arange(power.shape[0])[:, None], k)
 
 
 def row_medians(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -417,9 +425,8 @@ def top_peaks(spectrum: Spectrum, lo_hz: float, hi_hz: float,
         raise ValueError(f"band must satisfy lo < hi, got {lo_hz}:{hi_hz} "
                          f"Hz")
     f, p = band_peaks(spectrum.frequencies, spectrum.power[None, :], lo_hz,
-                      hi_hz, k)
-    return [Peak(fi, pi) for fi, pi in zip(f[0].tolist(), p[0].tolist())
-            if not math.isnan(fi)]
+                      hi_hz, k)[:, 0].tolist()
+    return [Peak(fi, pi) for fi, pi in zip(f, p) if not math.isnan(fi)]
 
 
 def band_peak_power(spectrum: Spectrum, f_hz: float,

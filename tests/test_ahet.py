@@ -396,11 +396,12 @@ class TestHoldLastEstimate:
             trace_fn(fixture_phase, **WINDOWS)
 
 
-def with_dead_stretch(phase, start_s, stop_s):
-    """The phase with exact zeros over [start_s, stop_s)."""
+def with_dead_stretch(phase, start_s, stop_s, level=0.0):
+    """The phase held at level (exact zeros by default) over [start_s,
+    stop_s)."""
     fs = phase.sample_rate
     samples = phase.samples.copy()
-    samples[int(round(start_s * fs)):int(round(stop_s * fs))] = 0.0
+    samples[int(round(start_s * fs)):int(round(stop_s * fs))] = level
     return PhaseSignal(samples, fs)
 
 
@@ -453,6 +454,23 @@ class TestDeadStretch:
                 f_hz, want_tag = conventional_hr(spectrum), "eca"
             assert entry.tag == want_tag
             assert entry.hr_bpm == pytest.approx(f_hz * 60.0, abs=1e-9)
+
+    def test_a_constant_stretch_holds_like_a_zero_one(self):
+        # 3.7 over [50 s, 80 s) of a 120 s record: the windows centred at
+        # 60-70 s lie inside it.  sum / n of 3.7 rounds off 3.7, so with
+        # the mean removed they read rounding noise (43.44 BPM) and, at
+        # 70 s, leakage from their pair partner (60.73 BPM)
+        sc = FAMILIES["masking-b"](0, duration_s=120.0)
+        phase = slow_time_phase(scenario_slow_time(sc),
+                                sc.radar.frame_rate_hz)
+        trace = conventional_trace(with_dead_stretch(phase, 50.0, 80.0, 3.7))
+        times = trace.times()
+        before = trace.entries[int(np.flatnonzero(times == 59.0)[0])]
+        inside = [e for e in trace if 60.0 <= e.time_s <= 70.0]
+        assert len(inside) == 11
+        for entry in inside:
+            assert entry.hr_bpm == before.hr_bpm
+            assert (entry.tag, entry.delta_hz) == ("conventional", 0.0)
 
     @pytest.mark.parametrize("trace_fn",
                              [fn for fn, _, _, _ in HOLD_CASES])

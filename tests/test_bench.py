@@ -138,6 +138,26 @@ class TestIntervalRmse:
         assert row.lo_s <= t < row.hi_s
         assert (row.rmse_bpm, row.count) == (0.0, 1)
 
+    @pytest.mark.parametrize("index", [2 ** 51, 2 ** 52, 7 * 2 ** 49],
+                             ids=["2^51", "2^52", "7x2^49"])
+    def test_late_edges_bracket_their_times(self, index):
+        # from index 2^51 on (times near 9.0e16 s) floor((t - 10) / 40)
+        # puts some times within two ulps of an edge one interval too high
+        # (at 2^51 and 2^52) or too low (at 7 x 2^49); the edges themselves
+        # decide, so each single-time trace's row brackets its time
+        edges = bench_mod.INTERVAL_START_S + (
+            index + np.arange(50.0)) * bench_mod.INTERVAL_S
+        near = [edges]
+        for direction in (np.inf, -np.inf):
+            step = edges
+            for _ in range(2):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        for t in np.unique(np.concatenate(near)).tolist():
+            trace = make_trace([t], [70.0])
+            [row] = interval_rmse(trace, trace)
+            assert row.lo_s <= t < row.hi_s, t
+
     def test_unpaired_estimates_fall_in_no_interval(self):
         # the 80 s estimate has no reference near it; it raised IndexError
         est = make_trace([10.0, 11.0, 12.0, 13.0, 80.0], [71.0] * 5)

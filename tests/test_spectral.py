@@ -10,8 +10,8 @@ from scipy.signal import get_window
 import pulsecancel.spectral as spectral_mod
 from pulsecancel.spectral import (Spectrum, _chirp_z, _fast_len, _hann,
                                   _one_sided, band_peak_power, band_peaks,
-                                  band_power, power_spectrum, row_medians,
-                                  top_peaks)
+                                  band_power, local_peaks, power_spectrum,
+                                  row_medians, top_peaks)
 
 FS = 100.0
 
@@ -141,14 +141,19 @@ class TestPowerSpectrum:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [17, 2000, 2001])
-    @pytest.mark.parametrize("level", [0.0, 7.0, -1e5, 2900.123])
+    @pytest.mark.parametrize("level", [0.0, 7.0, -1e5, 2900.123, 3.7, 0.1])
     def test_a_window_that_is_its_mean_gives_exact_zeros(self, level, n):
-        # a constant whose mean comes back exactly; a level whose mean
-        # rounds (3.7 over 2000 samples) leaves rounding-sized power
+        # 3.7 and 0.1 over 2000 samples have a sum / n that rounds off the
+        # level; a constant window's first sample is removed, so they too
+        # give exact zeros, in band_power without a trace in the partner
         x = np.full(n, level)
-        assert (x - x.sum() / n == 0.0).all()
         power = power_spectrum(x, FS).power
         assert power.size == n * 4 + 1 and not power.any()
+        loud = band_windows(1, n)[0] * 1e3
+        _, pair = band_power(np.stack([x, loud]), FS, 4.2)
+        _, alone = band_power(np.stack([np.zeros(n), loud]), FS, 4.2)
+        assert not pair[0].any()
+        assert pair[1].tobytes() == alone[1].tobytes()
 
     def test_peak_memory_is_the_transform_and_the_power(self):
         # 2,000 samples at pad 8: the 8001-bin complex transform (128 kB)
@@ -362,9 +367,9 @@ class TestBandPower:
             assert not np.any(power[row]), row
 
     def test_a_row_that_starts_at_its_mean_is_not_taken_for_flat(self):
-        # only rows whose first sample is their mean are tested for flat;
-        # this one (0, then 999 ones, 999 minus ones and a 0, mean exactly
-        # 0) is such a row and keeps its power
+        # only rows whose last sample is their first are tested for flat;
+        # this one (0, then 999 ones, 999 minus ones and a 0) is such a row
+        # and keeps its power
         steps = np.concatenate([[0.0], np.ones(999), -np.ones(999), [0.0]])
         windows = np.stack([band_windows(1, 2000)[0], steps,
                             np.full(2000, -2.5)])
@@ -523,18 +528,53 @@ class TestBandPower:
             band_power(band_windows(2, 400), FS, top_hz)
 
 
+def peaks_by_sort(freqs, row, lo_hz, hi_hz, k):
+    """A row's k strongest peaks one at a time: every strict local maximum
+    of an interior bin with lo <= f <= hi, interpolated alone, sorted by
+    (power descending, column)."""
+    found = []
+    for c in range(1, freqs.size - 1):
+        if lo_hz <= freqs[c] <= hi_hz and row[c - 1] < row[c] > row[c + 1]:
+            _, _, f, p = local_peaks(freqs, row[None, :], c, c + 1)
+            found.append((-p[0], c, f[0]))
+    return [(f, -neg_p) for neg_p, _, f in sorted(found)[:k]]
+
+
+def stack_peak_cases():
+    """Noise rows, a quantized row full of ties, a zero row, a ramp with
+    no peak in any band, and a row with two equal peaks, fewer than k."""
+    rng = np.random.default_rng(5)
+    power = rng.uniform(0.0, 1.0, (8, 201))
+    power[1] = np.round(power[1] * 3.0)
+    power[2] = 0.0
+    power[3] = np.linspace(0.0, 1.0, 201)
+    power[4] = 0.1
+    power[4, [60, 140]] = 1.0
+    return np.linspace(0.0, 5.0, 201), power
+
+
 class TestStackPeaks:
     @pytest.mark.parametrize("lo_hz", [0.0, 1.0, 2.5, 4.9, 5.0])
     def test_rows_equal_top_peaks(self, lo_hz):
-        rng = np.random.default_rng(5)
-        power = rng.uniform(0.0, 1.0, (6, 201))
-        freqs = np.linspace(0.0, 5.0, 201)
-        f, p = band_peaks(freqs, power, lo_hz, 4.0, 3)
-        for i in range(6):
-            want = [] if not lo_hz < 4.0 else top_peaks(
-                synthetic_spectrum(power[i]), lo_hz, 4.0, 3)
-            got = [(fi, pi) for fi, pi in zip(f[i], p[i]) if not np.isnan(fi)]
-            assert got == [(w.frequency_hz, w.power) for w in want]
+        # band_peaks and top_peaks against each row's sorted peaks
+        freqs, power = stack_peak_cases()
+        for k in (1, 3):
+            f, p = band_peaks(freqs, power, lo_hz, 4.0, k)
+            assert f.shape == p.shape == (len(power), k)
+            for i, row in enumerate(power):
+                want = peaks_by_sort(freqs, row, lo_hz, 4.0, k)
+                got = [(fi, pi) for fi, pi in zip(f[i], p[i])
+                       if not np.isnan(fi)]
+                assert got == want, (k, i)
+                assert np.isnan(f[i, len(want):]).all()
+                assert np.isnan(p[i, len(want):]).all()
+                if lo_hz < 4.0:
+                    peaks = top_peaks(synthetic_spectrum(row), lo_hz, 4.0, k)
+                    assert [(w.frequency_hz, w.power) for w in peaks] == want
+        # the cases reach ties, empty rows and a row short of k
+        if lo_hz == 1.0:
+            assert np.isnan(f[2]).all() and np.isnan(f[3]).all()
+            assert np.isnan(f[4, 2]) and p[4, 0] == p[4, 1]
 
     def test_row_medians_equal_np_median(self):
         rng = np.random.default_rng(6)
