@@ -16,26 +16,27 @@ directions and each basis's coordinates in it, so scoring a segment
 against the whole grid costs one projection of each folded part onto its
 half's span and one small product per half.
 
-One cache serves every refit and render at a fixed fundamental and
-length: _refit_basis fits the harmonic-plus-intercept design in the same
-two halves.  Each entry holds the head rows of the two orthonormal bases,
-from a Householder QR (numpy's np.linalg.qr) of each weighted half
-design: ceil(n/2) (order + 1) + floor(n/2) order float64s, half of a full
-n x (2 order + 1) Q, plus two (2 order + 1)-square maps built from the
-two triangles R_e, R_o and their inverses.  No cache holds a design, no
-normal equations are formed and nothing is solved per fit.
+One cache serves every refit at a fixed fundamental and length:
+_refit_basis fits the harmonic-plus-intercept design in the same two
+halves.  Each entry holds the head rows of the two orthonormal bases, from
+a Householder QR (numpy's np.linalg.qr) of each weighted half design:
+ceil(n/2) (order + 1) + floor(n/2) order float64s, half of a full
+n x (2 order + 1) Q, plus one (2 order + 1)-square map from coordinates to
+coefficients built from the inverses of the two triangles R_e, R_o.  No
+cache holds a design, no normal equations are formed and nothing is solved
+per fit.
 
 A window is folded into its even part, x_head + reversed x_tail (with an
 odd n's middle sample), and its odd part, x_head - reversed x_tail; each
 is projected onto its half.  The block route (BreathingTrack.residuals,
-which the trace drivers run) folds each block once, projects each run of
-windows at one fundamental, and writes every residual head, mirrored tail
-and middle over the spent parts.  The per-window route (fit_amplitudes,
-BreathingTrack.refit and residual, reconstruct_reference) folds and
-projects one window the same way, so BreathingTrack.residual is the
-projection's residual too; fit_amplitudes takes coefficients through the
-inverse triangles, and HarmonicModel.predict renders them through the
-triangles, from the same entry.
+the one cancel step, which the trace drivers and the spectra dump run)
+folds each block once, projects each run of windows at one fundamental,
+and writes every residual head, mirrored tail and middle over the spent
+parts.  The per-window fit (_fit_with_residual, behind fit_amplitudes and
+reconstruct_reference) folds and projects one window the same way and
+takes coefficients through the entry's map; reconstruct_reference's
+reference is the fit's own projection, the window less its residual and
+offset, so nothing is rendered from the coefficients.
 """
 
 import math
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scenario import BREATHING_BAND_HZ, sliding_windows, window_samples
-from .spectral import row_medians
+from .spectral import constant_rows, row_medians
 from .types import PhaseSignal, equal_fields
 
 BREATHING_GRID_HZ = (*BREATHING_BAND_HZ, 1.0 / 600.0)
@@ -74,27 +75,6 @@ class HarmonicModel:
     offset: float = 0.0           # intercept fitted jointly with the harmonics
 
     __eq__ = equal_fields
-
-    def predict(self, n: int, sample_rate: float) -> np.ndarray:
-        """The harmonics over n samples, without the intercept (a caller
-        that wants it adds self.offset).  The coordinates map of
-        _refit_basis's entry at this fundamental and length takes the
-        coefficients and a zero intercept to coordinates on the entry's
-        two halves; each half times its coordinates is that part's head
-        rows, written out as head, mirrored tail and middle.  n below
-        2 * order + 1 is a ValueError, as it is for a fit."""
-        basis = _refit_basis(self.fundamental_hz, self.order, n, sample_rate)
-        coef = np.zeros(2 * self.order + 1)
-        coef[:-1] = self.coefficients.reshape(-1)
-        c = basis.coordinates @ coef
-        p_even = basis.even @ c[:self.order + 1]
-        p_odd = basis.odd @ c[self.order + 1:]
-        m = n // 2
-        out = np.empty(n)
-        np.add(p_even[:m], p_odd, out=out[:m])
-        np.subtract(p_even[:m], p_odd, out=out[::-1][:m])
-        out[m:n - m] = p_even[m:]
-        return out
 
 
 @dataclass(frozen=True)
@@ -172,23 +152,9 @@ class BreathingTrack:
         return row_medians(self.hz.take(index, mode="clip"),
                            index < hi[:, None])
 
-    def refit(self, segment: np.ndarray, start: int = 0) -> HarmonicModel:
-        """Fit a segment starting at sample start of the record at the
-        median fundamental of the subwindows inside it."""
-        return self._fit(segment, start)[0]
-
-    def residual(self, segment: np.ndarray, start: int = 0) -> np.ndarray:
-        """The segment minus its refit, harmonics and intercept: the
-        pipeline's cancel step.  Lagged copies of the reference are harmonic
-        series at the same fundamental, so (but for their zero-filled heads)
-        projecting them off too would remove nothing more.  It is the
-        fit's own residual, the projections taken off as residuals() takes
-        them, not the segment minus the series rendered from the
-        coefficients, whose rounding grows with the design's condition."""
-        return self._fit(segment, start)[1]
-
     def _fit(self, segment: np.ndarray, start: int) -> tuple:
-        """_fit_with_residual of the segment at refit()'s fundamental."""
+        """_fit_with_residual of a segment starting at sample start of the
+        record, at the median fundamental of the subwindows inside it."""
         f_hat = float(self._refit_hz([start], len(segment))[0])
         if math.isnan(f_hat):
             raise ValueError(_NO_SUBWINDOW)
@@ -196,8 +162,12 @@ class BreathingTrack:
                                   self.order)
 
     def residuals(self, windows: np.ndarray, starts) -> tuple:
-        """residual() of every row of a stack of equal-length windows, in
-        order of their sample starts.
+        """The pipeline's cancel step: each row of a stack of equal-length
+        windows, in order of their sample starts, less its refit (harmonics
+        and intercept) at the median fundamental of the subwindows inside
+        it.  Lagged copies of the reference are harmonic series at the same
+        fundamental, so (but for their zero-filled heads) projecting them
+        off too would remove nothing more.
 
         Returns (residuals, errors): errors[i] is the ValueError or
         LinAlgError that window i's refit raised (its row is then left as
@@ -206,8 +176,10 @@ class BreathingTrack:
         fundamental shares one _refit_basis entry, and each part S of the
         run is replaced by its projection (S H) H^T onto the entry's half
         H.  The projections are then taken off every row's head, mirrored
-        tail and middle at once (_take_off), and the rows whose refit
-        failed are copied as they were.
+        tail and middle at once (_take_off).  An exactly constant row, which
+        the intercept fits exactly, gets an exactly zero residual rather
+        than the projections' rounding (spectral.constant_rows' test), and
+        the rows whose refit failed are copied as they were.
 
         Memory: two arrays of the stack's size, _fold's head and tail
         copies and its parts' buffer, which _take_off overwrites with the
@@ -235,6 +207,7 @@ class BreathingTrack:
                     np.matmul(part @ half, half.T, out=part)
             i = j
         out = _take_off(x, head, tail, s_even, s_odd, parts.reshape(x.shape))
+        out[constant_rows(x)] = 0.0
         failed = [k for k, e in enumerate(errors) if e is not None]
         if failed:
             out[failed] = x[failed]
@@ -327,12 +300,11 @@ class _RefitBasis(NamedTuple):
     [sin k w t'] (floor(n/2) rows).  A fit's coordinates c on them, even
     first, give its coefficients, coefficients @ c: the sin/cos weights
     about the window's first sample in harmonic_matrix's column order,
-    then the offset.  coordinates @ those gives c back."""
+    then the offset."""
 
     even: np.ndarray
     odd: np.ndarray
     coefficients: np.ndarray
-    coordinates: np.ndarray
 
 
 def _fold(x: np.ndarray, parts: np.ndarray | None = None) -> tuple:
@@ -407,9 +379,8 @@ def _refit_basis(fundamental_hz: float, order: int, n: int,
     n = 2000 and order 3 where a full Q held 112 kB.  coefficients is
     blockdiag(R_e^-1, R_o^-1) turned from the centred axis to the first
     sample, each harmonic's (sin, cos) pair by phi_k = 2 pi k f (n - 1) /
-    (2 fs), the phase of harmonic k at the window's centre; coordinates
-    is blockdiag(R_e, R_o) after the turn back.  Both are
-    (2 order + 1)-square.
+    (2 fs), the phase of harmonic k at the window's centre, a
+    (2 order + 1)-square map.
 
     Sliding analysis refits the same few fundamentals at a fixed window
     length over and over; the factorization depends only on the design.  A
@@ -440,7 +411,7 @@ def _refit_basis(fundamental_hz: float, order: int, n: int,
     q_o /= weight[:m]
     # turn takes the centred fit's cos weights, offset and sin weights (the
     # halves' column order) to sin/cos weights about the first sample and
-    # the offset (harmonic_matrix's order); its transpose takes them back
+    # the offset (harmonic_matrix's order)
     phi = np.arange(1, order + 1) * (np.pi * fundamental_hz * (n - 1)
                                      / sample_rate)
     cos, sin = np.cos(phi), np.sin(phi)
@@ -453,8 +424,7 @@ def _refit_basis(fundamental_hz: float, order: int, n: int,
     triangles[:order + 1, :order + 1] = r_e
     triangles[order + 1:, order + 1:] = r_o
     # the inverse of blockdiag(R_e, R_o) is blockdiag(R_e^-1, R_o^-1)
-    entry = _RefitBasis(q_e, q_o, turn @ np.linalg.inv(triangles),
-                        triangles @ turn.T)
+    entry = _RefitBasis(q_e, q_o, turn @ np.linalg.inv(triangles))
     for a in entry:
         a.flags.writeable = False
     return entry
@@ -724,11 +694,13 @@ def breathing_track(phase: PhaseSignal, window_s: float = 5.0,
 
 
 def reconstruct_reference(phase: PhaseSignal) -> ReferenceFit:
-    """Breathing reference for one analysis window: the refit of its own
-    breathing track (breathing_track's defaults, BreathingTrack.refit) over
-    the whole window."""
+    """Breathing reference for one analysis window: the harmonics of the
+    refit of its own breathing track (breathing_track's defaults) over the
+    whole window, at the median fundamental of its subwindows.  s_ref is
+    the fit's own projection without the intercept, the window less the
+    fit's residual and offset."""
     track = breathing_track(phase)
-    model = track.refit(phase.samples)
-    s_ref = model.predict(phase.samples.size, phase.sample_rate)
+    model, resid = track._fit(phase.samples, 0)
+    s_ref = phase.samples - resid - model.offset
     return ReferenceFit(s_ref=s_ref, model=model,
                        subwindow_hz=track.hz)

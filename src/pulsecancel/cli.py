@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .ahet import (AhetConfig, ahet_trace, conventional_trace,
+from .ahet import (_BLOCK, AhetConfig, ahet_trace, conventional_trace,
                    eca_conventional_trace, shared_cancellation)
 from .anls import BREATHING_GRID_HZ, BreathingTrack, breathing_track
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
@@ -239,20 +239,25 @@ def _cmd_spectra(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     fs = phase.sample_rate
     starts, windows = sliding_windows(phase.samples, fs, args.cpi, args.step)
-    if args.max_windows:
-        starts = starts[:args.max_windows]
+    count = min(len(starts), args.max_windows or len(starts))
     track = _track_from_args(args, phase,
                              bench_mod.CANCELLING if args.cancel else ())
-    for w, (i0, segment) in enumerate(zip(starts, windows)):
+    # the trace drivers' blocks, so each dump is the rows they cancel
+    for b0 in range(0, count, _BLOCK):
+        block = windows[b0:b0 + _BLOCK]
+        errors = [None] * len(block)
         if track is not None:
-            segment = track.residual(segment, i0)
-        spectrum = power_spectrum(segment, fs, args.pad)
-        path = outdir / f"spectrum_{w:05d}.csv"
-        with open(path, "w") as fh:
-            fh.write("freq_hz,power\n")
-            for f, p in zip(spectrum.frequencies, spectrum.power):
-                fh.write(f"{float(f)!r},{float(p)!r}\n")
-    _log(f"wrote {len(starts)} spectra to {outdir}")
+            block, errors = track.residuals(block, starts[b0:b0 + _BLOCK])
+        for w, segment, error in zip(range(b0, count), block, errors):
+            if error is not None:
+                raise error
+            spectrum = power_spectrum(segment, fs, args.pad)
+            path = outdir / f"spectrum_{w:05d}.csv"
+            with open(path, "w") as fh:
+                fh.write("freq_hz,power\n")
+                for f, p in zip(spectrum.frequencies, spectrum.power):
+                    fh.write(f"{float(f)!r},{float(p)!r}\n")
+    _log(f"wrote {count} spectra to {outdir}")
     return 0
 
 

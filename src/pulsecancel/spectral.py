@@ -249,10 +249,9 @@ def band_power(windows: np.ndarray, sample_rate: float, top_hz: float,
         raise ValueError("windows hold non-finite samples")
     chirp_z = _chirp_z(n, sample_rate, top_hz, zero_pad_factor)
     freqs = chirp_z[0]
-    # a flat row ends at its first sample, so only those rows are tested;
-    # its first sample is its exact mean, where sum / n can round off it
-    flat = np.flatnonzero(windows[:, 0] == windows[:, -1])
-    flat = flat[(windows[flat] == windows[flat, :1]).all(axis=1)]
+    # a flat row's first sample is its exact mean, where sum / n can round
+    # off it
+    flat = constant_rows(windows)
     mean[flat] = windows[flat, 0]
     power = np.empty((rows, freqs.size))
     _pair_power(windows, mean, chirp_z, power)
@@ -395,6 +394,14 @@ def band_peaks(freqs: np.ndarray, power: np.ndarray, lo_hz: float,
     peaks = local_peaks(freqs, power, min(a, b), b)
     return strongest_peaks(peaks,
                            peaks[0] == np.arange(power.shape[0])[:, None], k)
+
+
+def constant_rows(windows: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a 2-D stack whose samples all equal their
+    first.  A constant row ends at its first sample, so only those rows
+    are compared in full."""
+    flat = np.flatnonzero(windows[:, 0] == windows[:, -1])
+    return flat[(windows[flat] == windows[flat, :1]).all(axis=1)]
 
 
 def row_medians(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

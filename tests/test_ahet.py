@@ -22,6 +22,8 @@ from pulsecancel.spectral import (Spectrum, band_peak_power, band_power,
                                   local_peaks, power_spectrum)
 from pulsecancel.types import HrTrace, PhaseSignal, TraceEntry
 
+from oracles import refit_residual
+
 
 def spiky_spectrum(peaks, background=None, f_max=5.0, n=2001):
     """Spectrum with isolated spikes at given (freq, power) points."""
@@ -215,15 +217,19 @@ class TestTraces:
 @pytest.fixture(scope="module")
 def weak_tone_cancellations():
     """(scenario, phase, cancelled once, cancelled twice) for the twenty
-    20 s masking-a records, each cancelled as one whole window."""
+    20 s masking-a records, each cancelled as one whole window, and the
+    first cancellation checked against the least-squares oracle."""
     out = []
     for seed in range(20):
         sc = masking_scenario(seed, variant="a", duration_s=20.0)
         phase = slow_time_phase(scenario_slow_time(sc),
                                 sc.radar.frame_rate_hz)
         track = breathing_track(phase)
-        once = track.residual(phase.samples)
-        out.append((sc, phase, once, track.residual(once)))
+        (once,), _ = track.residuals(phase.samples[None], [0])
+        assert np.max(np.abs(once - refit_residual(track, phase.samples))) \
+            <= 1e-12 * np.max(np.abs(phase.samples))
+        (twice,), _ = track.residuals(once[None], [0])
+        out.append((sc, phase, once, twice))
     return out
 
 
@@ -447,7 +453,7 @@ class TestDeadStretch:
                 assert entry.hr_bpm == trace.entries[j - 1].hr_bpm
                 assert (entry.tag, entry.delta_hz) == (tag, delta)
                 continue
-            spectrum = power_spectrum(track.residual(segment, i0), fs)
+            spectrum = power_spectrum(refit_residual(track, segment, i0), fs)
             if method == "ahet":
                 f_hz, want_tag, _, _ = ahet_step(spectrum, state)
             else:
@@ -455,22 +461,28 @@ class TestDeadStretch:
             assert entry.tag == want_tag
             assert entry.hr_bpm == pytest.approx(f_hz * 60.0, abs=1e-9)
 
-    def test_a_constant_stretch_holds_like_a_zero_one(self):
+    @pytest.mark.parametrize("trace_fn, tag, delta",
+                             [(fn, tag, d) for fn, _, tag, d in HOLD_CASES])
+    def test_a_constant_stretch_holds_like_a_zero_one(self, trace_fn, tag,
+                                                      delta):
         # 3.7 over [50 s, 80 s) of a 120 s record: the windows centred at
         # 60-70 s lie inside it.  sum / n of 3.7 rounds off 3.7, so with
         # the mean removed they read rounding noise (43.44 BPM) and, at
-        # 70 s, leakage from their pair partner (60.73 BPM)
+        # 70 s, leakage from their pair partner (60.73 BPM).  The refit's
+        # projections round off 3.7 too, so the cancelling methods need an
+        # exactly zero residual, or they read that rounding (eca 47.96 BPM,
+        # ahet 70.82 BPM refined)
         sc = FAMILIES["masking-b"](0, duration_s=120.0)
         phase = slow_time_phase(scenario_slow_time(sc),
                                 sc.radar.frame_rate_hz)
-        trace = conventional_trace(with_dead_stretch(phase, 50.0, 80.0, 3.7))
+        trace = trace_fn(with_dead_stretch(phase, 50.0, 80.0, 3.7))
         times = trace.times()
         before = trace.entries[int(np.flatnonzero(times == 59.0)[0])]
         inside = [e for e in trace if 60.0 <= e.time_s <= 70.0]
         assert len(inside) == 11
         for entry in inside:
             assert entry.hr_bpm == before.hr_bpm
-            assert (entry.tag, entry.delta_hz) == ("conventional", 0.0)
+            assert (entry.tag, entry.delta_hz) == (tag, delta)
 
     @pytest.mark.parametrize("trace_fn",
                              [fn for fn, _, _, _ in HOLD_CASES])
@@ -481,14 +493,15 @@ class TestDeadStretch:
 
 
 def per_window_trace(phase, cpi_s, method, track):
-    """The per-window reference: track.residual, power_spectrum, then
-    ahet_step or conventional_hr, one window at a time."""
+    """The per-window reference: the least-squares refit residual
+    (oracles.refit_residual), power_spectrum, then ahet_step or
+    conventional_hr, one window at a time."""
     fs = phase.sample_rate
     state = TrackerState()
     trace = HrTrace()
     for i0, segment in zip(*sliding_windows(phase.samples, fs, cpi_s, 1.0)):
         if method != "conventional":
-            segment = track.residual(segment, i0)
+            segment = refit_residual(track, segment, i0)
         spectrum = power_spectrum(segment, fs)
         if method == "ahet":
             f_hz, tag, delta, _ = ahet_step(spectrum, state)

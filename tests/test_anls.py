@@ -23,6 +23,8 @@ from pulsecancel.scenario import (FAMILIES, scenario_slow_time,
 from pulsecancel.spectral import row_medians
 from pulsecancel.types import PhaseSignal
 
+from oracles import refit_design, refit_residual
+
 FS = 100.0
 EPS = np.finfo(float).eps
 GRID = grid_frequencies(*BREATHING_GRID_HZ)
@@ -143,22 +145,24 @@ class TestFitAmplitudes:
         assert model.offset == pytest.approx(3.0, abs=1e-9)
         assert model.residual_power < 1e-18
 
-    def test_predict_reproduces_fit(self):
+    def test_coefficients_reproduce_the_fit(self):
         x = harmonic_signal(0.26, 500, [1.0, 0.4], [0.1, 0.7], offset=1.5)
         model = fit_amplitudes(x, FS, 0.26, order=2)
-        np.testing.assert_allclose(model.predict(500, FS) + model.offset,
-                                   x, atol=1e-9)
-        np.testing.assert_allclose(model.predict(500, FS), x - 1.5,
-                                   atol=1e-9)
+        harmonics = harmonic_matrix(0.26, 2, 500, FS) \
+            @ model.coefficients.reshape(-1)
+        np.testing.assert_allclose(harmonics + model.offset, x, atol=1e-9)
+        np.testing.assert_allclose(harmonics, x - 1.5, atol=1e-9)
 
     def test_rank_deficient_design_is_rejected(self):
         x = np.ones(500)
         with pytest.raises(ValueError, match="rank-deficient"):
             fit_amplitudes(x, FS, 0.0, order=3)
 
-    def test_too_short_segment(self):
-        with pytest.raises(ValueError, match="too short"):
-            fit_amplitudes(np.ones(5), FS, 0.3, order=3)
+    @pytest.mark.parametrize("n", [0, 1, 5, 6])
+    def test_too_short_segment(self, n):
+        with pytest.raises(ValueError, match=f"segment of {n} samples too "
+                                             f"short for 6 coefficients"):
+            fit_amplitudes(np.ones(n), FS, 0.3, order=3)
 
     def test_non_finite_fundamental_or_rate_is_rejected(self):
         # a NaN fundamental failed in the SVD, an infinite rate read as a
@@ -601,48 +605,22 @@ class TestTrackAndReference:
         with pytest.raises(ValueError, match=message):
             BreathingTrack(**{**good, **fields})
 
-    def test_reference_is_median_refit_prediction(self):
-        f_true = float(GRID[96])
-        x = harmonic_signal(f_true, 2000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9],
-                            offset=0.5)
-        fit = reconstruct_reference(PhaseSignal(x, FS))
+    @pytest.mark.parametrize("n", [737, 2000, 3001])
+    def test_reference_is_median_refit_prediction(self, n):
+        # a weak tone on top, so the fit's residual is not all rounding
+        x = harmonic_signal(float(GRID[96]), n, [1.0, 0.3, 0.1],
+                            [0.0, 0.4, 0.9], offset=0.5)
+        x += 0.01 * np.sin(2 * np.pi * 1.3 * np.arange(n) / FS)
+        phase = PhaseSignal(x, FS)
+        fit = reconstruct_reference(phase)
         assert fit.model.fundamental_hz == float(np.median(fit.subwindow_hz))
-        np.testing.assert_allclose(fit.s_ref, fit.model.predict(2000, FS),
-                                   atol=1e-12)
-        assert fit.model.offset == pytest.approx(0.5, abs=1e-6)
-        np.testing.assert_allclose(fit.s_ref + fit.model.offset, x,
-                                   atol=1e-6)
-
-    def test_refit_uses_the_subwindows_inside_the_segment(self):
-        # breathing steps from one grid rate to another at 10 s
-        f_a, f_b = float(GRID[60]), float(GRID[150])
-        x = np.concatenate([
-            harmonic_signal(f_a, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9]),
-            harmonic_signal(f_b, 1000, [1.0, 0.3, 0.1], [0.0, 0.4, 0.9])])
-        track = breathing_track(PhaseSignal(x, FS))
-        segment = x[1200:2000]
-        model = track.refit(segment, start=1200)
-        inside = (track.starts >= 1200) & (track.starts + 500 <= 2000)
-        assert np.flatnonzero(inside).tolist() == [12, 13, 14, 15]
-        assert model.fundamental_hz == float(np.median(track.hz[inside]))
-        assert model.fundamental_hz == f_b
-        assert model.order == 3
-        # the fit's own residual: the one its residual power measures
-        resid = track.residual(segment, 1200)
-        assert float(np.dot(resid, resid) / resid.size) \
-            == model.residual_power
-        rendered = segment - (model.predict(800, FS) + model.offset)
-        assert np.max(np.abs(resid - rendered)) \
-            <= 1e-12 * np.max(np.abs(segment))
-        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(segment)
-
-    def test_refit_needs_a_subwindow_inside_the_segment(self):
-        x = harmonic_signal(float(GRID[96]), 1000, [1.0], [0.0])
-        track = breathing_track(PhaseSignal(x, FS))
-        with pytest.raises(ValueError, match="no breathing subwindow"):
-            track.refit(x[:400])
-        with pytest.raises(ValueError, match="no breathing subwindow"):
-            track.refit(x[550:], start=550)
+        # the harmonics and the intercept of the least-squares fit at that
+        # fundamental
+        design = refit_design(breathing_track(phase), n)
+        want, *_ = np.linalg.lstsq(design, x, rcond=None)
+        assert fit.model.offset == pytest.approx(want[-1], abs=1e-12)
+        assert np.max(np.abs(fit.s_ref - design[:, :-1] @ want[:-1])) \
+            <= 1e-12 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("fs", [FS, 1000.0 / 3.0])
     def test_a_subwindow_ending_on_the_last_sample_is_inside(self, fs):
@@ -655,33 +633,28 @@ class TestTrackAndReference:
         n_sub = window_samples(5.0, fs)
         first, last = track.starts[3], track.starts[6]
         span = last + n_sub - first      # subwindows 3..6, 6 ending on it
-        model = track.refit(x[first:first + span], first)
-        assert model.fundamental_hz == float(np.median(track.hz[3:7]))
+        assert track._refit_hz([first], span)[0] \
+            == np.median(track.hz[3:7])
         # a sample shorter: subwindow 6 ends a sample past the window
-        model = track.refit(x[first:first + span - 1], first)
-        assert model.fundamental_hz == float(np.median(track.hz[3:6]))
+        assert track._refit_hz([first], span - 1)[0] \
+            == np.median(track.hz[3:6])
         # a sample later: subwindow 3 starts a sample before the window
-        model = track.refit(x[first + 1:first + 1 + span], first + 1)
-        assert model.fundamental_hz == float(np.median(track.hz[4:7]))
-        with pytest.raises(ValueError, match="no breathing subwindow"):
-            track.refit(x[first:first + n_sub - 1], first)
+        assert track._refit_hz([first + 1], span)[0] \
+            == np.median(track.hz[4:7])
+        assert np.isnan(track._refit_hz([first], n_sub - 1)[0])
 
     def test_a_start_in_seconds_is_rejected(self):
         # 12.0 would otherwise read the subwindows 12 samples in
         x = harmonic_signal(float(GRID[96]), 2000, [1.0], [0.0])
         track = breathing_track(PhaseSignal(x, FS))
-        segment = x[1200:2000]
         windows = np.stack([x[:1000], x[100:1100]])
-        for start in (12.0, np.float64(12.0), 12.5):
-            for call in (track.refit, track.residual):
-                with pytest.raises(ValueError, match="sample indices"):
-                    call(segment, start)
-        for starts in ([0.0, 1.0], np.array([0.0, 1.0])):
+        for starts in ([0.0, 1.0], np.array([0.0, 1.0]),
+                       [np.float64(12.0), 12.5]):
             with pytest.raises(ValueError, match="sample indices"):
                 track.residuals(windows, starts)
-        for start in (1200, np.int64(1200)):
-            np.testing.assert_array_equal(track.residual(segment, start),
-                                          track.residual(segment, 1200))
+        np.testing.assert_array_equal(
+            track.residuals(windows, np.array([0, 100], dtype=np.int64))[0],
+            track.residuals(windows, [0, 100])[0])
 
 
 def masked_refit_hz(track, starts, n):
@@ -749,10 +722,12 @@ class TestResiduals:
         windows = np.stack([x[i0:i0 + 2000] for i0 in starts])
         out, errors = track.residuals(windows, starts)
         assert errors == [None] * starts.size
+        # to 1e-12 of the window: the least squares round at its scale,
+        # not at the scale of the weak tone it leaves
         for row, i0, window in zip(out, starts, windows):
-            expected = track.residual(window, i0)
+            expected = refit_residual(track, window, i0)
             assert np.max(np.abs(row - expected)) \
-                <= 1e-12 * np.max(np.abs(expected))
+                <= 1e-12 * np.max(np.abs(window))
 
     def test_a_window_without_a_subwindow_is_reported_and_left_alone(self):
         # 5 s windows at half-second starts: only the whole-second ones
@@ -765,9 +740,26 @@ class TestResiduals:
         assert isinstance(errors[1], ValueError)
         assert "no breathing subwindow" in str(errors[1])
         np.testing.assert_array_equal(out[1], windows[1])
-        expected = track.residual(windows[2], 200)
+        expected = refit_residual(track, windows[2], 200)
         assert np.max(np.abs(out[2] - expected)) \
-            <= 1e-12 * np.max(np.abs(expected))
+            <= 1e-12 * np.max(np.abs(windows[2]))
+
+    @pytest.mark.parametrize("n", [500, 501, 2000])
+    def test_a_constant_row_has_an_exactly_zero_residual(self, n):
+        # the intercept fits a constant exactly; the projections of 3.7
+        # and 0.1 rounded off them, and a spectrum read that rounding
+        x, track = self.record()
+        starts = np.array([0, 100, 200, 300])
+        windows = np.stack([x[i0:i0 + n] for i0 in starts])
+        windows[1] = 3.7
+        windows[2] = 0.1
+        out, errors = track.residuals(windows, starts)
+        assert errors == [None] * starts.size
+        assert (out[1:3] == 0.0).all()
+        for row, i0, window in zip(out[::3], starts[::3], windows[::3]):
+            expected = refit_residual(track, window, i0)
+            assert np.max(np.abs(row - expected)) \
+                <= 1e-12 * np.max(np.abs(window))
 
     def test_a_rank_deficient_refit_fails_its_whole_group(self):
         # every subwindow fitted at 0 Hz: the shared design has no rank
@@ -876,13 +868,12 @@ class TestCaches:
         x = harmonic_signal(0.26, 500, [1.0, 0.3], [0.0, 0.4], 0.2)
         track = BreathingTrack(starts=(0,), hz=(0.26,), sample_rate=FS)
         _refit_basis.cache_clear()
-        model = fit_amplitudes(x, FS, 0.26)
+        fit_amplitudes(x, FS, 0.26)
         out, errors = track.residuals(x[None, :], [0])
         assert errors == [None]
         assert np.max(np.abs(out)) < 1e-12
-        model.predict(500, FS)
         info = _refit_basis.cache_info()
-        assert (info.currsize, info.hits) == (1, 2)
+        assert (info.currsize, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("f_hz, order, n", [(0.26, 3, 500),
                                                 (float(GRID[60]), 3, 2000),
@@ -890,10 +881,10 @@ class TestCaches:
                                                 (16.6, 3, 3001)])
     def test_the_halves_unfold_to_an_orthonormal_basis_of_the_design(
             self, f_hz, order, n):
-        # even and odd are head rows of one orthonormal basis of the
-        # harmonic matrix and a column of ones, and the two maps turn its
-        # coordinates into the design's coefficients and back, though no
-        # cache holds that design
+        # even and odd are head rows of one orthonormal basis Q of the
+        # harmonic matrix and a column of ones, and the coefficients map
+        # turns that design into Q (its coordinates into the design's
+        # coefficients), though no cache holds the design
         entry = _refit_basis(f_hz, order, n, FS)
         assert isinstance(entry, anls_mod._RefitBasis)
         assert entry.even.shape == ((n + 1) // 2, order + 1)
@@ -903,17 +894,17 @@ class TestCaches:
                             np.ones((n, 1))])
         np.testing.assert_allclose(q.T @ q, np.eye(2 * order + 1),
                                    atol=1e-14)
-        assert np.max(np.abs(q @ entry.coordinates - design)) \
-            <= 4 * EPS * (1 + max_argument(f_hz, order, n))
-        np.testing.assert_allclose(entry.coefficients @ entry.coordinates,
-                                   np.eye(2 * order + 1), atol=1e-9)
+        # the design's rounding, amplified by its condition (1.6e11 at
+        # n = 7, where it reads 1.2e-5 against 1.9e-4)
+        assert np.max(np.abs(design @ entry.coefficients - q)) \
+            <= agreement(design, f_hz, n)
 
     @pytest.mark.parametrize("n", [2000, 3001])
     def test_an_entry_holds_half_a_basis(self, n):
         # a full n x 7 Q was 112 kB at n = 2000; the halves hold
-        # ceil(n/2) x 4 + floor(n/2) x 3 float64s, plus two 7 x 7 maps
+        # ceil(n/2) x 4 + floor(n/2) x 3 float64s, plus one 7 x 7 map
         _refit_basis.cache_clear()
-        small = 2 * 7 * 7 * 8
+        small = 7 * 7 * 8
         entry = _refit_basis(float(GRID[96]), 3, n, FS)
         assert sum(a.nbytes for a in entry) \
             <= ((n + 1) // 2 + 1) * 7 * 8 + small
@@ -932,10 +923,10 @@ class TestCaches:
         with pytest.raises(ValueError, match="rank-deficient harmonic "
                                              r"design at 0.0 Hz \(condition"):
             _refit_basis(0.0, 3, n, FS)
-        model = fit_amplitudes(harmonic_signal(0.26, n, [1.0], [0.0]), FS,
-                               0.26)
+        x = harmonic_signal(0.26, n, [1.0], [0.0])
+        fit_amplitudes(x, FS, 0.26)
         with pytest.raises(ValueError, match="rank-deficient"):
-            dataclasses.replace(model, fundamental_hz=0.0).predict(n, FS)
+            fit_amplitudes(x, FS, 0.0)
         assert _refit_basis.cache_info().currsize == 1
 
 
@@ -1004,9 +995,9 @@ class TestCentredRefit:
             got, errors = track.residuals(x[:len(starts)], starts)
             assert errors == [None] * len(starts)
             assert np.max(np.abs(got - want[:len(starts)])) <= tol
-        # the per-window route takes the same projections off, also where
+        # the per-window fit takes the same projections off, also where
         # the design is ill-conditioned (4.5e11 at n = 7 and 0.26 Hz)
-        single = track.residual(x[0], 0)
+        single = anls_mod._fit_with_residual(x[0], FS, f_hz, 3)[1]
         assert np.max(np.abs(single - want[0])) <= tol
 
     @pytest.mark.parametrize("n, f_hz", [(n, f) for n, f in CENTRED_CASES
@@ -1023,8 +1014,9 @@ class TestCentredRefit:
         resid = x[0] - design @ want
         assert model.residual_power == pytest.approx(resid @ resid / n,
                                                      rel=1e-12)
-        rendered = model.predict(n, FS) + model.offset
-        assert np.max(np.abs(rendered - design @ want)) \
+        # the fit's own projection, which reconstruct_reference returns
+        fitted = x[0] - anls_mod._fit_with_residual(x[0], FS, f_hz, 3)[1]
+        assert np.max(np.abs(fitted - design @ want)) \
             <= tol * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n", [500, 501])
@@ -1039,37 +1031,3 @@ class TestCentredRefit:
         assert out[1].tobytes() == windows[1].tobytes()
         assert not np.array_equal(out[0], windows[0])
 
-
-class TestPredict:
-    def model(self):
-        x = harmonic_signal(0.31, 500, [1.0, 0.4, 0.2], [0.1, 0.7, 1.3], 0.5)
-        return fit_amplitudes(x, FS, 0.31, order=3)
-
-    @pytest.mark.parametrize("n", [7, 8, 131, 500, 737, 836, 2000])
-    def test_renders_the_harmonic_matrix_product(self, n):
-        # at every length with room for the coefficients, fitted or not
-        model = self.model()
-        expected = harmonic_matrix(0.31, 3, n, FS) \
-            @ model.coefficients.reshape(-1)
-        rendered = model.predict(n, FS)
-        for got, want in ((rendered, expected),
-                          (rendered + model.offset, expected + model.offset)):
-            assert np.max(np.abs(got - want)) \
-                <= 1e-14 * np.max(np.abs(want))
-
-    def test_renders_through_the_refit_cache(self):
-        model = self.model()
-        _refit_basis.cache_clear()
-        model.predict(737, FS)
-        model.predict(737, FS)
-        info = _refit_basis.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
-
-    @pytest.mark.parametrize("n", [0, 1, 6])
-    def test_a_length_too_short_to_fit_is_rejected(self, n):
-        model = self.model()
-        with pytest.raises(ValueError, match=f"segment of {n} samples too "
-                                             f"short for 6 coefficients"):
-            model.predict(n, FS)
-        with pytest.raises(ValueError, match="too short"):
-            fit_amplitudes(np.ones(n), FS, 0.31)

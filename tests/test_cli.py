@@ -339,6 +339,32 @@ def _cli_phase(cube_path):
     return cube_phase(read_raw_cube(cube_path), (0.3, 3.0))
 
 
+def _driver_rows(monkeypatch, phase, step_s, track):
+    """The residual rows eca_conventional_trace cancels 20 s windows every
+    step_s to, in window order, as the driver's BreathingTrack.residuals
+    returns them."""
+    rows = []
+    residuals = BreathingTrack.residuals
+
+    def recording(self, windows, starts):
+        out, errors = residuals(self, windows, starts)
+        rows.extend(out.copy())
+        return out, errors
+
+    monkeypatch.setattr(BreathingTrack, "residuals", recording)
+    eca_conventional_trace(phase, step_s=step_s, track=track)
+    return rows
+
+
+def _assert_dumps(outdir, rows, fs):
+    """outdir holds one dump per row, each the text of its spectrum."""
+    files = sorted(outdir.iterdir())
+    assert len(files) == len(rows)
+    for path, row in zip(files, rows):
+        assert _same_text(path, _spectrum_csv(power_spectrum(row, fs))), \
+            path.name
+
+
 class TestSpectra:
     def test_dumps_window_csvs(self, synth_outputs, tmp_path):
         cube_path, _ = synth_outputs
@@ -355,10 +381,12 @@ class TestSpectra:
         assert float(power) >= 0.0
 
     def test_default_flags_match_per_window_reconstruction(
-            self, synth_outputs, tmp_path):
+            self, synth_outputs, tmp_path, monkeypatch):
         # with --step a multiple of --anls-step, the record's breathing
-        # subwindows inside a window are exactly the window's own, so the
-        # shared-track cancel stage equals refitting each window from scratch
+        # subwindows inside a window are exactly the window's own, so each
+        # window is refit at the fundamental its own track gives it, as
+        # reconstruct_reference fits it; the dump is the trace driver's
+        # residual rows
         cube_path, _ = synth_outputs
         outdir = tmp_path / "spectra"
         assert run_cli("spectra", "--in", str(cube_path), "--cancel",
@@ -367,46 +395,45 @@ class TestSpectra:
         fs = phase.sample_rate
         n_cpi = int(round(20.0 * fs))
         starts = window_starts(phase.samples.size, fs, 20.0, 1.0)
-        assert len(list(outdir.iterdir())) == len(starts) == 21
-        for w, i0 in enumerate(starts):
-            segment = phase.samples[i0:i0 + n_cpi]
-            # the window's own breathing track, as reconstruct_reference
-            # fits it, and its refit's residual
-            own = breathing_track(PhaseSignal(segment, fs))
-            cancelled = own.residual(segment)
-            expected = _spectrum_csv(power_spectrum(cancelled, fs))
-            path = outdir / f"spectrum_{w:05d}.csv"
-            assert _same_text(path, expected), path.name
+        track = breathing_track(phase, grid=BREATHING_GRID_HZ)
+        for i0 in starts:
+            own = breathing_track(PhaseSignal(phase.samples[i0:i0 + n_cpi],
+                                              fs))
+            assert own._refit_hz([0], n_cpi)[0] \
+                == track._refit_hz([i0], n_cpi)[0]
+        rows = _driver_rows(monkeypatch, phase, 1.0, track)
+        assert len(rows) == len(starts) == 21
+        _assert_dumps(outdir, rows, fs)
 
     def test_dumps_what_the_eca_method_tracks_on(self, synth_outputs,
                                                  tmp_path, monkeypatch):
         # off the anls-step lattice the record-wide breathing track and a
-        # per-window one differ; the dump follows the tracking methods.  It
-        # is the full padded spectrum of each window eca cancels, cancelled
-        # by the record's track one window at a time: the per-window form
-        # of what eca tracks on, which tests/test_ahet.py pins the block
-        # driver to
+        # per-window one differ; the dump follows the tracking methods: the
+        # full padded spectrum of each row eca's driver cancels
         cube_path, _ = synth_outputs
         outdir = tmp_path / "spectra"
         assert run_cli("spectra", "--in", str(cube_path), "--cancel",
                        "--step", "0.5", "--out", str(outdir)) == 0
-        seen = []
-        residuals = BreathingTrack.residuals
-
-        def recording(self, windows, starts):
-            seen.extend(zip(starts, np.array(windows)))
-            return residuals(self, windows, starts)
-
-        monkeypatch.setattr(BreathingTrack, "residuals", recording)
         phase = _cli_phase(cube_path)
         track = breathing_track(phase, grid=BREATHING_GRID_HZ)
-        eca_conventional_trace(phase, step_s=0.5, track=track)
-        files = sorted(outdir.iterdir())
-        assert len(files) == len(seen) == 41
-        for path, (start, segment) in zip(files, seen):
-            spectrum = power_spectrum(track.residual(segment, start),
-                                      phase.sample_rate)
-            assert _same_text(path, _spectrum_csv(spectrum)), path.name
+        rows = _driver_rows(monkeypatch, phase, 0.5, track)
+        assert len(rows) == 41
+        _assert_dumps(outdir, rows, phase.sample_rate)
+
+    @pytest.mark.parametrize("count", [ahet_mod._BLOCK, ahet_mod._BLOCK + 1])
+    def test_a_window_cap_keeps_the_drivers_blocks(
+            self, synth_outputs, tmp_path, monkeypatch, count):
+        # a cap at a block's end or one past it: the dumps are the driver's
+        # first rows, each cancelled within its whole block
+        cube_path, _ = synth_outputs
+        outdir = tmp_path / "spectra"
+        assert run_cli("spectra", "--in", str(cube_path), "--cancel",
+                       "--max-windows", str(count), "--out",
+                       str(outdir)) == 0
+        phase = _cli_phase(cube_path)
+        track = breathing_track(phase, grid=BREATHING_GRID_HZ)
+        rows = _driver_rows(monkeypatch, phase, 1.0, track)
+        _assert_dumps(outdir, rows[:count], phase.sample_rate)
 
 
 class TestExitCodes:
@@ -592,6 +619,20 @@ class TestExitCodes:
         assert run_cli("bench", "--family", "masking-b", "--seeds", seeds,
                        "--no-timing", "--out", str(outdir)) == 1
         assert not outdir.exists()
+
+    def test_a_window_whose_refit_fails_is_a_data_error(self, synth_outputs,
+                                                        tmp_path, capsys):
+        # 5 s windows at half-second steps: the second holds no whole 5 s
+        # breathing subwindow, so its refit fails after the first is dumped
+        cube_path, _ = synth_outputs
+        outdir = tmp_path / "spectra"
+        assert run_cli("spectra", "--in", str(cube_path), "--cancel",
+                       "--cpi", "5", "--step", "0.5", "--out",
+                       str(outdir)) == 2
+        assert capsys.readouterr().err.endswith(
+            "pulsecancel spectra: error: no breathing subwindow inside the "
+            "segment\n")
+        assert [p.name for p in outdir.iterdir()] == ["spectrum_00000.csv"]
 
     def test_negative_max_windows_is_a_usage_error(self, synth_outputs,
                                                    tmp_path, capsys):

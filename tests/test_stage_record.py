@@ -93,10 +93,10 @@ def test_a_cold_run_keeps_the_caches_it_fills(tool, doc):
             tool.tracemalloc.stop()
     entries = tool.anls._refit_basis.cache_info().currsize
     assert abs(again - kept["ahet"]) <= 0.02 * kept["ahet"]
-    # each refit entry at n = 2000 holds half an n x 7 basis and two 7 x 7
-    # maps (a full basis was 112 kB); 1 kB an entry and 48 kB in all for
+    # each refit entry at n = 2000 holds half an n x 7 basis and one 7 x 7
+    # map (a full basis was 112 kB); 1 kB an entry and 48 kB in all for
     # the arrays' and the caches' own records
-    per_entry = (2000 // 2 + 1) * 7 * 8 + 2 * 7 * 7 * 8 + 1024
+    per_entry = (2000 // 2 + 1) * 7 * 8 + 7 * 7 * 8 + 1024
     assert entries > 0
     assert factor < kept["ahet"] - kept["conventional"] \
         <= factor + entries * per_entry + 48 * 1024
