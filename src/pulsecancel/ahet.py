@@ -65,8 +65,8 @@ def _strongest_hz(f_hz: float) -> float:
 
 
 def _heart_peaks(freqs: np.ndarray, power: np.ndarray) -> tuple:
-    """The strongest-peak methods' measure: each row's strongest
-    heart-band peak: band_peaks' frequencies and powers, 2 x rows x 1."""
+    """The raw-phase method's measure: each row's strongest heart-band
+    peak: band_peaks' frequencies and powers, 2 x rows x 1."""
     return band_peaks(freqs, power, *HEARTBEAT_BAND_HZ, 1)
 
 
@@ -233,12 +233,31 @@ def ahet_step(spectrum: Spectrum, state: TrackerState):
 _BLOCK = 16
 
 
+def _blocks(phase: PhaseSignal, cpi_s: float, step_s: float,
+            track: BreathingTrack | None):
+    """The sliding windows _BLOCK at a time, as (sample starts, rows, one
+    error or None per row): the windows, or their track.residuals (the
+    residuals stage), None with every error its exception when residuals
+    raises; no block's rows are held while the next is cancelled."""
+    starts, stack = sliding_windows(phase.samples, phase.sample_rate, cpi_s,
+                                    step_s)
+    for b0 in range(0, len(starts), _BLOCK):
+        block, rows = starts[b0:b0 + _BLOCK], stack[b0:b0 + _BLOCK]
+        errors = [None] * len(block)
+        if track is not None:
+            try:
+                rows, errors = stage_sink()("residuals", track.residuals,
+                                            rows, block)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                rows, errors = None, [exc] * len(block)
+        yield block, rows, errors
+
+
 def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
            track: BreathingTrack | None, measure, methods: list,
            top_hz: float, zero_pad_factor: int) -> list:
-    """Sliding windows a block at a time: one track.residuals (when given),
-    one band_power up to top_hz and one measure per block, then every
-    method's decision over its rows.
+    """The _blocks walk, then one band_power up to top_hz and one measure
+    per block, then every method's decision over its rows.
 
     measure(freqs, power) returns arrays indexed by window first.  A method
     is a (decide, hold) pair: decide(*the window's row of each, freqs, its
@@ -252,30 +271,23 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
     propagates.  Within types.record_stages it reports residuals,
     band_power and measure per block, and decide per window and method.
 
-    Memory: one block's working set above the traces.  A block's residual
-    rows are dropped once band_power has read them, and its power and
-    measures once its decisions are made, so nothing of block k is alive
-    while block k+1's stages run.  For 16 windows of 2000 samples the
-    peak is the rows plus band_power's work on them, 0.69 MB (1.16 MB
-    when the rows and the previous block's power stayed referenced); the
-    cube-run record's whole trace from its cube peaks at 2.44 MB.
+    Memory: one block's working set above the traces.  A block's rows are
+    dropped once band_power has read them, and its power and measures once
+    its decisions are made, so nothing of block k is alive while block
+    k+1's stages run: for 16 windows of 2000 samples, the rows and
+    band_power's work on them, 0.69 MB at the peak.
     """
     stage = stage_sink()
     fs = phase.sample_rate
-    starts, stack = sliding_windows(phase.samples, fs, cpi_s, step_s)
     traces = [HrTrace() for _ in methods]
     last_hz = [None] * len(methods)
-    for b0 in range(0, len(starts), _BLOCK):
-        block = starts[b0:b0 + _BLOCK]
-        windows = stack[b0:b0 + _BLOCK]
-        errors = [None] * len(windows)
+    for block, rows, errors in _blocks(phase, cpi_s, step_s, track):
         try:
-            if track is not None:
-                windows, errors = stage("residuals", track.residuals,
-                                        windows, block)
-            freqs, power = stage("band_power", band_power, windows, fs,
+            if rows is None:              # residuals failed the whole block
+                raise errors[0]
+            freqs, power = stage("band_power", band_power, rows, fs,
                                  top_hz, zero_pad_factor)
-            windows = None                # band_power has read the rows
+            rows = None                   # band_power has read the rows
             measured = stage("measure", measure, freqs, power)
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(block)
@@ -295,13 +307,13 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
                 traces[r].append(TraceEntry(window_center(i0, fs, cpi_s),
                                             f_hz * 60.0, tag, delta))
         # nothing of this block stays alive while the next one's stages run
-        windows = power = measured = None
+        rows = power = measured = None
     return traces
 
 
 def _strongest_peak(tag: str) -> tuple:
     """_track's method for a strongest-peak decision: the first column of
-    the measure's first array (_heart_peaks' or _measure's)."""
+    the measure's first array (_heart_peaks' on the raw phase, _measure's)."""
     def decide(f_hz, *_):
         return _strongest_hz(float(f_hz[0])), tag, 0.0
 
@@ -348,8 +360,8 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
                 step_s: float, track: BreathingTrack | None,
                 config: AhetConfig, zero_pad_factor: int) -> HrTrace:
     """The "eca" or "ahet" trace over track's residuals, on the tracker's
-    grid for config: alone, or within shared_cancellation from one pass
-    that keeps the other method's trace."""
+    grid and from one _measure for config, whatever the pass runs: alone,
+    or within shared_cancellation from one pass that keeps the other's."""
     if track is None:
         track = stage_sink()("breathing_track", breathing_track, phase)
     shared = _SHARED.get()
@@ -359,9 +371,7 @@ def _cancelling(method: str, phase: PhaseSignal, cpi_s: float,
     methods = {"eca": _strongest_peak("eca"), "ahet": _tracker(config)}
     if shared is None:
         methods = {method: methods[method]}
-    # eca alone reads its strongest peak without the harmonic search
-    measure = (functools.partial(_measure, config=config)
-               if "ahet" in methods else _heart_peaks)
+    measure = functools.partial(_measure, config=config)
     traces = dict(zip(methods, _track(phase, cpi_s, step_s, track, measure,
                                       list(methods.values()),
                                       _top_hz(config), zero_pad_factor)))
@@ -405,9 +415,10 @@ def eca_conventional_trace(phase: PhaseSignal, cpi_s: float = 20.0,
     """Strongest-peak tracking after breathing cancellation (no
     credibility).
 
-    It reads the spectra on the tracker's default grid (674 bins at a
-    20 s CPI), shared or not, so within shared_cancellation its pass also
-    gives ahet_trace's, and its output never depends on the caller.
+    It reads the tracker's first fundamental on its default grid (674
+    bins at a 20 s CPI), shared or not, so within shared_cancellation its
+    pass also gives ahet_trace's, and its output never depends on the
+    caller.
     """
     return _cancelling("eca", phase, cpi_s, step_s, track, AhetConfig(),
                        zero_pad_factor)

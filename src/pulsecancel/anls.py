@@ -152,15 +152,6 @@ class BreathingTrack:
         return row_medians(self.hz.take(index, mode="clip"),
                            index < hi[:, None])
 
-    def _fit(self, segment: np.ndarray, start: int) -> tuple:
-        """_fit_with_residual of a segment starting at sample start of the
-        record, at the median fundamental of the subwindows inside it."""
-        f_hat = float(self._refit_hz([start], len(segment))[0])
-        if math.isnan(f_hat):
-            raise ValueError(_NO_SUBWINDOW)
-        return _fit_with_residual(segment, self.sample_rate, f_hat,
-                                  self.order)
-
     def residuals(self, windows: np.ndarray, starts) -> tuple:
         """The pipeline's cancel step: each row of a stack of equal-length
         windows, in order of their sample starts, less its refit (harmonics
@@ -700,7 +691,10 @@ def reconstruct_reference(phase: PhaseSignal) -> ReferenceFit:
     the fit's own projection without the intercept, the window less the
     fit's residual and offset."""
     track = breathing_track(phase)
-    model, resid = track._fit(phase.samples, 0)
+    # the window's own track always holds a subwindow from sample 0
+    f_hat = float(track._refit_hz([0], phase.samples.size)[0])
+    model, resid = _fit_with_residual(phase.samples, track.sample_rate, f_hat,
+                                      track.order)
     s_ref = phase.samples - resid - model.offset
     return ReferenceFit(s_ref=s_ref, model=model,
                        subwindow_hz=track.hz)

@@ -29,6 +29,13 @@ INTERVAL_S = 40.0
 INTERVAL_START_S = 10.0
 
 
+def sharing(methods):
+    """ahet.shared_cancellation when methods hold both CANCELLING methods,
+    which then share one pass per record and CPI; else a null scope."""
+    return (shared_cancellation() if CANCELLING <= set(methods)
+            else contextlib.nullcontext())
+
+
 @dataclass
 class IntervalRow:
     lo_s: float
@@ -183,8 +190,6 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
     make = FAMILIES[family]
     report = BenchReport(family, duration_s, list(seeds), list(cpis),
                          list(methods))
-    # eca and ahet share one cancel-and-spectrum pass per record and CPI
-    share = CANCELLING <= set(methods)
     for seed in seeds:
         scenario = make(seed, duration_s=duration_s)
         references = [(cpi_s, reference_trace(scenario, cpi_s))
@@ -193,7 +198,7 @@ def monte_carlo(family: str, seeds, cpis=(15.0, 20.0, 30.0),
         phase = slow_time_phase(scenario_slow_time(scenario),
                                 scenario.radar.frame_rate_hz)
         track = None
-        with shared_cancellation() if share else contextlib.nullcontext():
+        with sharing(methods):
             for cpi_s, reference in references:
                 for method in methods:
                     try:

@@ -5,22 +5,22 @@ Exit codes: 0 success, 1 usage error, 2 data/processing error.
 """
 
 import argparse
-import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .ahet import (_BLOCK, AhetConfig, ahet_trace, conventional_trace,
-                   eca_conventional_trace, shared_cancellation)
+from .ahet import (_blocks, AhetConfig, ahet_trace, conventional_trace,
+                   eca_conventional_trace)
 from .anls import BREATHING_GRID_HZ, BreathingTrack, breathing_track
 from .ingest import (CubeFormatError, read_raw_cube, read_reference_trace,
                      write_raw_cube, write_trace, write_truth)
 from .preprocess import NoTargetError, cube_phase
 from .scenario import (FAMILIES, load_scenario, reference_trace,
-                       sliding_windows, synthesize_radar_cube)
+                       synthesize_radar_cube)
 from .spectral import power_spectrum
 from .types import PhaseSignal
 
@@ -127,14 +127,10 @@ def _track_from_args(args, phase: PhaseSignal, methods):
                            args.kb)
 
 
-def _config_from_args(args) -> AhetConfig:
-    return AhetConfig(deviation_threshold_hz=args.ve,
-                      jump_threshold_hz=args.va)
-
-
 def _trace_from_args(args, phase: PhaseSignal, method: str,
                      track: BreathingTrack | None):
-    config = _config_from_args(args)
+    config = AhetConfig(deviation_threshold_hz=args.ve,
+                        jump_threshold_hz=args.va)
     common = dict(cpi_s=args.cpi, step_s=args.step,
                   zero_pad_factor=args.pad)
     if method == "ahet":
@@ -192,11 +188,7 @@ def _cmd_compare(args) -> int:
     else:
         raise UsageError("--truth is required with --in")
     track = _track_from_args(args, phase, methods)
-    # eca's share of a pass tracks at the default bounds, so at other
-    # bounds ahet could not take it
-    share = (bench_mod.CANCELLING <= set(methods)
-             and _config_from_args(args) == AhetConfig())
-    with shared_cancellation() if share else contextlib.nullcontext():
+    with bench_mod.sharing(methods):
         for method in methods:
             trace = _trace_from_args(args, phase, method, track)
             print(f"method={method} rmse_bpm="
@@ -237,26 +229,23 @@ def _cmd_spectra(args) -> int:
     phase = _phase_from_args(args)
     outdir = Path(args.out) if args.out else _default_out("spectra")
     outdir.mkdir(parents=True, exist_ok=True)
-    fs = phase.sample_rate
-    starts, windows = sliding_windows(phase.samples, fs, args.cpi, args.step)
-    count = min(len(starts), args.max_windows or len(starts))
     track = _track_from_args(args, phase,
                              bench_mod.CANCELLING if args.cancel else ())
-    # the trace drivers' blocks, so each dump is the rows they cancel
-    for b0 in range(0, count, _BLOCK):
-        block = windows[b0:b0 + _BLOCK]
-        errors = [None] * len(block)
-        if track is not None:
-            block, errors = track.residuals(block, starts[b0:b0 + _BLOCK])
-        for w, segment, error in zip(range(b0, count), block, errors):
-            if error is not None:
-                raise error
-            spectrum = power_spectrum(segment, fs, args.pad)
-            path = outdir / f"spectrum_{w:05d}.csv"
-            with open(path, "w") as fh:
-                fh.write("freq_hz,power\n")
-                for f, p in zip(spectrum.frequencies, spectrum.power):
-                    fh.write(f"{float(f)!r},{float(p)!r}\n")
+    # the trace drivers' walk, so each dump is a row they cancel, within
+    # its whole block; it stops after the block of the last window dumped
+    walk = ((rows, j, error)
+            for _, rows, errors in _blocks(phase, args.cpi, args.step, track)
+            for j, error in enumerate(errors))
+    count = 0
+    for rows, j, error in itertools.islice(walk, args.max_windows or None):
+        if error is not None:
+            raise error
+        spectrum = power_spectrum(rows[j], phase.sample_rate, args.pad)
+        with open(outdir / f"spectrum_{count:05d}.csv", "w") as fh:
+            fh.write("freq_hz,power\n")
+            for f, p in zip(spectrum.frequencies, spectrum.power):
+                fh.write(f"{float(f)!r},{float(p)!r}\n")
+        count += 1
     _log(f"wrote {count} spectra to {outdir}")
     return 0
 

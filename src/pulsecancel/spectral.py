@@ -147,7 +147,7 @@ def power_spectrum(x: np.ndarray, sample_rate: float,
     n_fft = n * zero_pad_factor
     frequencies = _grid(n_fft, sample_rate)
     # the mean as np.mean computes it, or a flat window's exact level
-    flat = x[0] == x[-1] and (x == x[0]).all()
+    flat = constant_rows(x[None, :]).size > 0
     xw = x - (x[0] if flat else x.sum() / n)
     xw *= _hann(n, True)
     spectrum = np.fft.rfft(xw, n_fft)

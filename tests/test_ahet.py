@@ -315,9 +315,10 @@ class TestSharedTrack:
             assert shared.entries == own.entries
 
 
-def fail_on_call(monkeypatch, name, k, exc=ValueError):
-    """Make pulsecancel.ahet.<name> raise exc on its k-th call (1-based)."""
-    original = getattr(ahet_mod, name)
+def fail_on_call(monkeypatch, name, k, exc=ValueError, owner=ahet_mod):
+    """Make owner.<name> (pulsecancel.ahet's by default) raise exc on its
+    k-th call (1-based)."""
+    original = getattr(owner, name)
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -326,7 +327,7 @@ def fail_on_call(monkeypatch, name, k, exc=ValueError):
             raise exc("injected failure")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ahet_mod, name, flaky)
+    monkeypatch.setattr(owner, name, flaky)
 
 
 # The block driver's form of each per-window stage a case makes fail: the
@@ -348,6 +349,22 @@ HOLD_CASES = [
     (ahet_trace, "power_spectrum", "refined", math.inf),
 ]
 WINDOWS = dict(cpi_s=10.0, step_s=2.0)     # six windows over the fixture
+
+
+def assert_second_block_held(phase, monkeypatch, trace_fn, tag, delta,
+                             name, owner):
+    """At the real block size, owner.<name> failing on its second call, a
+    block-wide stage, holds all 16 windows of the second block: 51 windows
+    make blocks of 16, 16, 16 and 3."""
+    assert ahet_mod._BLOCK == 16
+    clean = trace_fn(phase, cpi_s=10.0)
+    fail_on_call(monkeypatch, name, 2, owner=owner)
+    held = trace_fn(phase, cpi_s=10.0)
+    assert len(held) == len(clean) == 51
+    assert held.entries[:16] == clean.entries[:16]
+    for entry in held.entries[16:32]:
+        assert entry.hr_bpm == held.entries[15].hr_bpm
+        assert (entry.tag, entry.delta_hz) == (tag, delta)
 
 
 class TestHoldLastEstimate:
@@ -381,17 +398,17 @@ class TestHoldLastEstimate:
                              [(fn, tag, d) for fn, _, tag, d in HOLD_CASES])
     def test_a_failed_block_holds_every_window(
             self, masking_b_phase, monkeypatch, trace_fn, tag, delta):
-        # at the real block size a block-wide stage fails all 16 windows:
-        # 51 windows make blocks of 16, 16, 16 and 3, and the second fails
-        assert ahet_mod._BLOCK == 16
-        clean = trace_fn(masking_b_phase, cpi_s=10.0)
-        fail_on_call(monkeypatch, "band_power", 2)
-        held = trace_fn(masking_b_phase, cpi_s=10.0)
-        assert len(held) == len(clean) == 51
-        assert held.entries[:16] == clean.entries[:16]
-        for entry in held.entries[16:32]:
-            assert entry.hr_bpm == held.entries[15].hr_bpm
-            assert (entry.tag, entry.delta_hz) == (tag, delta)
+        assert_second_block_held(masking_b_phase, monkeypatch, trace_fn,
+                                 tag, delta, "band_power", ahet_mod)
+
+    @pytest.mark.parametrize("trace_fn, tag, delta",
+                             [(fn, tag, d) for fn, _, tag, d in HOLD_CASES
+                              if fn is not conventional_trace])
+    def test_a_failed_residuals_block_holds_every_window(
+            self, masking_b_phase, monkeypatch, trace_fn, tag, delta):
+        # the cancelling methods' other block-wide stage
+        assert_second_block_held(masking_b_phase, monkeypatch, trace_fn,
+                                 tag, delta, "residuals", BreathingTrack)
 
     @pytest.mark.parametrize("trace_fn, stage",
                              [(fn, stage) for fn, stage, _, _ in HOLD_CASES])
@@ -684,9 +701,10 @@ class TestSharedCancellation:
             ahet_trace(masking_b_phase, track=track)
         assert counts["_measure"] == alone["_measure"] == 3
         assert counts["band_peaks"] <= alone["band_peaks"]
+        # a lone eca pass measures as the tracker does, once per block
         counts.update({"_measure": 0, "band_peaks": 0})
         eca_conventional_trace(masking_b_phase, track=track)
-        assert counts == {"_measure": 0, "band_peaks": 3}
+        assert counts == {"_measure": 3, "band_peaks": 0}
 
 
 def measure_by_loops(freqs, power, config):

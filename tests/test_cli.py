@@ -268,9 +268,9 @@ class TestCompare:
     @pytest.mark.parametrize("bounds", [(), ("--ve", "0.3")])
     def test_measures_once_per_block_per_pass(self, synth_outputs, capsys,
                                               monkeypatch, bounds):
-        # at the default bounds ahet takes eca's shared pass; at others it
-        # runs its own and eca reads only its strongest peaks, so either
-        # way the tracker measures each block once
+        # at the default bounds ahet takes eca's shared pass; at others
+        # eca's pass keys at the default bounds and ahet runs its own, and
+        # each pass measures each block once
         cube_path, truth_path = synth_outputs
         phase = cube_phase(read_raw_cube(cube_path))
         track = breathing_track(phase)
@@ -297,7 +297,7 @@ class TestCompare:
         assert capsys.readouterr().out.splitlines() == expected
         # 21 windows, in blocks of 16
         assert ahet_mod._BLOCK == 16
-        assert len(calls) == 2
+        assert len(calls) == (4 if bounds else 2)
 
     def test_truth_from_scenario_needs_no_csv(self, scenario_file, capsys):
         code = run_cli("compare", "--scenario", scenario_file, "--methods",
@@ -419,6 +419,20 @@ class TestSpectra:
         rows = _driver_rows(monkeypatch, phase, 0.5, track)
         assert len(rows) == 41
         _assert_dumps(outdir, rows, phase.sample_rate)
+
+    def test_dumps_follow_the_drivers_block_size(self, synth_outputs,
+                                                  tmp_path, monkeypatch):
+        # a row's residual can move by rounding with its block-mates, so
+        # the dumps cancel in the blocks the driver runs, whatever their size
+        monkeypatch.setattr(ahet_mod, "_BLOCK", 5)
+        cube_path, _ = synth_outputs
+        outdir = tmp_path / "spectra"
+        assert run_cli("spectra", "--in", str(cube_path), "--cancel",
+                       "--step", "0.5", "--out", str(outdir)) == 0
+        phase = _cli_phase(cube_path)
+        track = breathing_track(phase, grid=BREATHING_GRID_HZ)
+        _assert_dumps(outdir, _driver_rows(monkeypatch, phase, 0.5, track),
+                      phase.sample_rate)
 
     @pytest.mark.parametrize("count", [ahet_mod._BLOCK, ahet_mod._BLOCK + 1])
     def test_a_window_cap_keeps_the_drivers_blocks(
