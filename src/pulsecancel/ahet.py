@@ -76,22 +76,24 @@ def conventional_hr(spectrum: Spectrum) -> float:
     return _strongest_hz(float(f_hz[0, 0]))
 
 
-def _combine(f_fund_hz: float, f_harm_hz: float) -> float:
-    """Equal-weight blend of the fundamental and the halved harmonic."""
-    return 0.5 * f_fund_hz + 0.5 * (f_harm_hz / 2.0)
+def _readout(f_fund_hz: float, f_harm_hz: float) -> tuple:
+    """A pair's (rate, gap): the equal blend of the fundamental and the
+    halved harmonic and credibility's gap, or with no harmonic (nan) the
+    fundamental and an infinite gap."""
+    if math.isnan(f_harm_hz):
+        return f_fund_hz, math.inf
+    return (0.5 * f_fund_hz + 0.5 * (f_harm_hz / 2.0),
+            credibility(f_fund_hz, f_harm_hz, math.inf)[0])
 
 
 def _measure(freqs: np.ndarray, power: np.ndarray,
              config: AhetConfig) -> tuple:
     """What each spectrum (row of power) offers the tracker: its two
-    strongest fundamental-band peaks and, for each, its harmonic.  Returns
-    (fund_hz, harm_hz), rows x 2, nan where a peak or harmonic is missing.
-
-    A candidate's harmonic is the strongest peak from just under its double
-    (so a slightly flat harmonic still lands inside) up to the harmonic
-    ceiling.  A peak that does not clear that region's median power by
-    HARMONIC_FLOOR is treated as noise rather than a harmonic.
-    """
+    strongest fundamental-band peaks and, for each, its harmonic (the
+    strongest peak from just under its double, so a slightly flat one
+    still lands inside, up to the harmonic ceiling), that peak's power and
+    its region's median power, the floor _decide holds it to.  Returns
+    (fund_hz, harm_hz, harm_power, floor), rows x 2, nan where missing."""
     band, hi = HEARTBEAT_BAND_HZ, HARMONIC_CEILING_HZ
     # bins past the harmonic ceiling's upper neighbor are never read
     n = int(freqs.searchsorted(hi, side="right")) + 1
@@ -123,29 +125,26 @@ def _measure(freqs: np.ndarray, power: np.ndarray,
     mine = (peak_rows == cand[:, None]) & (peak_cols >= a[:, None])
     harm_hz, harm_p = strongest_peaks(peaks, mine, 1)[..., 0]
     # the floor's region runs from a up to the harmonic ceiling, and the
-    # sort starts at the lowest of the regions; a candidate without a
-    # harmonic reads nan power, which no floor changes
+    # sort starts at the lowest of the regions
     start = int(a.min(initial=top - 1))
     floor = row_medians(power[cand, start:top],
                         np.arange(start, top) >= a[:, None])
-    harm_hz[(floor > 0) & (harm_p < HARMONIC_FLOOR * floor)] = np.nan
-    return fund_hz, harm_hz.reshape(2, rows).T
+    return (fund_hz, *(x.reshape(2, rows).T for x in (harm_hz, harm_p,
+                                                      floor)))
 
 
 def _refined_search(freqs: np.ndarray, power: np.ndarray,
                     state: TrackerState, config: AhetConfig):
-    """Re-search narrow regions around the established rate h_bar in one
-    window's spectrum (power on grid freqs)."""
+    """The (fundamental, harmonic) pair in narrow regions around the
+    established rate h_bar in one window's spectrum (power on grid freqs),
+    nan where a region holds no peak, or None without a fundamental."""
     va = config.jump_threshold_hz
     f_lo, f_hi = state.h_bar_hz - va, state.h_bar_hz + va
     fund = float(band_peaks(freqs, power[None, :], f_lo, f_hi)[0][0, 0])
     if math.isnan(fund):
         return None
-    harm = float(band_peaks(freqs, power[None, :], 2.0 * f_lo,
-                            2.0 * f_hi)[0][0, 0])
-    if math.isnan(harm):
-        return fund, TAG_REFINED, math.inf
-    return _combine(fund, harm), TAG_REFINED, abs(2.0 * fund - harm)
+    return fund, float(band_peaks(freqs, power[None, :], 2.0 * f_lo,
+                                  2.0 * f_hi)[0][0, 0])
 
 
 def _top_hz(config: AhetConfig) -> float:
@@ -155,24 +154,24 @@ def _top_hz(config: AhetConfig) -> float:
                2.0 * (HEARTBEAT_BAND_HZ[1] + config.jump_threshold_hz))
 
 
-def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
-            state: TrackerState, config: AhetConfig):
-    """ahet_step's sequential update from one window's _measure row; only
+def _decide(fund_hz, harm_hz, harm_power, floor, freqs: np.ndarray,
+            power: np.ndarray, state: TrackerState, config: AhetConfig):
+    """ahet_step's sequential update from one window's _measure row, and
+    the whole credibility rule: a harmonic counts if its power clears
+    HARMONIC_FLOOR times a positive floor, a counted pair is trusted if
+    credibility passes its gap, and every (rate, gap) is _readout's.  Only
     the refined search reads the window's spectrum (power on grid freqs)."""
-    fund_hz, harm_hz = fund_hz.tolist(), harm_hz.tolist()
-
-    chosen = None
-    first_pair = None
-    for rank, (f_fund, f_harm) in enumerate(zip(fund_hz, harm_hz)):
-        if math.isnan(f_harm):      # also when there is no such peak
-            continue
-        delta, ok = credibility(f_fund, f_harm,
-                                config.deviation_threshold_hz)
-        if first_pair is None:
-            first_pair = (f_fund, f_harm, delta)
-        if ok:
-            tag = TAG_RELIABLE_1 if rank == 0 else TAG_RELIABLE_2
-            chosen = (_combine(f_fund, f_harm), tag, delta)
+    rows = list(zip(fund_hz.tolist(), harm_hz.tolist(), harm_power.tolist(),
+                    floor.tolist()))
+    chosen = first_pair = None
+    for rank, (f_fund, f_harm, p_harm, p_floor) in enumerate(rows):
+        if math.isnan(f_harm) or (0 < p_floor
+                                  and p_harm < HARMONIC_FLOOR * p_floor):
+            continue            # no such peak, or noise in its region
+        first_pair = first_pair or (f_fund, f_harm)
+        if credibility(f_fund, f_harm, config.deviation_threshold_hz)[1]:
+            chosen = (*_readout(f_fund, f_harm),
+                      (TAG_RELIABLE_1, TAG_RELIABLE_2)[rank])
             break
 
     if chosen is not None and state.h_bar_hz is not None \
@@ -182,20 +181,20 @@ def _decide(fund_hz, harm_hz, freqs: np.ndarray, power: np.ndarray,
         chosen = None
 
     if chosen is None:
-        if state.h_bar_hz is not None:
-            chosen = _refined_search(freqs, power, state, config)
-        if chosen is None:
+        pair = (None if state.h_bar_hz is None
+                else _refined_search(freqs, power, state, config))
+        if pair is None:
             if state.last_estimate_hz is not None:
-                chosen = (state.last_estimate_hz, TAG_REFINED, math.inf)
+                pair = (state.last_estimate_hz, math.nan)
             elif first_pair is not None:
-                f_fund, f_harm, delta = first_pair
-                chosen = (_combine(f_fund, f_harm), TAG_REFINED, delta)
-            elif not math.isnan(fund_hz[0]):
-                chosen = (fund_hz[0], TAG_REFINED, math.inf)
+                pair = first_pair
+            elif not math.isnan(rows[0][0]):
+                pair = (rows[0][0], math.nan)
             else:
                 raise ValueError("no usable peak in the fundamental band")
+        chosen = (*_readout(*pair), TAG_REFINED)
 
-    f_hz, tag, delta = chosen
+    f_hz, delta, tag = chosen
     f_hz = min(max(f_hz, HEARTBEAT_BAND_HZ[0]), HEARTBEAT_BAND_HZ[1])
 
     if tag in (TAG_RELIABLE_1, TAG_RELIABLE_2) and state.h_bar_hz is None:
@@ -219,10 +218,9 @@ def ahet_step(spectrum: Spectrum, state: TrackerState):
     until h_bar freezes (once, forever).  This is _measure, then _decide:
     ahet_trace runs the same two stages, _measure over a block of windows.
     """
-    fund_hz, harm_hz = _measure(spectrum.frequencies,
-                                spectrum.power[None, :], _DEFAULT)
-    return (*_decide(fund_hz[0], harm_hz[0], spectrum.frequencies,
-                     spectrum.power, state, _DEFAULT), state)
+    freqs, power = spectrum.frequencies, spectrum.power
+    row = [m[0] for m in _measure(freqs, power[None, :], _DEFAULT)]
+    return (*_decide(*row, freqs, power, state, _DEFAULT), state)
 
 
 # --- full-record drivers ---------------------------------------------------
@@ -288,7 +286,8 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
             freqs, power = stage("band_power", band_power, rows, fs,
                                  top_hz, zero_pad_factor)
             rows = None                   # band_power has read the rows
-            measured = stage("measure", measure, freqs, power)
+            # one tuple per window: its row of each array measure returns
+            measured = list(zip(*stage("measure", measure, freqs, power)))
         except (ValueError, np.linalg.LinAlgError) as exc:
             errors = [exc] * len(block)
         for r, (decide, hold) in enumerate(methods):
@@ -297,8 +296,7 @@ def _track(phase: PhaseSignal, cpi_s: float, step_s: float,
                     if errors[j] is not None:
                         raise errors[j]
                     f_hz, tag, delta = stage("decide", decide,
-                                             *(m[j] for m in measured),
-                                             freqs, power[j])
+                                             *measured[j], freqs, power[j])
                 except (ValueError, np.linalg.LinAlgError):
                     if last_hz[r] is None:
                         raise

@@ -401,7 +401,9 @@ def constant_rows(windows: np.ndarray) -> np.ndarray:
     first.  A constant row ends at its first sample, so only those rows
     are compared in full."""
     flat = np.flatnonzero(windows[:, 0] == windows[:, -1])
-    return flat[(windows[flat] == windows[flat, :1]).all(axis=1)]
+    if flat.size:           # a stack with no such row skips the rest
+        flat = flat[(windows[flat] == windows[flat, :1]).all(axis=1)]
+    return flat
 
 
 def row_medians(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

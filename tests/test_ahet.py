@@ -135,6 +135,22 @@ class TestAhetStep:
         assert tag == "reliable-1st-peak"
         assert f == pytest.approx(1.0, abs=5e-3)
 
+    def test_harmonic_floor_applies_before_the_first_pair_is_read(self):
+        # the strongest candidate's harmonic region (from 2.9 Hz) holds
+        # only noise blips under the floor; the weaker one at 1.0 Hz has a
+        # loud harmonic 0.3 Hz off its double.  No pair is credible and
+        # nothing is held, so the fallback reads the first pair whose
+        # harmonic counts: the second candidate's
+        rng = np.random.default_rng(0)
+        freqs = np.linspace(0.0, 5.0, 2001)
+        background = np.where(freqs >= 1.9, rng.uniform(0.8, 1.2, 2001), 0.0)
+        spec = spiky_spectrum([(1.5, 100.0), (1.0, 50.0), (2.3, 30.0)],
+                              background=background)
+        f, tag, delta, _ = ahet_step(spec, TrackerState())
+        assert tag == "refined"
+        assert f == pytest.approx(0.5 * 1.0 + 0.5 * (2.3 / 2.0), abs=5e-3)
+        assert delta == pytest.approx(0.3, abs=0.01)
+
 
 class TestTrackerMemory:
     def test_h_bar_freezes_after_stable_run(self):
@@ -176,6 +192,17 @@ class TestTrackerMemory:
         assert tag == "refined"
         assert f == pytest.approx(0.5 * 1.22 + 0.5 * (2.5 / 2.0), abs=5e-3)
         assert delta == pytest.approx(abs(2 * 1.22 - 2.5), abs=0.01)
+
+    def test_refined_fundamental_without_harmonic_reads_alone(self):
+        # no candidate has a harmonic; the refined regions hold a peak near
+        # h_bar but none near its double, so the fundamental is read alone
+        state = TrackerState(h_bar_hz=1.2, last_estimate_hz=1.2)
+        spec = spiky_spectrum([(1.05, 9.0), (1.5, 6.0), (1.22, 2.0)])
+        f, tag, delta, state = ahet_step(spec, state)
+        assert tag == "refined"
+        assert f == pytest.approx(1.22, abs=1e-3)
+        assert math.isinf(delta)
+        assert state.last_estimate_hz == f
 
 
 class TestTraces:
@@ -710,7 +737,8 @@ class TestSharedCancellation:
 def measure_by_loops(freqs, power, config):
     """_measure's selections one row and one candidate at a time: the band
     peaks and each harmonic region's peaks sorted by (power descending,
-    column), each floor by np.median of its region."""
+    column), the harmonic with no floor applied, its peak's power, and its
+    region's floor by np.median."""
     band, hi = HEARTBEAT_BAND_HZ, ahet_mod.HARMONIC_CEILING_HZ
     top = int(np.searchsorted(freqs, hi, side="right"))
     freqs, power = freqs[:top + 1], power[:, :top + 1]
@@ -720,25 +748,24 @@ def measure_by_loops(freqs, power, config):
     b_band = min(int(np.searchsorted(freqs, band[1], side="right")), edge)
     b = min(top, edge)
     rows, cols, f, p = local_peaks(freqs, power, 1, b)
-    fund = np.full((len(power), 2), np.nan)
-    harm = np.full((len(power), 2), np.nan)
+    fund, harm, harm_power, floor = (np.full((len(power), 2), np.nan)
+                                     for _ in range(4))
     for r in range(len(power)):
-        mine = [(-p[j], cols[j], f[j]) for j in np.flatnonzero(rows == r)]
+        mine = [(-p[j], cols[j], j) for j in np.flatnonzero(rows == r)]
         in_band = sorted(x for x in mine if a_band <= x[1] < b_band)
-        for i, (_, _, f_fund) in enumerate(in_band[:2]):
-            fund[r, i] = f_fund
-            lo = 2.0 * f_fund - config.deviation_threshold_hz
+        for i, (_, _, j) in enumerate(in_band[:2]):
+            fund[r, i] = f[j]
+            lo = 2.0 * f[j] - config.deviation_threshold_hz
             if not lo < hi:
                 continue
             a = int(np.searchsorted(freqs, lo, side="left"))
+            if a < top:
+                floor[r, i] = np.median(power[r, a:top])
             region = sorted(x for x in mine if x[1] >= a)
-            if not region:
-                continue
-            floor = np.median(power[r, a:top]) if a < top else np.nan
-            if floor > 0 and -region[0][0] < ahet_mod.HARMONIC_FLOOR * floor:
-                continue
-            harm[r, i] = region[0][2]
-    return fund, harm
+            if region:
+                k = region[0][2]
+                harm[r, i], harm_power[r, i] = f[k], p[k]
+    return fund, harm, harm_power, floor
 
 
 def measure_cases():
@@ -796,7 +823,7 @@ class TestMeasure:
         config = AhetConfig()
         tags = set()
         for freqs, power in (record, noise):
-            fund, harm = ahet_mod._measure(freqs, power, config)
+            measured = ahet_mod._measure(freqs, power, config)
             alone, block = TrackerState(), TrackerState()
             for j, row in enumerate(power):
                 spectrum = Spectrum(freqs, row, 100.0, 20.0, 8)
@@ -805,8 +832,8 @@ class TestMeasure:
                 except ValueError as exc:
                     got = repr(exc)
                 try:
-                    want = ahet_mod._decide(fund[j], harm[j], freqs, row,
-                                            block, config)
+                    want = ahet_mod._decide(*(m[j] for m in measured),
+                                            freqs, row, block, config)
                 except ValueError as exc:
                     want = repr(exc)
                 assert got == want

@@ -10,8 +10,8 @@ from scipy.signal import get_window
 import pulsecancel.spectral as spectral_mod
 from pulsecancel.spectral import (Spectrum, _chirp_z, _fast_len, _hann,
                                   _one_sided, band_peak_power, band_peaks,
-                                  band_power, local_peaks, power_spectrum,
-                                  row_medians, top_peaks)
+                                  band_power, constant_rows, local_peaks,
+                                  power_spectrum, row_medians, top_peaks)
 
 FS = 100.0
 
@@ -587,3 +587,40 @@ class TestStackPeaks:
         for i in range(1, 40):
             if mask[i].any():
                 assert got[i] == np.median(values[i][mask[i]])
+
+
+def constant_rows_by_loops(windows):
+    """Each row's samples compared with its first, one at a time."""
+    return np.array([i for i, row in enumerate(windows.tolist())
+                     if all(v == row[0] for v in row)], dtype=np.intp)
+
+
+def constant_row_cases():
+    """Rows whose ends differ, rows whose ends match around other samples,
+    constant rows (signed zeros compare equal), and stacks of each kind
+    alone, none, and one column."""
+    stack = np.random.default_rng(8).normal(size=(9, 50))
+    stack[[1, 4], -1] = stack[[1, 4], 0]
+    stack[2] = 3.5
+    stack[6] = 0.0
+    stack[7] = -0.0
+    stack[7, 10] = 0.0
+    return [stack, stack[[0, 3, 5, 8]], stack[[1, 4]], stack[[2, 6, 7]],
+            stack[:0], stack[:, :1], stack.astype(np.float32)]
+
+
+class TestConstantRows:
+    def test_equals_the_per_row_loops(self):
+        cases = constant_row_cases()
+        assert constant_rows(cases[0]).tolist() == [2, 6, 7]
+        for windows in cases:
+            got, want = constant_rows(windows), constant_rows_by_loops(windows)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_no_constant_row_gives_an_empty_index_array(self):
+        # ends that differ, ends that match around other samples, no rows
+        stack = constant_row_cases()[0]
+        for windows in (stack[[0, 3, 5, 8]], stack[[1, 4]], stack[:0]):
+            got = constant_rows(windows)
+            assert got.dtype == np.intp and got.shape == (0,)
